@@ -1,18 +1,24 @@
 """Forward construction tree -> best match graph, plus oracle and simulator.
 
-``bmg_of_tree`` is the production path: one lca-depth row per leaf, then a
-per-color maximum (the last common ancestors of a fixed leaf form a chain,
-so the deepest one is the closest).  ``bmg_oracle`` re-derives the same graph
-straight from the defining quantifier with naive root-path lca, independent
-of the Euler-tour machinery.
+``bmg_of_tree`` is the production engine and the only one: every gate, the
+simulator and ``from-tree`` use it.  It rests on the characterization that
+the colour-s out-neighbourhood of a leaf x (s not x's colour) is exactly the
+set of colour-s leaves below the lowest ancestor of x that has colour s
+below it.  Node ids are preorder ranks, so every subtree is the contiguous id
+range ``[v, v + size[v])``: walking up from x over ``_colormask``, each
+ancestor that adds a colour contributes one slice of that colour's leaves,
+found by a bisect into a per-colour list sorted by preorder.  The cost is
+O(N * |S| log N + |E|) plus the walks, and leaves sharing a parent and a
+colour share one walk.  ``bmg_oracle`` re-derives the same graph straight
+from the defining quantifier with naive root-path lca, sharing nothing with
+the engine beyond the parent array; tests hold the two equal.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .digraph import ColoredDigraph, ColoredGraph, symmetric_part
 from .errors import GraphError
@@ -22,25 +28,41 @@ SHAPES = ("binary", "multifurcating")
 
 
 def bmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
-    """Best match digraph of a leaf-colored tree in O(n^2)."""
+    """Best match digraph of a leaf-colored tree by subtree ranges."""
+    parent, size, cmask = tree.parent, tree.size, tree._colormask
     labs = tree.leaf_labels
-    colors = tree.colors
-    groups: dict[str, np.ndarray] = {
-        c: np.asarray([i for i, lab in enumerate(labs) if colors[lab] == c], dtype=np.int64)
-        for c in tree.color_universe
-    }
-    arcs: list[tuple[str, str]] = []
-    for i, x in enumerate(labs):
-        row = tree.leaf_lca_depth_row(i)
-        cx = colors[x]
-        for c, members in groups.items():
-            if c == cx:
-                continue
-            depths = row[members]
-            best = depths.max()
-            for j in members[depths == best]:
-                arcs.append((x, labs[int(j)]))
-    return ColoredDigraph(dict(colors), arcs)
+    cindex = {c: k for k, c in enumerate(tree.color_universe)}
+    # per colour k: preorder ids of its leaves (ascending) and, aligned, their
+    # vertex indices, which are the positions in the sorted leaf labels
+    pre: list[list[int]] = [[] for _ in cindex]
+    idx: list[list[int]] = [[] for _ in cindex]
+    for v, i in sorted((tree.leaf_node(lab), i) for i, lab in enumerate(labs)):
+        k = cindex[tree.colors[labs[i]]]
+        pre[k].append(v)
+        idx[k].append(i)
+    full = (1 << len(cindex)) - 1
+    shared: dict[tuple[int, int], frozenset[int]] = {}
+    out: list[frozenset[int]] = []
+    for lab in labs:
+        x = tree.leaf_node(lab)
+        key = (parent[x], cmask[x])
+        found = shared.get(key)
+        if found is None:
+            targets: list[int] = []
+            seen, v = cmask[x], x
+            while seen != full:
+                v = parent[v]
+                new = cmask[v] & ~seen
+                seen |= new
+                while new:
+                    k = (new & -new).bit_length() - 1
+                    new &= new - 1
+                    ids = pre[k]
+                    lo = bisect_left(ids, v)
+                    targets.extend(idx[k][lo : bisect_left(ids, v + size[v], lo)])
+            found = shared[key] = frozenset(targets)
+        out.append(found)
+    return ColoredDigraph.from_index_sets(tree.colors, out)
 
 
 def bmg_oracle(tree: LeafColoredTree) -> ColoredDigraph:
@@ -71,12 +93,12 @@ def bmg_oracle(tree: LeafColoredTree) -> ColoredDigraph:
 
     arcs = []
     for x in labs:
+        pos = {other: lca_pos(x, other) for other in labs}  # one root-path walk per pair
         for y in labs:
             if y == x or colors[y] == colors[x]:
                 continue
-            here = lca_pos(x, y)
             if all(
-                here >= lca_pos(x, other)
+                pos[y] >= pos[other]
                 for other in labs
                 if colors[other] == colors[y]
             ):

@@ -31,18 +31,26 @@ _ROUTE_BY_FLAG = {"pairwise": "pairwise-lrt", "direct": "informative-direct"}
 
 
 def _witness_ids(obj: object) -> list[str]:
-    """Flatten any witness structure into its sorted vertex-id strings."""
-    found: set[str] = set()
+    """Vertex ids of a witness structure, each once, in the order they appear.
+
+    Tuples and lists keep their order, so an arc ``(x, y)`` prints as
+    ``x y``; unordered sets are read in sorted order; a nested verdict is
+    read through its ``witness``.  Anything else, such as an index, names
+    no vertex and is skipped.
+    """
+    found: dict[str, None] = {}
     work = [obj]
     while work:
         item = work.pop()
         if isinstance(item, str):
-            found.add(item)
-        elif isinstance(item, (tuple, list, set, frozenset)):
-            work.extend(item)
-        elif hasattr(item, "witness") and item.witness is not None:
+            found.setdefault(item)
+        elif isinstance(item, (tuple, list)):
+            work.extend(reversed(item))
+        elif isinstance(item, (set, frozenset)):
+            work.extend(sorted(item, key=str, reverse=True))
+        elif getattr(item, "witness", None) is not None:
             work.append(item.witness)
-    return sorted(found)
+    return list(found)
 
 
 def _reject(stage: str, witness: object) -> int:
@@ -67,13 +75,12 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(format_dot(graph))
-    if not report.accepted:
+    if report.lrt is None:  # set exactly when the graph is accepted
         return _reject(report.stage or "unknown", report.witness)
     if report.note:
         print(f"NOTE {report.note}")
     print(f"ACCEPT {len(graph)} vertices {len(graph.color_ids)} colors")
     if args.emit_lrt:
-        assert report.lrt is not None
         write_tree(report.lrt, args.emit_lrt, _colors_path(args.emit_lrt, None))
     return 0
 
@@ -81,9 +88,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 def cmd_lrt(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     report = recognize_ncbmg(graph, route=_ROUTE_BY_FLAG[args.route])
-    if not report.accepted:
+    if report.lrt is None:  # set exactly when the graph is accepted
         return _reject(report.stage or "unknown", report.witness)
-    assert report.lrt is not None
     write_tree(report.lrt, args.out_tree, _colors_path(args.out_tree, None))
     return 0
 

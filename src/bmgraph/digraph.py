@@ -8,7 +8,7 @@ derived object (components, classes, arc listings) is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError
 
@@ -19,15 +19,8 @@ class ColoredDigraph:
     __slots__ = ("vertex_ids", "index_of", "color_ids", "color_of", "out_adj", "in_adj")
 
     def __init__(self, colors: Mapping[str, str], arcs: Iterable[tuple[str, str]] = ()):
-        if not colors:
-            raise GraphError("graph needs at least one vertex")
-        self.vertex_ids: tuple[str, ...] = tuple(sorted(colors))
-        self.index_of: dict[str, int] = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.color_ids: tuple[str, ...] = tuple(sorted(set(colors.values())))
-        color_index = {c: i for i, c in enumerate(self.color_ids)}
-        self.color_of: tuple[int, ...] = tuple(color_index[colors[v]] for v in self.vertex_ids)
+        self._intern(colors)
         out_sets: list[set[int]] = [set() for _ in self.vertex_ids]
-        in_sets: list[set[int]] = [set() for _ in self.vertex_ids]
         for src, dst in arcs:
             try:
                 i, j = self.index_of[src], self.index_of[dst]
@@ -36,7 +29,33 @@ class ColoredDigraph:
             if i == j:
                 raise GraphError(f"self-loop on vertex {src!r}")
             out_sets[i].add(j)
-            in_sets[j].add(i)
+        self._adopt(out_sets)
+
+    @classmethod
+    def from_index_sets(
+        cls, colors: Mapping[str, str], out_sets: Sequence[Iterable[int]]
+    ) -> "ColoredDigraph":
+        """Graph whose ``i``-th vertex in sorted id order has the out-neighbour
+        indices ``out_sets[i]``.  The sets are trusted: in range, loop-free."""
+        graph = cls.__new__(cls)
+        graph._intern(colors)
+        graph._adopt(out_sets)
+        return graph
+
+    def _intern(self, colors: Mapping[str, str]) -> None:
+        if not colors:
+            raise GraphError("graph needs at least one vertex")
+        self.vertex_ids: tuple[str, ...] = tuple(sorted(colors))
+        self.index_of: dict[str, int] = {v: i for i, v in enumerate(self.vertex_ids)}
+        self.color_ids: tuple[str, ...] = tuple(sorted(set(colors.values())))
+        color_index = {c: i for i, c in enumerate(self.color_ids)}
+        self.color_of: tuple[int, ...] = tuple(color_index[colors[v]] for v in self.vertex_ids)
+
+    def _adopt(self, out_sets: Sequence[Iterable[int]]) -> None:
+        in_sets: list[list[int]] = [[] for _ in self.vertex_ids]
+        for i, targets in enumerate(out_sets):
+            for j in targets:
+                in_sets[j].append(i)
         self.out_adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in out_sets)
         self.in_adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in in_sets)
 
@@ -213,6 +232,17 @@ def subgraph_on(graph: ColoredDigraph, vertices: Iterable[int]) -> ColoredDigrap
         if j in keep
     ]
     return ColoredDigraph(colors, arcs)
+
+
+def first_arc_difference(graph: ColoredDigraph, other: ColoredDigraph) -> tuple[str, str] | None:
+    """Smallest arc ``(x, y)`` that lies in exactly one of two graphs on the
+    same vertex ids, in vertex id order; None when their arcs agree."""
+    if graph.vertex_ids != other.vertex_ids:
+        raise GraphError("arc comparison needs graphs on the same vertices")
+    for i, (mine, theirs) in enumerate(zip(graph.out_adj, other.out_adj)):
+        if mine != theirs:
+            return graph.vertex_ids[i], graph.vertex_ids[min(mine ^ theirs)]
+    return None
 
 
 def symmetric_part(graph: ColoredDigraph) -> ColoredGraph:

@@ -149,11 +149,20 @@ def format_color_map(colors: dict[str, str]) -> str:
     return "".join(f"{leaf}\t{color}\n" for leaf, color in sorted(colors.items()))
 
 
+def _read_text(path: str) -> str:
+    """Contents of a UTF-8 text file; undecodable bytes are malformed input."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})", None
+            ) from None
+
+
 def read_tree(tree_path: str, colors_path: str) -> LeafColoredTree:
-    with open(tree_path, encoding="utf-8") as fh:
-        topology = parse_newick(fh.read())
-    with open(colors_path, encoding="utf-8") as fh:
-        colors = parse_color_map(fh.read())
+    topology = parse_newick(_read_text(tree_path))
+    colors = parse_color_map(_read_text(colors_path))
     leaves = set(_topology_leaves(topology))
     extra = set(colors) - leaves
     if extra:
@@ -216,8 +225,7 @@ def format_dot(graph: ColoredDigraph) -> str:
 
 
 def read_graph(path: str) -> ColoredDigraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def write_graph(graph: ColoredDigraph, path: str) -> None:

@@ -4,9 +4,18 @@ Pipeline: reject same-color arcs, split into weakly connected components and
 require equal color sets, then per component either (a) recognize every
 two-color induced subgraph, take the unique least resolved tree per color
 pair, and feed all pair trees to a supertree BUILD, or (b) feed the union of
-the pairwise informative triples to BUILD directly.  Acceptance is never
-inferred from intermediate successes: the candidate tree must reproduce the
-input graph arc for arc.
+the pairwise informative triples to BUILD directly.
+
+There is exactly one acceptance gate: the candidate tree of the whole graph
+must reproduce the input arc for arc under the subtree-range engine
+``bmg_of_tree``, and a ``graph-mismatch`` rejection names the smallest arc
+``(x, y)`` on which the two differ.  No gate runs per colour pair or per
+component.  Per pair none is needed, since a pair that passes axioms N1-N3
+is a best match graph explained by its hierarchy topology; and the BMG of a
+tree restricted to two colours is the tree's BMG restricted to their leaves,
+so the global comparison also catches any pair the candidate fails.  A
+``2cbmg-failure`` witness is the pair's own ``Rejection``; the colour pair
+is recorded in ``pair_verdicts``.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .bmg import bmg_of_tree
 from .digraph import (
     ColoredDigraph,
     connected_components,
+    first_arc_difference,
     induced_subgraph,
     subgraph_on,
     thinness_partition,
@@ -101,9 +111,10 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
     t0 = clock()
     topology = comp_topologies[0] if len(comp_topologies) == 1 else tuple(comp_topologies)
     candidate = LeafColoredTree(topology, graph.colors_as_dict())
-    if bmg_of_tree(candidate) != graph:
+    mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
+    if mismatch is not None:
         report.stage = "graph-mismatch"
-        report.witness = candidate
+        report.witness = mismatch
         return report
     report.timings["gate"] = clock() - t0
     report.accepted = True
@@ -114,39 +125,35 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
 def _recognize_component(
     sub: ColoredDigraph, ci: int, route: str, report: RecognitionReport
 ) -> Topology | Rejection:
-    pairs = list(itertools.combinations(sub.color_ids, 2))
-    pair_trees: list[LeafColoredTree] = []
-    pooled: TripleSet | None = None
-    for s, t in pairs:
-        gst = induced_subgraph(sub, {s, t})
-        if route == "informative-direct":
-            found = informative_triples(gst)
-            pooled = found if pooled is None else pooled.union(found)
+    """Candidate topology of one component; no tree is built and no gate
+    runs here, the caller's global comparison is the only one."""
+    pairs = itertools.combinations(sub.color_ids, 2)
+    if route == "informative-direct":
+        pooled = TripleSet(frozenset(sub.vertex_ids), frozenset())
+        for s, t in pairs:
+            found = informative_triples(induced_subgraph(sub, {s, t}))
+            pooled = pooled.union(found)
             report.pair_verdicts[(ci, (s, t))] = f"{len(found)} informative triples"
-            continue
-        tree = _pair_lrt(gst)
-        if isinstance(tree, Rejection):
-            report.pair_verdicts[(ci, (s, t))] = f"failed: {tree.stage}"
-            return Rejection("2cbmg-failure", (ci, (s, t), tree.witness))
-        report.pair_verdicts[(ci, (s, t))] = "2-cBMG"
-        pair_trees.append(tree)
-
-    if route == "pairwise-lrt":
-        topo = build_from_trees(pair_trees, sub.vertex_ids)
-    else:
-        assert pooled is not None
         topo = build(pooled, sub.vertex_ids)
+    else:
+        pair_trees: list[LeafColoredTree] = []
+        for s, t in pairs:
+            tree = _pair_lrt(induced_subgraph(sub, {s, t}))
+            if isinstance(tree, Rejection):
+                report.pair_verdicts[(ci, (s, t))] = f"failed: {tree.stage}"
+                return Rejection("2cbmg-failure", tree)
+            report.pair_verdicts[(ci, (s, t))] = "2-cBMG"
+            pair_trees.append(tree)
+        topo = build_from_trees(pair_trees, sub.vertex_ids)
     if topo is None:
         return Rejection("triples-inconsistent", tuple(sub.vertex_ids))
-    candidate = LeafColoredTree(topo, sub.colors_as_dict())
-    if bmg_of_tree(candidate) != sub:
-        return Rejection("graph-mismatch", (ci, candidate))
     return topo
 
 
 def _pair_lrt(gst: ColoredDigraph) -> LeafColoredTree | Rejection:
     """Unique least resolved tree of a (possibly disconnected) two-colored
-    graph: per-component trees, joined under a pair root if needed."""
+    graph: per-component topologies joined under a pair root if needed, and
+    the one tree built for this colour pair, which is BUILD's input."""
     for v in range(len(gst)):
         if not gst.out_adj[v]:
             return Rejection("sink-vertex", gst.vertex_ids[v])
@@ -154,10 +161,10 @@ def _pair_lrt(gst: ColoredDigraph) -> LeafColoredTree | Rejection:
     topos: list[Topology] = []
     for comp in comps:
         piece = gst if len(comps) == 1 else subgraph_on(gst, comp)
-        tree = lrt_via_hierarchy(piece)
-        if isinstance(tree, Rejection):
-            return tree
-        topos.append(tree.topology())
+        topo = lrt_via_hierarchy(piece)
+        if isinstance(topo, Rejection):
+            return topo
+        topos.append(topo)
     topology = topos[0] if len(topos) == 1 else tuple(topos)
     return LeafColoredTree(topology, gst.colors_as_dict())
 
@@ -187,9 +194,11 @@ def class_roots_per_color(
                 for w in tree.leaves_under(rho)
                 if graph.color_name(graph.index_of[tree.label[w]]) == s
             }
-            assert below == {graph.vertex_ids[v] for v in targets}, (
-                "color neighborhood is not a subtree slice; tree cannot explain graph"
-            )
+            if below != {graph.vertex_ids[v] for v in targets}:
+                raise GraphError(
+                    f"color-{s} neighborhood of {part.class_ids(a)} is not a subtree"
+                    " slice; the tree cannot explain the graph"
+                )
             roots_at.setdefault(rho, set()).add(s)
     return roots_at
 

@@ -247,9 +247,8 @@ class LeafColoredTree:
                     rep[v] = kids[0]
                 else:
                     rep[v] = tuple(kids)
-        topo = rep[self.root]
-        assert topo is not None
-        return LeafColoredTree(topo, {lab: self.colors[lab] for lab in keep})
+        # keep is a non-empty set of this tree's leaves, so the root has a topology
+        return LeafColoredTree(rep[self.root], {lab: self.colors[lab] for lab in keep})
 
     def contract_edges(self, edges: Iterable[tuple[int, int]]) -> "LeafColoredTree":
         doomed: set[int] = set()
@@ -260,7 +259,7 @@ class LeafColoredTree:
                 raise TreeError(f"({u}, {v}) is an outer edge; only inner edges contract")
             doomed.add(v)
         flat: list[list[Topology]] = [[] for _ in self.parent]
-        rep: list[Topology | None] = [None] * len(self.parent)
+        rep: list[Topology] = [""] * len(self.parent)
         for v in reversed(range(len(self.parent))):
             lab = self.label[v]
             if lab is not None:
@@ -271,13 +270,10 @@ class LeafColoredTree:
                 if c in doomed:
                     kids.extend(flat[c])
                 else:
-                    assert rep[c] is not None
                     kids.append(rep[c])
             flat[v] = kids
             rep[v] = tuple(kids)
-        topo = rep[self.root]
-        assert topo is not None
-        return LeafColoredTree(topo, self.colors)
+        return LeafColoredTree(rep[self.root], self.colors)
 
     def displays(self, other: "LeafColoredTree") -> bool:
         """True iff ``other`` arises from a restriction of this tree by contractions."""
@@ -325,11 +321,10 @@ class LeafColoredTree:
     # -- serialization and comparison -----------------------------------------
 
     def topology(self) -> Topology:
-        rep: list[Topology | None] = [None] * len(self.parent)
+        rep: list[Topology] = [""] * len(self.parent)
         for v in reversed(range(len(self.parent))):
             lab = self.label[v]
             rep[v] = lab if lab is not None else tuple(rep[c] for c in self.children[v])
-        assert rep[self.root] is not None
         return rep[self.root]
 
     def newick(self) -> str:
@@ -342,13 +337,19 @@ class LeafColoredTree:
                 rep[v] = "(" + ",".join(rep[c] for c in self.children[v]) + ")"
         return rep[self.root] + ";"
 
+    # Canonical numbering makes the flat parent/label arrays a complete,
+    # exact key; unlike nested topologies they compare at any depth.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeafColoredTree):
             return NotImplemented
-        return self.topology() == other.topology() and self.colors == other.colors
+        return (
+            self.label == other.label
+            and self.parent == other.parent
+            and self.colors == other.colors
+        )
 
     def __hash__(self) -> int:
-        return hash((self.topology(), tuple(sorted(self.colors.items()))))
+        return hash((self.label, self.parent, tuple(sorted(self.colors.items()))))
 
     def __repr__(self) -> str:
         return f"LeafColoredTree({len(self.leaf_labels)} leaves, {len(self.color_universe)} colors)"

@@ -171,7 +171,8 @@ def build_from_trees(trees: list[LeafColoredTree], leaves: Iterable[str]) -> Top
 def _tree_blocks(tree: LeafColoredTree, members: list[str]) -> list[list[str]]:
     """Partition of ``members`` by the root children of the restricted tree."""
     nodes = [tree.leaf_node(lab) for lab in members]
-    top = tree.lca_set(nodes)
+    # node ids are preorder ranks: the extreme ids span the restricted root
+    top = tree.lca(min(nodes), max(nodes))
     if tree.is_leaf(top):
         return [members]
     kids = tree.children[top]  # preorder ids ascend in canonical child order

@@ -5,6 +5,12 @@ All axiom algebra runs on the class quotient of the thinness partition;
 class granularity makes that lossless.  Axioms are checked in the order
 N2, N3, N1 and the first violating class (pair) in class order is the
 reported witness.
+
+A connected, sink-free two-colored digraph satisfies N1-N3 exactly when it
+is a best match graph, and then the Hasse tree of its extended reachable
+sets is its least resolved tree.  The hierarchy route therefore runs no
+forward construction of its own: the one exact gate is the n-colour
+recognizer's final arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .digraph import (
     thinness_partition,
 )
 from .errors import GraphError
-from .tree import LeafColoredTree
+from .tree import LeafColoredTree, Topology
 from .verdicts import CheckResult, Rejection
 
 
@@ -203,13 +209,18 @@ def hasse_tree(ground: frozenset[int], sets: tuple[frozenset[int], ...]) -> Hier
     )
 
 
-def lrt_via_hierarchy(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
-    """Least resolved tree of a connected two-colored graph via extended
-    reachable sets, or a staged rejection."""
+def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
+    """Topology of the least resolved tree of a connected two-colored graph,
+    via extended reachable sets, or a staged rejection.
+
+    No tree is built and no forward construction checks the result: once the
+    structure checks and axioms N1-N3 pass, the graph is a best match graph
+    and the topology explains it.  Wrap it as
+    ``LeafColoredTree(topology, graph.colors_as_dict())`` to get the tree.
+    """
     verdict, part, _ = _checked_tables(graph)
-    if not verdict:
+    if part is None or not verdict:
         return Rejection("axioms", verdict)
-    assert part is not None
 
     r_ext = [extended_reachable_set(part, a) for a in range(len(part))]
     distinct = tuple(sorted(set(r_ext), key=lambda s: (-len(s), sorted(s))))
@@ -222,10 +233,7 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
     if isinstance(hierarchy, Rejection):
         return hierarchy
 
-    tree = _attach_leaves(graph, part, r_ext, hierarchy)
-    if bmg_of_tree(tree) != graph:
-        return Rejection("graph-mismatch", tree)
-    return tree
+    return _attach_leaves(graph, part, r_ext, hierarchy)
 
 
 def _vertex_ids(graph: ColoredDigraph, vertices) -> tuple[str, ...]:
@@ -237,21 +245,20 @@ def _attach_leaves(
     part: ThinnessPartition,
     r_ext: list[frozenset[int]],
     hierarchy: Hierarchy,
-) -> LeafColoredTree:
+) -> Topology:
     set_index = {s: i for i, s in enumerate(hierarchy.sets)}
     attached: list[list[str]] = [[] for _ in hierarchy.sets]
     for a in range(len(part)):
         node = set_index[r_ext[a]]
         attached[node].extend(graph.vertex_ids[v] for v in part.classes[a])
 
-    rep: list[object] = [None] * len(hierarchy.sets)
+    rep: list[Topology] = [""] * len(hierarchy.sets)
     order = sorted(range(len(hierarchy.sets)), key=lambda i: len(hierarchy.sets[i]))
     for i in order:  # children before parents: smaller sets first
-        kids: list[object] = [rep[c] for c in hierarchy.children[i]]
+        kids: list[Topology] = [rep[c] for c in hierarchy.children[i]]
         kids.extend(sorted(attached[i]))
         rep[i] = tuple(kids) if len(kids) > 1 else kids[0]
-    topology = rep[hierarchy.root]
-    return LeafColoredTree(topology, graph.colors_as_dict())
+    return rep[hierarchy.root]
 
 
 def class_roots(tree: LeafColoredTree, graph: ColoredDigraph, part: ThinnessPartition) -> list[int]:

@@ -112,3 +112,19 @@ def rvsr_tree() -> LeafColoredTree:
         ("a1", "b1", ("a5", ("a6", "b2"))),
         {"a1": "blue", "a5": "blue", "a6": "blue", "b1": "red", "b2": "red"},
     )
+
+
+def gate_mismatch_graph() -> ColoredDigraph:
+    """Three-colored graph whose every color pair is a two-colored best
+    match graph and whose pair trees are BUILD-consistent, yet the candidate
+    tree ((v1,v2),(v3,v4,v5)) lacks the input arc v3 -> v2: only the final
+    arc-for-arc gate rejects it.  It is a simulated best match graph with
+    the arc v3 -> v1 removed."""
+    return ColoredDigraph(
+        {"v1": "c2", "v2": "c1", "v3": "c3", "v4": "c1", "v5": "c2"},
+        [
+            ("v1", "v2"), ("v1", "v3"), ("v2", "v1"), ("v2", "v3"),
+            ("v3", "v2"), ("v3", "v4"), ("v3", "v5"),
+            ("v4", "v3"), ("v4", "v5"), ("v5", "v3"), ("v5", "v4"),
+        ],
+    )

@@ -26,7 +26,6 @@ from bmgraph import (
     connected_components,
     induced_subgraph,
     informative_triples,
-    lrt_via_hierarchy,
     lrt_via_triples,
     recognize_ncbmg,
     redundant_edges_n,
@@ -43,6 +42,7 @@ from cases import (
     weird_tree,
 )
 from util import (
+    hierarchy_lrt,
     all_topologies,
     arc_ids,
     color_partitions,
@@ -130,7 +130,7 @@ def test_criterion_3_lrt_minimality_and_uniqueness():
 def test_criterion_4_route_agreement():
     failures = []
     for seed, (_, graph) in enumerate(connected_two_color_pool(1000)[:500]):
-        via_h = lrt_via_hierarchy(graph)
+        via_h = hierarchy_lrt(graph)
         via_t = lrt_via_triples(graph)
         if isinstance(via_h, Rejection) or isinstance(via_t, Rejection):
             failures.append((seed, "rejected"))

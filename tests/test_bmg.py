@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from bmgraph import (
+    ColoredDigraph,
     GraphError,
     LeafColoredTree,
     SimulationConfig,
@@ -172,3 +173,30 @@ def test_exhaustive_oracle_agreement_tiny():
 def test_distinct_seeds_give_distinct_shapes_eventually():
     seen = {simulate(SimulationConfig(9, 3, s))[0].topology() for s in range(8)}
     assert len(seen) > 1
+
+
+def test_engine_matches_oracle_on_deep_and_many_color_trees():
+    from util import caterpillar
+
+    deep = caterpillar(300)
+    assert bmg_of_tree(deep) == bmg_oracle(deep)
+    wide, graph = simulate(SimulationConfig(60, 12, 5, shape="multifurcating"))
+    assert any(len(wide.children[v]) > 2 for v in wide.inner_nodes())
+    assert len(wide.color_universe) == 12
+    assert graph == bmg_oracle(wide)
+
+
+def test_gate_witness_is_the_flipped_arc():
+    from bmgraph.digraph import first_arc_difference
+
+    for seed in range(20):
+        tree, _ = random_scenario(seed, max_leaves=10, max_colors=4)
+        graph = bmg_of_tree(tree)
+        assert first_arc_difference(graph, graph) is None
+        colors = graph.colors_as_dict()
+        arcs = arc_ids(graph)
+        for x, y in itertools.permutations(graph.vertex_ids, 2):
+            if colors[x] == colors[y]:
+                continue
+            flipped = ColoredDigraph(colors, arcs ^ {(x, y)})
+            assert first_arc_difference(flipped, graph) == (x, y)

@@ -14,7 +14,7 @@ from bmgraph.graphio import (
     write_graph,
     write_tree,
 )
-from cases import smallest_counterexample, counter_triples_graph
+from cases import counter_triples_graph, gate_mismatch_graph, smallest_counterexample
 from util import arc_ids, random_scenario
 
 GRAPH_TEXT = """# two mutual best matches
@@ -210,3 +210,35 @@ def test_cli_check_axioms(tmp_path, capsys):
     write_graph(smallest_counterexample(), gp)
     assert run(["check-axioms", "--graph", gp]) == 1
     assert "FAIL N" in capsys.readouterr().out
+
+
+def test_cli_reject_lines_name_vertices_only(tmp_path, capsys):
+    gp = str(tmp_path / "fig2.txt")
+    write_graph(smallest_counterexample(), gp)
+    assert run(["recognize", "--graph", gp]) == 1
+    assert capsys.readouterr().err == "REJECT 2cbmg-failure w\n"
+    assert run(["lrt", "--graph", gp, "--out-tree", str(tmp_path / "no.nwk")]) == 1
+    assert capsys.readouterr().err == "REJECT 2cbmg-failure w\n"
+
+    gp = str(tmp_path / "gate.txt")
+    write_graph(gate_mismatch_graph(), gp)
+    for route in ("pairwise", "direct"):
+        assert run(["recognize", "--graph", gp, "--route", route]) == 1
+        assert capsys.readouterr().err == "REJECT graph-mismatch v3 v2\n"
+
+
+@pytest.mark.parametrize("command", ["recognize", "lrt", "from-tree"])
+def test_cli_exit_2_on_bytes_that_are_not_utf8(tmp_path, capsys, command):
+    bad = b"V a\xff r\n"
+    if command == "from-tree":
+        (tmp_path / "t.nwk").write_text("(a,b);\n")
+        (tmp_path / "t.nwk.colors").write_bytes(b"a\tred\nb\t\xffblue\n")
+        argv = ["from-tree", "--tree", str(tmp_path / "t.nwk"), "--out", str(tmp_path / "g")]
+    else:
+        (tmp_path / "g.txt").write_bytes(bad)
+        argv = [command, "--graph", str(tmp_path / "g.txt")]
+        if command == "lrt":
+            argv += ["--out-tree", str(tmp_path / "o.nwk")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err

@@ -12,15 +12,25 @@ from bmgraph import (
     bmg_of_tree,
     connected_components,
     induced_subgraph,
-    lrt_via_hierarchy,
     recognize_ncbmg,
     redundant_edges_2,
     redundant_edges_n,
     subgraph_on,
     thinness_partition,
 )
-from cases import counterex_sym_graph, three_class_scenario_tree, smallest_counterexample
-from util import arc_ids, connected_scenario, random_binary_refinement, random_scenario
+from cases import (
+    counterex_sym_graph,
+    gate_mismatch_graph,
+    smallest_counterexample,
+    three_class_scenario_tree,
+)
+from util import (
+    arc_ids,
+    connected_scenario,
+    hierarchy_lrt,
+    random_binary_refinement,
+    random_scenario,
+)
 
 
 def test_three_class_scenario():
@@ -121,7 +131,7 @@ def test_pairwise_lrts_are_displayed_by_final_tree():
             sub = induced_subgraph(graph, {s, t})
             for comp in connected_components(sub):
                 piece = subgraph_on(sub, comp)
-                pair_lrt = lrt_via_hierarchy(piece)
+                pair_lrt = hierarchy_lrt(piece)
                 assert isinstance(pair_lrt, LeafColoredTree)
                 assert lrt.displays(pair_lrt)
 
@@ -226,3 +236,30 @@ def test_unknown_route_is_an_error():
     _, graph = random_scenario(0, max_leaves=6)
     with pytest.raises(GraphError):
         recognize_ncbmg(graph, route="nope")
+
+
+def test_class_roots_per_color_rejects_non_explaining_tree():
+    from bmgraph.n_color import class_roots_per_color
+
+    colors = {"x": "red", "y": "blue", "z": "blue"}
+    graph = bmg_of_tree(LeafColoredTree((("x", "y"), "z"), colors))
+    star = LeafColoredTree(("x", "y", "z"), colors)
+    with pytest.raises(GraphError):
+        class_roots_per_color(star, graph)
+
+
+def test_global_gate_names_the_first_differing_arc():
+    graph = gate_mismatch_graph()
+    for route in ("pairwise-lrt", "informative-direct"):
+        report = recognize_ncbmg(graph, route=route)
+        assert report.stage == "graph-mismatch"
+        assert report.witness == ("v3", "v2")
+    assert set(recognize_ncbmg(graph).pair_verdicts.values()) == {"2-cBMG"}
+
+
+def test_pair_failure_witness_is_the_pair_rejection():
+    report = recognize_ncbmg(smallest_counterexample())
+    assert report.stage == "2cbmg-failure"
+    assert report.pair_verdicts == {(0, ("blue", "red")): "failed: axioms"}
+    assert report.witness.stage == "axioms"
+    assert report.witness.witness.stage == "N2"

@@ -190,3 +190,15 @@ def test_newick_round_trip():
         tree, _ = random_scenario(seed, max_leaves=15)
         again = LeafColoredTree.from_newick(tree.newick(), tree.colors)
         assert again == tree
+
+
+def test_deep_trees_compare_and_hash():
+    from util import caterpillar
+
+    deep = caterpillar(1500)
+    same = LeafColoredTree(deep.topology(), dict(deep.colors))
+    assert deep == same and hash(deep) == hash(same)
+    recolored = LeafColoredTree(deep.topology(), {lab: "c0" for lab in deep.leaf_labels})
+    assert deep != recolored
+    reshaped = deep.contract_edges([deep.inner_edges()[-1]])
+    assert deep != reshaped and len({deep, same, reshaped}) == 2

@@ -17,13 +17,12 @@ from bmgraph import (
     build_from_trees,
     connected_components,
     informative_triples,
-    lrt_via_hierarchy,
     lrt_via_triples,
     subgraph_on,
     thinness_partition,
 )
 from cases import counter_triples_graph
-from util import connected_scenario, random_scenario
+from util import connected_scenario, hierarchy_lrt, random_scenario
 
 
 def test_counter_triples_extraction_is_exact():
@@ -134,7 +133,7 @@ def test_routes_agree_on_connected_two_color_graphs():
     for seed in range(60):
         _, graph = connected_scenario(seed)
         lhs = lrt_via_triples(graph)
-        rhs = lrt_via_hierarchy(graph)
+        rhs = hierarchy_lrt(graph)
         assert isinstance(lhs, LeafColoredTree)
         assert lhs == rhs
 

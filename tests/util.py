@@ -9,8 +9,10 @@ from functools import lru_cache
 from bmgraph import (
     ColoredDigraph,
     LeafColoredTree,
+    Rejection,
     SimulationConfig,
     connected_components,
+    lrt_via_hierarchy,
     simulate,
 )
 
@@ -111,3 +113,22 @@ def random_binary_refinement(tree: LeafColoredTree, rng: random.Random) -> LeafC
 
 def arc_ids(graph: ColoredDigraph) -> set[tuple[str, str]]:
     return {(graph.vertex_ids[i], graph.vertex_ids[j]) for i, j in graph.arcs()}
+
+
+def hierarchy_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
+    """The topology of ``lrt_via_hierarchy`` as a tree, or its rejection."""
+    topology = lrt_via_hierarchy(graph)
+    if isinstance(topology, Rejection):
+        return topology
+    return LeafColoredTree(topology, graph.colors_as_dict())
+
+
+def caterpillar(n: int, colors: int = 2) -> LeafColoredTree:
+    """Caterpillar ``(((l0,l1),l2),...)`` whose leaf colors cycle through
+    ``colors`` colors; built bottom-up, so any depth is fine."""
+    width = len(str(n - 1))
+    names = [f"l{i:0{width}d}" for i in range(n)]
+    topology = names[0]
+    for name in names[1:]:
+        topology = (topology, name)
+    return LeafColoredTree(topology, {name: f"c{i % colors}" for i, name in enumerate(names)})
