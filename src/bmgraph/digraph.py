@@ -7,6 +7,7 @@ derived object (components, classes, arc listings) is deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -201,8 +202,11 @@ def induced_subgraph(graph: ColoredDigraph, colors: Iterable[str]) -> ColoredDig
     unknown = wanted - set(graph.color_ids)
     if unknown:
         raise GraphError(f"unknown color id(s): {sorted(unknown)}")
-    keep = [i for i in range(len(graph)) if graph.color_name(i) in wanted]
-    return subgraph_on(graph, keep)
+    if len(wanted) == len(graph.color_ids):
+        return graph  # immutable, so the whole graph serves as its own copy
+    kept = {k for k, c in enumerate(graph.color_ids) if c in wanted}
+    in_kept = map(kept.__contains__, graph.color_of)
+    return subgraph_on(graph, itertools.compress(range(len(graph)), in_kept))
 
 
 def induced_subgraph_undirected(graph: ColoredGraph, colors: Iterable[str]) -> ColoredGraph:
@@ -223,15 +227,14 @@ def induced_subgraph_undirected(graph: ColoredGraph, colors: Iterable[str]) -> C
 
 def subgraph_on(graph: ColoredDigraph, vertices: Iterable[int]) -> ColoredDigraph:
     """Subgraph induced by a set of vertex indices; original ids kept."""
-    keep = set(vertices)
-    colors = {graph.vertex_ids[i]: graph.color_name(i) for i in keep}
-    arcs = [
-        (graph.vertex_ids[i], graph.vertex_ids[j])
-        for i in keep
-        for j in graph.out_adj[i]
-        if j in keep
-    ]
-    return ColoredDigraph(colors, arcs)
+    keep = sorted(set(vertices))
+    kept = frozenset(keep)
+    new_index = dict(zip(keep, range(len(keep)))).__getitem__
+    ids, names, color_of = graph.vertex_ids, graph.color_ids, graph.color_of
+    return ColoredDigraph.from_index_sets(
+        {ids[i]: names[color_of[i]] for i in keep},
+        [list(map(new_index, graph.out_adj[i] & kept)) for i in keep],
+    )
 
 
 def first_arc_difference(graph: ColoredDigraph, other: ColoredDigraph) -> tuple[str, str] | None:
@@ -280,20 +283,12 @@ class ThinnessPartition:
         g = self.graph
         return tuple(g.vertex_ids[i] for i in self.classes[a])
 
-    def is_monochromatic(self) -> bool:
-        g = self.graph
-        return all(len({g.color_of[v] for v in cls}) == 1 for cls in self.classes)
-
     def vertex_out(self, a: int) -> frozenset[int]:
         """Vertex-level N of class ``a`` (taken from a representative)."""
         return self.graph.out_adj[self.classes[a][0]]
 
     def vertex_in(self, a: int) -> frozenset[int]:
         return self.graph.in_adj[self.classes[a][0]]
-
-    def sinks(self) -> tuple[int, ...]:
-        """Classes with empty out-neighborhood."""
-        return tuple(a for a in range(len(self.classes)) if not self.out_classes[a])
 
     def no_in_classes(self) -> tuple[int, ...]:
         """Classes with empty in-neighborhood (the set called W)."""

@@ -161,9 +161,6 @@ class LeafColoredTree:
         except KeyError:
             raise TreeError(f"unknown leaf {lab!r}") from None
 
-    def color_of_leaf(self, lab: str) -> str:
-        return self.colors[lab]
-
     def nodes(self) -> range:
         return range(len(self.parent))
 

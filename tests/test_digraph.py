@@ -1,5 +1,7 @@
 """Colored digraph structure: components, induced subgraphs, thinness."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from bmgraph import (
     thinness_partition,
 )
 from cases import countercog_tree, weird_tree
-from util import arc_ids
+from util import arc_ids, random_scenario
 
 
 @st.composite
@@ -151,3 +153,23 @@ def test_subgraph_on_preserves_ids():
     sub = subgraph_on(g, [0, 1])
     assert sub.vertex_ids == ("a", "b")
     assert arc_ids(sub) == {("a", "b")}
+
+
+def test_projections_equal_graphs_built_from_string_ids():
+    for seed in range(40):
+        _, graph = random_scenario(seed, max_leaves=30, max_colors=5)
+        ids = graph.vertex_ids
+        for s, t in itertools.combinations(graph.color_ids, 2):
+            sub = induced_subgraph(graph, {s, t})
+            keep = [i for i in range(len(graph)) if graph.color_name(i) in (s, t)]
+            colors = {ids[i]: graph.color_name(i) for i in keep}
+            arcs = [(ids[i], ids[j]) for i, j in graph.arcs() if i in keep and j in keep]
+            assert sub == ColoredDigraph(colors, arcs)
+            assert sub.in_adj == ColoredDigraph(colors, arcs).in_adj
+            for comp in connected_components(sub):
+                members = {sub.vertex_ids[i] for i in comp}
+                piece = subgraph_on(sub, comp)
+                assert piece == ColoredDigraph(
+                    {v: c for v, c in colors.items() if v in members},
+                    [(x, y) for x, y in arcs if x in members and y in members],
+                )

@@ -212,6 +212,16 @@ def test_cli_check_axioms(tmp_path, capsys):
     assert "FAIL N" in capsys.readouterr().out
 
 
+def test_cli_check_axioms_wrong_color_count_names_vertices(tmp_path, capsys):
+    gp = tmp_path / "g.txt"
+    gp.write_text("V a r\nV b b\nV c r\nA a b\nA b a\n", encoding="utf-8")
+    assert run(["check-axioms", "--graph", str(gp)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "component 0 PASS",
+        "component 1 FAIL wrong-color-count c",
+    ]
+
+
 def test_cli_reject_lines_name_vertices_only(tmp_path, capsys):
     gp = str(tmp_path / "fig2.txt")
     write_graph(smallest_counterexample(), gp)

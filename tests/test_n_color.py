@@ -25,7 +25,10 @@ from cases import (
     three_class_scenario_tree,
 )
 from util import (
+    all_topologies,
     arc_ids,
+    color_partitions,
+    coloring_from_partition,
     connected_scenario,
     hierarchy_lrt,
     random_binary_refinement,
@@ -263,3 +266,23 @@ def test_pair_failure_witness_is_the_pair_rejection():
     assert report.pair_verdicts == {(0, ("blue", "red")): "failed: axioms"}
     assert report.witness.stage == "axioms"
     assert report.witness.witness.stage == "N2"
+
+
+def test_every_small_bmg_is_recognized_by_both_routes():
+    # every best match graph of every tree on <= 6 leaves with 2-3 colours,
+    # up to renaming leaves and colours
+    graphs = set()
+    for n in range(2, 7):
+        leaves = tuple(f"l{i}" for i in range(n))
+        for partition in color_partitions(n, 3):
+            if len(partition) < 2:
+                continue
+            colors = coloring_from_partition(leaves, partition)
+            for topo in all_topologies(leaves):
+                graphs.add(bmg_of_tree(LeafColoredTree(topo, colors)))
+    assert len(graphs) == 3782
+    for graph in graphs:
+        for route in ("pairwise-lrt", "informative-direct"):
+            report = recognize_ncbmg(graph, route=route)
+            assert report.accepted, (route, arc_ids(graph))
+            assert bmg_of_tree(report.lrt) == graph, (route, arc_ids(graph))

@@ -8,6 +8,7 @@ import pytest
 from bmgraph import (
     ColoredDigraph,
     GraphError,
+    Hierarchy,
     LeafColoredTree,
     Rejection,
     bmg_of_tree,
@@ -19,8 +20,16 @@ from bmgraph import (
     redundant_edges_2,
     thinness_partition,
 )
+from bmgraph.two_color import extended_reachable_masks, hasse_tree, laminarity_witness
 from cases import rvsr_tree, smallest_counterexample, weird_tree
-from util import connected_scenario, hierarchy_lrt, random_binary_refinement
+from util import (
+    caterpillar,
+    class_members,
+    connected_scenario,
+    connected_sink_free_out_masks,
+    hierarchy_lrt,
+    random_binary_refinement,
+)
 
 
 def complete_bidirectional(n_left=2, n_right=3):
@@ -56,11 +65,53 @@ def test_axioms_fail_on_counterexample():
     assert verdict.witness
 
 
+def _reference_axioms(graph):
+    """N2, N3, N1 on frozensets of classes, pair by pair: first failure or None."""
+    part = thinness_partition(graph)
+    n1 = part.out_classes
+    n2 = [frozenset().union(*(n1[c] for c in n1[a])) for a in range(len(part))]
+    n3 = [frozenset().union(*(n1[c] for c in n2[a])) for a in range(len(part))]
+    for a in range(len(part)):
+        if not n3[a] <= n1[a]:
+            return "N2", part.class_ids(a)
+    pairs = list(itertools.combinations(range(len(part)), 2))
+    for a, b in pairs:
+        if a not in n2[b] and b not in n2[a] and n1[a] & n1[b]:
+            nested = n1[a] <= n1[b] or n1[b] <= n1[a]
+            if not (part.in_classes[a] == part.in_classes[b] and nested):
+                return "N3", (part.class_ids(a), part.class_ids(b))
+    for a, b in pairs:
+        if a not in n1[b] and b not in n1[a] and (n1[a] & n2[b] or n1[b] & n2[a]):
+            return "N1", (part.class_ids(a), part.class_ids(b))
+    return None
+
+
+def test_axiom_verdicts_and_witnesses_match_the_pairwise_reference():
+    # every connected, sink-free graph on 2+3 and 3+2 vertices: the bitset
+    # loops must report the same first violating class or class pair
+    stages = {"N1": 0, "N2": 0, "N3": 0, None: 0}
+    for reds, blues in ((2, 3), (3, 2)):
+        n = reds + blues
+        ids = [f"v{v}" for v in range(n)]
+        colors = {ids[v]: "red" if v < reds else "blue" for v in range(n)}
+        for outs in connected_sink_free_out_masks(reds, blues):
+            graph = ColoredDigraph(
+                colors,
+                [(ids[v], ids[w]) for v in range(n) for w in range(n) if outs[v] >> w & 1],
+            )
+            verdict = check_axioms(graph)
+            expected = _reference_axioms(graph)
+            assert (None if verdict else (verdict.stage, verdict.witness)) == expected
+            stages[expected and expected[0]] += 1
+    assert min(stages.values()) > 0, stages
+
+
 def test_structural_verdicts_are_distinct():
     three = ColoredDigraph(
         {"a": "r", "b": "b", "c": "g"}, [("a", "b"), ("b", "a"), ("c", "a"), ("a", "c")]
     )
     assert check_axioms(three).stage == "wrong-color-count"
+    assert check_axioms(three).witness == ("a", "b", "c")
     same = ColoredDigraph({"a": "r", "b": "r", "c": "b"}, [("a", "b"), ("a", "c"), ("c", "a"), ("b", "c")])
     assert check_axioms(same).stage == "same-color-arc"
     sink = ColoredDigraph({"a": "r", "b": "b"}, [("a", "b")])
@@ -95,10 +146,8 @@ def test_bfs_equals_two_step_union_when_axioms_hold():
         part = thinness_partition(graph)
         tables = neighborhood_tables(part)
         for a in range(len(part)):
-            vertex_union = set()
-            for b in tables.n1[a] | tables.n2[a]:
-                vertex_union.update(part.classes[b])
-            assert class_reachable_set(part, a) == frozenset(vertex_union)
+            two_step = class_members(part, tables.n1[a] | tables.n2[a])
+            assert class_reachable_set(part, a) == two_step
 
 
 def test_extended_reachable_set_properties():
@@ -115,6 +164,65 @@ def test_extended_reachable_set_properties():
             q = r_ext - class_reachable_set(part, a)
             for v in q - members:
                 assert graph.color_of[v] == graph.color_of[part.classes[a][0]]
+
+
+def test_extended_reachable_masks_equal_the_reference():
+    for seed in range(40):
+        _, graph = connected_scenario(seed)
+        part = thinness_partition(graph)
+        masks = extended_reachable_masks(neighborhood_tables(part))
+        for a in range(len(part)):
+            assert class_members(part, masks[a]) == extended_reachable_set(part, a)
+
+
+def _mask(elements) -> int:
+    return sum(1 << e for e in elements)
+
+
+def test_one_pass_laminarity_agrees_with_all_pairs_reference():
+    # after N1-N3 pass, R' sets are always laminar, so only families built
+    # here reach the `laminarity` rejection
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        ground = rng.randint(1, 7)
+        family: set[frozenset[int]] = set()
+        for _ in range(rng.randint(1, 8)):
+            if family and rng.random() < 0.6:
+                # nest inside, or split off from, a set already drawn
+                base = sorted(rng.choice(sorted(family, key=sorted)))
+                picked = frozenset(rng.sample(base, rng.randint(1, len(base))))
+            else:
+                picked = frozenset(v for v in range(ground) if rng.random() < 0.5)
+            if picked:
+                family.add(picked)
+        if not family:
+            continue
+        ordered = tuple(sorted(family, key=lambda s: (-len(s), sorted(s))))
+        laminar = laminarity_witness(ordered) is None
+        outcome = hasse_tree(_mask(range(ground)), [_mask(s) for s in family])
+        one_pass = not (isinstance(outcome, Rejection) and outcome.stage == "laminarity")
+        assert one_pass == laminar, ordered
+        if not laminar:
+            s, t = outcome.witness
+            assert s & t and s & ~t and t & ~s
+        seen[laminar] += 1
+    assert min(seen.values()) > 300, seen
+
+
+def test_hasse_tree_parents_are_smallest_strict_supersets():
+    family = [{0, 1, 2, 3, 4}, {0, 1}, {2, 3}, {0}, {4}, {2}]
+    hierarchy = hasse_tree(_mask(range(5)), [_mask(s) for s in family])
+    assert isinstance(hierarchy, Hierarchy)
+    sets = hierarchy.sets
+    for i, p in enumerate(hierarchy.parent):
+        supersets = [t for t in sets if t != sets[i] and not sets[i] & ~t]
+        if p == -1:
+            assert not supersets and i == hierarchy.root
+        else:
+            assert sets[p] == min(supersets, key=int.bit_count)
+    two_roots = hasse_tree(_mask(range(5)), [_mask({0, 1}), _mask({2, 3, 4})])
+    assert two_roots.stage == "hasse-not-tree"
 
 
 def test_w_classes_share_color_and_unique_maximal():
@@ -166,8 +274,8 @@ def test_four_root_cases_for_class_pairs():
         for a, b in itertools.combinations(range(len(part)), 2):
             if part.color_of_class[a] == part.color_of_class[b]:
                 continue
-            fwd = tables.x(b, a)  # beta inside N(alpha)
-            back = tables.x(a, b)
+            fwd = bool(tables.n1[a] >> b & 1)  # beta inside N(alpha)
+            back = bool(tables.n1[b] >> a & 1)
             ra, rb = roots[a], roots[b]
             cases = [
                 fwd and back,
@@ -191,6 +299,11 @@ def test_lrt_two_vertex_graph():
     tree = hierarchy_lrt(g)
     assert isinstance(tree, LeafColoredTree)
     assert tree.newick() == "(x,y);"
+
+
+def test_lrt_of_a_600_leaf_caterpillar_is_the_caterpillar():
+    tree = caterpillar(600)
+    assert hierarchy_lrt(bmg_of_tree(tree)) == tree
 
 
 def test_lrt_rejects_counterexample():
@@ -280,34 +393,6 @@ def test_redundant_edges_rejects_non_explaining_tree():
             redundant_edges_2(other_tree, graph)
 
 
-def _connected_sink_free_out_masks(reds: int, blues: int):
-    """Out-neighbourhood bitmasks of every connected two-colored digraph on
-    ``reds`` + ``blues`` vertices with no sink (reds are vertices 0..reds-1)."""
-    n = reds + blues
-    full = (1 << n) - 1
-    red_mask, blue_mask = (1 << reds) - 1, full ^ ((1 << reds) - 1)
-    options = []
-    for v in range(n):
-        foreign = blue_mask if v < reds else red_mask
-        options.append([m for m in range(1, full + 1) if m & ~foreign == 0])
-    for outs in itertools.product(*options):
-        und = list(outs)
-        for v, out in enumerate(outs):
-            for w in range(n):
-                if out >> w & 1:
-                    und[w] |= 1 << v
-        seen = frontier = 1
-        while frontier:
-            reach = 0
-            for v in range(n):
-                if frontier >> v & 1:
-                    reach |= und[v]
-            frontier = reach & ~seen
-            seen |= reach
-        if seen == full:
-            yield outs
-
-
 def test_hierarchy_topology_explains_every_small_axiom_graph():
     # the hierarchy route runs no gate of its own: on every connected,
     # sink-free graph of <= 3+3 vertices that passes N1-N3, its topology
@@ -317,7 +402,7 @@ def test_hierarchy_topology_explains_every_small_axiom_graph():
         n = reds + blues
         ids = [f"v{v}" for v in range(n)]
         colors = {ids[v]: "red" if v < reds else "blue" for v in range(n)}
-        for outs in _connected_sink_free_out_masks(reds, blues):
+        for outs in connected_sink_free_out_masks(reds, blues):
 
             def hop(mask):
                 out = 0

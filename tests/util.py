@@ -11,6 +11,7 @@ from bmgraph import (
     LeafColoredTree,
     Rejection,
     SimulationConfig,
+    ThinnessPartition,
     connected_components,
     lrt_via_hierarchy,
     simulate,
@@ -115,6 +116,11 @@ def arc_ids(graph: ColoredDigraph) -> set[tuple[str, str]]:
     return {(graph.vertex_ids[i], graph.vertex_ids[j]) for i, j in graph.arcs()}
 
 
+def class_members(part: ThinnessPartition, mask: int) -> frozenset[int]:
+    """Vertices of the thinness classes in a class bitset."""
+    return frozenset(v for a, cls in enumerate(part.classes) if mask >> a & 1 for v in cls)
+
+
 def hierarchy_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
     """The topology of ``lrt_via_hierarchy`` as a tree, or its rejection."""
     topology = lrt_via_hierarchy(graph)
@@ -132,3 +138,31 @@ def caterpillar(n: int, colors: int = 2) -> LeafColoredTree:
     for name in names[1:]:
         topology = (topology, name)
     return LeafColoredTree(topology, {name: f"c{i % colors}" for i, name in enumerate(names)})
+
+
+def connected_sink_free_out_masks(reds: int, blues: int):
+    """Out-neighbourhood bitmasks of every connected two-colored digraph on
+    ``reds`` + ``blues`` vertices with no sink (reds are vertices 0..reds-1)."""
+    n = reds + blues
+    full = (1 << n) - 1
+    red_mask, blue_mask = (1 << reds) - 1, full ^ ((1 << reds) - 1)
+    options = []
+    for v in range(n):
+        foreign = blue_mask if v < reds else red_mask
+        options.append([m for m in range(1, full + 1) if m & ~foreign == 0])
+    for outs in itertools.product(*options):
+        und = list(outs)
+        for v, out in enumerate(outs):
+            for w in range(n):
+                if out >> w & 1:
+                    und[w] |= 1 << v
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for v in range(n):
+                if frontier >> v & 1:
+                    reach |= und[v]
+            frontier = reach & ~seen
+            seen |= reach
+        if seen == full:
+            yield outs
