@@ -87,10 +87,13 @@ class ColoredDigraph:
         return tuple(i for i in range(len(self)) if self.color_of[i] == color_index)
 
     def same_color_arc(self) -> tuple[int, int] | None:
-        """First arc joining two vertices of equal color, if any."""
-        for i, j in self.arcs():
-            if self.color_of[i] == self.color_of[j]:
-                return i, j
+        """Smallest arc joining two vertices of equal color, if any."""
+        color_of = self.color_of
+        for i, targets in enumerate(self.out_adj):
+            c = color_of[i]
+            same = [j for j in targets if color_of[j] == c]
+            if same:
+                return i, min(same)
         return None
 
     def __eq__(self, other: object) -> bool:

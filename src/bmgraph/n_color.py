@@ -3,8 +3,10 @@
 Pipeline: reject same-color arcs, split into weakly connected components and
 require equal color sets, then per component either (a) recognize every
 two-color induced subgraph, take the unique least resolved tree per color
-pair, and feed all pair trees to a supertree BUILD, or (b) feed the union of
-the pairwise informative triples to BUILD directly.
+pair, and feed all pair trees to a supertree BUILD, or (b) run BUILD on the
+union of the pairwise informative triples, which ``build`` reads straight
+off the component's out-neighbourhood bitsets without building one triple;
+the pair notes count each pair's triples in closed form.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the subtree-range engine
@@ -35,7 +37,13 @@ from .digraph import (
 )
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
-from .triples import TripleSet, build, build_from_trees, informative_triples
+# informative_triples stays bound here: perfbench/layers.py traces it by this name
+from .triples import (  # noqa: F401
+    build,
+    build_from_trees,
+    informative_triple_counts,
+    informative_triples,
+)
 from .two_color import lrt_via_hierarchy
 from .verdicts import Rejection
 
@@ -127,17 +135,17 @@ def _recognize_component(
 ) -> Topology | Rejection:
     """Candidate topology of one component; no tree is built and no gate
     runs here, the caller's global comparison is the only one."""
-    pairs = itertools.combinations(sub.color_ids, 2)
     if route == "informative-direct":
-        pooled = TripleSet(frozenset(sub.vertex_ids), frozenset())
-        for s, t in pairs:
-            found = informative_triples(induced_subgraph(sub, {s, t}))
-            pooled = pooled.union(found)
-            report.pair_verdicts[(ci, (s, t))] = f"{len(found)} informative triples"
-        topo = build(pooled, sub.vertex_ids)
+        counts = informative_triple_counts(sub)
+        names = sub.color_ids
+        for s, t in itertools.combinations(range(len(names)), 2):
+            report.pair_verdicts[(ci, (names[s], names[t]))] = (
+                f"{counts.get((s, t), 0)} informative triples"
+            )
+        topo = build(sub, sub.vertex_ids)
     else:
         pair_trees: list[LeafColoredTree] = []
-        for s, t in pairs:
+        for s, t in itertools.combinations(sub.color_ids, 2):
             tree = _pair_lrt(induced_subgraph(sub, {s, t}))
             if isinstance(tree, Rejection):
                 report.pair_verdicts[(ci, (s, t))] = f"failed: {tree.stage}"

@@ -6,16 +6,25 @@ a missing arc x->z to a vertex of y's color pins lca(x,y) strictly below
 lca(x,z).  Scanning (arc, third vertex) pairs enumerates exactly the induced
 subgraphs that admit such a reading, including their recolored mirror
 images, in O(|E| |L|).
+
+``build`` is the one BUILD for triples.  It runs from an explicit stack over
+Python-int leaf bitsets and takes its glue from a triple collection or
+straight from a colored digraph: at a level M, ab|z lies inside M exactly
+for an arc a->b and some z in M of b's color outside N(a), so a is joined
+to N_t(a) & M for each color t where such a z is left, and no triple is
+ever built.  ``RootedTriple`` and ``TripleSet`` serve the API and the CLI.
+``build_from_trees`` glues from the root blocks of pair trees instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bmg import bmg_of_tree
-from .digraph import ColoredDigraph, connected_components, subgraph_on
+from .digraph import ColoredDigraph, connected_components
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
 from .verdicts import Rejection
@@ -125,36 +134,164 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def build(triples: TripleSet | Iterable[RootedTriple], leaves: Iterable[str]) -> Topology | None:
-    """Aho tree of a triple set, or None when the set is inconsistent."""
+def build(
+    source: ColoredDigraph | TripleSet | Iterable[RootedTriple], leaves: Iterable[str]
+) -> Topology | None:
+    """Aho tree on ``leaves``, or None when no tree displays the triples.
+
+    ``source`` is a triple collection, or a colored digraph standing for its
+    informative triples, which are then read off the graph and never built.
+    """
     leaf_list = sorted(set(leaves))
     if not leaf_list:
         raise GraphError("BUILD needs at least one leaf")
-    keep = set(leaf_list)
-    active = [t for t in triples if t.a in keep and t.b in keep and t.out in keep]
-    return _build(leaf_list, active)
+    if isinstance(source, ColoredDigraph):
+        unknown = set(leaf_list) - source.index_of.keys()
+        if unknown:
+            raise GraphError(f"leaves {sorted(unknown)} are no vertices of the graph")
+        names = source.vertex_ids
+        glue = _graph_glue(source)
+        root = sum(1 << source.index_of[x] for x in leaf_list)
+    else:
+        names = tuple(leaf_list)
+        glue = _triple_glue(source, {x: k for k, x in enumerate(names)})
+        root = (1 << len(names)) - 1
+    return _aho_tree(root, glue, names)
 
 
-def _build(leaves: list[str], triples: list[RootedTriple]) -> Topology | None:
-    if len(leaves) == 1:
-        return leaves[0]
-    uf = _UnionFind(leaves)
-    for t in triples:
-        uf.union(t.a, t.b)
-    comps: dict[str, list[str]] = {}
-    for x in leaves:
-        comps.setdefault(uf.find(x), []).append(x)
-    if len(comps) == 1:
-        return None
-    kids = []
-    for comp in sorted(comps.values(), key=lambda c: c[0]):
-        members = set(comp)
-        inside = [t for t in triples if t.a in members and t.out in members]
-        sub = _build(comp, inside)
-        if sub is None:
+Glue = Callable[[int], Iterable[int]]
+
+
+def _aho_tree(root: int, glue: Glue, names: tuple[str, ...]) -> Topology | None:
+    """BUILD from an explicit stack over leaf bitsets: ``glue(level)`` yields
+    leaf sets that must end up in one block of ``level``; blocks are ordered
+    by their smallest leaf, so a name order equal to index order makes the
+    output canonical.  Nodes are numbered parents first, so the topology is
+    assembled by one pass in reverse."""
+    kids: list[list[int]] = []
+    leaf_of: list[int] = []  # leaf index, or -1 for an inner node
+    stack = [(root, -1)]
+    while stack:
+        level, parent = stack.pop()
+        node = len(kids)
+        if parent >= 0:
+            kids[parent].append(node)
+        kids.append([])
+        if level & (level - 1) == 0:
+            leaf_of.append(level.bit_length() - 1)
+            continue
+        blocks = _blocks(level, glue(level))
+        if len(blocks) == 1:
             return None
-        kids.append(sub)
-    return tuple(kids)
+        leaf_of.append(-1)
+        stack.extend((block, node) for block in reversed(blocks))
+    built: list[Topology] = [""] * len(kids)
+    for node in range(len(kids) - 1, -1, -1):
+        leaf = leaf_of[node]
+        built[node] = names[leaf] if leaf >= 0 else tuple(built[c] for c in kids[node])
+    return built[0]
+
+
+def _blocks(level: int, glued: Iterable[int]) -> list[int]:
+    """Connected blocks of ``level`` once every glued set is joined, sorted by
+    smallest leaf.  A union-find over leaf indices, linked by size, keeps
+    each root's block mask, so a glued set costs one step per block it
+    touches."""
+    up: dict[int, int] = {}
+    block_of: dict[int, int] = {}
+    for chunk in glued:
+        top = (chunk & -chunk).bit_length() - 1
+        while top in up:
+            top = up[top]
+        merged = block_of.pop(top, 1 << top)
+        rest = chunk & ~merged
+        while rest:
+            other = (rest & -rest).bit_length() - 1
+            while other in up:
+                other = up[other]
+            mask = block_of.pop(other, 1 << other)
+            if mask.bit_count() > merged.bit_count():
+                top, other = other, top
+            up[other] = top
+            merged |= mask
+            rest &= ~mask
+        if merged == level:
+            return [level]
+        block_of[top] = merged
+    blocks = list(block_of.values())
+    alone = level
+    for mask in blocks:
+        alone &= ~mask
+    while alone:
+        low = alone & -alone
+        blocks.append(low)
+        alone ^= low
+    blocks.sort(key=lambda mask: mask & -mask)
+    return blocks
+
+
+def _graph_glue(graph: ColoredDigraph) -> Glue:
+    """Glue of the informative triples of ``graph``: ab|z lies inside a level
+    M exactly for an arc a->b and a vertex z of b's color in M, outside N(a)
+    and other than a; so a joins N_t(a) & M whenever some such z exists."""
+    color_masks, out_masks = _color_masks(graph)
+
+    def glue(level: int) -> Iterator[int]:
+        inside = [level & mask for mask in color_masks]
+        rest = level
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for t, nbrs in out_masks[low.bit_length() - 1]:
+                hit = nbrs & level
+                if hit and inside[t] & ~(hit | low):
+                    yield low | hit
+
+    return glue
+
+
+def _color_masks(graph: ColoredDigraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Bitset of each color's vertices, and per vertex the ``(color, its
+    out-neighbours of that color)`` bitsets of the colors it has arcs to."""
+    color_masks = [0] * len(graph.color_ids)
+    for v, c in enumerate(graph.color_of):
+        color_masks[c] |= 1 << v
+    bit = (1).__lshift__
+    out_masks = []
+    for targets in graph.out_adj:
+        out = sum(map(bit, targets))
+        out_masks.append([(t, hit) for t, mask in enumerate(color_masks) if (hit := out & mask)])
+    return color_masks, out_masks
+
+
+def informative_triple_counts(graph: ColoredDigraph) -> dict[tuple[int, int], int]:
+    """Informative triples per color pair ``(s, t)``, ``s < t`` color indices,
+    in closed form for a graph without same-color arcs: ab|z arises from the
+    one arc a->b and the one z of b's color outside N(a), so a pair counts
+    |N_u(a)| * (|L_u| - |N_u(a)|) over its vertices a, u the other color."""
+    color_of = graph.color_of
+    sizes = Counter(color_of)
+    counts: dict[tuple[int, int], int] = {}
+    for s, targets in zip(color_of, graph.out_adj):
+        for t, k in Counter(map(color_of.__getitem__, targets)).items():
+            pair = (s, t) if s < t else (t, s)
+            counts[pair] = counts.get(pair, 0) + k * (sizes[t] - k)
+    return counts
+
+
+def _triple_glue(triples: TripleSet | Iterable[RootedTriple], index: dict[str, int]) -> Glue:
+    """Glue of a triple collection: ab|z joins a and b on every level that
+    holds all three; triples leaving the leaf set are dropped."""
+    spans: list[tuple[int, int]] = []
+    for t in triples.triples if isinstance(triples, TripleSet) else triples:
+        if t.a in index and t.b in index and t.out in index:
+            pair = 1 << index[t.a] | 1 << index[t.b]
+            spans.append((pair | 1 << index[t.out], pair))
+
+    def glue(level: int) -> Iterator[int]:
+        return (pair for span, pair in spans if span & level == span)
+
+    return glue
 
 
 def build_from_trees(trees: list[LeafColoredTree], leaves: Iterable[str]) -> Topology | None:
@@ -214,11 +351,9 @@ def _build_st(
 def lrt_via_triples(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
     """Aho tree of the informative triples, accepted only if it explains the
     graph; disconnected inputs get per-component trees under a fresh root."""
-    comps = connected_components(graph)
     kids: list[Topology] = []
-    for comp in comps:
-        sub = graph if len(comps) == 1 else subgraph_on(graph, comp)
-        topo = build(informative_triples(sub), sub.vertex_ids)
+    for comp in connected_components(graph):
+        topo = build(graph, [graph.vertex_ids[v] for v in comp])
         if topo is None:
             return Rejection("inconsistent", tuple(graph.vertex_ids[v] for v in comp))
         kids.append(topo)

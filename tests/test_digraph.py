@@ -1,6 +1,7 @@
 """Colored digraph structure: components, induced subgraphs, thinness."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -173,3 +174,18 @@ def test_projections_equal_graphs_built_from_string_ids():
                     {v: c for v, c in colors.items() if v in members},
                     [(x, y) for x, y in arcs if x in members and y in members],
                 )
+
+
+def test_same_color_arc_is_the_smallest_planted_arc():
+    for seed in range(300):
+        rng = random.Random(seed)
+        _, graph = random_scenario(seed, max_leaves=12, max_colors=4)
+        colors = graph.colors_as_dict()
+        arcs = arc_ids(graph)
+        same = [(x, y) for x, y in itertools.permutations(graph.vertex_ids, 2) if colors[x] == colors[y]]
+        planted = ColoredDigraph(colors, arcs | set(rng.sample(same, min(len(same), seed % 4))))
+        expected = min(
+            ((i, j) for i, j in planted.arcs() if planted.color_of[i] == planted.color_of[j]),
+            default=None,
+        )
+        assert planted.same_color_arc() == expected

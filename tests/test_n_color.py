@@ -9,12 +9,14 @@ from bmgraph import (
     ColoredDigraph,
     GraphError,
     LeafColoredTree,
+    SimulationConfig,
     bmg_of_tree,
     connected_components,
     induced_subgraph,
     recognize_ncbmg,
     redundant_edges_2,
     redundant_edges_n,
+    simulate,
     subgraph_on,
     thinness_partition,
 )
@@ -27,6 +29,7 @@ from cases import (
 from util import (
     all_topologies,
     arc_ids,
+    caterpillar,
     color_partitions,
     coloring_from_partition,
     connected_scenario,
@@ -286,3 +289,36 @@ def test_every_small_bmg_is_recognized_by_both_routes():
             report = recognize_ncbmg(graph, route=route)
             assert report.accepted, (route, arc_ids(graph))
             assert bmg_of_tree(report.lrt) == graph, (route, arc_ids(graph))
+
+
+def test_routes_agree_on_every_single_arc_flip():
+    checks = accepted = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        _, graph = simulate(
+            SimulationConfig(n, rng.randint(2, min(4, n)), rng.getrandbits(48), shape="multifurcating")
+        )
+        colors = graph.colors_as_dict()
+        arcs = arc_ids(graph)
+        variants = [graph] + [
+            ColoredDigraph(colors, arcs ^ {(x, y)})
+            for x, y in itertools.permutations(graph.vertex_ids, 2)
+            if colors[x] != colors[y]
+        ]
+        for variant in variants:
+            pairwise = recognize_ncbmg(variant)
+            direct = recognize_ncbmg(variant, route="informative-direct")
+            assert pairwise.accepted == direct.accepted, (seed, arc_ids(variant))
+            if pairwise.accepted:
+                assert pairwise.lrt.newick() == direct.lrt.newick(), (seed, arc_ids(variant))
+                accepted += 1
+            checks += 1
+    assert checks > 3000 and accepted > 150, (checks, accepted)
+
+
+def test_direct_route_accepts_an_1100_leaf_caterpillar():
+    tree = caterpillar(1100)
+    report = recognize_ncbmg(bmg_of_tree(tree), route="informative-direct")
+    assert report.accepted, report.stage
+    assert report.lrt.newick() == tree.newick()

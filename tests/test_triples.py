@@ -1,6 +1,7 @@
 """Informative triples, Aho graphs, BUILD, and the triples route."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,13 +17,15 @@ from bmgraph import (
     build,
     build_from_trees,
     connected_components,
+    induced_subgraph,
     informative_triples,
     lrt_via_triples,
+    recognize_ncbmg,
     subgraph_on,
     thinness_partition,
 )
 from cases import counter_triples_graph
-from util import connected_scenario, hierarchy_lrt, random_scenario
+from util import arc_ids, connected_scenario, hierarchy_lrt, random_scenario
 
 
 def test_counter_triples_extraction_is_exact():
@@ -184,3 +187,68 @@ def test_disconnected_join_equals_component_augmentation():
 def test_triple_serialization_is_canonical():
     trips = TripleSet.of("abcd", [("d", "a", "b"), ("c", "b", "a")])
     assert trips.to_lines() == ["a d | b", "b c | a"]
+
+
+def _mixed_graphs(count: int):
+    """Colored digraphs on <= 9 vertices with 2-4 colors and no same-color
+    arcs: best match graphs, single-arc flips of them, and random arc sets."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        _, graph = random_scenario(seed, max_leaves=9, max_colors=4)
+        colors = graph.colors_as_dict()
+        foreign = [
+            (x, y) for x, y in itertools.permutations(graph.vertex_ids, 2) if colors[x] != colors[y]
+        ]
+        yield graph
+        yield ColoredDigraph(colors, arc_ids(graph) ^ {rng.choice(foreign)})
+        yield ColoredDigraph(colors, [a for a in foreign if rng.random() < rng.random()])
+
+
+def _pooled_pair_triples(graph: ColoredDigraph) -> TripleSet:
+    pooled = TripleSet(frozenset(graph.vertex_ids), frozenset())
+    for s, t in itertools.combinations(graph.color_ids, 2):
+        pooled = pooled.union(informative_triples(induced_subgraph(graph, {s, t})))
+    return pooled
+
+
+def test_graph_glue_equals_triple_glue():
+    outcomes = {True: 0, False: 0}
+    for graph in _mixed_graphs(400):
+        pooled = _pooled_pair_triples(graph)
+        assert pooled == informative_triples(graph)
+        ids = list(graph.vertex_ids)
+        topo = build(graph, ids)
+        assert topo == build(pooled, ids), arc_ids(graph)
+        outcomes[topo is None] += 1
+        part = ids[::2] + ids[1:2]
+        assert build(graph, part) == build(pooled, part), (arc_ids(graph), part)
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_graph_glue_equals_triple_glue_with_same_color_arcs():
+    for seed in range(300):
+        rng = random.Random(seed)
+        _, graph = random_scenario(seed, max_leaves=9, max_colors=4)
+        pairs = list(itertools.permutations(graph.vertex_ids, 2))
+        noisy = ColoredDigraph(graph.colors_as_dict(), [a for a in pairs if rng.random() < 0.4])
+        ids = noisy.vertex_ids
+        assert build(noisy, ids) == build(informative_triples(noisy), ids), arc_ids(noisy)
+
+
+def test_graph_glue_rejects_foreign_leaves():
+    graph = counter_triples_graph()
+    with pytest.raises(GraphError):
+        build(graph, ["a", "nope"])
+
+
+def test_direct_pair_verdicts_count_the_pair_triples():
+    reached = 0
+    for graph in _mixed_graphs(400):
+        report = recognize_ncbmg(graph, route="informative-direct")
+        for (ci, (s, t)), verdict in report.pair_verdicts.items():
+            comp = [graph.index_of[x] for x in report.components[ci]]
+            sub = subgraph_on(graph, comp)
+            found = informative_triples(induced_subgraph(sub, {s, t}))
+            assert verdict == f"{len(found)} informative triples"
+            reached += 1
+    assert reached > 1000
