@@ -4,10 +4,8 @@ from .digraph import (
     ColoredDigraph,
     ColoredGraph,
     ThinnessPartition,
-    class_quotient,
     connected_components,
     induced_subgraph,
-    induced_subgraph_undirected,
     subgraph_on,
     symmetric_part,
     thinness_partition,
@@ -29,7 +27,6 @@ from .two_color import (
 from .triples import (
     RootedTriple,
     TripleSet,
-    aho_graph,
     build,
     build_from_trees,
     informative_triples,
@@ -59,19 +56,16 @@ __all__ = [
     "Topology",
     "TreeError",
     "TripleSet",
-    "aho_graph",
     "bmg_of_tree",
     "bmg_oracle",
     "build",
     "build_from_trees",
     "check_2crbmg_necessary",
     "check_axioms",
-    "class_quotient",
     "class_reachable_set",
     "connected_components",
     "extended_reachable_set",
     "induced_subgraph",
-    "induced_subgraph_undirected",
     "informative_triples",
     "lrt_via_hierarchy",
     "lrt_via_triples",

@@ -212,22 +212,6 @@ def induced_subgraph(graph: ColoredDigraph, colors: Iterable[str]) -> ColoredDig
     return subgraph_on(graph, itertools.compress(range(len(graph)), in_kept))
 
 
-def induced_subgraph_undirected(graph: ColoredGraph, colors: Iterable[str]) -> ColoredGraph:
-    """Color-induced subgraph of an undirected colored graph."""
-    wanted = set(colors)
-    unknown = wanted - set(graph.color_ids)
-    if unknown:
-        raise GraphError(f"unknown color id(s): {sorted(unknown)}")
-    keep = {i for i in range(len(graph)) if graph.color_name(i) in wanted}
-    vertex_colors = {graph.vertex_ids[i]: graph.color_name(i) for i in keep}
-    edges = [
-        (graph.vertex_ids[i], graph.vertex_ids[j])
-        for i, j in graph.edges()
-        if i in keep and j in keep
-    ]
-    return ColoredGraph(vertex_colors, edges)
-
-
 def subgraph_on(graph: ColoredDigraph, vertices: Iterable[int]) -> ColoredDigraph:
     """Subgraph induced by a set of vertex indices; original ids kept."""
     keep = sorted(set(vertices))
@@ -323,17 +307,3 @@ def thinness_partition(graph: ColoredDigraph) -> ThinnessPartition:
         out_classes=out_classes,
         in_classes=in_classes,
     )
-
-
-def class_quotient(partition: ThinnessPartition) -> ColoredDigraph:
-    """Digraph on class representatives (smallest member id per class)."""
-    g = partition.graph
-    reps = [g.vertex_ids[cls[0]] for cls in partition.classes]
-    colors = {reps[a]: g.color_name(partition.classes[a][0]) for a in range(len(partition))}
-    arcs = [
-        (reps[a], reps[b])
-        for a in range(len(partition))
-        for b in partition.out_classes[a]
-        if a != b
-    ]
-    return ColoredDigraph(colors, arcs)

@@ -135,10 +135,10 @@ def parse_color_map(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        parts = line.split("\t")
+        parts = [part.strip() for part in line.split("\t")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError("color line needs exactly: <leaf><TAB><color>", lineno)
-        leaf, color = parts[0].strip(), parts[1].strip()
+        leaf, color = parts
         if leaf in colors:
             raise ParseError(f"duplicate color entry for {leaf!r}", lineno)
         colors[leaf] = color

@@ -1,4 +1,4 @@
-"""Rooted leaf-colored phylogenetic trees with constant-time lca queries.
+"""Rooted leaf-colored phylogenetic trees with preorder-range lca queries.
 
 Trees are immutable once built.  Construction canonicalizes the shape:
 degree-two inner vertices and single-child roots are suppressed, children
@@ -7,15 +7,18 @@ preorder ranks of that canonical layout.  Two equal trees therefore have
 identical node numbering, which keeps every downstream computation and
 serialization deterministic.
 
+Preorder ids make every subtree the id range ``[v, v + size[v])``, so an
+ancestor test is two comparisons and ``lca`` climbs only the shorter of
+the two root paths (see :meth:`LeafColoredTree.lca`).
+
 All traversals are iterative so that caterpillar trees of a few hundred
 leaves stay well clear of the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Mapping, Union
-
-import numpy as np
 
 from .errors import TreeError
 
@@ -41,17 +44,9 @@ class LeafColoredTree:
         "colors",
         "leaf_labels",
         "color_universe",
-        "depth",
         "size",
         "_leaf_node",
         "_colormask",
-        "_first",
-        "_euler_depth",
-        "_euler_node",
-        "_log",
-        "_st",
-        "_pow2",
-        "_leaf_fo",
     )
 
     def __init__(self, topology: Topology, colors: Mapping[str, str]):
@@ -85,66 +80,18 @@ class LeafColoredTree:
 
     def _finalize(self) -> None:
         n = len(self.parent)
-        depth = [0] * n
         size = [1] * n
-        order = list(range(n))  # node ids are preorder ranks
-        for v in order:
-            if v != self.root:
-                depth[v] = depth[self.parent[v]] + 1
-        for v in reversed(order):
-            if v != self.root:
-                size[self.parent[v]] += size[v]
-        self.depth = tuple(depth)
-        self.size = tuple(size)
-
         cmask = [0] * n
         cindex = {c: k for k, c in enumerate(self.color_universe)}
-        for v in reversed(order):
+        # node ids are preorder ranks, so children come after their parent
+        for v in reversed(range(n)):
             if self.label[v] is not None:
                 cmask[v] = 1 << cindex[self.colors[self.label[v]]]
             if v != self.root:
+                size[self.parent[v]] += size[v]
                 cmask[self.parent[v]] |= cmask[v]
+        self.size = tuple(size)
         self._colormask = tuple(cmask)
-
-        # Euler tour + sparse table for O(1) lca queries.
-        euler_node: list[int] = []
-        euler_depth: list[int] = []
-        first = [-1] * n
-        stack: list[tuple[int, int]] = [(self.root, 0)]
-        while stack:
-            v, next_child = stack.pop()
-            if next_child == 0:
-                first[v] = len(euler_node)
-            euler_node.append(v)
-            euler_depth.append(self.depth[v])
-            if next_child < len(self.children[v]):
-                stack.append((v, next_child + 1))
-                stack.append((self.children[v][next_child], 0))
-        m = len(euler_node)
-        self._euler_node = np.asarray(euler_node, dtype=np.int32)
-        self._euler_depth = np.asarray(euler_depth, dtype=np.int32)
-        self._first = np.asarray(first, dtype=np.int32)
-        log = np.zeros(m + 1, dtype=np.int32)
-        for i in range(2, m + 1):
-            log[i] = log[i >> 1] + 1
-        self._log = log
-        k_max = int(log[m]) + 1
-        st = np.empty((k_max, m), dtype=np.int32)
-        st[0] = np.arange(m, dtype=np.int32)
-        ed = self._euler_depth
-        for k in range(1, k_max):
-            half = 1 << (k - 1)
-            span = 1 << k
-            prev = st[k - 1]
-            a = prev[: m - span + 1]
-            b = prev[half : m - span + 1 + half]
-            st[k, : m - span + 1] = np.where(ed[a] <= ed[b], a, b)
-            st[k, m - span + 1 :] = prev[m - span + 1 :]
-        self._st = st
-        self._pow2 = np.asarray([1 << k for k in range(k_max + 1)], dtype=np.int32)
-        self._leaf_fo = self._first[
-            np.asarray([self._leaf_node[lab] for lab in self.leaf_labels], dtype=np.int32)
-        ]
 
     # -- elementary queries -------------------------------------------------
 
@@ -188,39 +135,29 @@ class LeafColoredTree:
     def lca(self, u: int, v: int) -> int:
         if not (0 <= u < len(self.parent) and 0 <= v < len(self.parent)):
             raise TreeError(f"node out of range: {(u, v)}")
-        lo = int(self._first[u])
-        hi = int(self._first[v])
-        if lo > hi:
-            lo, hi = hi, lo
-        j = int(self._log[hi - lo + 1])
-        a = int(self._st[j, lo])
-        b = int(self._st[j, hi - (1 << j) + 1])
-        pos = a if self._euler_depth[a] <= self._euler_depth[b] else b
-        return int(self._euler_node[pos])
+        if u > v:
+            u, v = v, u
+        # For u <= v, an ancestor a of v is one of u iff a <= u, and an
+        # ancestor b of u is one of v iff v < b + size[b].  Climb both root
+        # paths in step; the first node that closes the range is the lca.
+        parent, size = self.parent, self.size
+        a, b = v, u
+        while a > u:
+            if b + size[b] > v:
+                return b
+            a, b = parent[a], parent[b]
+        return a
 
     def lca_set(self, nodes: Iterable[int]) -> int:
-        it = iter(nodes)
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise TreeError("lca of an empty node set") from None
-        for v in it:
-            acc = self.lca(acc, v)
-        return acc
+        # a subtree is a preorder range: it holds the set iff it holds both ends
+        ids = list(nodes)
+        if not ids:
+            raise TreeError("lca of an empty node set")
+        return self.lca(min(ids), max(ids))
 
     def is_ancestor(self, anc: int, v: int) -> bool:
         """True iff ``anc`` lies on the path from the root to ``v`` (inclusive)."""
         return anc <= v < anc + self.size[anc]
-
-    def leaf_lca_depth_row(self, leaf_index: int) -> np.ndarray:
-        """Depths of lca(x, y) for leaf ``x`` against all leaves, in label order."""
-        fo = self._leaf_fo
-        lo = np.minimum(fo[leaf_index], fo)
-        hi = np.maximum(fo[leaf_index], fo)
-        j = self._log[hi - lo + 1]
-        a = self._st[j, lo]
-        b = self._st[j, hi - self._pow2[j] + 1]
-        return np.minimum(self._euler_depth[a], self._euler_depth[b])
 
     # -- structural operations ------------------------------------------------
 
@@ -287,21 +224,24 @@ class LeafColoredTree:
 
     def triple_tuples(self) -> set[tuple[str, str, str]]:
         """All rooted triples xy|z displayed by this tree, as (x, y, z) with x < y."""
-        labs = self.leaf_labels
-        m = len(labs)
-        if m < 3:
-            return set()
-        d = np.empty((m, m), dtype=np.int32)
-        for i in range(m):
-            d[i] = self.leaf_lca_depth_row(i)
+        label, size = self.label, self.size
         out: set[tuple[str, str, str]] = set()
-        for i in range(m):
-            for j in range(i + 1, m):
-                dij = d[i, j]
-                zmask = (d[i] < dij) & (d[j] < dij)
-                zmask[i] = zmask[j] = False
-                for k in np.flatnonzero(zmask):
-                    out.add((labs[i], labs[j], labs[int(k)]))
+        for w in self.inner_nodes():
+            if w == self.root:
+                continue
+            # xy|z iff lca(x, y) = w for x, y under different children of w
+            # and z lies outside w
+            end = w + size[w]
+            outside = [z for z in label[:w] + label[end:] if z is not None]
+            groups = [
+                [x for x in label[c : c + size[c]] if x is not None]
+                for c in self.children[w]
+            ]
+            for left, right in itertools.combinations(groups, 2):
+                for x, y in itertools.product(left, right):
+                    if x > y:
+                        x, y = y, x
+                    out.update((x, y, z) for z in outside)
         return out
 
     def triples(self):

@@ -1,4 +1,4 @@
-"""Rooted triples: extraction from colored digraphs, Aho graphs, and BUILD.
+"""Rooted triples: extraction from colored digraphs, and BUILD.
 
 A triple xy|z is informative for a two-colored digraph when the three
 vertices induce one of the four forced patterns: an arc x->y together with
@@ -103,17 +103,6 @@ def informative_triples(graph: ColoredDigraph) -> TripleSet:
                 if z != j and z != i and z not in graph.out_adj[i]:
                     found.add(RootedTriple.of(ids[i], ids[j], ids[z]))
     return TripleSet(frozenset(ids), frozenset(found))
-
-
-def aho_graph(triples: Iterable[RootedTriple], subset: Iterable[str]) -> dict[str, set[str]]:
-    """Graph on ``subset`` joining the pair of every triple fully inside it."""
-    keep = set(subset)
-    adj: dict[str, set[str]] = {x: set() for x in keep}
-    for t in triples:
-        if t.a in keep and t.b in keep and t.out in keep:
-            adj[t.a].add(t.b)
-            adj[t.b].add(t.a)
-    return adj
 
 
 class _UnionFind:
@@ -308,8 +297,7 @@ def build_from_trees(trees: list[LeafColoredTree], leaves: Iterable[str]) -> Top
 def _tree_blocks(tree: LeafColoredTree, members: list[str]) -> list[list[str]]:
     """Partition of ``members`` by the root children of the restricted tree."""
     nodes = [tree.leaf_node(lab) for lab in members]
-    # node ids are preorder ranks: the extreme ids span the restricted root
-    top = tree.lca(min(nodes), max(nodes))
+    top = tree.lca_set(nodes)
     if tree.is_leaf(top):
         return [members]
     kids = tree.children[top]  # preorder ids ascend in canonical child order

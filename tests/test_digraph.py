@@ -11,17 +11,15 @@ from bmgraph import (
     ColoredDigraph,
     GraphError,
     bmg_of_tree,
-    class_quotient,
     connected_components,
     induced_subgraph,
-    induced_subgraph_undirected,
     rbmg_of_tree,
     subgraph_on,
     symmetric_part,
     thinness_partition,
 )
 from cases import countercog_tree, weird_tree
-from util import arc_ids, random_scenario
+from util import arc_ids, class_quotient, induced_subgraph_undirected, random_scenario
 
 
 @st.composite

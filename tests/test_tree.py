@@ -1,11 +1,13 @@
 """Tree structure: lca, restriction, contraction, display, triples."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
-from bmgraph import LeafColoredTree, TreeError, build
-from util import random_scenario
+from bmgraph import LeafColoredTree, SimulationConfig, TreeError, build, simulate
+from util import caterpillar, random_scenario
 
 CHERRY = LeafColoredTree((("x", "y"), "z"), {"x": "r", "y": "b", "z": "b"})
 
@@ -15,7 +17,7 @@ def leafset(tree):
 
 
 def naive_lca(tree, u, v):
-    """Root-path intersection, independent of the sparse table."""
+    """Root-path intersection, independent of the preorder ranges."""
     anc = []
     while u != -1:
         anc.append(u)
@@ -45,6 +47,52 @@ def test_lca_matches_path_walking_oracle():
         for _ in range(60):
             u, v = rng.choice(nodes), rng.choice(nodes)
             assert tree.lca(u, v) == naive_lca(tree, u, v)
+    rng = random.Random(5)
+    for seed in range(30):
+        n = rng.randint(3, 60)
+        tree, _ = simulate(SimulationConfig(n, 3, seed, shape="multifurcating"))
+        nodes = list(tree.nodes())
+        for u in nodes:
+            for v in nodes:
+                assert tree.lca(u, v) == naive_lca(tree, u, v)
+        for _ in range(40):
+            subset = rng.sample(nodes, rng.randint(1, min(6, len(nodes))))
+            expected = functools.reduce(lambda a, b: naive_lca(tree, a, b), subset)
+            assert tree.lca_set(subset) == expected
+
+
+def naive_depth(tree, v):
+    depth = 0
+    while tree.parent[v] != -1:
+        v = tree.parent[v]
+        depth += 1
+    return depth
+
+
+def right_caterpillar(n):
+    """Caterpillar ``(l0,(l1,(l2,...)))``: the deep end has the largest ids."""
+    names = [f"l{i:04d}" for i in range(n)]
+    topology = names[-1]
+    for name in reversed(names[:-1]):
+        topology = (name, topology)
+    return LeafColoredTree(topology, {name: f"c{i % 2}" for i, name in enumerate(names)})
+
+
+@pytest.mark.parametrize("lean", ["left", "right"])
+def test_lca_on_deep_caterpillars(lean):
+    tree = caterpillar(1500) if lean == "left" else right_caterpillar(1500)
+    nodes = list(tree.nodes())
+    deepest = max(nodes, key=lambda v: naive_depth(tree, v))
+    assert naive_depth(tree, deepest) == 1499
+    rng = random.Random(lean)
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(1500)]
+    pairs += [(deepest, v) for v in nodes[::7]] + [(v, deepest) for v in nodes[::11]]
+    for u, v in pairs:
+        assert tree.lca(u, v) == naive_lca(tree, u, v)
+    with pytest.raises(TreeError):
+        tree.lca(0, len(nodes))
+    with pytest.raises(TreeError):
+        tree.lca(-1, 0)
 
 
 def test_single_child_root_and_degree_two_suppression():
@@ -155,6 +203,25 @@ def test_triples_of_star_and_cherry_and_caterpillar():
         ("a", "c", "d"),
         ("b", "c", "d"),
     }
+
+
+def brute_triples(tree):
+    """xy|z with lca(x, y) strictly below lca(x, z), by root-path walking."""
+    out = set()
+    for x, y, z in itertools.permutations(tree.leaf_labels, 3):
+        if x > y:
+            continue
+        nx, ny, nz = (tree.leaf_node(lab) for lab in (x, y, z))
+        low, high = naive_lca(tree, nx, ny), naive_lca(tree, nx, nz)
+        if low != high and naive_lca(tree, low, high) == high:
+            out.add((x, y, z))
+    return out
+
+
+def test_triple_tuples_equal_the_definition():
+    for seed in range(150):
+        tree, _ = random_scenario(seed, max_leaves=9)
+        assert tree.triple_tuples() == brute_triples(tree)
 
 
 def test_triples_match_distinguished_edges():

@@ -12,7 +12,6 @@ from bmgraph import (
     Rejection,
     RootedTriple,
     TripleSet,
-    aho_graph,
     bmg_of_tree,
     build,
     build_from_trees,
@@ -25,7 +24,7 @@ from bmgraph import (
     thinness_partition,
 )
 from cases import counter_triples_graph
-from util import arc_ids, connected_scenario, hierarchy_lrt, random_scenario
+from util import aho_graph, arc_ids, connected_scenario, hierarchy_lrt, random_scenario
 
 
 def test_counter_triples_extraction_is_exact():

@@ -5,11 +5,15 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from typing import Iterable
 
 from bmgraph import (
     ColoredDigraph,
+    ColoredGraph,
+    GraphError,
     LeafColoredTree,
     Rejection,
+    RootedTriple,
     SimulationConfig,
     ThinnessPartition,
     connected_components,
@@ -166,3 +170,44 @@ def connected_sink_free_out_masks(reds: int, blues: int):
             seen |= reach
         if seen == full:
             yield outs
+
+
+def class_quotient(partition: ThinnessPartition) -> ColoredDigraph:
+    """Digraph on class representatives (smallest member id per class)."""
+    g = partition.graph
+    reps = [g.vertex_ids[cls[0]] for cls in partition.classes]
+    colors = {reps[a]: g.color_name(partition.classes[a][0]) for a in range(len(partition))}
+    arcs = [
+        (reps[a], reps[b])
+        for a in range(len(partition))
+        for b in partition.out_classes[a]
+        if a != b
+    ]
+    return ColoredDigraph(colors, arcs)
+
+
+def induced_subgraph_undirected(graph: ColoredGraph, colors: Iterable[str]) -> ColoredGraph:
+    """Color-induced subgraph of an undirected colored graph."""
+    wanted = set(colors)
+    unknown = wanted - set(graph.color_ids)
+    if unknown:
+        raise GraphError(f"unknown color id(s): {sorted(unknown)}")
+    keep = {i for i in range(len(graph)) if graph.color_name(i) in wanted}
+    vertex_colors = {graph.vertex_ids[i]: graph.color_name(i) for i in keep}
+    edges = [
+        (graph.vertex_ids[i], graph.vertex_ids[j])
+        for i, j in graph.edges()
+        if i in keep and j in keep
+    ]
+    return ColoredGraph(vertex_colors, edges)
+
+
+def aho_graph(triples: Iterable[RootedTriple], subset: Iterable[str]) -> dict[str, set[str]]:
+    """Graph on ``subset`` joining the pair of every triple fully inside it."""
+    keep = set(subset)
+    adj: dict[str, set[str]] = {x: set() for x in keep}
+    for t in triples:
+        if t.a in keep and t.b in keep and t.out in keep:
+            adj[t.a].add(t.b)
+            adj[t.b].add(t.a)
+    return adj
