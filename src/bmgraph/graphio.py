@@ -14,39 +14,48 @@ from .errors import ParseError, BmgraphError
 from .tree import LeafColoredTree, Topology
 
 def parse_graph(text: str) -> ColoredDigraph:
+    """Graph of a graph file.  Each vertex gets a slot at its ``V`` line and
+    arcs are kept as slot sets, so they are checked as they are read; the
+    slots are renumbered into sorted id order once, at the end."""
     colors: dict[str, str] = {}
-    arcs: list[tuple[str, str]] = []
-    seen_arcs: set[tuple[str, str]] = set()
+    slot: dict[str, int] = {}
+    out_sets: list[set[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "V":
+        if kind == "A":
+            if len(fields) != 3:
+                raise ParseError("A line needs exactly: A <src> <dst>", lineno)
+            _, src, dst = fields
+            i, j = slot.get(src), slot.get(dst)
+            if i is None or j is None:
+                raise ParseError(f"arc endpoint not declared yet: {src} -> {dst}", lineno)
+            if i == j:
+                raise ParseError(f"self-loop on {src!r}", lineno)
+            targets = out_sets[i]
+            if j in targets:
+                raise ParseError(f"duplicate arc {src} -> {dst}", lineno)
+            targets.add(j)
+        elif kind == "V":
             if len(fields) != 3:
                 raise ParseError("V line needs exactly: V <id> <color>", lineno)
             _, vid, color = fields
             if vid in colors:
                 raise ParseError(f"duplicate vertex {vid!r}", lineno)
             colors[vid] = color
-        elif kind == "A":
-            if len(fields) != 3:
-                raise ParseError("A line needs exactly: A <src> <dst>", lineno)
-            _, src, dst = fields
-            if src not in colors or dst not in colors:
-                raise ParseError(f"arc endpoint not declared yet: {src} -> {dst}", lineno)
-            if src == dst:
-                raise ParseError(f"self-loop on {src!r}", lineno)
-            if (src, dst) in seen_arcs:
-                raise ParseError(f"duplicate arc {src} -> {dst}", lineno)
-            seen_arcs.add((src, dst))
-            arcs.append((src, dst))
+            slot[vid] = len(out_sets)
+            out_sets.append(set())
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
     if not colors:
         raise ParseError("graph file declares no vertices", None)
-    return ColoredDigraph(colors, arcs)
+    by_rank = [slot[vid] for vid in sorted(colors)]  # the vertex order ColoredDigraph interns
+    rank = [0] * len(by_rank)
+    for r, s in enumerate(by_rank):
+        rank[s] = r
+    return ColoredDigraph.from_index_sets(colors, [[rank[j] for j in out_sets[s]] for s in by_rank])
 
 
 def format_graph(graph: ColoredDigraph) -> str:

@@ -1,12 +1,16 @@
 """Recognition of n-colored best match graphs and their least resolved trees.
 
 Pipeline: reject same-color arcs, split into weakly connected components and
-require equal color sets, then per component either (a) recognize every
-two-color induced subgraph, take the unique least resolved tree per color
-pair, and feed all pair trees to a supertree BUILD, or (b) run BUILD on the
-union of the pairwise informative triples, which ``build`` reads straight
-off the component's out-neighbourhood bitsets without building one triple;
-the pair notes count each pair's triples in closed form.
+require equal color sets; these are the only structure checks.  Then per
+component either (a) recognize the two-colored graph of every color pair,
+take its unique least resolved tree, and feed all pair trees to a supertree
+BUILD, or (b) run BUILD on the union of the pairwise informative triples.
+Both read bitsets computed once per component.  In (a) a pair is the vertex
+mask of its two colours, and ``two_color.pair_topology`` reads its sinks,
+pieces and thinness classes off the vertices' neighbourhood masks, with no
+subgraph copy.  In (b) ``build`` reads the glue of the informative triples
+off the out-neighbourhoods split by colour (``triples.color_masks``), and
+the pair notes count each pair's triples from the same masks.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the subtree-range engine
@@ -27,7 +31,9 @@ import time
 from dataclasses import dataclass, field
 
 from .bmg import bmg_of_tree
-from .digraph import (
+# induced_subgraph, informative_triples and lrt_via_hierarchy stay bound here:
+# perfbench/layers.py traces them by these names
+from .digraph import (  # noqa: F401
     ColoredDigraph,
     connected_components,
     first_arc_difference,
@@ -37,14 +43,14 @@ from .digraph import (
 )
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
-# informative_triples stays bound here: perfbench/layers.py traces it by this name
 from .triples import (  # noqa: F401
     build,
     build_from_trees,
+    color_masks,
     informative_triple_counts,
     informative_triples,
 )
-from .two_color import lrt_via_hierarchy
+from .two_color import lrt_via_hierarchy, pair_topology, vertex_masks  # noqa: F401
 from .verdicts import Rejection
 
 ROUTES = ("pairwise-lrt", "informative-direct")
@@ -136,17 +142,23 @@ def _recognize_component(
     """Candidate topology of one component; no tree is built and no gate
     runs here, the caller's global comparison is the only one."""
     if route == "informative-direct":
-        counts = informative_triple_counts(sub)
+        masks = color_masks(sub)
+        counts = informative_triple_counts(masks)
         names = sub.color_ids
         for s, t in itertools.combinations(range(len(names)), 2):
             report.pair_verdicts[(ci, (names[s], names[t]))] = (
                 f"{counts.get((s, t), 0)} informative triples"
             )
-        topo = build(sub, sub.vertex_ids)
+        topo = build(masks, sub.vertex_ids)
     else:
+        outs, ins = vertex_masks(sub)
+        by_color = [0] * len(sub.color_ids)
+        for v, c in enumerate(sub.color_of):
+            by_color[c] |= 1 << v
+        colors = sub.colors_as_dict()
         pair_trees: list[LeafColoredTree] = []
-        for s, t in itertools.combinations(sub.color_ids, 2):
-            tree = _pair_lrt(induced_subgraph(sub, {s, t}))
+        for (s, first), (t, second) in itertools.combinations(zip(sub.color_ids, by_color), 2):
+            tree = _pair_lrt(sub, colors, outs, ins, first | second)
             if isinstance(tree, Rejection):
                 report.pair_verdicts[(ci, (s, t))] = f"failed: {tree.stage}"
                 return Rejection("2cbmg-failure", tree)
@@ -158,23 +170,13 @@ def _recognize_component(
     return topo
 
 
-def _pair_lrt(gst: ColoredDigraph) -> LeafColoredTree | Rejection:
-    """Unique least resolved tree of a (possibly disconnected) two-colored
-    graph: per-component topologies joined under a pair root if needed, and
-    the one tree built for this colour pair, which is BUILD's input."""
-    for v in range(len(gst)):
-        if not gst.out_adj[v]:
-            return Rejection("sink-vertex", gst.vertex_ids[v])
-    comps = connected_components(gst)
-    topos: list[Topology] = []
-    for comp in comps:
-        piece = gst if len(comps) == 1 else subgraph_on(gst, comp)
-        topo = lrt_via_hierarchy(piece)
-        if isinstance(topo, Rejection):
-            return topo
-        topos.append(topo)
-    topology = topos[0] if len(topos) == 1 else tuple(topos)
-    return LeafColoredTree(topology, gst.colors_as_dict())
+def _pair_lrt(
+    sub: ColoredDigraph, colors: dict[str, str], outs: list[int], ins: list[int], pair: int
+) -> LeafColoredTree | Rejection:
+    """Least resolved tree of the colour pair whose vertex mask is ``pair``,
+    read off the component's masks; the one tree BUILD takes for the pair."""
+    topology = pair_topology(sub, outs, ins, pair)
+    return topology if isinstance(topology, Rejection) else LeafColoredTree(topology, colors)
 
 
 def class_roots_per_color(

@@ -19,9 +19,8 @@ ever built.  ``RootedTriple`` and ``TripleSet`` serve the API and the CLI.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bmg import bmg_of_tree
 from .digraph import ColoredDigraph, connected_components
@@ -124,23 +123,28 @@ class _UnionFind:
 
 
 def build(
-    source: ColoredDigraph | TripleSet | Iterable[RootedTriple], leaves: Iterable[str]
+    source: ColoredDigraph | ColorMasks | TripleSet | Iterable[RootedTriple],
+    leaves: Iterable[str],
 ) -> Topology | None:
     """Aho tree on ``leaves``, or None when no tree displays the triples.
 
-    ``source`` is a triple collection, or a colored digraph standing for its
-    informative triples, which are then read off the graph and never built.
+    ``source`` is a triple collection, or a colored digraph (or its
+    ``color_masks``) standing for its informative triples, which are then
+    read off the graph and never built.
     """
     leaf_list = sorted(set(leaves))
     if not leaf_list:
         raise GraphError("BUILD needs at least one leaf")
     if isinstance(source, ColoredDigraph):
-        unknown = set(leaf_list) - source.index_of.keys()
+        source = color_masks(source)
+    if isinstance(source, ColorMasks):
+        graph = source.graph
+        unknown = set(leaf_list) - graph.index_of.keys()
         if unknown:
             raise GraphError(f"leaves {sorted(unknown)} are no vertices of the graph")
-        names = source.vertex_ids
+        names = graph.vertex_ids
         glue = _graph_glue(source)
-        root = sum(1 << source.index_of[x] for x in leaf_list)
+        root = sum(1 << graph.index_of[x] for x in leaf_list)
     else:
         names = tuple(leaf_list)
         glue = _triple_glue(source, {x: k for k, x in enumerate(names)})
@@ -219,14 +223,14 @@ def _blocks(level: int, glued: Iterable[int]) -> list[int]:
     return blocks
 
 
-def _graph_glue(graph: ColoredDigraph) -> Glue:
-    """Glue of the informative triples of ``graph``: ab|z lies inside a level
+def _graph_glue(masks: ColorMasks) -> Glue:
+    """Glue of the informative triples of a graph: ab|z lies inside a level
     M exactly for an arc a->b and a vertex z of b's color in M, outside N(a)
     and other than a; so a joins N_t(a) & M whenever some such z exists."""
-    color_masks, out_masks = _color_masks(graph)
+    color_sets, out_masks = masks.colors, masks.outs
 
     def glue(level: int) -> Iterator[int]:
-        inside = [level & mask for mask in color_masks]
+        inside = [level & mask for mask in color_sets]
         rest = level
         while rest:
             low = rest & -rest
@@ -239,30 +243,39 @@ def _graph_glue(graph: ColoredDigraph) -> Glue:
     return glue
 
 
-def _color_masks(graph: ColoredDigraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Bitset of each color's vertices, and per vertex the ``(color, its
-    out-neighbours of that color)`` bitsets of the colors it has arcs to."""
-    color_masks = [0] * len(graph.color_ids)
+class ColorMasks(NamedTuple):
+    """A graph's out-neighbourhoods split by colour, as bitsets: ``colors[t]``
+    holds the vertices of color t, and ``outs[v]`` the ``(t, N_t(v))`` pairs
+    of the colors that v has arcs to."""
+
+    graph: ColoredDigraph
+    colors: list[int]
+    outs: list[list[tuple[int, int]]]
+
+
+def color_masks(graph: ColoredDigraph) -> ColorMasks:
+    """The graph's out-neighbourhoods per colour, from one walk over its arcs."""
+    colors = [0] * len(graph.color_ids)
     for v, c in enumerate(graph.color_of):
-        color_masks[c] |= 1 << v
+        colors[c] |= 1 << v
     bit = (1).__lshift__
-    out_masks = []
+    outs = []
     for targets in graph.out_adj:
         out = sum(map(bit, targets))
-        out_masks.append([(t, hit) for t, mask in enumerate(color_masks) if (hit := out & mask)])
-    return color_masks, out_masks
+        outs.append([(t, hit) for t, mask in enumerate(colors) if (hit := out & mask)])
+    return ColorMasks(graph, colors, outs)
 
 
-def informative_triple_counts(graph: ColoredDigraph) -> dict[tuple[int, int], int]:
+def informative_triple_counts(masks: ColorMasks) -> dict[tuple[int, int], int]:
     """Informative triples per color pair ``(s, t)``, ``s < t`` color indices,
     in closed form for a graph without same-color arcs: ab|z arises from the
     one arc a->b and the one z of b's color outside N(a), so a pair counts
     |N_u(a)| * (|L_u| - |N_u(a)|) over its vertices a, u the other color."""
-    color_of = graph.color_of
-    sizes = Counter(color_of)
+    sizes = [mask.bit_count() for mask in masks.colors]
     counts: dict[tuple[int, int], int] = {}
-    for s, targets in zip(color_of, graph.out_adj):
-        for t, k in Counter(map(color_of.__getitem__, targets)).items():
+    for s, per_color in zip(masks.graph.color_of, masks.outs):
+        for t, hit in per_color:
+            k = hit.bit_count()
             pair = (s, t) if s < t else (t, s)
             counts[pair] = counts.get(pair, 0) + k * (sizes[t] - k)
     return counts

@@ -1,11 +1,14 @@
 """Two-colored recognition: neighborhood axioms, reachable sets, and the
 hierarchy route to the unique least resolved tree.
 
-All axiom algebra runs on the class quotient of the thinness partition;
-class granularity makes that lossless.  Class-level neighbourhoods are
-Python-int bitsets, bit ``c`` standing for thinness class ``c`` (the idiom of
-``tree._colormask``).  Axioms are checked in the order N2, N3, N1 and the
-first violating class (pair) in class order is the reported witness.
+No subgraph is copied.  A graph, or a component of the n-colour recognizer,
+is given once by each vertex's out- and in-neighbourhood as a Python-int
+bitset (``vertex_masks``), and a two-colored graph inside it by a vertex
+mask, such as two colours.  ``pair_classes`` reads its pieces and thinness
+classes off the masks.  Class-level neighbourhoods are bitsets too, bit
+``c`` standing for class ``c``.  All axiom algebra runs on them; class
+granularity makes that lossless.  Axioms are checked in the order N2, N3,
+N1 and the first violating class (pair) in class order is the witness.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
 With N2, N(N(N(a))) lies in N(a), so the reachable set of class a is
@@ -19,8 +22,11 @@ the references the closed forms are tested against.
 
 A connected, sink-free two-colored digraph satisfies N1-N3 exactly when it
 is a best match graph, and then the Hasse tree of its extended reachable
-sets is its least resolved tree.  The hierarchy route therefore runs no
-forward construction of its own: the one exact gate is the n-colour
+sets is its least resolved tree.  ``check_axioms`` and ``lrt_via_hierarchy``
+run the structure checks once and then the mask core, ``pair_topology``,
+which the n-colour recognizer calls on each colour pair directly: a pair has
+no same-colour arc, so its sink-free pieces pass every structure check.  No
+forward construction runs here: the one exact gate is the n-colour
 recognizer's final arc-for-arc comparison.
 """
 
@@ -30,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bmg import bmg_of_tree
 from .digraph import (
@@ -58,7 +64,6 @@ class ClassNeighborhoodTables:
     ``n2[a]`` and ``n3[a]`` are N(a), N(N(a)) and N(N(N(a))); ``in1[a]`` and
     ``in2[a]`` hold the classes with an arc, or a path of two arcs, into a."""
 
-    partition: ThinnessPartition
     n1: tuple[int, ...]
     n2: tuple[int, ...]
     n3: tuple[int, ...]
@@ -66,9 +71,12 @@ class ClassNeighborhoodTables:
     in2: tuple[int, ...]
 
 
-def neighborhood_tables(partition: ThinnessPartition) -> ClassNeighborhoodTables:
-    bit = [1 << c for c in range(len(partition))]
-    outs, ins = partition.out_classes, partition.in_classes
+def neighborhood_tables(
+    outs: Sequence[Iterable[int]], ins: Sequence[Iterable[int]]
+) -> ClassNeighborhoodTables:
+    """Tables of the classes whose out- and in-neighbour classes are ``outs[a]``
+    and ``ins[a]``, each class listed once."""
+    bit = [1 << c for c in range(len(outs))]
 
     def masks(class_sets) -> tuple[int, ...]:
         return tuple(sum(map(bit.__getitem__, s)) for s in class_sets)
@@ -78,10 +86,69 @@ def neighborhood_tables(partition: ThinnessPartition) -> ClassNeighborhoodTables
 
     n1, in1 = masks(outs), masks(ins)
     n2 = step(n1, outs)
-    in2 = step(in1, ins)
-    return ClassNeighborhoodTables(
-        partition=partition, n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=in2
-    )
+    return ClassNeighborhoodTables(n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=step(in1, ins))
+
+
+def vertex_masks(graph: ColoredDigraph) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbourhood of every vertex as a bitset over vertex indices."""
+    bit = (1).__lshift__
+    return [sum(map(bit, s)) for s in graph.out_adj], [sum(map(bit, s)) for s in graph.in_adj]
+
+
+def pair_classes(
+    graph: ColoredDigraph, outs: list[int], ins: list[int], ground: int
+) -> list[tuple[list[list[int]], ClassNeighborhoodTables]] | Rejection:
+    """Thinness classes, as member lists by smallest member, and class tables
+    of each weakly connected piece of the subgraph that the vertex mask
+    ``ground`` induces, pieces by smallest vertex; or its first sink.  Both
+    neighbourhoods within ``ground`` key a vertex's class.  Keys are lifted
+    one class at a time: the lowest vertex left names a class, whose members
+    are then cleared.  A piece is a union of classes, found among them."""
+    index: dict[tuple[int, int], int] = {}
+    members: list[list[int]] = []
+    masks: list[int] = []
+    class_of: dict[int, int] = {}
+    for v in _bits(ground):
+        out = outs[v] & ground
+        if not out:
+            return Rejection("sink-vertex", graph.vertex_ids[v])
+        a = class_of[v] = index.setdefault((out, ins[v] & ground), len(members))
+        if a == len(members):
+            members.append([])
+            masks.append(0)
+        members[a].append(v)
+        masks[a] |= 1 << v
+
+    def lift(mask: int) -> list[int]:
+        found = []
+        while mask:
+            found.append(class_of[(mask & -mask).bit_length() - 1])
+            mask &= ~masks[found[-1]]
+        return found
+
+    n1 = [lift(out) for out, _ in index]
+    in1 = [lift(into) for _, into in index]
+    pieces: list[list[int]] = []
+    piece_of = [-1] * len(members)
+    for a in range(len(members)):
+        if piece_of[a] < 0:
+            piece_of[a], found = len(pieces), [a]
+            for b in found:  # grows while it is read
+                for c in itertools.chain(n1[b], in1[b]):
+                    if piece_of[c] < 0:
+                        piece_of[c] = piece_of[a]
+                        found.append(c)
+            pieces.append(sorted(found))
+    if len(pieces) == 1:
+        return [(members, neighborhood_tables(n1, in1))]
+    split = []
+    for piece in pieces:
+        local = {a: i for i, a in enumerate(piece)}.__getitem__
+        tables = neighborhood_tables(
+            [list(map(local, n1[a])) for a in piece], [list(map(local, in1[a])) for a in piece]
+        )
+        split.append(([members[a] for a in piece], tables))
+    return split
 
 
 def _structure_check(graph: ColoredDigraph) -> CheckResult:
@@ -102,32 +169,32 @@ def _structure_check(graph: ColoredDigraph) -> CheckResult:
 
 def check_axioms(graph: ColoredDigraph) -> CheckResult:
     """Check the three out-neighborhood axioms of connected two-colored graphs."""
-    verdict, _ = _checked_tables(graph)
-    return verdict
-
-
-def _checked_tables(graph: ColoredDigraph) -> tuple[CheckResult, ClassNeighborhoodTables | None]:
     structural = _structure_check(graph)
     if not structural:
-        return structural, None
-    part = thinness_partition(graph)
-    tables = neighborhood_tables(part)
-    n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
-    k = len(part)
-    ids = part.class_ids
+        return structural
+    [(members, tables)] = pair_classes(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
+    return _axiom_check(graph, members, tables)
 
-    def fail(stage: str, witness: tuple) -> tuple[CheckResult, ClassNeighborhoodTables]:
-        return CheckResult(False, stage, witness), tables
+
+def _axiom_check(
+    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables
+) -> CheckResult:
+    n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
+    k = len(members)
+
+    def fail(stage: str, *witness: int) -> CheckResult:
+        ids = tuple(tuple(graph.vertex_ids[v] for v in members[a]) for a in witness)
+        return CheckResult(False, stage, ids if len(ids) > 1 else ids[0])
 
     for a in range(k):
         if n3[a] & ~n1[a]:
-            return fail("N2", ids(a))
+            return fail("N2", a)
     # Arcs join the two colours, so only classes of one colour can share
     # out-neighbours (N3) and only classes of two colours can meet N(N(.))
     # through N(.) (N1); each loop visits the later classes b > a that the
     # premise of its axiom leaves open.
     full = (1 << k) - 1
-    colors = part.color_of_class
+    colors = [graph.color_of[m[0]] for m in members]
     first_color = sum(1 << a for a in range(k) if colors[a] == colors[0])
     same_color = [first_color if colors[a] == colors[0] else full ^ first_color for a in range(k)]
     for a in range(k):
@@ -136,14 +203,14 @@ def _checked_tables(graph: ColoredDigraph) -> tuple[CheckResult, ClassNeighborho
         for b in _bits(open_pairs):
             n1b = n1[b]
             if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
-                return fail("N3", (ids(a), ids(b)))
+                return fail("N3", a, b)
     for a in range(k):
         n1a, n2a = n1[a], n2[a]
         open_pairs = (full ^ same_color[a]) & ~n1a & ~in1[a] & ~((2 << a) - 1)
         for b in _bits(open_pairs):
             if n1a & n2[b] or n1[b] & n2a:
-                return fail("N1", (ids(a), ids(b)))
-    return CheckResult(True), tables
+                return fail("N1", a, b)
+    return CheckResult(True)
 
 
 def reachable_set(graph: ColoredDigraph, seed: frozenset[int] | tuple[int, ...]) -> frozenset[int]:
@@ -292,30 +359,45 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     and the topology explains it.  Wrap it as
     ``LeafColoredTree(topology, graph.colors_as_dict())`` to get the tree.
     """
-    verdict, tables = _checked_tables(graph)
-    if tables is None or not verdict:
-        return Rejection("axioms", verdict)
-    part = tables.partition
-    r_ext = extended_reachable_masks(tables)
-    hierarchy = hasse_tree((1 << len(part)) - 1, set(r_ext))
-    if isinstance(hierarchy, Rejection):
-        witness = tuple(_class_ids(part, m) for m in hierarchy.witness)
-        return Rejection(hierarchy.stage, witness)
-    return _attach_leaves(part, r_ext, hierarchy)
+    structural = _structure_check(graph)
+    if not structural:
+        return Rejection("axioms", structural)
+    return pair_topology(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
 
 
-def _class_ids(part: ThinnessPartition, mask: int) -> tuple[str, ...]:
-    """Vertex ids of the classes in ``mask``, sorted."""
-    return tuple(sorted(v for a in _bits(mask) for v in part.class_ids(a)))
+def pair_topology(
+    graph: ColoredDigraph, outs: list[int], ins: list[int], ground: int
+) -> Topology | Rejection:
+    """Least resolved tree topology of the subgraph that the vertex mask
+    ``ground`` induces, from the graph's ``vertex_masks``, or a staged
+    rejection; several pieces are joined under a fresh root.  The caller
+    vouches that the subgraph has two colours and no arc inside one; then
+    each sink-free piece passes every structure check."""
+    pieces = pair_classes(graph, outs, ins, ground)
+    if isinstance(pieces, Rejection):
+        return pieces
+    topos: list[Topology] = []
+    for members, tables in pieces:
+        verdict = _axiom_check(graph, members, tables)
+        if not verdict:
+            return Rejection("axioms", verdict)
+        r_ext = extended_reachable_masks(tables)
+        hierarchy = hasse_tree((1 << len(members)) - 1, set(r_ext))
+        class_ids = [[graph.vertex_ids[v] for v in m] for m in members]
+        if isinstance(hierarchy, Rejection):
+            witness = (sorted(v for a in _bits(m) for v in class_ids[a]) for m in hierarchy.witness)
+            return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
+        topos.append(_attach_leaves(class_ids, r_ext, hierarchy))
+    return topos[0] if len(topos) == 1 else tuple(topos)
 
 
 def _attach_leaves(
-    part: ThinnessPartition, r_ext: tuple[int, ...], hierarchy: Hierarchy
+    class_ids: list[list[str]], r_ext: tuple[int, ...], hierarchy: Hierarchy
 ) -> Topology:
     node_of = {s: i for i, s in enumerate(hierarchy.sets)}
     attached: list[list[str]] = [[] for _ in hierarchy.sets]
     for a, s in enumerate(r_ext):
-        attached[node_of[s]].extend(part.class_ids(a))
+        attached[node_of[s]].extend(class_ids[a])
     rep: list[Topology] = []
     for i, kids_at in enumerate(hierarchy.children):  # children before parents
         kids: list[Topology] = [rep[c] for c in kids_at]

@@ -3,7 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bmgraph import LeafColoredTree, ParseError, TreeError
+from bmgraph import ColoredDigraph, LeafColoredTree, ParseError, TreeError
 from bmgraph.graphio import (
     format_color_map,
     format_graph,
@@ -127,3 +127,30 @@ def test_color_map_format_parse_format_is_identical(colors):
     assert parse_color_map(text) == colors
     assert format_color_map(parse_color_map(text)) == text
 
+
+
+@st.composite
+def interleaved_graph_texts(draw):
+    """A valid graph file whose V and A lines interleave, each vertex
+    declared before an arc uses it, with the colours and arcs it declares."""
+    ids = draw(st.lists(tokens, min_size=1, max_size=8, unique=True))
+    colors = {v: draw(tokens) for v in ids}
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    arcs = draw(st.lists(pairs, max_size=20, unique=True)) if len(ids) > 1 else []
+    after: dict[int, list[str]] = {}
+    for a, b in arcs:
+        earliest = max(ids.index(a), ids.index(b))
+        slot = draw(st.integers(min_value=earliest, max_value=len(ids) - 1))
+        after.setdefault(slot, []).append(f"A {a} {b}")
+    lines = []
+    for k, v in enumerate(ids):
+        lines.append(f"V {v} {colors[v]}" + draw(st.sampled_from(["", " # note", "  "])))
+        lines.extend(after.get(k, []))
+    return "\n".join(lines) + "\n", colors, arcs
+
+
+@ROUND_TRIP
+@given(interleaved_graph_texts())
+def test_parse_graph_equals_the_declared_graph(drawn):
+    text, colors, arcs = drawn
+    assert parse_graph(text) == ColoredDigraph(colors, arcs)

@@ -53,6 +53,35 @@ def test_arc_before_declaration_rejected():
         parse_graph("V x red\nA x y\nV y blue\n")
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("V x\n", "V line needs exactly: V <id> <color>", 1),
+        ("V x red\nV x blue\n", "duplicate vertex 'x'", 2),
+        ("V x red\nV y blue\nA x\n", "A line needs exactly: A <src> <dst>", 3),
+        ("V x red\nV y blue\nA x z\n", "arc endpoint not declared yet: x -> z", 3),
+        ("V x red\nA x y\nV y blue\n", "arc endpoint not declared yet: x -> y", 2),
+        ("V x red\nA x x\n", "self-loop on 'x'", 2),
+        ("V x red\nV y blue\nA x y\nA y x\nA x y\n", "duplicate arc x -> y", 5),
+        ("V x red\nQ x\n", "unknown record type 'Q'", 2),
+        ("# nothing\n\n", "graph file declares no vertices", None),
+        ("", "graph file declares no vertices", None),
+        # several errors: the first failing line wins, and within a line the
+        # arity check comes before the endpoint, loop and duplicate checks
+        ("V x red\nA x x\nQ\nV x blue\n", "self-loop on 'x'", 2),
+        ("V x red\nV y b\nA x y\nA x y z\nA x y\n", "A line needs exactly: A <src> <dst>", 4),
+        ("V x red\nA y y\n", "arc endpoint not declared yet: y -> y", 2),
+        ("V x red extra\nV x blue\n", "V line needs exactly: V <id> <color>", 1),
+    ],
+)
+def test_graph_parse_errors_name_message_and_line(text, message, line):
+    with pytest.raises(ParseError) as caught:
+        parse_graph(text)
+    assert caught.value.line == line
+    assert caught.value.column is None
+    assert str(caught.value) == message + ("" if line is None else f" (line {line})")
+
+
 def test_newick_parsing():
     assert parse_newick("((x,y),z);") == (("x", "y"), "z")
     assert parse_newick(" (a, (b , c)) ; ".replace(" ", "")) == ("a", ("b", "c"))

@@ -64,3 +64,35 @@ def test_traced_bindings_resolve():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((SRC / "bmgraph" / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_pairwise_hot_path_copies_no_pair_graph():
+    # the pair layer reads each colour pair off the component's bitsets; a
+    # subgraph copy, a thinness partition or a repeated structure check per
+    # pair would bring back the per-pair graph objects
+    forbidden = {"induced_subgraph", "subgraph_on", "thinness_partition", "_structure_check"}
+    defs = {"n_color": _functions("n_color"), "two_color": _functions("two_color")}
+    work = [("n_color", "_recognize_component"), ("n_color", "_pair_lrt")]
+    reached: set[tuple[str, str]] = set()
+    calls: dict[str, set[str]] = {}
+    while work:
+        module, name = work.pop()
+        if (module, name) in reached:
+            continue
+        reached.add((module, name))
+        for node in ast.walk(defs[module][name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callee = node.func.id
+                calls.setdefault(callee, set()).add(f"{module}.{name}")
+                for owner in (module, "two_color"):  # n_color binds its two_color helpers by name
+                    if callee in defs[owner]:
+                        work.append((owner, callee))
+                        break
+    assert {("two_color", "pair_topology"), ("two_color", "pair_classes")} <= reached, reached
+    found = {name: sorted(calls[name]) for name in forbidden & calls.keys()}
+    assert not found, found

@@ -53,7 +53,8 @@ def test_axioms_pass_on_simulated_two_color_graphs():
 def test_axioms_pass_on_complete_bipartite():
     g = complete_bidirectional()
     assert check_axioms(g)
-    tables = neighborhood_tables(thinness_partition(g))
+    part = thinness_partition(g)
+    tables = neighborhood_tables(part.out_classes, part.in_classes)
     for a in range(2):
         assert tables.n3[a] == tables.n1[a]
 
@@ -144,7 +145,7 @@ def test_bfs_equals_two_step_union_when_axioms_hold():
     for seed in range(40):
         _, graph = connected_scenario(seed)
         part = thinness_partition(graph)
-        tables = neighborhood_tables(part)
+        tables = neighborhood_tables(part.out_classes, part.in_classes)
         for a in range(len(part)):
             two_step = class_members(part, tables.n1[a] | tables.n2[a])
             assert class_reachable_set(part, a) == two_step
@@ -170,7 +171,7 @@ def test_extended_reachable_masks_equal_the_reference():
     for seed in range(40):
         _, graph = connected_scenario(seed)
         part = thinness_partition(graph)
-        masks = extended_reachable_masks(neighborhood_tables(part))
+        masks = extended_reachable_masks(neighborhood_tables(part.out_classes, part.in_classes))
         for a in range(len(part)):
             assert class_members(part, masks[a]) == extended_reachable_set(part, a)
 
@@ -267,7 +268,7 @@ def test_four_root_cases_for_class_pairs():
     for seed in range(25):
         tree, graph = connected_scenario(seed)
         part = thinness_partition(graph)
-        tables = neighborhood_tables(part)
+        tables = neighborhood_tables(part.out_classes, part.in_classes)
         from bmgraph.two_color import class_roots
 
         roots = class_roots(tree, graph, part)

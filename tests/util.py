@@ -19,6 +19,7 @@ from bmgraph import (
     connected_components,
     lrt_via_hierarchy,
     simulate,
+    subgraph_on,
 )
 
 
@@ -123,6 +124,26 @@ def arc_ids(graph: ColoredDigraph) -> set[tuple[str, str]]:
 def class_members(part: ThinnessPartition, mask: int) -> frozenset[int]:
     """Vertices of the thinness classes in a class bitset."""
     return frozenset(v for a, cls in enumerate(part.classes) if mask >> a & 1 for v in cls)
+
+
+def reference_pair_lrt(gst: ColoredDigraph) -> LeafColoredTree | Rejection:
+    """Least resolved tree of a two-colored graph, composed from graph copies:
+    sinks first, then ``lrt_via_hierarchy`` on a subgraph copy of each weakly
+    connected component.  The reference ``n_color._pair_lrt`` is tested
+    against."""
+    for v in range(len(gst)):
+        if not gst.out_adj[v]:
+            return Rejection("sink-vertex", gst.vertex_ids[v])
+    comps = connected_components(gst)
+    topos = []
+    for comp in comps:
+        piece = gst if len(comps) == 1 else subgraph_on(gst, comp)
+        topo = lrt_via_hierarchy(piece)
+        if isinstance(topo, Rejection):
+            return topo
+        topos.append(topo)
+    topology = topos[0] if len(topos) == 1 else tuple(topos)
+    return LeafColoredTree(topology, gst.colors_as_dict())
 
 
 def hierarchy_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
