@@ -8,7 +8,9 @@ BUILD, or (b) run BUILD on the union of the pairwise informative triples.
 Both read bitsets computed once per component.  In (a) a pair is the vertex
 mask of its two colours, and ``two_color.pair_topology`` reads its sinks,
 pieces and thinness classes off the vertices' neighbourhood masks, with no
-subgraph copy.  In (b) ``build`` reads the glue of the informative triples
+subgraph copy, and returns its tree as a cluster family over the same vertex
+bitsets; ``build_from_trees`` glues from those families, so no pair tree is
+ever built.  In (b) ``build`` reads the glue of the informative triples
 off the out-neighbourhoods split by colour (``triples.color_masks``), and
 the pair notes count each pair's triples from the same masks.
 
@@ -155,28 +157,18 @@ def _recognize_component(
         by_color = [0] * len(sub.color_ids)
         for v, c in enumerate(sub.color_of):
             by_color[c] |= 1 << v
-        colors = sub.colors_as_dict()
-        pair_trees: list[LeafColoredTree] = []
+        families = []
         for (s, first), (t, second) in itertools.combinations(zip(sub.color_ids, by_color), 2):
-            tree = _pair_lrt(sub, colors, outs, ins, first | second)
-            if isinstance(tree, Rejection):
-                report.pair_verdicts[(ci, (s, t))] = f"failed: {tree.stage}"
-                return Rejection("2cbmg-failure", tree)
+            family = pair_topology(sub, outs, ins, first | second)
+            if isinstance(family, Rejection):
+                report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"
+                return Rejection("2cbmg-failure", family)
             report.pair_verdicts[(ci, (s, t))] = "2-cBMG"
-            pair_trees.append(tree)
-        topo = build_from_trees(pair_trees, sub.vertex_ids)
+            families.append(family)
+        topo = build_from_trees(families, sub.vertex_ids)
     if topo is None:
         return Rejection("triples-inconsistent", tuple(sub.vertex_ids))
     return topo
-
-
-def _pair_lrt(
-    sub: ColoredDigraph, colors: dict[str, str], outs: list[int], ins: list[int], pair: int
-) -> LeafColoredTree | Rejection:
-    """Least resolved tree of the colour pair whose vertex mask is ``pair``,
-    read off the component's masks; the one tree BUILD takes for the pair."""
-    topology = pair_topology(sub, outs, ins, pair)
-    return topology if isinstance(topology, Rejection) else LeafColoredTree(topology, colors)
 
 
 def class_roots_per_color(

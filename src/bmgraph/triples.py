@@ -13,19 +13,21 @@ straight from a colored digraph: at a level M, ab|z lies inside M exactly
 for an arc a->b and some z in M of b's color outside N(a), so a is joined
 to N_t(a) & M for each color t where such a z is left, and no triple is
 ever built.  ``RootedTriple`` and ``TripleSet`` serve the API and the CLI.
-``build_from_trees`` glues from the root blocks of pair trees instead.
+
+``build_from_trees`` glues from pair trees given as cluster families over
+leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bmg import bmg_of_tree
 from .digraph import ColoredDigraph, connected_components
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
+from .two_color import Family
 from .verdicts import Rejection
 
 
@@ -102,24 +104,6 @@ def informative_triples(graph: ColoredDigraph) -> TripleSet:
                 if z != j and z != i and z not in graph.out_adj[i]:
                     found.add(RootedTriple.of(ids[i], ids[j], ids[z]))
     return TripleSet(frozenset(ids), frozenset(found))
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: str, y: str) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
 
 
 def build(
@@ -296,57 +280,49 @@ def _triple_glue(triples: TripleSet | Iterable[RootedTriple], index: dict[str, i
     return glue
 
 
-def build_from_trees(trees: list[LeafColoredTree], leaves: Iterable[str]) -> Topology | None:
-    """BUILD on the union of the trees' displayed triples, without
-    materializing them: at each level every input tree glues together the
-    leaves sharing a child subtree of its restricted root."""
-    leaf_list = sorted(set(leaves))
-    if not leaf_list:
+def build_from_trees(families: list[Family], leaves: Sequence[str]) -> Topology | None:
+    """BUILD on the triples that trees display, each tree a cluster family
+    over leaf bitsets, bit v naming ``leaves[v]``: at a level M, a family
+    with two or more leaves in M glues ``kid & M`` for each kid of its lca
+    of them, the children of its restricted root (BuildST, Deng &
+    Fernandez-Baca 2018).  That lca lies at or below the one of M's parent
+    level, where the search starts.  One frame per level."""
+    if not leaves:
         raise GraphError("BUILD needs at least one leaf")
-    spans = [frozenset(t.leaf_labels) for t in trees]
-    return _build_st(leaf_list, trees, spans)
+    return _build_st((1 << len(leaves)) - 1, families, leaves)
 
 
-def _tree_blocks(tree: LeafColoredTree, members: list[str]) -> list[list[str]]:
-    """Partition of ``members`` by the root children of the restricted tree."""
-    nodes = [tree.leaf_node(lab) for lab in members]
-    top = tree.lca_set(nodes)
-    if tree.is_leaf(top):
-        return [members]
-    kids = tree.children[top]  # preorder ids ascend in canonical child order
-    blocks: dict[int, list[str]] = {}
-    for lab, node in zip(members, nodes):
-        slot = kids[bisect_right(kids, node) - 1]
-        blocks.setdefault(slot, []).append(lab)
-    return list(blocks.values())
-
-
-def _build_st(
-    leaves: list[str], trees: list[LeafColoredTree], spans: list[frozenset[str]]
-) -> Topology | None:
-    if len(leaves) == 1:
-        return leaves[0]
-    here = set(leaves)
-    uf = _UnionFind(leaves)
-    for tree, span in zip(trees, spans):
-        members = sorted(here & span)
-        if len(members) < 2:
-            continue
-        for block in _tree_blocks(tree, members):
-            for other in block[1:]:
-                uf.union(block[0], other)
-    comps: dict[str, list[str]] = {}
-    for x in leaves:
-        comps.setdefault(uf.find(x), []).append(x)
-    if len(comps) == 1:
+def _build_st(level: int, nodes: list[Family], names: Sequence[str]) -> Topology | None:
+    if level & (level - 1) == 0:
+        return names[level.bit_length() - 1]
+    here, glued = [], []
+    for node in nodes:
+        inside = node[0] & level
+        if inside & (inside - 1):
+            node = _lca(node, inside)
+            here.append(node)
+            glued.extend(hit for kid in node[1] if (hit := kid[0] & level) & (hit - 1))
+    blocks = _blocks(level, glued)
+    if len(blocks) == 1:
         return None
     kids = []
-    for comp in sorted(comps.values(), key=lambda c: c[0]):
-        sub = _build_st(comp, trees, spans)
+    for block in blocks:
+        sub = _build_st(block, here, names)
         if sub is None:
             return None
         kids.append(sub)
     return tuple(kids)
+
+
+def _lca(node: Family, inside: int) -> Family:
+    """Deepest node at or below ``node`` whose bitset holds ``inside``."""
+    while True:
+        for kid in node[1]:
+            if kid[0] & inside == inside:
+                node = kid
+                break
+        else:
+            return node
 
 
 def lrt_via_triples(graph: ColoredDigraph) -> LeafColoredTree | Rejection:

@@ -25,9 +25,10 @@ is a best match graph, and then the Hasse tree of its extended reachable
 sets is its least resolved tree.  ``check_axioms`` and ``lrt_via_hierarchy``
 run the structure checks once and then the mask core, ``pair_topology``,
 which the n-colour recognizer calls on each colour pair directly: a pair has
-no same-colour arc, so its sink-free pieces pass every structure check.  No
-forward construction runs here: the one exact gate is the n-colour
-recognizer's final arc-for-arc comparison.
+no same-colour arc, so its sink-free pieces pass every structure check.
+``pair_topology`` returns the tree as a cluster family over vertex bitsets,
+which ``lrt_via_hierarchy`` names.  No forward construction runs here: the
+one exact gate is the n-colour recognizer's final arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -362,48 +363,68 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     structural = _structure_check(graph)
     if not structural:
         return Rejection("axioms", structural)
-    return pair_topology(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
+    family = pair_topology(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
+    return family if isinstance(family, Rejection) else family_topology(family, graph.vertex_ids)
+
+
+# A cluster family: a node is (vertex bitset, kids), a leaf (1 << v, ()), and
+# a node's bitset is the union of its kids'.
+Family = tuple
 
 
 def pair_topology(
     graph: ColoredDigraph, outs: list[int], ins: list[int], ground: int
-) -> Topology | Rejection:
-    """Least resolved tree topology of the subgraph that the vertex mask
-    ``ground`` induces, from the graph's ``vertex_masks``, or a staged
-    rejection; several pieces are joined under a fresh root.  The caller
-    vouches that the subgraph has two colours and no arc inside one; then
-    each sink-free piece passes every structure check."""
+) -> Family | Rejection:
+    """Least resolved tree of the subgraph that the vertex mask ``ground``
+    induces, from the graph's ``vertex_masks``, as a cluster family over
+    vertex bitsets, or a staged rejection; several pieces are joined under a
+    fresh root.  The caller vouches that the subgraph has two colours and no
+    arc inside one; then each sink-free piece passes every structure check."""
     pieces = pair_classes(graph, outs, ins, ground)
     if isinstance(pieces, Rejection):
         return pieces
-    topos: list[Topology] = []
+    families: list[Family] = []
     for members, tables in pieces:
         verdict = _axiom_check(graph, members, tables)
         if not verdict:
             return Rejection("axioms", verdict)
         r_ext = extended_reachable_masks(tables)
         hierarchy = hasse_tree((1 << len(members)) - 1, set(r_ext))
-        class_ids = [[graph.vertex_ids[v] for v in m] for m in members]
         if isinstance(hierarchy, Rejection):
-            witness = (sorted(v for a in _bits(m) for v in class_ids[a]) for m in hierarchy.witness)
+            ids = graph.vertex_ids
+            witness = (sorted(ids[v] for a in _bits(m) for v in members[a]) for m in hierarchy.witness)
             return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
-        topos.append(_attach_leaves(class_ids, r_ext, hierarchy))
-    return topos[0] if len(topos) == 1 else tuple(topos)
+        families.append(_family(members, r_ext, hierarchy))
+    return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
 
 
-def _attach_leaves(
-    class_ids: list[list[str]], r_ext: tuple[int, ...], hierarchy: Hierarchy
-) -> Topology:
+def _family(members: list[list[int]], r_ext: tuple[int, ...], hierarchy: Hierarchy) -> Family:
+    """The Hasse tree as a cluster family, built bottom-up: a node's kids are
+    its Hasse children, then the vertices of the classes whose R' set it is."""
     node_of = {s: i for i, s in enumerate(hierarchy.sets)}
-    attached: list[list[str]] = [[] for _ in hierarchy.sets]
+    attached: list[list[int]] = [[] for _ in hierarchy.sets]
     for a, s in enumerate(r_ext):
-        attached[node_of[s]].extend(class_ids[a])
-    rep: list[Topology] = []
+        attached[node_of[s]].extend(members[a])
+    built: list[Family] = []
     for i, kids_at in enumerate(hierarchy.children):  # children before parents
-        kids: list[Topology] = [rep[c] for c in kids_at]
-        kids.extend(sorted(attached[i]))
-        rep.append(tuple(kids) if len(kids) > 1 else kids[0])
-    return rep[hierarchy.root]
+        kids = [built[c] for c in kids_at]
+        kids.extend((1 << v, ()) for v in sorted(attached[i]))
+        built.append((sum(k[0] for k in kids), tuple(kids)) if len(kids) > 1 else kids[0])
+    return built[hierarchy.root]
+
+
+def family_topology(family: Family, names: Sequence[str]) -> Topology:
+    """Nested-tuple topology of a cluster family, bit v named ``names[v]``;
+    iterative, so any depth is fine."""
+    order, stack = [], [family]
+    while stack:  # parents before their kids
+        order.append(stack.pop())
+        stack.extend(order[-1][1])
+    named: dict[int, Topology] = {}  # by node identity; ``order`` keeps every node alive
+    for node in reversed(order):
+        mask, kids = node
+        named[id(node)] = tuple(named[id(k)] for k in kids) if kids else names[mask.bit_length() - 1]
+    return named[id(family)]
 
 
 def class_roots(tree: LeafColoredTree, graph: ColoredDigraph, part: ThinnessPartition) -> list[int]:

@@ -1,12 +1,14 @@
-"""Exhaustive verdict sweep, too slow for the test suite (about 40 s).
+"""Exhaustive verdict sweeps, too slow for the test suite.
 
     PYTHONPATH=src:tests python tests/sweep_two_color.py
 
 For every connected, sink-free two-colored digraph on at most 3 red + 3 blue
-vertices, both recognition routes must accept exactly when the graph is the
-best match graph of some tree on those leaves; the trees are enumerated.
-Prints the counts per vertex split, with wrong verdicts per route, and exits 1
-on any wrong verdict.
+vertices, and for every digraph on the colour splits 2+2+1, 3+1+1, 2+1+1+1
+and 3+2+1 in which each vertex has an arc into every other colour, both
+recognition routes must accept exactly when the graph is the best match
+graph of some tree on those leaves; the trees are enumerated.  Prints the
+counts per vertex split, with wrong verdicts and verdict stages per route,
+and exits 1 on any wrong verdict.
 """
 
 from __future__ import annotations
@@ -15,47 +17,62 @@ import itertools
 import sys
 import time
 
-from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg
+from bmgraph import LeafColoredTree, bmg_of_tree, recognize_ncbmg
 from bmgraph.n_color import ROUTES
-from util import all_topologies, connected_sink_free_out_masks
+from util import (
+    all_topologies,
+    coloured_graph,
+    coloured_leaves,
+    connected_sink_free_out_masks,
+    foreign_arc_out_masks,
+)
+
+SPLITS = ((2, 2, 1), (3, 1, 1), (2, 1, 1, 1), (3, 2, 1))
 
 
 def main() -> int:
     start = time.perf_counter()
     totals = {"graphs": 0, "bmgs": 0, **{route: 0 for route in ROUTES}}
-    for reds, blues in itertools.product(range(1, 4), repeat=2):
-        n = reds + blues
-        ids = tuple(f"v{v}" for v in range(n))
-        colors = {ids[v]: "red" if v < reds else "blue" for v in range(n)}
-        bmgs = {
-            bmg_of_tree(LeafColoredTree(topo, colors)).out_adj
-            for topo in all_topologies(ids)
-        }
-        graphs = bmg_count = 0
-        wrong = {route: 0 for route in ROUTES}
-        for outs in connected_sink_free_out_masks(reds, blues):
-            graph = ColoredDigraph(
-                colors,
-                [(ids[v], ids[w]) for v in range(n) for w in range(n) if outs[v] >> w & 1],
-            )
-            is_bmg = graph.out_adj in bmgs
-            graphs += 1
-            bmg_count += is_bmg
-            for route in ROUTES:
-                if recognize_ncbmg(graph, route=route).accepted != is_bmg:
-                    wrong[route] += 1
-                    print(f"wrong {route} verdict: {sorted(graph.arcs())} on {reds}+{blues}")
-        print(f"{reds}+{blues}: {graphs} graphs, {bmg_count} best match graphs, {_wrong(wrong)}")
-        totals["graphs"] += graphs
-        totals["bmgs"] += bmg_count
-        for route in ROUTES:
-            totals[route] += wrong[route]
+    for sizes in itertools.product(range(1, 4), repeat=2):
+        _sweep(sizes, connected_sink_free_out_masks(*sizes), totals)
+    for sizes in SPLITS:
+        _sweep(sizes, foreign_arc_out_masks(sizes), totals)
     elapsed = time.perf_counter() - start
     print(
         f"total: {totals['graphs']} graphs, {totals['bmgs']} best match graphs, "
         f"{_wrong(totals)}, {elapsed:.1f} s"
     )
     return 1 if any(totals[route] for route in ROUTES) else 0
+
+
+def _sweep(sizes: tuple[int, ...], out_masks, totals: dict) -> None:
+    """Verdicts of both routes on the graphs of one colour split, given by
+    their out-neighbourhood bitmasks, against the BMGs of all trees."""
+    ids, colors = coloured_leaves(sizes)
+    bmgs = {bmg_of_tree(LeafColoredTree(topo, colors)).out_adj for topo in all_topologies(ids)}
+    graphs = bmg_count = 0
+    wrong = {route: 0 for route in ROUTES}
+    stages: dict[str, dict[str, int]] = {route: {} for route in ROUTES}
+    split = "+".join(map(str, sizes))
+    for outs in out_masks:
+        graph = coloured_graph(sizes, outs)
+        is_bmg = graph.out_adj in bmgs
+        graphs += 1
+        bmg_count += is_bmg
+        for route in ROUTES:
+            report = recognize_ncbmg(graph, route=route)
+            stage = report.stage or "accepted"
+            stages[route][stage] = stages[route].get(stage, 0) + 1
+            if report.accepted != is_bmg:
+                wrong[route] += 1
+                print(f"wrong {route} verdict: {sorted(graph.arcs())} on {split}")
+    print(f"{split}: {graphs} graphs, {bmg_count} best match graphs, {_wrong(wrong)}")
+    for route in ROUTES:
+        print(f"  {route}: {dict(sorted(stages[route].items()))}")
+    totals["graphs"] += graphs
+    totals["bmgs"] += bmg_count
+    for route in ROUTES:
+        totals[route] += wrong[route]
 
 
 def _wrong(counts: dict) -> str:

@@ -322,3 +322,13 @@ def test_direct_route_accepts_an_1100_leaf_caterpillar():
     report = recognize_ncbmg(bmg_of_tree(tree), route="informative-direct")
     assert report.accepted, report.stage
     assert report.lrt.newick() == tree.newick()
+
+
+def test_pairwise_route_accepts_a_600_leaf_caterpillar():
+    # BUILD from the pair families recurses once per level; 600 levels stay
+    # below the interpreter's recursion limit
+    tree = caterpillar(600)
+    graph = bmg_of_tree(tree)
+    report = recognize_ncbmg(graph, route="pairwise-lrt")
+    assert report.accepted, report.stage
+    assert report.lrt == recognize_ncbmg(graph, route="informative-direct").lrt == tree

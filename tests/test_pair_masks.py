@@ -1,5 +1,6 @@
 """The pair layer on component bitsets against the per-pair graph copies it
-replaced: same thinness classes, same class tables, same pair outcomes."""
+replaced: same thinness classes, same class tables, same pair outcomes; and
+BUILD gluing from pair cluster families against BUILD gluing from pair trees."""
 
 import itertools
 import random
@@ -8,15 +9,15 @@ from bmgraph import (
     ColoredDigraph,
     Rejection,
     SimulationConfig,
+    build_from_trees,
     connected_components,
     induced_subgraph,
     simulate,
     subgraph_on,
     thinness_partition,
 )
-from bmgraph.n_color import _pair_lrt
-from bmgraph.two_color import neighborhood_tables, pair_classes, vertex_masks
-from util import random_scenario, reference_pair_lrt
+from bmgraph.two_color import neighborhood_tables, pair_classes, pair_topology, vertex_masks
+from util import family_tree, random_scenario, reference_pair_lrt, tree_glue_build
 
 
 def _components(graph: ColoredDigraph) -> list[ColoredDigraph]:
@@ -69,23 +70,41 @@ def _flips(graph: ColoredDigraph):
             yield ColoredDigraph(colors, arcs ^ {(x, y)})
 
 
-def test_pair_outcomes_equal_the_copying_reference_on_every_flip():
+def _flip_pool():
+    """Components of 150 simulated graphs (3-9 leaves, 2-5 colours) and of
+    every cross-colour single-arc flip of each."""
     rng = random.Random(2)
-    stages: dict[str, int] = {}
-    trees = 0
-    while trees < 150:
+    for _ in range(150):
         n = rng.randint(3, 9)
         k = rng.randint(2, min(5, n))
         _, graph = simulate(SimulationConfig(n, k, rng.getrandbits(48)))
-        trees += 1
         for flipped in itertools.chain([graph], _flips(graph)):
-            for sub in _components(flipped):
-                outs, ins = vertex_masks(sub)
-                colors = sub.colors_as_dict()
-                for (s, t), pair in _pair_masks(sub).items():
-                    mine = _pair_lrt(sub, colors, outs, ins, pair)
-                    expected = reference_pair_lrt(induced_subgraph(sub, {s, t}))
-                    assert mine == expected, (flipped, s, t)
-                    stage = mine.stage if isinstance(mine, Rejection) else "tree"
-                    stages[stage] = stages.get(stage, 0) + 1
+            yield from _components(flipped)
+
+
+def test_pair_outcomes_equal_the_copying_reference_on_every_flip():
+    stages: dict[str, int] = {}
+    for sub in _flip_pool():
+        outs, ins = vertex_masks(sub)
+        for (s, t), pair in _pair_masks(sub).items():
+            mine = family_tree(pair_topology(sub, outs, ins, pair), sub)
+            expected = reference_pair_lrt(induced_subgraph(sub, {s, t}))
+            assert mine == expected, (sub, s, t)
+            stage = mine.stage if isinstance(mine, Rejection) else "tree"
+            stages[stage] = stages.get(stage, 0) + 1
     assert {"tree", "sink-vertex", "axioms"} <= stages.keys(), stages
+
+
+def test_family_glue_build_equals_tree_glue_build_on_every_flip():
+    # BUILD runs on the families of the pairs that pass, so a flip whose
+    # pair fails still feeds BUILD the rest
+    outcomes = {"tree": 0, "inconsistent": 0}
+    for sub in _flip_pool():
+        outs, ins = vertex_masks(sub)
+        found = (pair_topology(sub, outs, ins, pair) for pair in _pair_masks(sub).values())
+        families = [f for f in found if not isinstance(f, Rejection)]
+        mine = build_from_trees(families, sub.vertex_ids)
+        expected = tree_glue_build([family_tree(f, sub) for f in families], sub.vertex_ids)
+        assert mine == expected, sub
+        outcomes["inconsistent" if mine is None else "tree"] += 1
+    assert min(outcomes.values()) > 0, outcomes

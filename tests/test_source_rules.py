@@ -72,12 +72,20 @@ def _functions(module: str) -> dict[str, ast.FunctionDef]:
 
 
 def test_pairwise_hot_path_copies_no_pair_graph():
-    # the pair layer reads each colour pair off the component's bitsets; a
-    # subgraph copy, a thinness partition or a repeated structure check per
-    # pair would bring back the per-pair graph objects
-    forbidden = {"induced_subgraph", "subgraph_on", "thinness_partition", "_structure_check"}
-    defs = {"n_color": _functions("n_color"), "two_color": _functions("two_color")}
-    work = [("n_color", "_recognize_component"), ("n_color", "_pair_lrt")]
+    # the pair layer reads each colour pair off the component's bitsets and
+    # BUILD glues from the pairs' cluster families; a subgraph copy, a
+    # thinness partition, a repeated structure check or a tree per pair would
+    # bring back the per-pair graph and tree objects
+    forbidden = {
+        "induced_subgraph",
+        "subgraph_on",
+        "thinness_partition",
+        "_structure_check",
+        "LeafColoredTree",
+    }
+    helpers = ("two_color", "triples")
+    defs = {module: _functions(module) for module in ("n_color", *helpers)}
+    work = [("n_color", "_recognize_component")]
     reached: set[tuple[str, str]] = set()
     calls: dict[str, set[str]] = {}
     while work:
@@ -89,10 +97,11 @@ def test_pairwise_hot_path_copies_no_pair_graph():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 callee = node.func.id
                 calls.setdefault(callee, set()).add(f"{module}.{name}")
-                for owner in (module, "two_color"):  # n_color binds its two_color helpers by name
+                for owner in (module, *helpers):  # n_color binds its helpers by name
                     if callee in defs[owner]:
                         work.append((owner, callee))
                         break
     assert {("two_color", "pair_topology"), ("two_color", "pair_classes")} <= reached, reached
+    assert ("triples", "_build_st") in reached, reached
     found = {name: sorted(calls[name]) for name in forbidden & calls.keys()}
     assert not found, found

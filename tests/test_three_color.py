@@ -1,0 +1,51 @@
+"""Exactness beyond two colours: every graph on five vertices and three or
+four colours in which each vertex has an arc into every other colour, against
+the best match graphs of all trees on those leaves."""
+
+from collections import Counter
+
+from bmgraph import LeafColoredTree, bmg_of_tree, recognize_ncbmg
+from bmgraph.n_color import ROUTES
+from util import all_topologies, coloured_graph, coloured_leaves, foreign_arc_out_masks
+
+GRAPHS = {(2, 2, 1): 729, (3, 1, 1): 49, (2, 1, 1, 1): 27}
+# Verdict stages per split and route.  On 2+2+1 both rejections behind the
+# pair checks occur: pair trees that BUILD cannot join, and joined trees that
+# only the final arc-for-arc gate rejects, as ``cases.gate_mismatch_graph``.
+STAGES = {
+    (2, 2, 1): {
+        "pairwise-lrt": {
+            "accepted": 87, "2cbmg-failure": 558, "triples-inconsistent": 28, "graph-mismatch": 56,
+        },
+        "informative-direct": {"accepted": 87, "triples-inconsistent": 346, "graph-mismatch": 296},
+    },
+    (3, 1, 1): {
+        "pairwise-lrt": {"accepted": 43, "triples-inconsistent": 6},
+        "informative-direct": {"accepted": 43, "triples-inconsistent": 6},
+    },
+    (2, 1, 1, 1): {"pairwise-lrt": {"accepted": 27}, "informative-direct": {"accepted": 27}},
+}
+
+
+def sweep(sizes: tuple[int, ...]) -> dict[str, Counter]:
+    """Stage counts per route over every graph of the split ``sizes``; each
+    verdict must be acceptance exactly when the graph is a tree's BMG."""
+    ids, colors = coloured_leaves(sizes)
+    bmgs = {bmg_of_tree(LeafColoredTree(topo, colors)).out_adj for topo in all_topologies(ids)}
+    stages = {route: Counter() for route in ROUTES}
+    for outs in foreign_arc_out_masks(sizes):
+        graph = coloured_graph(sizes, outs)
+        is_bmg = graph.out_adj in bmgs
+        for route in ROUTES:
+            report = recognize_ncbmg(graph, route=route)
+            assert report.accepted == is_bmg, (route, sorted(graph.arcs()))
+            stages[route][report.stage or "accepted"] += 1
+    return stages
+
+
+def test_both_routes_accept_exactly_the_tree_bmgs_on_five_vertices():
+    found = {sizes: sweep(sizes) for sizes in GRAPHS}
+    for sizes, count in GRAPHS.items():
+        for route in ROUTES:
+            assert sum(found[sizes][route].values()) == count, (sizes, route)
+    assert found == STAGES

@@ -24,7 +24,14 @@ from bmgraph import (
     thinness_partition,
 )
 from cases import counter_triples_graph
-from util import aho_graph, arc_ids, connected_scenario, hierarchy_lrt, random_scenario
+from util import (
+    aho_graph,
+    arc_ids,
+    connected_scenario,
+    hierarchy_lrt,
+    random_scenario,
+    tree_family,
+)
 
 
 def test_counter_triples_extraction_is_exact():
@@ -119,7 +126,7 @@ def test_build_from_trees_equals_build_on_pooled_triples():
         labels = list(tree_a.leaf_labels)
         tree_b = tree_a.restrict(labels[: max(2, len(labels) - 2)])
         pooled = tree_a.triples().union(tree_b.triples())
-        lhs = build_from_trees([tree_a, tree_b], labels)
+        lhs = build_from_trees([tree_family(tree_a, labels), tree_family(tree_b, labels)], labels)
         rhs = build(pooled, labels)
         assert lhs == rhs
 

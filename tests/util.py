@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from bmgraph import (
     ColoredDigraph,
@@ -21,6 +22,8 @@ from bmgraph import (
     simulate,
     subgraph_on,
 )
+from bmgraph.tree import Topology
+from bmgraph.two_color import Family, family_topology
 
 
 def set_partitions(items: list):
@@ -129,8 +132,8 @@ def class_members(part: ThinnessPartition, mask: int) -> frozenset[int]:
 def reference_pair_lrt(gst: ColoredDigraph) -> LeafColoredTree | Rejection:
     """Least resolved tree of a two-colored graph, composed from graph copies:
     sinks first, then ``lrt_via_hierarchy`` on a subgraph copy of each weakly
-    connected component.  The reference ``n_color._pair_lrt`` is tested
-    against."""
+    connected component.  The reference ``two_color.pair_topology`` is
+    tested against."""
     for v in range(len(gst)):
         if not gst.out_adj[v]:
             return Rejection("sink-vertex", gst.vertex_ids[v])
@@ -144,6 +147,97 @@ def reference_pair_lrt(gst: ColoredDigraph) -> LeafColoredTree | Rejection:
         topos.append(topo)
     topology = topos[0] if len(topos) == 1 else tuple(topos)
     return LeafColoredTree(topology, gst.colors_as_dict())
+
+
+def family_tree(family: Family | Rejection, graph: ColoredDigraph) -> LeafColoredTree | Rejection:
+    """A cluster family over ``graph``'s vertex indices as a tree; a
+    rejection passes through."""
+    if isinstance(family, Rejection):
+        return family
+    return LeafColoredTree(family_topology(family, graph.vertex_ids), graph.colors_as_dict())
+
+
+def tree_family(tree: LeafColoredTree, leaves: Sequence[str]) -> Family:
+    """A tree as a cluster family, leaf ``leaves[v]`` at bit v."""
+    bit = {x: 1 << v for v, x in enumerate(leaves)}
+    built: dict[int, Family] = {}
+    for v in reversed(tree.nodes()):  # preorder ids: kids come after their parent
+        if tree.is_leaf(v):
+            built[v] = (bit[tree.label[v]], ())
+        else:
+            kids = tuple(built[c] for c in tree.children[v])
+            built[v] = (sum(kid[0] for kid in kids), kids)
+    return built[tree.root]
+
+
+class _UnionFind:
+    def __init__(self, items: Iterable[str]):
+        self.parent = {x: x for x in items}
+
+    def find(self, x: str) -> str:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: str, y: str) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+
+def tree_glue_build(trees: list[LeafColoredTree], leaves: Iterable[str]) -> Topology | None:
+    """BUILD on the union of the trees' displayed triples, gluing on string
+    labels: at each level every tree joins the leaves that share a child of
+    its restricted root.  The reference ``build_from_trees`` is tested
+    against."""
+    leaf_list = sorted(set(leaves))
+    spans = [frozenset(t.leaf_labels) for t in trees]
+    return _build_st(leaf_list, trees, spans)
+
+
+def _tree_blocks(tree: LeafColoredTree, members: list[str]) -> list[list[str]]:
+    """Partition of ``members`` by the root children of the restricted tree."""
+    nodes = [tree.leaf_node(lab) for lab in members]
+    top = tree.lca_set(nodes)
+    if tree.is_leaf(top):
+        return [members]
+    kids = tree.children[top]  # preorder ids ascend in canonical child order
+    blocks: dict[int, list[str]] = {}
+    for lab, node in zip(members, nodes):
+        slot = kids[bisect_right(kids, node) - 1]
+        blocks.setdefault(slot, []).append(lab)
+    return list(blocks.values())
+
+
+def _build_st(
+    leaves: list[str], trees: list[LeafColoredTree], spans: list[frozenset[str]]
+) -> Topology | None:
+    if len(leaves) == 1:
+        return leaves[0]
+    here = set(leaves)
+    uf = _UnionFind(leaves)
+    for tree, span in zip(trees, spans):
+        members = sorted(here & span)
+        if len(members) < 2:
+            continue
+        for block in _tree_blocks(tree, members):
+            for other in block[1:]:
+                uf.union(block[0], other)
+    comps: dict[str, list[str]] = {}
+    for x in leaves:
+        comps.setdefault(uf.find(x), []).append(x)
+    if len(comps) == 1:
+        return None
+    kids = []
+    for comp in sorted(comps.values(), key=lambda c: c[0]):
+        sub = _build_st(comp, trees, spans)
+        if sub is None:
+            return None
+        kids.append(sub)
+    return tuple(kids)
 
 
 def hierarchy_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
@@ -191,6 +285,37 @@ def connected_sink_free_out_masks(reds: int, blues: int):
             seen |= reach
         if seen == full:
             yield outs
+
+
+def foreign_arc_out_masks(sizes: tuple[int, ...]):
+    """Out-neighbourhood bitmasks of every digraph on colour classes of the
+    given sizes, vertices numbered colour by colour, in which each vertex has
+    an arc into every other colour and none inside its own, as in every
+    best match graph."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    masks = [(1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])]
+    subsets = [[m for m in range(1, mask + 1) if m & ~mask == 0] for mask in masks]
+    options = []
+    for c, size in enumerate(sizes):
+        others = [subsets[d] for d in range(len(sizes)) if d != c]
+        options.extend([[sum(combo) for combo in itertools.product(*others)]] * size)
+    return itertools.product(*options)
+
+
+def coloured_graph(sizes: tuple[int, ...], outs: tuple[int, ...]) -> ColoredDigraph:
+    """Digraph on vertices ``v0, v1, ...`` coloured ``c0`` for the first
+    ``sizes[0]`` of them and so on, with out-neighbourhood bitmasks ``outs``."""
+    ids, colors = coloured_leaves(sizes)
+    n = len(ids)
+    return ColoredDigraph(
+        colors, [(ids[v], ids[w]) for v in range(n) for w in range(n) if outs[v] >> w & 1]
+    )
+
+
+def coloured_leaves(sizes: tuple[int, ...]) -> tuple[tuple[str, ...], dict[str, str]]:
+    """Leaf ids ``v0, v1, ...`` and their colours, ``sizes[0]`` of colour c0 first."""
+    ids = tuple(f"v{v}" for v in range(sum(sizes)))
+    return ids, coloring_from_partition(ids, sizes)
 
 
 def class_quotient(partition: ThinnessPartition) -> ColoredDigraph:
