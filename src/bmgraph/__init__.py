@@ -22,7 +22,6 @@ from .two_color import (
     lrt_via_hierarchy,
     neighborhood_tables,
     reachable_set,
-    redundant_edges_2,
 )
 from .triples import (
     RootedTriple,
@@ -30,7 +29,6 @@ from .triples import (
     build,
     build_from_trees,
     informative_triples,
-    lrt_via_triples,
 )
 from .n_color import RecognitionReport, recognize_ncbmg, redundant_edges_n
 from .rbmg import check_2crbmg_necessary
@@ -68,11 +66,9 @@ __all__ = [
     "induced_subgraph",
     "informative_triples",
     "lrt_via_hierarchy",
-    "lrt_via_triples",
     "neighborhood_tables",
     "reachable_set",
     "recognize_ncbmg",
-    "redundant_edges_2",
     "redundant_edges_n",
     "rbmg_of_tree",
     "simulate",

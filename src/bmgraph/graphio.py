@@ -2,6 +2,7 @@
 
 Graph files are plain text: ``V <id> <color>`` declares a vertex, ``A <src>
 <dst>`` an arc between previously declared vertices, ``#`` starts a comment.
+Vertex ids are leaf labels, so they hold no character Newick gives meaning to.
 Trees are rooted Newick without branch lengths or inner labels; leaf colors
 live in a tab-separated sidecar, which is the single source of color truth.
 All writers emit sorted, byte-deterministic output.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from .digraph import ColoredDigraph, ColoredGraph
 from .errors import ParseError, BmgraphError
-from .tree import LeafColoredTree, Topology
+from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology
 
 def parse_graph(text: str) -> ColoredDigraph:
     """Graph of a graph file.  Each vertex gets a slot at its ``V`` line and
@@ -44,6 +45,8 @@ def parse_graph(text: str) -> ColoredDigraph:
             _, vid, color = fields
             if vid in colors:
                 raise ParseError(f"duplicate vertex {vid!r}", lineno)
+            if not _FORBIDDEN_LABEL_CHARS.isdisjoint(vid):
+                raise ParseError(f"vertex id {vid!r} cannot be a Newick leaf label", lineno)
             colors[vid] = color
             slot[vid] = len(out_sets)
             out_sets.append(set())

@@ -41,7 +41,6 @@ from .digraph import (  # noqa: F401
     first_arc_difference,
     induced_subgraph,
     subgraph_on,
-    thinness_partition,
 )
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
@@ -171,55 +170,25 @@ def _recognize_component(
     return topo
 
 
-def class_roots_per_color(
-    tree: LeafColoredTree, graph: ColoredDigraph
-) -> dict[int, set[str]]:
-    """Map tree node -> colors s such that some class has its color-s root there.
-
-    Verifies along the way that each color-s neighborhood is exactly the
-    color-s leaf set of the subtree below that root (a property of every
-    explaining tree).
-    """
-    part = thinness_partition(graph)
-    roots_at: dict[int, set[str]] = {}
-    for a in range(len(part)):
-        class_nodes = [tree.leaf_node(graph.vertex_ids[v]) for v in part.classes[a]]
-        out = part.vertex_out(a)
-        for s in graph.color_ids:
-            targets = [v for v in out if graph.color_name(v) == s]
-            if not targets:
-                continue
-            target_nodes = [tree.leaf_node(graph.vertex_ids[v]) for v in targets]
-            rho = tree.lca_set(class_nodes + target_nodes)
-            below = {
-                tree.label[w]
-                for w in tree.leaves_under(rho)
-                if graph.color_name(graph.index_of[tree.label[w]]) == s
-            }
-            if below != {graph.vertex_ids[v] for v in targets}:
-                raise GraphError(
-                    f"color-{s} neighborhood of {part.class_ids(a)} is not a subtree"
-                    " slice; the tree cannot explain the graph"
-                )
-            roots_at.setdefault(rho, set()).add(s)
-    return roots_at
-
-
 def redundant_edges_n(tree: LeafColoredTree, graph: ColoredDigraph) -> frozenset[tuple[int, int]]:
-    """Inner edges contractible without changing the explained graph: the
-    lower end is no color-s class root for any color s seen outside the
-    lower subtree but inside the upper one."""
+    """Inner edges contractible without changing the explained graph: (u, v)
+    is redundant exactly when v is no leaf's colour-s root for a colour s
+    below a sibling of v.  A leaf's colour-s root is its lowest ancestor with
+    colour s below, as on the walk of ``bmg_of_tree``."""
     if bmg_of_tree(tree) != graph:
         raise GraphError("tree does not explain the given graph")
-    roots_at = class_roots_per_color(tree, graph)
-    cindex = {c: k for k, c in enumerate(tree.color_universe)}
-    redundant = []
-    for u, v in tree.inner_edges():
-        sibling_mask = 0
-        for c in tree.children[u]:
-            if c != v:
-                sibling_mask |= tree.color_mask(c)
-        marked = roots_at.get(v, ())
-        if not any(sibling_mask >> cindex[s] & 1 for s in marked):
-            redundant.append((u, v))
-    return frozenset(redundant)
+    parent, cmask = tree.parent, tree._colormask
+    full = cmask[tree.root]
+    rooted = [0] * len(parent)  # per node, the colours it is some leaf's root for
+    for lab in tree.leaf_labels:
+        v = tree.leaf_node(lab)
+        seen = cmask[v]
+        while seen != full:
+            v = parent[v]
+            rooted[v] |= cmask[v] & ~seen
+            seen |= cmask[v]
+    return frozenset(
+        (u, v)
+        for u, v in tree.inner_edges()
+        if not any(rooted[v] & cmask[c] for c in tree.children[u] if c != v)
+    )

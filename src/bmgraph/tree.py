@@ -126,10 +126,6 @@ class LeafColoredTree:
         # preorder ids make every subtree a contiguous id range
         return [w for w in range(v, v + self.size[v]) if self.label[w] is not None]
 
-    def color_mask(self, v: int) -> int:
-        """Bitmask over ``color_universe`` of colors present below ``v``."""
-        return self._colormask[v]
-
     # -- lca ----------------------------------------------------------------
 
     def lca(self, u: int, v: int) -> int:

@@ -13,6 +13,8 @@ straight from a colored digraph: at a level M, ab|z lies inside M exactly
 for an arc a->b and some z in M of b's color outside N(a), so a is joined
 to N_t(a) & M for each color t where such a z is left, and no triple is
 ever built.  ``RootedTriple`` and ``TripleSet`` serve the API and the CLI.
+The triples route is ``recognize_ncbmg(graph, route="informative-direct")``,
+which runs ``build`` per component and then the one gate; none runs here.
 
 ``build_from_trees`` glues from pair trees given as cluster families over
 leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``.
@@ -23,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .bmg import bmg_of_tree
-from .digraph import ColoredDigraph, connected_components
+# bmg_of_tree stays bound here: perfbench/layers.py traces it by this name
+from .bmg import bmg_of_tree  # noqa: F401
+from .digraph import ColoredDigraph
 from .errors import GraphError
-from .tree import LeafColoredTree, Topology
+from .tree import Topology
 from .two_color import Family
-from .verdicts import Rejection
 
 
 @dataclass(frozen=True, order=True)
@@ -323,19 +325,3 @@ def _lca(node: Family, inside: int) -> Family:
                 break
         else:
             return node
-
-
-def lrt_via_triples(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
-    """Aho tree of the informative triples, accepted only if it explains the
-    graph; disconnected inputs get per-component trees under a fresh root."""
-    kids: list[Topology] = []
-    for comp in connected_components(graph):
-        topo = build(graph, [graph.vertex_ids[v] for v in comp])
-        if topo is None:
-            return Rejection("inconsistent", tuple(graph.vertex_ids[v] for v in comp))
-        kids.append(topo)
-    topology = kids[0] if len(kids) == 1 else tuple(kids)
-    tree = LeafColoredTree(topology, graph.colors_as_dict())
-    if bmg_of_tree(tree) != graph:
-        return Rejection("mismatch", tree)
-    return tree

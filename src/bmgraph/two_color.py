@@ -23,12 +23,14 @@ the references the closed forms are tested against.
 A connected, sink-free two-colored digraph satisfies N1-N3 exactly when it
 is a best match graph, and then the Hasse tree of its extended reachable
 sets is its least resolved tree.  ``check_axioms`` and ``lrt_via_hierarchy``
-run the structure checks once and then the mask core, ``pair_topology``,
-which the n-colour recognizer calls on each colour pair directly: a pair has
-no same-colour arc, so its sink-free pieces pass every structure check.
-``pair_topology`` returns the tree as a cluster family over vertex bitsets,
-which ``lrt_via_hierarchy`` names.  No forward construction runs here: the
-one exact gate is the n-colour recognizer's final arc-for-arc comparison.
+check the colour count and same-colour arcs, then take the first sink and
+the pieces from one ``pair_classes`` call and go on with the one piece.  The
+n-colour recognizer calls ``pair_topology`` on each colour pair directly: a
+pair has no same-colour arc, so its sink-free pieces pass every structure
+check.  Both run the same per-piece steps, down to the tree as a cluster
+family over vertex bitsets, which ``lrt_via_hierarchy`` names.  No forward
+construction runs here: the one exact gate is the n-colour recognizer's
+final arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .bmg import bmg_of_tree
-from .digraph import (
-    ColoredDigraph,
-    ThinnessPartition,
-    connected_components,
-    thinness_partition,
-)
-from .errors import GraphError
-from .tree import LeafColoredTree, Topology
+# bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
+from .bmg import bmg_of_tree  # noqa: F401
+from .digraph import ColoredDigraph, ThinnessPartition, thinness_partition  # noqa: F401
+from .tree import Topology
 from .verdicts import CheckResult, Rejection
 
 
@@ -96,9 +93,12 @@ def vertex_masks(graph: ColoredDigraph) -> tuple[list[int], list[int]]:
     return [sum(map(bit, s)) for s in graph.out_adj], [sum(map(bit, s)) for s in graph.in_adj]
 
 
+Piece = tuple[list[list[int]], ClassNeighborhoodTables]
+
+
 def pair_classes(
     graph: ColoredDigraph, outs: list[int], ins: list[int], ground: int
-) -> list[tuple[list[list[int]], ClassNeighborhoodTables]] | Rejection:
+) -> list[Piece] | Rejection:
     """Thinness classes, as member lists by smallest member, and class tables
     of each weakly connected piece of the subgraph that the vertex mask
     ``ground`` induces, pieces by smallest vertex; or its first sink.  Both
@@ -152,29 +152,28 @@ def pair_classes(
     return split
 
 
-def _structure_check(graph: ColoredDigraph) -> CheckResult:
+def _structure_check(graph: ColoredDigraph) -> Piece | CheckResult:
+    """The classes and tables of a two-colored graph without same-colour
+    arcs, sinks or a second piece, or the first such failure; once no vertex
+    is a sink, the pieces are the weakly connected components."""
     if len(graph.color_ids) != 2:
         return CheckResult(False, "wrong-color-count", graph.vertex_ids)
     bad = graph.same_color_arc()
     if bad is not None:
         i, j = bad
         return CheckResult(False, "same-color-arc", (graph.vertex_ids[i], graph.vertex_ids[j]))
-    for i in range(len(graph)):
-        if not graph.out_adj[i]:
-            return CheckResult(False, "sink-vertex", graph.vertex_ids[i])
-    comps = connected_components(graph)
-    if len(comps) != 1:
-        return CheckResult(False, "disconnected", len(comps))
-    return CheckResult(True)
+    pieces = pair_classes(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
+    if isinstance(pieces, Rejection):
+        return CheckResult(False, pieces.stage, pieces.witness)
+    if len(pieces) != 1:
+        return CheckResult(False, "disconnected", len(pieces))
+    return pieces[0]
 
 
 def check_axioms(graph: ColoredDigraph) -> CheckResult:
     """Check the three out-neighborhood axioms of connected two-colored graphs."""
-    structural = _structure_check(graph)
-    if not structural:
-        return structural
-    [(members, tables)] = pair_classes(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
-    return _axiom_check(graph, members, tables)
+    piece = _structure_check(graph)
+    return piece if isinstance(piece, CheckResult) else _axiom_check(graph, *piece)
 
 
 def _axiom_check(
@@ -360,10 +359,10 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     and the topology explains it.  Wrap it as
     ``LeafColoredTree(topology, graph.colors_as_dict())`` to get the tree.
     """
-    structural = _structure_check(graph)
-    if not structural:
-        return Rejection("axioms", structural)
-    family = pair_topology(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
+    piece = _structure_check(graph)
+    if isinstance(piece, CheckResult):
+        return Rejection("axioms", piece)
+    family = _piece_family(graph, *piece)
     return family if isinstance(family, Rejection) else family_topology(family, graph.vertex_ids)
 
 
@@ -385,17 +384,27 @@ def pair_topology(
         return pieces
     families: list[Family] = []
     for members, tables in pieces:
-        verdict = _axiom_check(graph, members, tables)
-        if not verdict:
-            return Rejection("axioms", verdict)
-        r_ext = extended_reachable_masks(tables)
-        hierarchy = hasse_tree((1 << len(members)) - 1, set(r_ext))
-        if isinstance(hierarchy, Rejection):
-            ids = graph.vertex_ids
-            witness = (sorted(ids[v] for a in _bits(m) for v in members[a]) for m in hierarchy.witness)
-            return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
-        families.append(_family(members, r_ext, hierarchy))
+        family = _piece_family(graph, members, tables)
+        if isinstance(family, Rejection):
+            return family
+        families.append(family)
     return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
+
+
+def _piece_family(
+    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables
+) -> Family | Rejection:
+    """Least resolved tree of one sink-free piece: axioms, R', Hasse tree."""
+    verdict = _axiom_check(graph, members, tables)
+    if not verdict:
+        return Rejection("axioms", verdict)
+    r_ext = extended_reachable_masks(tables)
+    hierarchy = hasse_tree((1 << len(members)) - 1, set(r_ext))
+    if isinstance(hierarchy, Rejection):
+        ids = graph.vertex_ids
+        witness = (sorted(ids[v] for a in _bits(m) for v in members[a]) for m in hierarchy.witness)
+        return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
+    return _family(members, r_ext, hierarchy)
 
 
 def _family(members: list[list[int]], r_ext: tuple[int, ...], hierarchy: Hierarchy) -> Family:
@@ -425,26 +434,3 @@ def family_topology(family: Family, names: Sequence[str]) -> Topology:
         mask, kids = node
         named[id(node)] = tuple(named[id(k)] for k in kids) if kids else names[mask.bit_length() - 1]
     return named[id(family)]
-
-
-def class_roots(tree: LeafColoredTree, graph: ColoredDigraph, part: ThinnessPartition) -> list[int]:
-    """Tree node at which each thinness class is rooted: lca of the class and
-    its out-neighborhood."""
-    roots = []
-    for a in range(len(part)):
-        nodes = [tree.leaf_node(graph.vertex_ids[v]) for v in part.classes[a]]
-        nodes += [tree.leaf_node(graph.vertex_ids[v]) for v in part.vertex_out(a)]
-        roots.append(tree.lca_set(nodes))
-    return roots
-
-
-def redundant_edges_2(tree: LeafColoredTree, graph: ColoredDigraph) -> frozenset[tuple[int, int]]:
-    """Inner edges whose contraction keeps the two-colored graph explained:
-    exactly those whose lower end is no class root."""
-    if len(graph.color_ids) != 2:
-        raise GraphError("redundant_edges_2 expects a two-colored graph")
-    if bmg_of_tree(tree) != graph:
-        raise GraphError("tree does not explain the given graph")
-    part = thinness_partition(graph)
-    rooted = set(class_roots(tree, graph, part))
-    return frozenset((u, v) for u, v in tree.inner_edges() if v not in rooted)

@@ -26,7 +26,6 @@ from bmgraph import (
     connected_components,
     induced_subgraph,
     informative_triples,
-    lrt_via_triples,
     recognize_ncbmg,
     redundant_edges_n,
     rbmg_of_tree,
@@ -48,6 +47,7 @@ from util import (
     color_partitions,
     coloring_from_partition,
     connected_scenario,
+    direct_lrt,
     random_scenario,
 )
 
@@ -131,7 +131,7 @@ def test_criterion_4_route_agreement():
     failures = []
     for seed, (_, graph) in enumerate(connected_two_color_pool(1000)[:500]):
         via_h = hierarchy_lrt(graph)
-        via_t = lrt_via_triples(graph)
+        via_t = direct_lrt(graph)
         if isinstance(via_h, Rejection) or isinstance(via_t, Rejection):
             failures.append((seed, "rejected"))
         elif via_h != via_t:
@@ -169,11 +169,13 @@ def test_criterion_5_known_counterexamples():
     )
     if informative_triples(ct) != expected:
         failures.append("counter-triples-set-differs")
-    if build(expected, ct.vertex_ids) is None:
+    aho = build(expected, ct.vertex_ids)
+    if aho is None:
         failures.append("counter-triples-inconsistent")
-    outcome = lrt_via_triples(ct)
-    if not (isinstance(outcome, Rejection) and outcome.stage == "mismatch"):
-        failures.append("counter-triples-not-mismatch")
+    elif bmg_of_tree(LeafColoredTree(aho, ct.colors_as_dict())) == ct:
+        failures.append("counter-triples-aho-tree-explains")
+    if direct_lrt(ct) != Rejection("component-color-mismatch", (("a", "b", "b2"), ("a2",))):
+        failures.append("counter-triples-accepted-direct")
 
     # symmetric three-color cycle: fine per color pair, rejected overall
     sym = counterex_sym_graph()

@@ -281,3 +281,25 @@ def test_cli_exit_2_on_bytes_that_are_not_utf8(tmp_path, capsys, command):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["recognize", "lrt", "check-axioms", "triples"])
+@pytest.mark.parametrize("arcs", ["A a(1 b\nA b a(1\n", "A a(1 b\n"])
+def test_cli_exit_2_on_ids_that_cannot_be_newick_labels(tmp_path, capsys, command, arcs):
+    # the id fails at its V line, whether the graph would be accepted (the
+    # first arc set) or rejected, so the exit code cannot depend on a verdict
+    (tmp_path / "g.txt").write_text("V a(1 r\nV b x\n" + arcs)
+    argv = [command, "--graph", str(tmp_path / "g.txt")]
+    if command == "lrt":
+        argv += ["--out-tree", str(tmp_path / "o.nwk")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: vertex id 'a(1' cannot be a Newick leaf label (line 1)\n"
+    )
+
+
+@pytest.mark.parametrize("char", "(),;")
+def test_graph_ids_with_newick_syntax_raise(char):
+    with pytest.raises(ParseError) as caught:
+        parse_graph(f"V x red\nV y{char} blue\n")
+    assert caught.value.line == 2

@@ -14,7 +14,6 @@ from bmgraph import (
     connected_components,
     induced_subgraph,
     recognize_ncbmg,
-    redundant_edges_2,
     redundant_edges_n,
     simulate,
     subgraph_on,
@@ -32,7 +31,9 @@ from util import (
     caterpillar,
     color_partitions,
     coloring_from_partition,
+    coloured_trees,
     connected_scenario,
+    contractible_edges,
     hierarchy_lrt,
     random_binary_refinement,
     random_scenario,
@@ -201,10 +202,36 @@ def test_redundant_edges_n_from_source_tree_reaches_lrt():
         assert tree.contract_edges(edges) == report.lrt
 
 
-def test_redundant_edges_n_matches_two_color_version():
-    for seed in range(30):
-        tree, graph = connected_scenario(seed)
-        assert redundant_edges_n(tree, graph) == redundant_edges_2(tree, graph)
+def test_redundant_edges_n_is_the_contraction_definition_on_small_trees():
+    # every tree on <= 5 leaves in two colours, and on <= 4 leaves in three
+    counts = {2: [0, 0], 3: [0, 0]}
+    for max_leaves, colors in ((5, 2), (4, 3)):
+        for tree in coloured_trees(max_leaves, colors):
+            graph = bmg_of_tree(tree)
+            edges = contractible_edges(tree, graph)
+            assert redundant_edges_n(tree, graph) == edges, tree.newick()
+            counts[colors][0] += 1
+            counts[colors][1] += bool(edges)
+    assert [total for total, _ in counts.values()] == [7470, 2130]
+    assert all(hits > 100 for _, hits in counts.values()), counts
+
+
+def test_redundant_edges_n_is_the_contraction_definition_on_simulated_trees():
+    # source trees, their least resolved trees and binary refinements of both
+    rng = random.Random(11)
+    trees = hits = 0
+    for seed in range(80):
+        tree, graph = random_scenario(seed, max_leaves=14, max_colors=5)
+        lrt = recognize_ncbmg(graph).lrt
+        refined = [random_binary_refinement(t, rng) for t in (tree, lrt)]
+        for candidate in (tree, lrt, *refined):
+            if bmg_of_tree(candidate) != graph:
+                continue  # not every refinement still explains the graph
+            edges = contractible_edges(candidate, graph)
+            assert redundant_edges_n(candidate, graph) == edges, (seed, candidate.newick())
+            trees += 1
+            hits += bool(edges)
+    assert trees > 200 and hits > 100, (trees, hits)
 
 
 def test_lrt_uniqueness_single_contractions_change_graph():
@@ -244,14 +271,12 @@ def test_unknown_route_is_an_error():
         recognize_ncbmg(graph, route="nope")
 
 
-def test_class_roots_per_color_rejects_non_explaining_tree():
-    from bmgraph.n_color import class_roots_per_color
-
+def test_redundant_edges_n_rejects_a_star_that_misses_the_graph():
     colors = {"x": "red", "y": "blue", "z": "blue"}
     graph = bmg_of_tree(LeafColoredTree((("x", "y"), "z"), colors))
     star = LeafColoredTree(("x", "y", "z"), colors)
     with pytest.raises(GraphError):
-        class_roots_per_color(star, graph)
+        redundant_edges_n(star, graph)
 
 
 def test_global_gate_names_the_first_differing_arc():

@@ -105,3 +105,24 @@ def test_pairwise_hot_path_copies_no_pair_graph():
     assert ("triples", "_build_st") in reached, reached
     found = {name: sorted(calls[name]) for name in forbidden & calls.keys()}
     assert not found, found
+
+
+def test_one_gate_calls_bmg_of_tree():
+    # recognition has one exact gate, the final comparison in
+    # ``recognize_ncbmg``; a second caller would be a second gate
+    callers = set()
+    for path in sorted((SRC / "bmgraph").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                # a bare name, or an attribute such as ``bmg.bmg_of_tree``
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "bmg_of_tree":
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {
+        "n_color.recognize_ncbmg",
+        "n_color.redundant_edges_n",
+        "bmg.simulate",
+        "bmg.rbmg_of_tree",
+        "cli.cmd_from_tree",
+    }, sorted(callers)

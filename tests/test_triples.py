@@ -18,7 +18,6 @@ from bmgraph import (
     connected_components,
     induced_subgraph,
     informative_triples,
-    lrt_via_triples,
     recognize_ncbmg,
     subgraph_on,
     thinness_partition,
@@ -28,6 +27,7 @@ from util import (
     aho_graph,
     arc_ids,
     connected_scenario,
+    direct_lrt,
     hierarchy_lrt,
     random_scenario,
     tree_family,
@@ -47,9 +47,11 @@ def test_counter_triples_consistent_but_mismatched():
     trips = informative_triples(graph)
     topo = build(trips, graph.vertex_ids)
     assert topo == ((("a", "b"), "b2"), "a2")
-    outcome = lrt_via_triples(graph)
+    assert bmg_of_tree(LeafColoredTree(topo, graph.colors_as_dict())) != graph
+    # a2 has no arc at all, so the direct route stops before BUILD
+    outcome = direct_lrt(graph)
     assert isinstance(outcome, Rejection)
-    assert outcome.stage == "mismatch"
+    assert outcome.stage == "component-color-mismatch"
 
 
 def test_single_pair_has_no_informative_triples():
@@ -131,9 +133,9 @@ def test_build_from_trees_equals_build_on_pooled_triples():
         assert lhs == rhs
 
 
-def test_lrt_via_triples_two_vertices():
+def test_direct_lrt_two_vertices():
     g = ColoredDigraph({"x": "r", "y": "b"}, [("x", "y"), ("y", "x")])
-    tree = lrt_via_triples(g)
+    tree = direct_lrt(g)
     assert isinstance(tree, LeafColoredTree)
     assert tree.newick() == "(x,y);"
 
@@ -141,7 +143,7 @@ def test_lrt_via_triples_two_vertices():
 def test_routes_agree_on_connected_two_color_graphs():
     for seed in range(60):
         _, graph = connected_scenario(seed)
-        lhs = lrt_via_triples(graph)
+        lhs = direct_lrt(graph)
         rhs = hierarchy_lrt(graph)
         assert isinstance(lhs, LeafColoredTree)
         assert lhs == rhs
@@ -150,7 +152,7 @@ def test_routes_agree_on_connected_two_color_graphs():
 def test_every_lrt_inner_edge_is_distinguished():
     for seed in range(40):
         _, graph = connected_scenario(seed)
-        lrt = lrt_via_triples(graph)
+        lrt = direct_lrt(graph)
         assert isinstance(lrt, LeafColoredTree)
         trips = informative_triples(graph)
         for u, v in lrt.inner_edges():
@@ -170,7 +172,7 @@ def test_disconnected_join_equals_component_augmentation():
         comps = connected_components(graph)
         if len(comps) < 2:
             continue
-        outcome = lrt_via_triples(graph)
+        outcome = direct_lrt(graph)
         assert isinstance(outcome, LeafColoredTree)
         pooled = set()
         for comp in comps:

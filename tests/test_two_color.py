@@ -17,7 +17,7 @@ from bmgraph import (
     extended_reachable_set,
     lrt_via_hierarchy,
     neighborhood_tables,
-    redundant_edges_2,
+    redundant_edges_n,
     thinness_partition,
 )
 from bmgraph.two_color import extended_reachable_masks, hasse_tree, laminarity_witness
@@ -25,6 +25,7 @@ from cases import rvsr_tree, smallest_counterexample, weird_tree
 from util import (
     caterpillar,
     class_members,
+    class_roots,
     connected_scenario,
     connected_sink_free_out_masks,
     hierarchy_lrt,
@@ -117,11 +118,13 @@ def test_structural_verdicts_are_distinct():
     assert check_axioms(same).stage == "same-color-arc"
     sink = ColoredDigraph({"a": "r", "b": "b"}, [("a", "b")])
     assert check_axioms(sink).stage == "sink-vertex"
+    assert check_axioms(sink).witness == "b"
     split = ColoredDigraph(
         {"a": "r", "b": "b", "c": "r", "d": "b"},
         [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")],
     )
     assert check_axioms(split).stage == "disconnected"
+    assert check_axioms(split).witness == 2
 
 
 def test_reachable_sets_of_weird_tree():
@@ -269,8 +272,6 @@ def test_four_root_cases_for_class_pairs():
         tree, graph = connected_scenario(seed)
         part = thinness_partition(graph)
         tables = neighborhood_tables(part.out_classes, part.in_classes)
-        from bmgraph.two_color import class_roots
-
         roots = class_roots(tree, graph, part)
         for a, b in itertools.combinations(range(len(part)), 2):
             if part.color_of_class[a] == part.color_of_class[b]:
@@ -326,7 +327,7 @@ def test_lrt_has_no_redundant_edges():
     for seed in range(40):
         _, graph = connected_scenario(seed)
         lrt = hierarchy_lrt(graph)
-        assert redundant_edges_2(lrt, graph) == frozenset()
+        assert redundant_edges_n(lrt, graph) == frozenset()
 
 
 def test_plain_reachable_sets_can_misplace_classes():
@@ -357,7 +358,7 @@ def test_redundant_edges_on_forced_star():
     )
     refined = LeafColoredTree((("y", "z"), "x"), {"x": "r", "y": "b", "z": "b"})
     assert bmg_of_tree(refined) == graph
-    edges = redundant_edges_2(refined, graph)
+    edges = redundant_edges_n(refined, graph)
     assert edges == frozenset(refined.inner_edges())
     assert bmg_of_tree(refined.contract_edges(edges)) == graph
 
@@ -367,7 +368,7 @@ def test_contracting_redundant_edges_of_any_explaining_tree_gives_lrt():
     for seed in range(40):
         tree, graph = connected_scenario(seed)
         lrt = hierarchy_lrt(graph)
-        edges = redundant_edges_2(tree, graph)
+        edges = redundant_edges_n(tree, graph)
         assert tree.contract_edges(edges) == lrt
 
 
@@ -381,7 +382,7 @@ def test_explaining_refinements_only_add_redundant_edges():
         if refined == lrt or bmg_of_tree(refined) != graph:
             continue  # not every refinement still explains the graph
         hits += 1
-        extra = redundant_edges_2(refined, graph)
+        extra = redundant_edges_n(refined, graph)
         assert lrt == refined.contract_edges(extra)
     assert hits
 
@@ -391,7 +392,7 @@ def test_redundant_edges_rejects_non_explaining_tree():
     other_tree, other_graph = connected_scenario(4)
     if bmg_of_tree(other_tree) != graph:
         with pytest.raises(GraphError):
-            redundant_edges_2(other_tree, graph)
+            redundant_edges_n(other_tree, graph)
 
 
 def test_hierarchy_topology_explains_every_small_axiom_graph():

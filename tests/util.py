@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from bmgraph import (
@@ -17,8 +18,10 @@ from bmgraph import (
     RootedTriple,
     SimulationConfig,
     ThinnessPartition,
+    bmg_of_tree,
     connected_components,
     lrt_via_hierarchy,
+    recognize_ncbmg,
     simulate,
     subgraph_on,
 )
@@ -248,6 +251,43 @@ def hierarchy_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
     return LeafColoredTree(topology, graph.colors_as_dict())
 
 
+def direct_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
+    """Least resolved tree of the direct (informative triples) route, or its
+    rejection."""
+    report = recognize_ncbmg(graph, route="informative-direct")
+    return report.lrt if report.accepted else report.rejection
+
+
+def class_roots(tree: LeafColoredTree, graph: ColoredDigraph, part: ThinnessPartition) -> list[int]:
+    """Tree node at which each thinness class is rooted: lca of the class and
+    its out-neighborhood."""
+    roots = []
+    for a in range(len(part)):
+        nodes = [tree.leaf_node(graph.vertex_ids[v]) for v in part.classes[a]]
+        nodes += [tree.leaf_node(graph.vertex_ids[v]) for v in part.vertex_out(a)]
+        roots.append(tree.lca_set(nodes))
+    return roots
+
+
+def contractible_edges(tree: LeafColoredTree, graph: ColoredDigraph) -> frozenset[tuple[int, int]]:
+    """Inner edges of ``tree`` whose contraction alone leaves its best match
+    graph equal to ``graph``: the definition of a redundant edge."""
+    return frozenset(
+        e for e in tree.inner_edges() if bmg_of_tree(tree.contract_edges([e])) == graph
+    )
+
+
+def coloured_trees(max_leaves: int, colors: int):
+    """Every tree on 2..``max_leaves`` leaves ``v0, v1, ...`` under every
+    colouring by ``c0 .. c{colors-1}`` that uses at least two colours."""
+    for n in range(2, max_leaves + 1):
+        ids = tuple(f"v{v}" for v in range(n))
+        for topo in all_topologies(ids):
+            for coloring in itertools.product(range(colors), repeat=n):
+                if len(set(coloring)) > 1:
+                    yield LeafColoredTree(topo, {x: f"c{c}" for x, c in zip(ids, coloring)})
+
+
 def caterpillar(n: int, colors: int = 2) -> LeafColoredTree:
     """Caterpillar ``(((l0,l1),l2),...)`` whose leaf colors cycle through
     ``colors`` colors; built bottom-up, so any depth is fine."""
@@ -300,6 +340,27 @@ def foreign_arc_out_masks(sizes: tuple[int, ...]):
         others = [subsets[d] for d in range(len(sizes)) if d != c]
         options.extend([[sum(combo) for combo in itertools.product(*others)]] * size)
     return itertools.product(*options)
+
+
+def pair_bmg_product_out_masks(sizes: tuple[int, ...]):
+    """Out-neighbourhood bitmasks, vertices numbered colour by colour, of
+    every graph on colour classes of the given sizes whose subgraph on each
+    colour pair is the best match graph of some two-coloured tree."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    options = []
+    for c, d in itertools.combinations(range(len(sizes)), 2):
+        # fewer than ten leaves, so vertex index k of a pair graph is leaf vk
+        ids, colors = coloured_leaves((sizes[c], sizes[d]))
+        place = [*range(bounds[c], bounds[c + 1]), *range(bounds[d], bounds[d + 1])]
+        rows = set()
+        for topo in all_topologies(ids):
+            row = [0] * bounds[-1]
+            for k, out in enumerate(bmg_of_tree(LeafColoredTree(topo, colors)).out_adj):
+                row[place[k]] = sum(1 << place[w] for w in out)
+            rows.add(tuple(row))
+        options.append(sorted(rows))
+    for choice in itertools.product(*options):
+        yield tuple(reduce(or_, masks) for masks in zip(*choice))
 
 
 def coloured_graph(sizes: tuple[int, ...], outs: tuple[int, ...]) -> ColoredDigraph:
