@@ -3,6 +3,10 @@
 Vertex and color ids are interned to dense integers in lexicographic order
 of the original string ids, so "smallest vertex" is well defined and every
 derived object (components, classes, arc listings) is deterministic.
+
+A digraph stores its out-neighbourhoods.  The in-neighbourhoods are built
+on the first read of ``in_adj`` and kept, so a graph that is only written
+or compared, as in ``from-tree`` and the acceptance gate, never builds them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .errors import GraphError
 class ColoredDigraph:
     """Immutable loop-free digraph with one color per vertex."""
 
-    __slots__ = ("vertex_ids", "index_of", "color_ids", "color_of", "out_adj", "in_adj")
+    __slots__ = ("vertex_ids", "index_of", "color_ids", "color_of", "out_adj", "_in_adj")
 
     def __init__(self, colors: Mapping[str, str], arcs: Iterable[tuple[str, str]] = ()):
         self._intern(colors)
@@ -53,12 +57,20 @@ class ColoredDigraph:
         self.color_of: tuple[int, ...] = tuple(color_index[colors[v]] for v in self.vertex_ids)
 
     def _adopt(self, out_sets: Sequence[Iterable[int]]) -> None:
-        in_sets: list[list[int]] = [[] for _ in self.vertex_ids]
-        for i, targets in enumerate(out_sets):
-            for j in targets:
-                in_sets[j].append(i)
-        self.out_adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in out_sets)
-        self.in_adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in in_sets)
+        self.out_adj: tuple[frozenset[int], ...] = tuple(map(frozenset, out_sets))
+        self._in_adj: tuple[frozenset[int], ...] | None = None
+
+    @property
+    def in_adj(self) -> tuple[frozenset[int], ...]:
+        """In-neighbourhoods, built on first read and then kept."""
+        in_adj = self._in_adj
+        if in_adj is None:
+            in_sets: list[list[int]] = [[] for _ in self.vertex_ids]
+            for i, targets in enumerate(self.out_adj):
+                for j in targets:
+                    in_sets[j].append(i)
+            in_adj = self._in_adj = tuple(map(frozenset, in_sets))
+        return in_adj
 
     # -- basic queries ---------------------------------------------------
 

@@ -5,7 +5,10 @@ Graph files are plain text: ``V <id> <color>`` declares a vertex, ``A <src>
 Vertex ids are leaf labels, so they hold no character Newick gives meaning to.
 Trees are rooted Newick without branch lengths or inner labels; leaf colors
 live in a tab-separated sidecar, which is the single source of color truth.
-All writers emit sorted, byte-deterministic output.
+Vertex ids, leaf labels and sidecar tokens are whitespace-free, so what a
+writer emits reads back.  All writers emit sorted, byte-deterministic
+output; the graph writer sorts the sources once and emits each one's arcs
+from its out-set.
 """
 
 from __future__ import annotations
@@ -62,10 +65,17 @@ def parse_graph(text: str) -> ColoredDigraph:
 
 
 def format_graph(graph: ColoredDigraph) -> str:
-    lines = [f"V {v} {graph.color_name(i)}" for i, v in enumerate(graph.vertex_ids)]
-    lines += sorted(
-        f"A {graph.vertex_ids[i]} {graph.vertex_ids[j]}" for i, j in graph.arcs()
-    )
+    """Graph file text: ``V`` lines in id order, then ``A x y`` lines in
+    string order.  No id holds a space, so that order is by ``x + " "``, then
+    by ``y``; ids are interned sorted, so ``y`` order is index order and the
+    lines of one source are its sorted out-set."""
+    ids, names = graph.vertex_ids, graph.color_ids
+    lines = [f"V {v} {names[c]}" for v, c in zip(ids, graph.color_of)]
+    for i in sorted(range(len(ids)), key=lambda i: ids[i] + " "):
+        if graph.out_adj[i]:
+            head = f"A {ids[i]} "
+            targets = map(ids.__getitem__, sorted(graph.out_adj[i]))
+            lines.append(head + ("\n" + head).join(targets))
     return "\n".join(lines) + "\n"
 
 
@@ -148,8 +158,11 @@ def parse_color_map(text: str) -> dict[str, str]:
         if not line.strip():
             continue
         parts = [part.strip() for part in line.split("\t")]
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError("color line needs exactly: <leaf><TAB><color>", lineno)
+        # both parts are whitespace-free tokens iff they are the line's tokens
+        if len(parts) != 2 or line.split() != parts:
+            raise ParseError(
+                "color line needs exactly: <leaf><TAB><color>, two whitespace-free tokens", lineno
+            )
         leaf, color = parts
         if leaf in colors:
             raise ParseError(f"duplicate color entry for {leaf!r}", lineno)

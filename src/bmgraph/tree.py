@@ -1,11 +1,14 @@
 """Rooted leaf-colored phylogenetic trees with preorder-range lca queries.
 
-Trees are immutable once built.  Construction canonicalizes the shape:
-degree-two inner vertices and single-child roots are suppressed, children
-are ordered by their smallest descendant leaf label, and node ids are the
-preorder ranks of that canonical layout.  Two equal trees therefore have
-identical node numbering, which keeps every downstream computation and
-serialization deterministic.
+Trees are immutable once built.  Construction canonicalizes the shape in
+one layout pass (``_layout``): one-element tuples are unwrapped as vertices
+are allocated, which suppresses degree-two inner vertices and single-child
+roots, children are ordered by their smallest descendant leaf label, and
+node ids are the preorder ranks of that canonical layout.  Two equal trees
+therefore have identical node numbering, which keeps every downstream
+computation and serialization deterministic.  Leaf labels are
+whitespace-free and hold none of ``();,#``, so every label reads back from
+the files the library writes.
 
 Preorder ids make every subtree the id range ``[v, v + size[v])``, so an
 ancestor test is two comparisons and ``lca`` climbs only the shorter of
@@ -24,11 +27,13 @@ from .errors import TreeError
 
 Topology = Union[str, tuple]
 
-_FORBIDDEN_LABEL_CHARS = set("();,# \t\r\n")
+_FORBIDDEN_LABEL_CHARS = frozenset("();,#")
 
 
 def _check_label(token: str) -> str:
-    if not token or any(ch in _FORBIDDEN_LABEL_CHARS for ch in token):
+    # ``str.split`` breaks at exactly the ``str.isspace`` characters, which
+    # every reader takes for separators, so a label is one whitespace-free token
+    if not _FORBIDDEN_LABEL_CHARS.isdisjoint(token) or token.split() != [token]:
         raise TreeError(f"illegal leaf label {token!r}")
     return token
 
@@ -50,13 +55,11 @@ class LeafColoredTree:
     )
 
     def __init__(self, topology: Topology, colors: Mapping[str, str]):
-        parent, children, label, root = _allocate(topology)
-        parent, children, label, root = _suppress(parent, children, label, root)
-        parent, children, label, root = _canonicalize(parent, children, label, root)
+        parent, children, label = _layout(topology)
         self.parent: tuple[int, ...] = tuple(parent)
-        self.children: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in children)
+        self.children: tuple[tuple[int, ...], ...] = tuple(children)
         self.label: tuple[str | None, ...] = tuple(label)
-        self.root: int = root
+        self.root: int = 0
 
         leaves = sorted(lab for lab in label if lab is not None)
         missing = [lab for lab in leaves if lab not in colors]
@@ -291,93 +294,60 @@ class LeafColoredTree:
 # -- topology plumbing ---------------------------------------------------------
 
 
-def _allocate(topology: Topology) -> tuple[list[int], list[list[int]], list[str | None], int]:
-    """Turn nested tuples/labels into parent/children/label arrays."""
+def _layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[str | None]]:
+    """Canonical parent/children/label arrays of a nested-tuple topology,
+    rooted at 0.
+
+    Each vertex is allocated after its parent, and one-element tuples are
+    unwrapped on the way: that is the suppression of degree-two vertices and
+    single-child roots.  Kids come after their parent, so one reverse scan
+    over allocation order sorts every child list by smallest leaf label;
+    then the vertices are renumbered in preorder.
+    """
     parent: list[int] = []
-    children: list[list[int]] = []
+    kids: list[list[int]] = []
     label: list[str | None] = []
     seen: set[str] = set()
-
-    def new_node(par: int) -> int:
-        parent.append(par)
-        children.append([])
-        label.append(None)
-        return len(parent) - 1
-
-    root = new_node(-1)
-    work: list[tuple[Topology, int]] = [(topology, root)]
+    work: list[tuple[Topology, int]] = [(topology, -1)]
     while work:
-        topo, v = work.pop()
+        topo, par = work.pop()
+        while isinstance(topo, tuple) and len(topo) == 1:
+            topo = topo[0]
+        v = len(parent)
+        parent.append(par)
+        kids.append([])
+        if par >= 0:
+            kids[par].append(v)
         if isinstance(topo, str):
             _check_label(topo)
             if topo in seen:
                 raise TreeError(f"duplicate leaf label {topo!r}")
             seen.add(topo)
-            label[v] = topo
+            label.append(topo)
         elif isinstance(topo, tuple):
             if not topo:
                 raise TreeError("empty inner node in topology")
-            for sub in topo:
-                w = new_node(v)
-                children[v].append(w)
-                work.append((sub, w))
+            label.append(None)
+            work.extend((sub, v) for sub in topo)
         else:
             raise TreeError(f"bad topology element: {topo!r}")
-    # stack order reversed the children; restore declaration order
-    for v in range(len(children)):
-        children[v].reverse()
-    return parent, children, label, root
 
-
-def _suppress(parent, children, label, root):
-    """Drop single-child inner vertices, including a single-child root."""
-    while label[root] is None and len(children[root]) == 1:
-        root = children[root][0]
-        parent[root] = -1
-    skip: list[int] = list(range(len(parent)))
+    first = label[:]  # smallest leaf label below each vertex
     for v in reversed(range(len(parent))):
-        if v != root and label[v] is None and len(children[v]) == 1:
-            skip[v] = skip[children[v][0]]
-    for v in range(len(parent)):
-        kids = [skip[c] for c in children[v]]
-        children[v] = kids
-        for c in kids:
-            parent[c] = v
-    parent[root] = -1  # unreachable old chain nodes may have re-claimed it
-    return parent, children, label, root
+        if label[v] is None:
+            below = kids[v]
+            below.sort(key=first.__getitem__)  # type: ignore[arg-type]
+            first[v] = first[below[0]]
 
-
-def _canonicalize(parent, children, label, root):
-    """Sort children by smallest descendant leaf and renumber in preorder."""
-    n = len(parent)
     order: list[int] = []
-    stack = [root]
+    stack = [0]
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(children[v])
-    min_leaf: list[str | None] = [None] * n
-    for v in reversed(order):
-        if label[v] is not None:
-            min_leaf[v] = label[v]
-        else:
-            min_leaf[v] = min(min_leaf[c] for c in children[v])  # type: ignore[type-var]
-        children[v].sort(key=lambda c: min_leaf[c])  # type: ignore[arg-type,return-value]
-
-    new_id: dict[int, int] = {}
-    pre: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        new_id[v] = len(pre)
-        pre.append(v)
-        stack.extend(reversed(children[v]))
-    new_parent = [-1] * len(pre)
-    new_children: list[list[int]] = [[] for _ in pre]
-    new_label: list[str | None] = [None] * len(pre)
-    for v in pre:
-        nv = new_id[v]
-        new_label[nv] = label[v]
-        new_children[nv] = [new_id[c] for c in children[v]]
-        new_parent[nv] = new_id[parent[v]] if parent[v] != -1 else -1
-    return new_parent, new_children, new_label, 0
+        stack.extend(reversed(kids[v]))
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    new_parent = [-1] + [rank[parent[v]] for v in order[1:]]
+    new_children = [tuple(map(rank.__getitem__, kids[v])) for v in order]
+    return new_parent, new_children, [label[v] for v in order]

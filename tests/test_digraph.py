@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from bmgraph import (
     symmetric_part,
     thinness_partition,
 )
+from bmgraph.graphio import format_graph, parse_graph
 from cases import countercog_tree, weird_tree
 from util import arc_ids, class_quotient, induced_subgraph_undirected, random_scenario
 
@@ -187,3 +190,62 @@ def test_same_color_arc_is_the_smallest_planted_arc():
             default=None,
         )
         assert planted.same_color_arc() == expected
+
+
+def in_neighborhoods(graph):
+    """In-neighbourhoods straight from the definition."""
+    vertices = range(len(graph))
+    return tuple(frozenset(i for i in vertices if j in graph.out_adj[i]) for j in vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_digraphs(), st.randoms(use_true_random=False))
+def test_in_adj_reverses_out_adj_however_the_graph_is_made(graph, rng):
+    subset = [v for v in range(len(graph)) if rng.random() < 0.6]
+    made = [
+        graph,
+        ColoredDigraph.from_index_sets(graph.colors_as_dict(), graph.out_adj),
+        subgraph_on(graph, subset or [0]),
+        parse_graph(format_graph(graph)),
+    ]
+    for g in made:
+        assert g.in_adj == in_neighborhoods(g)
+        assert g.in_adj is g.in_adj  # built once, then kept
+
+
+def test_in_adj_of_forward_graphs_is_built_on_first_read():
+    for seed in range(30):
+        tree, _ = random_scenario(seed, max_leaves=30, max_colors=5)
+        graph = bmg_of_tree(tree)
+        format_graph(graph)
+        assert graph == bmg_of_tree(tree)
+        assert graph._in_adj is None  # writing and comparing read out_adj only
+        assert graph.in_adj == in_neighborhoods(graph)
+
+
+def test_racing_first_reads_of_in_adj_agree():
+    # the one value computed after construction: threads that race on its
+    # first read each build an equal tuple
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(10):
+            _, graph = random_scenario(seed, max_leaves=60, max_colors=5)
+            expected = in_neighborhoods(graph)
+            fresh = ColoredDigraph.from_index_sets(graph.colors_as_dict(), graph.out_adj)
+            start, seen = threading.Barrier(6), []
+
+            def read():
+                start.wait(timeout=10)
+                seen.append(fresh.in_adj)
+
+            workers = [threading.Thread(target=read) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+            assert not any(w.is_alive() for w in workers)
+            assert seen == [expected] * 6
+            assert fresh.in_adj == expected
+    finally:
+        sys.setswitchinterval(old)

@@ -1,9 +1,17 @@
 """Parser fuzzing: only ``ParseError`` escapes, and formatting round-trips."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bmgraph import ColoredDigraph, LeafColoredTree, ParseError, TreeError
+from bmgraph import (
+    ColoredDigraph,
+    LeafColoredTree,
+    ParseError,
+    SimulationConfig,
+    TreeError,
+    simulate,
+)
 from bmgraph.graphio import (
     format_color_map,
     format_graph,
@@ -11,6 +19,7 @@ from bmgraph.graphio import (
     parse_graph,
     parse_newick,
 )
+from util import reference_format_graph
 
 # characters the three formats give meaning to, plus line breaks and blanks
 # that ``str.splitlines`` / ``str.split`` treat specially
@@ -79,9 +88,11 @@ def test_parse_newick_raises_only_parse_error(text):
 @given(texts)
 @example(" \tred\n")  # a blank leaf is no leaf: as "" it would not read back
 @example("a\t \n")
+@example("a\tred one\n")  # "V a red one" in a graph file would not read back
 def test_parse_color_map_raises_only_parse_error(text):
     colors = parse_or_none(parse_color_map, text)
     if colors is not None:
+        assert all(tok.split() == [tok] for item in colors.items() for tok in item)
         assert parse_color_map(format_color_map(colors)) == colors
 
 
@@ -154,3 +165,39 @@ def interleaved_graph_texts(draw):
 def test_parse_graph_equals_the_declared_graph(drawn):
     text, colors, arcs = drawn
     assert parse_graph(text) == ColoredDigraph(colors, arcs)
+
+
+# ids below " " and ids that are prefixes of one another, where sorting the
+# sources by id alone would not give the order of the whole ``A`` lines
+awkward_ids = st.one_of(
+    st.sampled_from(["a", "a\x01", "a!", "ab", "b", "\x01", "!"]),
+    st.text(alphabet="ab!\x01\x02-", min_size=1, max_size=3),
+    tokens,
+)
+
+
+@st.composite
+def awkward_graphs(draw):
+    ids = draw(st.lists(awkward_ids, min_size=1, max_size=10, unique=True))
+    colors = {v: draw(st.sampled_from("rst")) for v in ids}
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    return ColoredDigraph(colors, arcs)
+
+
+@FUZZ
+@given(awkward_graphs())
+@example(
+    ColoredDigraph(
+        {v: "r" for v in ("a", "a\x01", "a!", "ab")},
+        [("a", "ab"), ("a\x01", "a"), ("a!", "a"), ("ab", "a")],
+    )
+)
+def test_format_graph_equals_one_sort_of_all_lines(graph):
+    assert format_graph(graph) == reference_format_graph(graph)
+
+
+@pytest.mark.parametrize("leaves, colors", [(1000, 20), (2500, 4)])
+def test_format_graph_equals_one_sort_of_all_lines_on_simulated_graphs(leaves, colors):
+    _, graph = simulate(SimulationConfig(leaves, colors, leaves + colors))
+    assert format_graph(graph) == reference_format_graph(graph)

@@ -128,6 +128,19 @@ def test_cli_from_tree_fixed_outputs(tmp_path):
     assert len(arcs) == 4
 
 
+def test_cli_from_tree_exit_2_on_sidecar_tokens_with_whitespace(tmp_path, capsys):
+    # "V a red one" would be written, which no graph reader accepts
+    (tmp_path / "t.nwk").write_text("(a,b);\n")
+    (tmp_path / "t.nwk.colors").write_text("b\tblue\na\tred one\n")
+    gp = tmp_path / "g.txt"
+    assert run(["from-tree", "--tree", str(tmp_path / "t.nwk"), "--out", str(gp)]) == 2
+    assert capsys.readouterr().err == (
+        "error: color line needs exactly: <leaf><TAB><color>, two whitespace-free tokens"
+        " (line 2)\n"
+    )
+    assert not gp.exists()
+
+
 def test_cli_from_tree_and_recognize_round_trip(tmp_path, capsys):
     tree, graph = random_scenario(9, max_leaves=14)
     tp, cp = str(tmp_path / "t.nwk"), str(tmp_path / "t.nwk.colors")

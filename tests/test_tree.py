@@ -3,10 +3,12 @@
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 
-from bmgraph import LeafColoredTree, SimulationConfig, TreeError, build, simulate
+from bmgraph import LeafColoredTree, ParseError, SimulationConfig, TreeError, build, simulate
+from bmgraph.graphio import parse_graph, parse_newick
 from util import caterpillar, random_scenario
 
 CHERRY = LeafColoredTree((("x", "y"), "z"), {"x": "r", "y": "b", "z": "b"})
@@ -99,6 +101,43 @@ def test_single_child_root_and_degree_two_suppression():
     t = LeafColoredTree(((("x", "y"),),), {"x": "r", "y": "b"})
     assert t.newick() == "(x,y);"
     assert t.root == 0 and len(t.children[t.root]) == 2
+
+
+def wrap_randomly(topology, rng):
+    """``topology`` with random subtrees, the whole included, wrapped in
+    one-element tuples, each up to twice."""
+    if not isinstance(topology, str):
+        topology = tuple(wrap_randomly(sub, rng) for sub in topology)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        topology = (topology,)
+    return topology
+
+
+def test_one_element_tuples_are_suppressed_at_any_depth():
+    colors = {"a": "r", "b": "s", "c": "r"}
+    for wrapped, plain in (
+        (((("a", "b"),), "c"), (("a", "b"), "c")),
+        (("a", (("b", "c"),)), ("a", ("b", "c"))),
+    ):
+        assert LeafColoredTree(wrapped, colors) == LeafColoredTree(plain, colors)
+    for seed in range(200):
+        tree, _ = random_scenario(seed, max_leaves=25)
+        again = LeafColoredTree(wrap_randomly(tree.topology(), random.Random(seed)), tree.colors)
+        assert again == tree and again.newick() == tree.newick()
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("char", WHITESPACE, ids=[f"U+{ord(c):04X}" for c in WHITESPACE])
+def test_labels_with_whitespace_raise_as_the_readers_do(char):
+    label = f"a{char}b"
+    with pytest.raises(TreeError):
+        LeafColoredTree((label, "c"), {label: "r", "c": "s"})
+    with pytest.raises(ParseError):
+        parse_newick(f"({label},c);")
+    with pytest.raises(ParseError):
+        parse_graph(f"V {label} r\n")
 
 
 def test_restrict_identity_and_forced_cherry():

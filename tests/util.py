@@ -123,6 +123,14 @@ def random_binary_refinement(tree: LeafColoredTree, rng: random.Random) -> LeafC
     return LeafColoredTree(go(tree.topology()), tree.colors)
 
 
+def reference_format_graph(graph: ColoredDigraph) -> str:
+    """Graph file text with all ``A x y`` lines sorted as strings at once:
+    the reference ``graphio.format_graph`` is tested against."""
+    lines = [f"V {v} {graph.color_name(i)}" for i, v in enumerate(graph.vertex_ids)]
+    lines += sorted(f"A {graph.vertex_ids[i]} {graph.vertex_ids[j]}" for i, j in graph.arcs())
+    return "\n".join(lines) + "\n"
+
+
 def arc_ids(graph: ColoredDigraph) -> set[tuple[str, str]]:
     return {(graph.vertex_ids[i], graph.vertex_ids[j]) for i, j in graph.arcs()}
 
