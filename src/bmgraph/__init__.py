@@ -2,7 +2,6 @@
 
 from .digraph import (
     ColoredDigraph,
-    ColoredGraph,
     ThinnessPartition,
     connected_components,
     induced_subgraph,
@@ -41,7 +40,6 @@ __all__ = [
     "CheckResult",
     "ClassNeighborhoodTables",
     "ColoredDigraph",
-    "ColoredGraph",
     "GraphError",
     "Hierarchy",
     "LeafColoredTree",

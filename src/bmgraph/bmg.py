@@ -4,65 +4,54 @@
 simulator and ``from-tree`` use it.  It rests on the characterization that
 the colour-s out-neighbourhood of a leaf x (s not x's colour) is exactly the
 set of colour-s leaves below the lowest ancestor of x that has colour s
-below it.  Node ids are preorder ranks, so every subtree is the contiguous id
-range ``[v, v + size[v])``: walking up from x over ``_colormask``, each
-ancestor that adds a colour contributes one slice of that colour's leaves,
-found by a bisect into a per-colour list sorted by preorder.  The cost is
-O(N * |S| log N + |E|) plus the walks, and leaves sharing a parent and a
-colour share one walk.  ``bmg_oracle`` re-derives the same graph straight
-from the defining quantifier with naive root-path lca, sharing nothing with
-the engine beyond the parent array; tests hold the two equal.
+below it.  It works top down over vertex bitsets: for a child v of p, every
+leaf below v has p as that ancestor for the colours ``cmask[p] & ~cmask[v]``
+(``_colormask``), so in preorder ``reach[v]`` is ``reach[p]`` plus the
+leaves below p of those colours, and a leaf's out-bitset is its ``reach``.
+The cost is O(N) bitset operations of n bits each.  ``bmg_oracle``
+re-derives the same graph straight from the defining quantifier with naive
+root-path lca, sharing nothing with the engine beyond the parent array;
+tests hold the two equal.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, ColoredGraph, symmetric_part
+from .digraph import ColoredDigraph, bits, symmetric_part
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
 
 SHAPES = ("binary", "multifurcating")
+CONTRACTION_PROBABILITY = 0.2  # chance that ``simulate`` contracts an inner edge
 
 
 def bmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
-    """Best match digraph of a leaf-colored tree by subtree ranges."""
-    parent, size, cmask = tree.parent, tree.size, tree._colormask
+    """Best match digraph of a leaf-colored tree, top down over leaf bitsets."""
+    parent, cmask, node_of = tree.parent, tree._colormask, tree._leaf_node
     labs = tree.leaf_labels
-    cindex = {c: k for k, c in enumerate(tree.color_universe)}
-    # per colour k: preorder ids of its leaves (ascending) and, aligned, their
-    # vertex indices, which are the positions in the sorted leaf labels
-    pre: list[list[int]] = [[] for _ in cindex]
-    idx: list[list[int]] = [[] for _ in cindex]
-    for v, i in sorted((tree.leaf_node(lab), i) for i, lab in enumerate(labs)):
-        k = cindex[tree.colors[labs[i]]]
-        pre[k].append(v)
-        idx[k].append(i)
-    full = (1 << len(cindex)) - 1
-    shared: dict[tuple[int, int], frozenset[int]] = {}
-    out: list[frozenset[int]] = []
-    for lab in labs:
-        x = tree.leaf_node(lab)
-        key = (parent[x], cmask[x])
-        found = shared.get(key)
-        if found is None:
-            targets: list[int] = []
-            seen, v = cmask[x], x
-            while seen != full:
-                v = parent[v]
-                new = cmask[v] & ~seen
-                seen |= new
-                while new:
-                    k = (new & -new).bit_length() - 1
-                    new &= new - 1
-                    ids = pre[k]
-                    lo = bisect_left(ids, v)
-                    targets.extend(idx[k][lo : bisect_left(ids, v + size[v], lo)])
-            found = shared[key] = frozenset(targets)
-        out.append(found)
-    return ColoredDigraph.from_index_sets(tree.colors, out)
+    below = [0] * len(parent)  # leaves under each node, bit i for labs[i]
+    of_color = [0] * len(tree.color_universe)  # leaves of each colour
+    for i, lab in enumerate(labs):
+        v = node_of[lab]
+        below[v] = 1 << i
+        of_color[cmask[v].bit_length() - 1] |= 1 << i
+    for v in range(len(parent) - 1, 0, -1):  # preorder ids: kids after parents
+        below[parent[v]] |= below[v]
+    picked: dict[int, int] = {}  # a colour set -> leaves of those colours
+    reach = [0] * len(parent)
+    for v in range(1, len(parent)):
+        p = parent[v]
+        new = cmask[p] & ~cmask[v]
+        if not new:
+            reach[v] = reach[p]
+            continue
+        leaves = picked.get(new)
+        if leaves is None:
+            leaves = picked[new] = sum(map(of_color.__getitem__, bits(new)))
+        reach[v] = reach[p] | below[p] & leaves
+    return ColoredDigraph.from_masks(tree.colors, [reach[node_of[lab]] for lab in labs])
 
 
 def bmg_oracle(tree: LeafColoredTree) -> ColoredDigraph:
@@ -106,7 +95,7 @@ def bmg_oracle(tree: LeafColoredTree) -> ColoredDigraph:
     return ColoredDigraph(dict(colors), arcs)
 
 
-def rbmg_of_tree(tree: LeafColoredTree) -> ColoredGraph:
+def rbmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
     """Reciprocal best matches: the symmetric part of the best match digraph."""
     return symmetric_part(bmg_of_tree(tree))
 
@@ -119,7 +108,6 @@ class SimulationConfig:
     color_count: int
     seed: int
     shape: str = "multifurcating"
-    contraction_probability: float = field(default=0.2, repr=False)
 
     def __post_init__(self) -> None:
         if self.leaf_count < 2:
@@ -149,7 +137,7 @@ def simulate(cfg: SimulationConfig) -> tuple[LeafColoredTree, ColoredDigraph]:
     colors = {names[i]: color_names[assignment[i]] for i in range(n)}
     tree = LeafColoredTree(topo, colors)
     if cfg.shape == "multifurcating":
-        doomed = [e for e in tree.inner_edges() if rng.random() < cfg.contraction_probability]
+        doomed = [e for e in tree.inner_edges() if rng.random() < CONTRACTION_PROBABILITY]
         if doomed:
             tree = tree.contract_edges(doomed)
     return tree, bmg_of_tree(tree)

@@ -4,9 +4,13 @@ Vertex and color ids are interned to dense integers in lexicographic order
 of the original string ids, so "smallest vertex" is well defined and every
 derived object (components, classes, arc listings) is deterministic.
 
-A digraph stores its out-neighbourhoods.  The in-neighbourhoods are built
-on the first read of ``in_adj`` and kept, so a graph that is only written
-or compared, as in ``from-tree`` and the acceptance gate, never builds them.
+A digraph stores one Python-int bitset per vertex, its only adjacency: bit
+j of ``out_masks[i]`` is set exactly for the arc i -> j.  The in-bitsets are
+built on the first read of ``in_masks`` and kept, so a graph that is only
+written or compared, as in ``from-tree`` and the acceptance gate, never
+builds them.  An undirected graph, such as the symmetric part, is a digraph
+that holds both arcs of each edge.  Bit order is vertex order, so walking a
+bitset's bits (``bits``) lists its vertices sorted.
 """
 
 from __future__ import annotations
@@ -16,16 +20,28 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError
+from .tree import _FORBIDDEN_COLOR_CHARS, _FORBIDDEN_LABEL_CHARS, _check_tokens
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ColoredDigraph:
     """Immutable loop-free digraph with one color per vertex."""
 
-    __slots__ = ("vertex_ids", "index_of", "color_ids", "color_of", "out_adj", "_in_adj")
+    __slots__ = ("vertex_ids", "index_of", "color_ids", "color_of", "out_masks", "_in_masks")
 
     def __init__(self, colors: Mapping[str, str], arcs: Iterable[tuple[str, str]] = ()):
+        # ids and colors are written as file tokens, so they must read back
+        _check_tokens(colors, _FORBIDDEN_LABEL_CHARS, "vertex id", GraphError)
+        _check_tokens(set(colors.values()), _FORBIDDEN_COLOR_CHARS, "color", GraphError)
         self._intern(colors)
-        out_sets: list[set[int]] = [set() for _ in self.vertex_ids]
+        out = [0] * len(self.vertex_ids)
         for src, dst in arcs:
             try:
                 i, j = self.index_of[src], self.index_of[dst]
@@ -33,18 +49,18 @@ class ColoredDigraph:
                 raise GraphError(f"arc endpoint {missing.args[0]!r} is not a declared vertex") from None
             if i == j:
                 raise GraphError(f"self-loop on vertex {src!r}")
-            out_sets[i].add(j)
-        self._adopt(out_sets)
+            out[i] |= 1 << j
+        self.out_masks: tuple[int, ...] = tuple(out)
+        self._in_masks: tuple[int, ...] | None = None
 
     @classmethod
-    def from_index_sets(
-        cls, colors: Mapping[str, str], out_sets: Sequence[Iterable[int]]
-    ) -> "ColoredDigraph":
-        """Graph whose ``i``-th vertex in sorted id order has the out-neighbour
-        indices ``out_sets[i]``.  The sets are trusted: in range, loop-free."""
+    def from_masks(cls, colors: Mapping[str, str], masks: Sequence[int]) -> "ColoredDigraph":
+        """Graph whose ``i``-th vertex in sorted id order has the out-bitset
+        ``masks[i]``.  Ids, colors and masks are trusted: bits in range, no loop."""
         graph = cls.__new__(cls)
         graph._intern(colors)
-        graph._adopt(out_sets)
+        graph.out_masks = tuple(masks)
+        graph._in_masks = None
         return graph
 
     def _intern(self, colors: Mapping[str, str]) -> None:
@@ -56,21 +72,18 @@ class ColoredDigraph:
         color_index = {c: i for i, c in enumerate(self.color_ids)}
         self.color_of: tuple[int, ...] = tuple(color_index[colors[v]] for v in self.vertex_ids)
 
-    def _adopt(self, out_sets: Sequence[Iterable[int]]) -> None:
-        self.out_adj: tuple[frozenset[int], ...] = tuple(map(frozenset, out_sets))
-        self._in_adj: tuple[frozenset[int], ...] | None = None
-
     @property
-    def in_adj(self) -> tuple[frozenset[int], ...]:
-        """In-neighbourhoods, built on first read and then kept."""
-        in_adj = self._in_adj
-        if in_adj is None:
-            in_sets: list[list[int]] = [[] for _ in self.vertex_ids]
-            for i, targets in enumerate(self.out_adj):
-                for j in targets:
-                    in_sets[j].append(i)
-            in_adj = self._in_adj = tuple(map(frozenset, in_sets))
-        return in_adj
+    def in_masks(self) -> tuple[int, ...]:
+        """In-bitsets, built on first read and then kept."""
+        in_masks = self._in_masks
+        if in_masks is None:
+            ins = [0] * len(self.vertex_ids)
+            for i, out in enumerate(self.out_masks):
+                bit = 1 << i
+                for j in bits(out):
+                    ins[j] |= bit
+            in_masks = self._in_masks = tuple(ins)
+        return in_masks
 
     # -- basic queries ---------------------------------------------------
 
@@ -78,16 +91,16 @@ class ColoredDigraph:
         return len(self.vertex_ids)
 
     def arc_count(self) -> int:
-        return sum(len(s) for s in self.out_adj)
+        return sum(out.bit_count() for out in self.out_masks)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """All arcs as index pairs, sorted."""
-        for i in range(len(self.vertex_ids)):
-            for j in sorted(self.out_adj[i]):
+        for i, out in enumerate(self.out_masks):
+            for j in bits(out):
                 yield i, j
 
     def has_arc(self, i: int, j: int) -> bool:
-        return j in self.out_adj[i]
+        return bool(self.out_masks[i] >> j & 1)
 
     def color_name(self, i: int) -> str:
         return self.color_ids[self.color_of[i]]
@@ -95,17 +108,20 @@ class ColoredDigraph:
     def colors_as_dict(self) -> dict[str, str]:
         return {v: self.color_ids[self.color_of[i]] for i, v in enumerate(self.vertex_ids)}
 
-    def vertices_of_color(self, color_index: int) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self)) if self.color_of[i] == color_index)
+    def color_bitsets(self) -> list[int]:
+        """Per color index, the bitset of the vertices of that color."""
+        by_color = [0] * len(self.color_ids)
+        for v, c in enumerate(self.color_of):
+            by_color[c] |= 1 << v
+        return by_color
 
     def same_color_arc(self) -> tuple[int, int] | None:
         """Smallest arc joining two vertices of equal color, if any."""
-        color_of = self.color_of
-        for i, targets in enumerate(self.out_adj):
-            c = color_of[i]
-            same = [j for j in targets if color_of[j] == c]
+        by_color = self.color_bitsets()
+        for i, (out, c) in enumerate(zip(self.out_masks, self.color_of)):
+            same = out & by_color[c]
             if same:
-                return i, min(same)
+                return i, (same & -same).bit_length() - 1
         return None
 
     def __eq__(self, other: object) -> bool:
@@ -114,101 +130,33 @@ class ColoredDigraph:
         return (
             self.vertex_ids == other.vertex_ids
             and self.colors_as_dict() == other.colors_as_dict()
-            and self.out_adj == other.out_adj
+            and self.out_masks == other.out_masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_ids, self.color_ids, self.color_of, self.out_adj))
+        return hash((self.vertex_ids, self.color_ids, self.color_of, self.out_masks))
 
     def __repr__(self) -> str:
         return f"ColoredDigraph({len(self)} vertices, {self.arc_count()} arcs, {len(self.color_ids)} colors)"
 
 
-class ColoredGraph:
-    """Immutable undirected companion of :class:`ColoredDigraph`."""
-
-    __slots__ = ("vertex_ids", "index_of", "color_ids", "color_of", "adj")
-
-    def __init__(self, colors: Mapping[str, str], edges: Iterable[tuple[str, str]] = ()):
-        if not colors:
-            raise GraphError("graph needs at least one vertex")
-        self.vertex_ids: tuple[str, ...] = tuple(sorted(colors))
-        self.index_of: dict[str, int] = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.color_ids: tuple[str, ...] = tuple(sorted(set(colors.values())))
-        color_index = {c: i for i, c in enumerate(self.color_ids)}
-        self.color_of: tuple[int, ...] = tuple(color_index[colors[v]] for v in self.vertex_ids)
-        adj: list[set[int]] = [set() for _ in self.vertex_ids]
-        for a, b in edges:
-            try:
-                i, j = self.index_of[a], self.index_of[b]
-            except KeyError as missing:
-                raise GraphError(f"edge endpoint {missing.args[0]!r} is not a declared vertex") from None
-            if i == j:
-                raise GraphError(f"self-loop on vertex {a!r}")
-            adj[i].add(j)
-            adj[j].add(i)
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-
-    def __len__(self) -> int:
-        return len(self.vertex_ids)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(len(self.vertex_ids)):
-            for j in sorted(self.adj[i]):
-                if i < j:
-                    yield i, j
-
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
-
-    def color_name(self, i: int) -> str:
-        return self.color_ids[self.color_of[i]]
-
-    def colors_as_dict(self) -> dict[str, str]:
-        return {v: self.color_ids[self.color_of[i]] for i, v in enumerate(self.vertex_ids)}
-
-    def components(self) -> list[tuple[int, ...]]:
-        return _components(len(self), lambda i: self.adj[i])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColoredGraph):
-            return NotImplemented
-        return (
-            self.vertex_ids == other.vertex_ids
-            and self.colors_as_dict() == other.colors_as_dict()
-            and self.adj == other.adj
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_ids, self.color_ids, self.color_of, self.adj))
-
-    def __repr__(self) -> str:
-        return f"ColoredGraph({len(self)} vertices, {self.edge_count()} edges, {len(self.color_ids)} colors)"
-
-
-def _components(n: int, neighbors) -> list[tuple[int, ...]]:
-    seen = [False] * n
-    out: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
-
-
 def connected_components(graph: ColoredDigraph) -> list[tuple[int, ...]]:
-    """Weakly connected components, ordered by smallest vertex."""
-    return _components(len(graph), lambda i: graph.out_adj[i] | graph.in_adj[i])
+    """Weakly connected components, ordered by smallest vertex: each grows
+    from its smallest vertex by OR-ing out- and in-bitsets over its frontier."""
+    outs, ins = graph.out_masks, graph.in_masks
+    left = (1 << len(graph)) - 1
+    comps: list[tuple[int, ...]] = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= outs[v] | ins[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        left &= ~comp
+        comps.append(tuple(bits(comp)))
+    return comps
 
 
 def induced_subgraph(graph: ColoredDigraph, colors: Iterable[str]) -> ColoredDigraph:
@@ -227,12 +175,12 @@ def induced_subgraph(graph: ColoredDigraph, colors: Iterable[str]) -> ColoredDig
 def subgraph_on(graph: ColoredDigraph, vertices: Iterable[int]) -> ColoredDigraph:
     """Subgraph induced by a set of vertex indices; original ids kept."""
     keep = sorted(set(vertices))
-    kept = frozenset(keep)
-    new_index = dict(zip(keep, range(len(keep)))).__getitem__
+    kept = sum(1 << i for i in keep)
+    new_bit = {i: 1 << k for k, i in enumerate(keep)}
     ids, names, color_of = graph.vertex_ids, graph.color_ids, graph.color_of
-    return ColoredDigraph.from_index_sets(
+    return ColoredDigraph.from_masks(
         {ids[i]: names[color_of[i]] for i in keep},
-        [list(map(new_index, graph.out_adj[i] & kept)) for i in keep],
+        [sum(map(new_bit.__getitem__, bits(graph.out_masks[i] & kept))) for i in keep],
     )
 
 
@@ -241,22 +189,17 @@ def first_arc_difference(graph: ColoredDigraph, other: ColoredDigraph) -> tuple[
     same vertex ids, in vertex id order; None when their arcs agree."""
     if graph.vertex_ids != other.vertex_ids:
         raise GraphError("arc comparison needs graphs on the same vertices")
-    for i, (mine, theirs) in enumerate(zip(graph.out_adj, other.out_adj)):
+    for i, (mine, theirs) in enumerate(zip(graph.out_masks, other.out_masks)):
         if mine != theirs:
-            return graph.vertex_ids[i], graph.vertex_ids[min(mine ^ theirs)]
+            diff = mine ^ theirs
+            return graph.vertex_ids[i], graph.vertex_ids[(diff & -diff).bit_length() - 1]
     return None
 
 
-def symmetric_part(graph: ColoredDigraph) -> ColoredGraph:
-    """Undirected graph keeping exactly the bidirectional arc pairs."""
-    colors = graph.colors_as_dict()
-    edges = [
-        (graph.vertex_ids[i], graph.vertex_ids[j])
-        for i in range(len(graph))
-        for j in graph.out_adj[i]
-        if i < j and i in graph.out_adj[j]
-    ]
-    return ColoredGraph(colors, edges)
+def symmetric_part(graph: ColoredDigraph) -> ColoredDigraph:
+    """Symmetric digraph keeping exactly the bidirectional arc pairs."""
+    both = [out & into for out, into in zip(graph.out_masks, graph.in_masks)]
+    return ColoredDigraph.from_masks(graph.colors_as_dict(), both)
 
 
 @dataclass(frozen=True)
@@ -284,10 +227,10 @@ class ThinnessPartition:
 
     def vertex_out(self, a: int) -> frozenset[int]:
         """Vertex-level N of class ``a`` (taken from a representative)."""
-        return self.graph.out_adj[self.classes[a][0]]
+        return frozenset(bits(self.graph.out_masks[self.classes[a][0]]))
 
     def vertex_in(self, a: int) -> frozenset[int]:
-        return self.graph.in_adj[self.classes[a][0]]
+        return frozenset(bits(self.graph.in_masks[self.classes[a][0]]))
 
     def no_in_classes(self) -> tuple[int, ...]:
         """Classes with empty in-neighborhood (the set called W)."""
@@ -296,26 +239,23 @@ class ThinnessPartition:
 
 def thinness_partition(graph: ColoredDigraph) -> ThinnessPartition:
     """Group vertices sharing both neighborhoods; classes sorted by smallest member."""
-    groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
-    for v in range(len(graph)):
-        groups.setdefault((graph.out_adj[v], graph.in_adj[v]), []).append(v)
-    classes = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v, key in enumerate(zip(graph.out_masks, graph.in_masks)):
+        groups.setdefault(key, []).append(v)
+    classes = tuple(map(tuple, groups.values()))  # by first, hence smallest, member
     class_of = [0] * len(graph)
     for a, cls in enumerate(classes):
         for v in cls:
             class_of[v] = a
-    out_classes = tuple(
-        frozenset(class_of[w] for w in graph.out_adj[cls[0]]) for cls in classes
-    )
-    in_classes = tuple(
-        frozenset(class_of[w] for w in graph.in_adj[cls[0]]) for cls in classes
-    )
-    color_of_class = tuple(graph.color_of[cls[0]] for cls in classes)
+
+    def lift(masks: Sequence[int]) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(class_of[w] for w in bits(masks[cls[0]])) for cls in classes)
+
     return ThinnessPartition(
         graph=graph,
         classes=classes,
         class_of=tuple(class_of),
-        color_of_class=color_of_class,
-        out_classes=out_classes,
-        in_classes=in_classes,
+        color_of_class=tuple(graph.color_of[cls[0]] for cls in classes),
+        out_classes=lift(graph.out_masks),
+        in_classes=lift(graph.in_masks),
     )

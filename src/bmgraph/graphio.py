@@ -5,25 +5,26 @@ Graph files are plain text: ``V <id> <color>`` declares a vertex, ``A <src>
 Vertex ids are leaf labels, so they hold no character Newick gives meaning to.
 Trees are rooted Newick without branch lengths or inner labels; leaf colors
 live in a tab-separated sidecar, which is the single source of color truth.
-Vertex ids, leaf labels and sidecar tokens are whitespace-free, so what a
-writer emits reads back.  All writers emit sorted, byte-deterministic
-output; the graph writer sorts the sources once and emits each one's arcs
-from its out-set.
+Vertex ids, leaf labels and colours are whitespace-free and hold no ``#``,
+and the constructors check that, so what a writer emits reads back.  All
+writers emit sorted, byte-deterministic output; the graph writer sorts the
+sources once and emits each one's arcs by walking its out-bitset.
 """
 
 from __future__ import annotations
 
-from .digraph import ColoredDigraph, ColoredGraph
+from .digraph import ColoredDigraph, bits
 from .errors import ParseError, BmgraphError
 from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology
 
 def parse_graph(text: str) -> ColoredDigraph:
     """Graph of a graph file.  Each vertex gets a slot at its ``V`` line and
-    arcs are kept as slot sets, so they are checked as they are read; the
-    slots are renumbered into sorted id order once, at the end."""
+    arcs are kept as bitsets over slots, so they are checked as they are
+    read; the slots are renumbered into sorted id order once, at the end,
+    which leaves the bitsets as they are when the ids came sorted."""
     colors: dict[str, str] = {}
     slot: dict[str, int] = {}
-    out_sets: list[set[int]] = []
+    out_masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
@@ -38,10 +39,10 @@ def parse_graph(text: str) -> ColoredDigraph:
                 raise ParseError(f"arc endpoint not declared yet: {src} -> {dst}", lineno)
             if i == j:
                 raise ParseError(f"self-loop on {src!r}", lineno)
-            targets = out_sets[i]
-            if j in targets:
+            targets, bit = out_masks[i], 1 << j
+            if targets & bit:
                 raise ParseError(f"duplicate arc {src} -> {dst}", lineno)
-            targets.add(j)
+            out_masks[i] = targets | bit
         elif kind == "V":
             if len(fields) != 3:
                 raise ParseError("V line needs exactly: V <id> <color>", lineno)
@@ -51,39 +52,41 @@ def parse_graph(text: str) -> ColoredDigraph:
             if not _FORBIDDEN_LABEL_CHARS.isdisjoint(vid):
                 raise ParseError(f"vertex id {vid!r} cannot be a Newick leaf label", lineno)
             colors[vid] = color
-            slot[vid] = len(out_sets)
-            out_sets.append(set())
+            slot[vid] = len(out_masks)
+            out_masks.append(0)
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
     if not colors:
         raise ParseError("graph file declares no vertices", None)
     by_rank = [slot[vid] for vid in sorted(colors)]  # the vertex order ColoredDigraph interns
-    rank = [0] * len(by_rank)
-    for r, s in enumerate(by_rank):
-        rank[s] = r
-    return ColoredDigraph.from_index_sets(colors, [[rank[j] for j in out_sets[s]] for s in by_rank])
+    if by_rank != list(range(len(by_rank))):
+        rank_bit = [0] * len(by_rank)
+        for r, s in enumerate(by_rank):
+            rank_bit[s] = 1 << r
+        out_masks = [sum(map(rank_bit.__getitem__, bits(out_masks[s]))) for s in by_rank]
+    return ColoredDigraph.from_masks(colors, out_masks)
 
 
 def format_graph(graph: ColoredDigraph) -> str:
     """Graph file text: ``V`` lines in id order, then ``A x y`` lines in
     string order.  No id holds a space, so that order is by ``x + " "``, then
-    by ``y``; ids are interned sorted, so ``y`` order is index order and the
-    lines of one source are its sorted out-set."""
-    ids, names = graph.vertex_ids, graph.color_ids
+    by ``y``; ids are interned sorted, so ``y`` order is bit order and the
+    lines of one source walk its out-bitset."""
+    ids, names, outs = graph.vertex_ids, graph.color_ids, graph.out_masks
     lines = [f"V {v} {names[c]}" for v, c in zip(ids, graph.color_of)]
     for i in sorted(range(len(ids)), key=lambda i: ids[i] + " "):
-        if graph.out_adj[i]:
+        if outs[i]:
             head = f"A {ids[i]} "
-            targets = map(ids.__getitem__, sorted(graph.out_adj[i]))
-            lines.append(head + ("\n" + head).join(targets))
+            lines.append(head + ("\n" + head).join(map(ids.__getitem__, bits(outs[i]))))
     return "\n".join(lines) + "\n"
 
 
-def format_undirected(graph: ColoredGraph) -> str:
-    lines = [f"V {v} {graph.color_name(i)}" for i, v in enumerate(graph.vertex_ids)]
-    lines += sorted(
-        f"E {graph.vertex_ids[i]} {graph.vertex_ids[j]}" for i, j in graph.edges()
-    )
+def format_undirected(graph: ColoredDigraph) -> str:
+    """Text of a symmetric digraph: ``V`` lines, then one ``E x y`` line per
+    arc with x < y, in string order."""
+    ids = graph.vertex_ids
+    lines = [f"V {v} {graph.color_name(i)}" for i, v in enumerate(ids)]
+    lines += sorted(f"E {ids[i]} {ids[j]}" for i, j in graph.arcs() if i < j)
     return "\n".join(lines) + "\n"
 
 
@@ -186,16 +189,16 @@ def _read_text(path: str) -> str:
 
 
 def read_tree(tree_path: str, colors_path: str) -> LeafColoredTree:
+    """Tree of a Newick file and its colour sidecar, which must name exactly
+    the tree's leaves: the tree raises on a missing leaf, then any extra
+    entry is a ``ParseError``."""
     topology = parse_newick(_read_text(tree_path))
     colors = parse_color_map(_read_text(colors_path))
-    leaves = set(_topology_leaves(topology))
-    extra = set(colors) - leaves
-    if extra:
-        raise ParseError(f"color map lists unknown leaves: {sorted(extra)}", None)
-    missing = leaves - set(colors)
-    if missing:
-        raise ParseError(f"color map misses leaves: {sorted(missing)}", None)
-    return LeafColoredTree(topology, colors)
+    tree = LeafColoredTree(topology, colors)
+    if len(tree.colors) != len(colors):
+        extra = sorted(colors.keys() - tree.colors.keys())
+        raise ParseError(f"color map lists unknown leaves: {extra}", None)
+    return tree
 
 
 def write_tree(tree: LeafColoredTree, tree_path: str, colors_path: str) -> None:
@@ -203,18 +206,6 @@ def write_tree(tree: LeafColoredTree, tree_path: str, colors_path: str) -> None:
         fh.write(tree.newick() + "\n")
     with open(colors_path, "w", encoding="utf-8") as fh:
         fh.write(format_color_map(tree.colors))
-
-
-def _topology_leaves(topology: Topology) -> list[str]:
-    out: list[str] = []
-    work = [topology]
-    while work:
-        item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
-        else:
-            work.extend(item)
-    return out
 
 
 _PALETTE = (
@@ -238,7 +229,7 @@ def format_dot(graph: ColoredDigraph) -> str:
     for i, v in enumerate(graph.vertex_ids):
         lines.append(f'  "{v}" [fillcolor="{fill[graph.color_name(i)]}"];')
     for i, j in graph.arcs():
-        if i in graph.out_adj[j]:
+        if graph.has_arc(j, i):
             if i < j:
                 lines.append(
                     f'  "{graph.vertex_ids[i]}" -> "{graph.vertex_ids[j]}" [dir=none];'

@@ -1,29 +1,30 @@
 """Recognition of n-colored best match graphs and their least resolved trees.
 
-Pipeline: reject same-color arcs, split into weakly connected components and
-require equal color sets; these are the only structure checks.  Then per
+Pipeline: reject same-color arcs, split into weakly connected components
+and require equal color sets; these are the only structure checks.  Then per
 component either (a) recognize the two-colored graph of every color pair,
 take its unique least resolved tree, and feed all pair trees to a supertree
 BUILD, or (b) run BUILD on the union of the pairwise informative triples.
-Both read bitsets computed once per component.  In (a) a pair is the vertex
+Both read the component's own bitset adjacency.  In (a) a pair is the vertex
 mask of its two colours, and ``two_color.pair_topology`` reads its sinks,
-pieces and thinness classes off the vertices' neighbourhood masks, with no
-subgraph copy, and returns its tree as a cluster family over the same vertex
-bitsets; ``build_from_trees`` glues from those families, so no pair tree is
-ever built.  In (b) ``build`` reads the glue of the informative triples
-off the out-neighbourhoods split by colour (``triples.color_masks``), and
-the pair notes count each pair's triples from the same masks.
+pieces and thinness classes off the vertices' out- and in-bitsets, with no
+subgraph copy, and returns its tree as a cluster family over the same
+vertex bitsets; ``build_from_trees`` glues from those families, so no pair
+tree is ever built.  In (b) ``build`` reads the glue of the informative
+triples off the out-neighbourhoods split by colour
+(``triples.color_masks``), and the pair notes count each pair's triples
+from the same masks.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
-must reproduce the input arc for arc under the subtree-range engine
-``bmg_of_tree``, and a ``graph-mismatch`` rejection names the smallest arc
-``(x, y)`` on which the two differ.  No gate runs per colour pair or per
-component.  Per pair none is needed, since a pair that passes axioms N1-N3
-is a best match graph explained by its hierarchy topology; and the BMG of a
-tree restricted to two colours is the tree's BMG restricted to their leaves,
-so the global comparison also catches any pair the candidate fails.  A
-``2cbmg-failure`` witness is the pair's own ``Rejection``; the colour pair
-is recorded in ``pair_verdicts``.
+must reproduce the input arc for arc under the forward engine
+``bmg_of_tree``, one bitset comparison per vertex, and a ``graph-mismatch``
+rejection names the smallest arc ``(x, y)`` on which the two differ.  No
+gate runs per colour pair or per component.  Per pair none is needed, since
+a pair that passes axioms N1-N3 is a best match graph explained by its
+hierarchy topology; and the BMG of a tree restricted to two colours is the
+tree's BMG restricted to their leaves, so the global comparison also
+catches any pair the candidate fails.  A ``2cbmg-failure`` witness is the
+pair's own ``Rejection``; the colour pair is recorded in ``pair_verdicts``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .triples import (  # noqa: F401
     informative_triple_counts,
     informative_triples,
 )
-from .two_color import lrt_via_hierarchy, pair_topology, vertex_masks  # noqa: F401
+from .two_color import lrt_via_hierarchy, pair_topology  # noqa: F401
 from .verdicts import Rejection
 
 ROUTES = ("pairwise-lrt", "informative-direct")
@@ -152,13 +153,10 @@ def _recognize_component(
             )
         topo = build(masks, sub.vertex_ids)
     else:
-        outs, ins = vertex_masks(sub)
-        by_color = [0] * len(sub.color_ids)
-        for v, c in enumerate(sub.color_of):
-            by_color[c] |= 1 << v
         families = []
-        for (s, first), (t, second) in itertools.combinations(zip(sub.color_ids, by_color), 2):
-            family = pair_topology(sub, outs, ins, first | second)
+        pairs = itertools.combinations(zip(sub.color_ids, sub.color_bitsets()), 2)
+        for (s, first), (t, second) in pairs:
+            family = pair_topology(sub, sub.out_masks, sub.in_masks, first | second)
             if isinstance(family, Rejection):
                 report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"
                 return Rejection("2cbmg-failure", family)
@@ -174,19 +172,14 @@ def redundant_edges_n(tree: LeafColoredTree, graph: ColoredDigraph) -> frozenset
     """Inner edges contractible without changing the explained graph: (u, v)
     is redundant exactly when v is no leaf's colour-s root for a colour s
     below a sibling of v.  A leaf's colour-s root is its lowest ancestor with
-    colour s below, as on the walk of ``bmg_of_tree``."""
+    colour s below, so, as in ``bmg_of_tree``, a node p is the colour-s root
+    of the leaves below a child v exactly for s in ``cmask[p] & ~cmask[v]``."""
     if bmg_of_tree(tree) != graph:
         raise GraphError("tree does not explain the given graph")
     parent, cmask = tree.parent, tree._colormask
-    full = cmask[tree.root]
     rooted = [0] * len(parent)  # per node, the colours it is some leaf's root for
-    for lab in tree.leaf_labels:
-        v = tree.leaf_node(lab)
-        seen = cmask[v]
-        while seen != full:
-            v = parent[v]
-            rooted[v] |= cmask[v] & ~seen
-            seen |= cmask[v]
+    for v in range(1, len(parent)):
+        rooted[parent[v]] |= cmask[parent[v]] & ~cmask[v]
     return frozenset(
         (u, v)
         for u, v in tree.inner_edges()

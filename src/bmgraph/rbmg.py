@@ -2,33 +2,33 @@
 
 Every two-colored reciprocal best match graph is a disjoint union of complete
 bipartite graphs.  The converse fails, so a pass here proves nothing; a fail
-is a definite rejection.
+is a definite rejection.  An undirected graph is a symmetric digraph, which
+holds both arcs of each edge.
 """
 
 from __future__ import annotations
 
-from .digraph import ColoredGraph
+from .digraph import ColoredDigraph, connected_components
 from .errors import GraphError
 from .verdicts import CheckResult
 
 
-def check_2crbmg_necessary(graph: ColoredGraph) -> CheckResult:
-    """Check that every component with an edge is complete bipartite across
-    its two color sides; edge-less components pass vacuously."""
-    if len(graph.color_ids) != 2:
+def check_2crbmg_necessary(graph: ColoredDigraph) -> CheckResult:
+    """Check that every component with an edge of a symmetric two-colored
+    digraph is complete bipartite across its two color sides; edge-less
+    components pass vacuously."""
+    if len(graph.color_ids) != 2 or graph.out_masks != graph.in_masks:
         raise GraphError("check expects a two-colored undirected graph")
-    for i, j in graph.edges():
-        if graph.color_of[i] == graph.color_of[j]:
-            raise GraphError(
-                f"same-color edge {graph.vertex_ids[i]!r}-{graph.vertex_ids[j]!r}"
-            )
-    for comp in graph.components():
-        edge_count = sum(len(graph.adj[v]) for v in comp) // 2
-        if edge_count == 0:
+    bad = graph.same_color_arc()  # the smaller end first, as the graph is symmetric
+    if bad is not None:
+        i, j = bad
+        raise GraphError(f"same-color edge {graph.vertex_ids[i]!r}-{graph.vertex_ids[j]!r}")
+    for comp in connected_components(graph):
+        arc_count = sum(graph.out_masks[v].bit_count() for v in comp)
+        if arc_count == 0:
             continue
         side = sum(1 for v in comp if graph.color_of[v] == 0)
-        other = len(comp) - side
-        if edge_count != side * other:
+        if arc_count != 2 * side * (len(comp) - side):
             witness = tuple(graph.vertex_ids[v] for v in comp)
             return CheckResult(False, "not-complete-bipartite", witness)
     return CheckResult(True)

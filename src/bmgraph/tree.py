@@ -7,8 +7,9 @@ roots, children are ordered by their smallest descendant leaf label, and
 node ids are the preorder ranks of that canonical layout.  Two equal trees
 therefore have identical node numbering, which keeps every downstream
 computation and serialization deterministic.  Leaf labels are
-whitespace-free and hold none of ``();,#``, so every label reads back from
-the files the library writes.
+whitespace-free and hold none of ``();,#``, and colours are whitespace-free
+and hold no ``#``, so every label and colour reads back from the files the
+library writes.
 
 Preorder ids make every subtree the id range ``[v, v + size[v])``, so an
 ancestor test is two comparisons and ``lca`` climbs only the shorter of
@@ -28,14 +29,30 @@ from .errors import TreeError
 Topology = Union[str, tuple]
 
 _FORBIDDEN_LABEL_CHARS = frozenset("();,#")
+_FORBIDDEN_COLOR_CHARS = frozenset("#")
+
+
+def _is_token(token: object, forbidden: frozenset[str]) -> bool:
+    # ``str.split`` breaks at exactly the ``str.isspace`` characters, which
+    # every reader takes for separators, so a token is one whitespace-free word
+    return isinstance(token, str) and token.split() == [token] and forbidden.isdisjoint(token)
 
 
 def _check_label(token: str) -> str:
-    # ``str.split`` breaks at exactly the ``str.isspace`` characters, which
-    # every reader takes for separators, so a label is one whitespace-free token
-    if not _FORBIDDEN_LABEL_CHARS.isdisjoint(token) or token.split() != [token]:
+    if not _is_token(token, _FORBIDDEN_LABEL_CHARS):
         raise TreeError(f"illegal leaf label {token!r}")
     return token
+
+
+def _check_tokens(
+    tokens: Iterable[object], forbidden: frozenset[str], what: str, error: type[Exception]
+) -> None:
+    """Raise ``error`` naming the first token, by repr, that the file readers
+    would not read back: one that is no whitespace-free word, or holds a
+    ``forbidden`` character (``#`` starts a comment in every file)."""
+    bad = [t for t in tokens if not _is_token(t, forbidden)]
+    if bad:
+        raise error(f"illegal {what} {min(bad, key=repr)!r}")
 
 
 class LeafColoredTree:
@@ -67,7 +84,9 @@ class LeafColoredTree:
             raise TreeError(f"color map misses leaves: {missing}")
         self.leaf_labels: tuple[str, ...] = tuple(leaves)
         self.colors: dict[str, str] = {lab: colors[lab] for lab in leaves}
-        self.color_universe: tuple[str, ...] = tuple(sorted(set(self.colors.values())))
+        palette = set(self.colors.values())
+        _check_tokens(palette, _FORBIDDEN_COLOR_CHARS, "color", TreeError)
+        self.color_universe: tuple[str, ...] = tuple(sorted(palette))
         self._leaf_node: dict[str, int] = {
             lab: v for v, lab in enumerate(self.label) if lab is not None
         }

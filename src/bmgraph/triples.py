@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # bmg_of_tree stays bound here: perfbench/layers.py traces it by this name
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph
+from .digraph import ColoredDigraph, bits
 from .errors import GraphError
 from .tree import Topology
 from .two_color import Family
@@ -95,16 +95,13 @@ class TripleSet:
 
 def informative_triples(graph: ColoredDigraph) -> TripleSet:
     """All forced triples of a (two-)colored digraph, via the (arc, witness) scan."""
-    ids = graph.vertex_ids
-    by_color: dict[int, tuple[int, ...]] = {}
-    for c in range(len(graph.color_ids)):
-        by_color[c] = graph.vertices_of_color(c)
+    ids, color_of = graph.vertex_ids, graph.color_of
+    by_color = graph.color_bitsets()
     found: set[RootedTriple] = set()
-    for i in range(len(graph)):
-        for j in graph.out_adj[i]:
-            for z in by_color[graph.color_of[j]]:
-                if z != j and z != i and z not in graph.out_adj[i]:
-                    found.add(RootedTriple.of(ids[i], ids[j], ids[z]))
+    for i, out in enumerate(graph.out_masks):
+        for j in bits(out):
+            for z in bits(by_color[color_of[j]] & ~(out | 1 << i)):
+                found.add(RootedTriple.of(ids[i], ids[j], ids[z]))
     return TripleSet(frozenset(ids), frozenset(found))
 
 
@@ -240,15 +237,11 @@ class ColorMasks(NamedTuple):
 
 
 def color_masks(graph: ColoredDigraph) -> ColorMasks:
-    """The graph's out-neighbourhoods per colour, from one walk over its arcs."""
-    colors = [0] * len(graph.color_ids)
-    for v, c in enumerate(graph.color_of):
-        colors[c] |= 1 << v
-    bit = (1).__lshift__
-    outs = []
-    for targets in graph.out_adj:
-        out = sum(map(bit, targets))
-        outs.append([(t, hit) for t, mask in enumerate(colors) if (hit := out & mask)])
+    """The graph's out-neighbourhoods per colour, one AND per vertex and colour."""
+    colors = graph.color_bitsets()
+    outs = [
+        [(t, hit) for t, mask in enumerate(colors) if (hit := out & mask)] for out in graph.out_masks
+    ]
     return ColorMasks(graph, colors, outs)
 
 

@@ -2,13 +2,14 @@
 hierarchy route to the unique least resolved tree.
 
 No subgraph is copied.  A graph, or a component of the n-colour recognizer,
-is given once by each vertex's out- and in-neighbourhood as a Python-int
-bitset (``vertex_masks``), and a two-colored graph inside it by a vertex
-mask, such as two colours.  ``pair_classes`` reads its pieces and thinness
-classes off the masks.  Class-level neighbourhoods are bitsets too, bit
-``c`` standing for class ``c``.  All axiom algebra runs on them; class
-granularity makes that lossless.  Axioms are checked in the order N2, N3,
-N1 and the first violating class (pair) in class order is the witness.
+is read through its own adjacency, each vertex's out- and in-neighbourhood
+as a Python-int bitset (``out_masks``, ``in_masks``), and a two-colored
+graph inside it is a vertex mask, such as two colours.  ``pair_classes``
+reads its pieces and thinness classes off the masks.  Class-level
+neighbourhoods are bitsets too, bit ``c`` standing for class ``c``.  All
+axiom algebra runs on them; class granularity makes that lossless.  Axioms
+are checked in the order N2, N3, N1 and the first violating class (pair) in
+class order is the witness.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
 With N2, N(N(N(a))) lies in N(a), so the reachable set of class a is
@@ -39,21 +40,13 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, ThinnessPartition, thinness_partition  # noqa: F401
+from .digraph import ColoredDigraph, ThinnessPartition, bits, thinness_partition  # noqa: F401
 from .tree import Topology
 from .verdicts import CheckResult, Rejection
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -87,17 +80,11 @@ def neighborhood_tables(
     return ClassNeighborhoodTables(n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=step(in1, ins))
 
 
-def vertex_masks(graph: ColoredDigraph) -> tuple[list[int], list[int]]:
-    """Out- and in-neighbourhood of every vertex as a bitset over vertex indices."""
-    bit = (1).__lshift__
-    return [sum(map(bit, s)) for s in graph.out_adj], [sum(map(bit, s)) for s in graph.in_adj]
-
-
 Piece = tuple[list[list[int]], ClassNeighborhoodTables]
 
 
 def pair_classes(
-    graph: ColoredDigraph, outs: list[int], ins: list[int], ground: int
+    graph: ColoredDigraph, outs: Sequence[int], ins: Sequence[int], ground: int
 ) -> list[Piece] | Rejection:
     """Thinness classes, as member lists by smallest member, and class tables
     of each weakly connected piece of the subgraph that the vertex mask
@@ -109,7 +96,7 @@ def pair_classes(
     members: list[list[int]] = []
     masks: list[int] = []
     class_of: dict[int, int] = {}
-    for v in _bits(ground):
+    for v in bits(ground):
         out = outs[v] & ground
         if not out:
             return Rejection("sink-vertex", graph.vertex_ids[v])
@@ -162,7 +149,7 @@ def _structure_check(graph: ColoredDigraph) -> Piece | CheckResult:
     if bad is not None:
         i, j = bad
         return CheckResult(False, "same-color-arc", (graph.vertex_ids[i], graph.vertex_ids[j]))
-    pieces = pair_classes(graph, *vertex_masks(graph), (1 << len(graph)) - 1)
+    pieces = pair_classes(graph, graph.out_masks, graph.in_masks, (1 << len(graph)) - 1)
     if isinstance(pieces, Rejection):
         return CheckResult(False, pieces.stage, pieces.witness)
     if len(pieces) != 1:
@@ -200,14 +187,14 @@ def _axiom_check(
     for a in range(k):
         n1a = n1[a]
         open_pairs = same_color[a] & ~n2[a] & ~in2[a] & ~((2 << a) - 1)
-        for b in _bits(open_pairs):
+        for b in bits(open_pairs):
             n1b = n1[b]
             if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
                 return fail("N3", a, b)
     for a in range(k):
         n1a, n2a = n1[a], n2[a]
         open_pairs = (full ^ same_color[a]) & ~n1a & ~in1[a] & ~((2 << a) - 1)
-        for b in _bits(open_pairs):
+        for b in bits(open_pairs):
             if n1a & n2[b] or n1[b] & n2a:
                 return fail("N1", a, b)
     return CheckResult(True)
@@ -220,17 +207,15 @@ def reachable_set(graph: ColoredDigraph, seed: frozenset[int] | tuple[int, ...])
     route uses the closed form N | N(N) instead, which equals it only once
     axiom N2 holds; tests compare the two.
     """
-    frontier = set()
-    for v in seed:
-        frontier |= graph.out_adj[v]
-    seen = set(frontier)
+    outs = graph.out_masks
+    seen = frontier = reduce(or_, map(outs.__getitem__, seed), 0)
     while frontier:
-        nxt = set()
-        for v in frontier:
-            nxt |= graph.out_adj[v]
-        frontier = nxt - seen
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= outs[v]
+        frontier = nxt & ~seen
         seen |= nxt
-    return frozenset(seen)
+    return frozenset(bits(seen))
 
 
 def class_reachable_set(partition: ThinnessPartition, a: int) -> frozenset[int]:
@@ -263,7 +248,7 @@ def extended_reachable_masks(tables: ClassNeighborhoodTables) -> tuple[int, ...]
     out = []
     for a, n1a in enumerate(n1):
         q = 0
-        for b in _bits(same_in[in1[a]]):
+        for b in bits(same_in[in1[a]]):
             if not n1[b] & ~n1a:
                 q |= 1 << b
         out.append(n1a | n2[a] | q)
@@ -298,7 +283,7 @@ def hasse_tree(ground: int, sets: Iterable[int]) -> Hierarchy | Rejection:
     """Hasse tree of a family of distinct bitsets, or a staged rejection:
     ``laminarity`` names a set and an earlier set it overlaps without
     nesting, ``hasse-not-tree`` the maximal sets unless the only one is
-    ``ground``, ``sibling-overlap`` two overlapping children of one set.
+    ``ground``.
 
     One pass from smallest to largest set.  The sets placed so far form a
     forest whose roots are disjoint; each new set must contain every root it
@@ -323,7 +308,7 @@ def hasse_tree(ground: int, sets: Iterable[int]) -> Hierarchy | Rejection:
                 return Rejection("laminarity", (s, order[r]))
             parent[r] = top[r] = i
             meets &= ~order[r]
-        for c in _bits(s & ~covered):
+        for c in bits(s & ~covered):
             first[c] = i
         covered |= s
     roots = [i for i, p in enumerate(parent) if p == -1]
@@ -333,14 +318,8 @@ def hasse_tree(ground: int, sets: Iterable[int]) -> Hierarchy | Rejection:
     for i, p in enumerate(parent):
         if p != -1:
             children[p].append(i)
-    for kids in children:
+    for kids in children:  # the roots a set absorbs are disjoint
         kids.sort(key=lambda i: order[i] & -order[i])
-        seen = 0
-        for i in kids:
-            if order[i] & seen:
-                earlier = next(j for j in kids if order[j] & order[i])
-                return Rejection("sibling-overlap", (order[earlier], order[i]))
-            seen |= order[i]
     return Hierarchy(
         ground=ground,
         sets=order,
@@ -372,10 +351,10 @@ Family = tuple
 
 
 def pair_topology(
-    graph: ColoredDigraph, outs: list[int], ins: list[int], ground: int
+    graph: ColoredDigraph, outs: Sequence[int], ins: Sequence[int], ground: int
 ) -> Family | Rejection:
     """Least resolved tree of the subgraph that the vertex mask ``ground``
-    induces, from the graph's ``vertex_masks``, as a cluster family over
+    induces, from the graph's out- and in-bitsets, as a cluster family over
     vertex bitsets, or a staged rejection; several pieces are joined under a
     fresh root.  The caller vouches that the subgraph has two colours and no
     arc inside one; then each sink-free piece passes every structure check."""
@@ -402,7 +381,7 @@ def _piece_family(
     hierarchy = hasse_tree((1 << len(members)) - 1, set(r_ext))
     if isinstance(hierarchy, Rejection):
         ids = graph.vertex_ids
-        witness = (sorted(ids[v] for a in _bits(m) for v in members[a]) for m in hierarchy.witness)
+        witness = (sorted(ids[v] for a in bits(m) for v in members[a]) for m in hierarchy.witness)
         return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
     return _family(members, r_ext, hierarchy)
 

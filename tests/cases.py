@@ -6,7 +6,8 @@ are re-verified inside the tests rather than trusted.
 
 from __future__ import annotations
 
-from bmgraph import ColoredDigraph, ColoredGraph, LeafColoredTree
+from bmgraph import ColoredDigraph, LeafColoredTree
+from util import undirected_graph
 
 
 def smallest_counterexample() -> ColoredDigraph:
@@ -56,9 +57,9 @@ def countercog_tree() -> LeafColoredTree:
     )
 
 
-def p4_path() -> ColoredGraph:
+def p4_path() -> ColoredDigraph:
     """Two-colored path on four vertices: bipartite but not complete."""
-    return ColoredGraph(
+    return undirected_graph(
         {"u": "red", "v": "blue", "x": "red", "w": "blue"},
         [("u", "v"), ("v", "x"), ("x", "w")],
     )

@@ -65,14 +65,14 @@ def _sweep(sizes: tuple[int, ...], out_masks, totals: dict) -> None:
     """Verdicts of both routes on the graphs of one colour split, given by
     their out-neighbourhood bitmasks, against the BMGs of all trees."""
     ids, colors = coloured_leaves(sizes)
-    bmgs = {bmg_of_tree(LeafColoredTree(topo, colors)).out_adj for topo in all_topologies(ids)}
+    bmgs = {bmg_of_tree(LeafColoredTree(topo, colors)).out_masks for topo in all_topologies(ids)}
     graphs = bmg_count = 0
     wrong = {route: 0 for route in ROUTES}
     stages: dict[str, dict[str, int]] = {route: {} for route in ROUTES}
     split = "+".join(map(str, sizes))
     for outs in out_masks:
         graph = coloured_graph(sizes, outs)
-        is_bmg = graph.out_adj in bmgs
+        is_bmg = graph.out_masks in bmgs
         graphs += 1
         bmg_count += is_bmg
         for route in ROUTES:

@@ -18,6 +18,7 @@ from bmgraph import (
     subgraph_on,
     symmetric_part,
 )
+from bmgraph.digraph import bits
 from util import arc_ids, random_scenario
 
 
@@ -76,7 +77,7 @@ def test_every_foreign_color_is_matched():
         tree, graph = random_scenario(seed, max_leaves=15)
         for i in range(len(graph)):
             mine = graph.color_of[i]
-            seen = {graph.color_of[j] for j in graph.out_adj[i]}
+            seen = {graph.color_of[j] for j in bits(graph.out_masks[i])}
             assert seen == set(range(len(graph.color_ids))) - {mine}
 
 

@@ -22,7 +22,7 @@ from bmgraph import (
 )
 from bmgraph.graphio import format_graph, parse_graph
 from cases import countercog_tree, weird_tree
-from util import arc_ids, class_quotient, induced_subgraph_undirected, random_scenario
+from util import arc_ids, class_quotient, edge_ids, random_scenario
 
 
 @st.composite
@@ -71,13 +71,12 @@ def test_induced_subgraph_keeps_selected_colors():
 def test_symmetric_part_keeps_only_bidirectional_pairs():
     g = ColoredDigraph({"x": "r", "y": "b", "z": "b"}, [("x", "y"), ("y", "x"), ("x", "z")])
     sym = symmetric_part(g)
-    assert [(sym.vertex_ids[i], sym.vertex_ids[j]) for i, j in sym.edges()] == [("x", "y")]
+    assert arc_ids(sym) == {("x", "y"), ("y", "x")}
 
 
 def test_countercog_symmetric_part_is_the_path():
     sym = rbmg_of_tree(countercog_tree())
-    edges = {(sym.vertex_ids[i], sym.vertex_ids[j]) for i, j in sym.edges()}
-    assert edges == {("u", "v"), ("v", "x"), ("w", "x")}
+    assert edge_ids(sym) == {("u", "v"), ("v", "x"), ("w", "x")}
 
 
 def test_thinness_partition_bidirectional_bipartite():
@@ -106,7 +105,7 @@ def test_distinct_out_neighborhoods_give_singletons():
     # brute-force pairwise comparison is the defining criterion
     for i in range(len(g)):
         for j in range(len(g)):
-            same = g.out_adj[i] == g.out_adj[j] and g.in_adj[i] == g.in_adj[j]
+            same = g.out_masks[i] == g.out_masks[j] and g.in_masks[i] == g.in_masks[j]
             assert (part.class_of[i] == part.class_of[j]) == same
     assert all(len(c) == 1 for c in part.classes)
 
@@ -136,7 +135,7 @@ def test_thinness_is_idempotent_on_quotient(g):
 def test_induced_commutes_with_symmetric_part(g):
     chosen = set(g.color_ids[: max(1, len(g.color_ids) - 1)])
     left = symmetric_part(induced_subgraph(g, chosen))
-    right = induced_subgraph_undirected(symmetric_part(g), chosen)
+    right = induced_subgraph(symmetric_part(g), chosen)
     assert left == right
 
 
@@ -167,7 +166,7 @@ def test_projections_equal_graphs_built_from_string_ids():
             colors = {ids[i]: graph.color_name(i) for i in keep}
             arcs = [(ids[i], ids[j]) for i, j in graph.arcs() if i in keep and j in keep]
             assert sub == ColoredDigraph(colors, arcs)
-            assert sub.in_adj == ColoredDigraph(colors, arcs).in_adj
+            assert sub.in_masks == ColoredDigraph(colors, arcs).in_masks
             for comp in connected_components(sub):
                 members = {sub.vertex_ids[i] for i in comp}
                 piece = subgraph_on(sub, comp)
@@ -193,37 +192,37 @@ def test_same_color_arc_is_the_smallest_planted_arc():
 
 
 def in_neighborhoods(graph):
-    """In-neighbourhoods straight from the definition."""
+    """In-bitsets straight from the definition."""
     vertices = range(len(graph))
-    return tuple(frozenset(i for i in vertices if j in graph.out_adj[i]) for j in vertices)
+    return tuple(sum(1 << i for i in vertices if graph.has_arc(i, j)) for j in vertices)
 
 
 @settings(max_examples=80, deadline=None)
 @given(random_digraphs(), st.randoms(use_true_random=False))
-def test_in_adj_reverses_out_adj_however_the_graph_is_made(graph, rng):
+def test_in_masks_reverse_out_masks_however_the_graph_is_made(graph, rng):
     subset = [v for v in range(len(graph)) if rng.random() < 0.6]
     made = [
         graph,
-        ColoredDigraph.from_index_sets(graph.colors_as_dict(), graph.out_adj),
+        ColoredDigraph.from_masks(graph.colors_as_dict(), graph.out_masks),
         subgraph_on(graph, subset or [0]),
         parse_graph(format_graph(graph)),
     ]
     for g in made:
-        assert g.in_adj == in_neighborhoods(g)
-        assert g.in_adj is g.in_adj  # built once, then kept
+        assert g.in_masks == in_neighborhoods(g)
+        assert g.in_masks is g.in_masks  # built once, then kept
 
 
-def test_in_adj_of_forward_graphs_is_built_on_first_read():
+def test_in_masks_of_forward_graphs_are_built_on_first_read():
     for seed in range(30):
         tree, _ = random_scenario(seed, max_leaves=30, max_colors=5)
         graph = bmg_of_tree(tree)
         format_graph(graph)
         assert graph == bmg_of_tree(tree)
-        assert graph._in_adj is None  # writing and comparing read out_adj only
-        assert graph.in_adj == in_neighborhoods(graph)
+        assert graph._in_masks is None  # writing and comparing read out_masks only
+        assert graph.in_masks == in_neighborhoods(graph)
 
 
-def test_racing_first_reads_of_in_adj_agree():
+def test_racing_first_reads_of_in_masks_agree():
     # the one value computed after construction: threads that race on its
     # first read each build an equal tuple
     old = sys.getswitchinterval()
@@ -232,12 +231,12 @@ def test_racing_first_reads_of_in_adj_agree():
         for seed in range(10):
             _, graph = random_scenario(seed, max_leaves=60, max_colors=5)
             expected = in_neighborhoods(graph)
-            fresh = ColoredDigraph.from_index_sets(graph.colors_as_dict(), graph.out_adj)
+            fresh = ColoredDigraph.from_masks(graph.colors_as_dict(), graph.out_masks)
             start, seen = threading.Barrier(6), []
 
             def read():
                 start.wait(timeout=10)
-                seen.append(fresh.in_adj)
+                seen.append(fresh.in_masks)
 
             workers = [threading.Thread(target=read) for _ in range(6)]
             for w in workers:
@@ -246,6 +245,6 @@ def test_racing_first_reads_of_in_adj_agree():
                 w.join(timeout=10)
             assert not any(w.is_alive() for w in workers)
             assert seen == [expected] * 6
-            assert fresh.in_adj == expected
+            assert fresh.in_masks == expected
     finally:
         sys.setswitchinterval(old)

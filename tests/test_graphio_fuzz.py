@@ -1,11 +1,15 @@
 """Parser fuzzing: only ``ParseError`` escapes, and formatting round-trips."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmgraph import (
     ColoredDigraph,
+    GraphError,
     LeafColoredTree,
     ParseError,
     SimulationConfig,
@@ -18,6 +22,8 @@ from bmgraph.graphio import (
     parse_color_map,
     parse_graph,
     parse_newick,
+    read_tree,
+    write_tree,
 )
 from util import reference_format_graph
 
@@ -201,3 +207,68 @@ def test_format_graph_equals_one_sort_of_all_lines(graph):
 def test_format_graph_equals_one_sort_of_all_lines_on_simulated_graphs(leaves, colors):
     _, graph = simulate(SimulationConfig(leaves, colors, leaves + colors))
     assert format_graph(graph) == reference_format_graph(graph)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: LeafColoredTree(("a", "b"), {"a": "r#1", "b": "s"}), TreeError),
+        (lambda: LeafColoredTree(("a", "b"), {"a": "red one", "b": "x"}), TreeError),
+        (lambda: LeafColoredTree(("a", "b"), {"a": "", "b": "x"}), TreeError),
+        (lambda: ColoredDigraph({"a b": "r", "c": "s"}), GraphError),
+        (lambda: ColoredDigraph({"a": "r", "b": ""}), GraphError),
+        (lambda: ColoredDigraph({"a": "r#1", "b": "s"}, [("a", "b")]), GraphError),
+        (lambda: ColoredDigraph({"a": "red one", "b": "s"}), GraphError),
+        (lambda: ColoredDigraph({"a(": "r", "b": "s"}), GraphError),
+        (lambda: ColoredDigraph({"a": "r", "": "s"}), GraphError),
+    ],
+)
+def test_constructors_reject_tokens_the_readers_cannot_read_back(make, error):
+    with pytest.raises(error):
+        make()
+
+
+# ids and colours as a caller may hand them over: mostly readable tokens,
+# some with blanks, ``#`` or Newick syntax, and the empty string
+handed_tokens = st.one_of(
+    st.sampled_from(["a", "b", "ab", "r", "s", "(", "r#1", "", "a b"]),
+    tokens,
+    st.text(alphabet="ab #\t\n();,\x85\u3000", max_size=3),
+)
+
+
+index_pairs = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10)
+
+
+@ROUND_TRIP
+@given(st.dictionaries(handed_tokens, handed_tokens, min_size=1, max_size=6), index_pairs)
+@example({"a": "r", "b": "s"}, [(0, 1), (1, 0)])
+def test_graphs_the_constructor_accepts_read_back_equal(colors, pairs):
+    ids = sorted(colors)
+    arcs = {(ids[i % len(ids)], ids[j % len(ids)]) for i, j in pairs if i % len(ids) != j % len(ids)}
+    try:
+        graph = ColoredDigraph(colors, arcs)
+    except GraphError:
+        return
+    assert parse_graph(format_graph(graph)) == graph
+
+
+@ROUND_TRIP
+@given(
+    st.lists(handed_tokens, min_size=1, max_size=6, unique=True),
+    st.lists(handed_tokens, min_size=6, max_size=6),
+)
+@example(["a", "b"], ["r", "s"] * 3)
+def test_trees_the_constructor_accepts_read_back_equal(labels, palette):
+    colors = dict(zip(labels, palette))
+    topology = labels[0]
+    for x in labels[1:]:  # a caterpillar
+        topology = (topology, x)
+    try:
+        tree = LeafColoredTree(topology, colors)
+    except TreeError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        tp, cp = os.path.join(tmp, "t.nwk"), os.path.join(tmp, "t.nwk.colors")
+        write_tree(tree, tp, cp)
+        assert read_tree(tp, cp) == tree

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bmgraph import ParseError, bmg_of_tree
+from bmgraph import ParseError, TreeError, bmg_of_tree
 from bmgraph.cli import main
 from bmgraph.graphio import (
     format_dot,
@@ -97,8 +97,23 @@ def test_tree_files_round_trip(tmp_path):
     assert read_tree(tp, cp) == tree
     # sidecar must be total and exact
     (tmp_path / "t.nwk.colors").write_text("v01\tred\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(TreeError):
         read_tree(tp, cp)
+
+
+def test_read_tree_names_missing_leaves_then_unknown_ones(tmp_path):
+    tp, cp = str(tmp_path / "t.nwk"), str(tmp_path / "t.nwk.colors")
+    (tmp_path / "t.nwk").write_text("((a,b),c);\n")
+    # a sidecar that both misses and adds leaves names the missing ones
+    (tmp_path / "t.nwk.colors").write_text("a\tr\nzz\ts\n")
+    with pytest.raises(TreeError) as missing:
+        read_tree(tp, cp)
+    assert str(missing.value) == "color map misses leaves: ['b', 'c']"
+    (tmp_path / "t.nwk.colors").write_text("a\tr\nb\ts\nc\tr\nzz\ts\nyy\tr\n")
+    with pytest.raises(ParseError) as unknown:
+        read_tree(tp, cp)
+    assert str(unknown.value) == "color map lists unknown leaves: ['yy', 'zz']"
+    assert run(["from-tree", "--tree", tp, "--out", str(tmp_path / "g.txt")]) == 2
 
 
 def test_dot_output_merges_bidirectional_pairs():

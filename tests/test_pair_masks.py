@@ -16,7 +16,7 @@ from bmgraph import (
     subgraph_on,
     thinness_partition,
 )
-from bmgraph.two_color import neighborhood_tables, pair_classes, pair_topology, vertex_masks
+from bmgraph.two_color import neighborhood_tables, pair_classes, pair_topology
 from util import family_tree, random_scenario, reference_pair_lrt, tree_glue_build
 
 
@@ -41,7 +41,7 @@ def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
         subs = _components(graph)
         seen["split inputs"] += len(subs) > 1
         for sub in subs:
-            outs, ins = vertex_masks(sub)
+            outs, ins = sub.out_masks, sub.in_masks
             for (s, t), pair in _pair_masks(sub).items():
                 pieces = pair_classes(sub, outs, ins, pair)
                 assert not isinstance(pieces, Rejection)  # a best match graph has no sink
@@ -85,7 +85,7 @@ def _flip_pool():
 def test_pair_outcomes_equal_the_copying_reference_on_every_flip():
     stages: dict[str, int] = {}
     for sub in _flip_pool():
-        outs, ins = vertex_masks(sub)
+        outs, ins = sub.out_masks, sub.in_masks
         for (s, t), pair in _pair_masks(sub).items():
             mine = family_tree(pair_topology(sub, outs, ins, pair), sub)
             expected = reference_pair_lrt(induced_subgraph(sub, {s, t}))
@@ -100,7 +100,7 @@ def test_family_glue_build_equals_tree_glue_build_on_every_flip():
     # pair fails still feeds BUILD the rest
     outcomes = {"tree": 0, "inconsistent": 0}
     for sub in _flip_pool():
-        outs, ins = vertex_masks(sub)
+        outs, ins = sub.out_masks, sub.in_masks
         found = (pair_topology(sub, outs, ins, pair) for pair in _pair_masks(sub).values())
         families = [f for f in found if not isinstance(f, Rejection)]
         mine = build_from_trees(families, sub.vertex_ids)

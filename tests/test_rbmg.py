@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from bmgraph import (
-    ColoredGraph,
+    ColoredDigraph,
     GraphError,
     check_2crbmg_necessary,
     induced_subgraph,
@@ -14,11 +14,11 @@ from bmgraph import (
     symmetric_part,
 )
 from cases import counterex_sym_graph, countercog_tree, p4_path
-from util import connected_scenario
+from util import connected_scenario, edge_ids, undirected_graph
 
 
 def test_single_edge_passes():
-    h = ColoredGraph({"x": "r", "y": "b"}, [("x", "y")])
+    h = undirected_graph({"x": "r", "y": "b"}, [("x", "y")])
     assert check_2crbmg_necessary(h)
 
 
@@ -30,16 +30,23 @@ def test_path_of_length_three_fails():
 
 
 def test_isolated_vertices_pass_vacuously():
-    h = ColoredGraph({"x": "r", "y": "b", "z": "b"}, [("x", "y")])
+    h = undirected_graph({"x": "r", "y": "b", "z": "b"}, [("x", "y")])
     assert check_2crbmg_necessary(h)
 
 
 def test_same_color_edge_is_an_input_error():
-    h = ColoredGraph({"x": "r", "y": "r", "z": "b"}, [("x", "y"), ("x", "z")])
+    h = undirected_graph({"x": "r", "y": "r", "z": "b"}, [("x", "y"), ("x", "z")])
     with pytest.raises(GraphError):
         check_2crbmg_necessary(h)
     with pytest.raises(GraphError):
-        check_2crbmg_necessary(ColoredGraph({"x": "r"}, []))
+        check_2crbmg_necessary(undirected_graph({"x": "r"}, []))
+
+
+def test_non_symmetric_digraph_is_an_input_error():
+    one_way = ColoredDigraph({"x": "r", "y": "b", "z": "b"}, [("x", "y"), ("y", "x"), ("x", "z")])
+    with pytest.raises(GraphError, match="check expects a two-colored undirected graph"):
+        check_2crbmg_necessary(one_way)
+    assert check_2crbmg_necessary(symmetric_part(one_way))
 
 
 def test_simulated_two_color_symmetric_parts_pass():
@@ -50,8 +57,7 @@ def test_simulated_two_color_symmetric_parts_pass():
 
 def test_countercog_scenario_fails_as_two_colored_path():
     sym = rbmg_of_tree(countercog_tree())
-    edges = {(sym.vertex_ids[i], sym.vertex_ids[j]) for i, j in sym.edges()}
-    assert edges == {("u", "v"), ("v", "x"), ("w", "x")}
+    assert edge_ids(sym) == {("u", "v"), ("v", "x"), ("w", "x")}
     # same shape with two alternating colors: fails the necessary condition
     assert not check_2crbmg_necessary(p4_path())
 

@@ -43,11 +43,11 @@ def sweep(sizes: tuple[int, ...], out_masks) -> dict[str, Counter]:
     their out-neighbourhood bitmasks; each verdict must be acceptance exactly
     when the graph is a tree's BMG."""
     ids, colors = coloured_leaves(sizes)
-    bmgs = {bmg_of_tree(LeafColoredTree(topo, colors)).out_adj for topo in all_topologies(ids)}
+    bmgs = {bmg_of_tree(LeafColoredTree(topo, colors)).out_masks for topo in all_topologies(ids)}
     stages = {route: Counter() for route in ROUTES}
     for outs in out_masks:
         graph = coloured_graph(sizes, outs)
-        is_bmg = graph.out_adj in bmgs
+        is_bmg = graph.out_masks in bmgs
         for route in ROUTES:
             report = recognize_ncbmg(graph, route=route)
             assert report.accepted == is_bmg, (route, sorted(graph.arcs()))

@@ -210,6 +210,12 @@ def test_one_pass_laminarity_agrees_with_all_pairs_reference():
         if not laminar:
             s, t = outcome.witness
             assert s & t and s & ~t and t & ~s
+        if isinstance(outcome, Hierarchy):
+            for kids in outcome.children:  # siblings are disjoint
+                union = 0
+                for i in kids:
+                    assert not outcome.sets[i] & union, ordered
+                    union |= outcome.sets[i]
         seen[laminar] += 1
     assert min(seen.values()) > 300, seen
 

@@ -11,8 +11,6 @@ from typing import Iterable, Sequence
 
 from bmgraph import (
     ColoredDigraph,
-    ColoredGraph,
-    GraphError,
     LeafColoredTree,
     Rejection,
     RootedTriple,
@@ -25,6 +23,7 @@ from bmgraph import (
     simulate,
     subgraph_on,
 )
+from bmgraph.digraph import bits
 from bmgraph.tree import Topology
 from bmgraph.two_color import Family, family_topology
 
@@ -146,7 +145,7 @@ def reference_pair_lrt(gst: ColoredDigraph) -> LeafColoredTree | Rejection:
     connected component.  The reference ``two_color.pair_topology`` is
     tested against."""
     for v in range(len(gst)):
-        if not gst.out_adj[v]:
+        if not gst.out_masks[v]:
             return Rejection("sink-vertex", gst.vertex_ids[v])
     comps = connected_components(gst)
     topos = []
@@ -363,8 +362,8 @@ def pair_bmg_product_out_masks(sizes: tuple[int, ...]):
         rows = set()
         for topo in all_topologies(ids):
             row = [0] * bounds[-1]
-            for k, out in enumerate(bmg_of_tree(LeafColoredTree(topo, colors)).out_adj):
-                row[place[k]] = sum(1 << place[w] for w in out)
+            for k, out in enumerate(bmg_of_tree(LeafColoredTree(topo, colors)).out_masks):
+                row[place[k]] = sum(1 << place[w] for w in bits(out))
             rows.add(tuple(row))
         options.append(sorted(rows))
     for choice in itertools.product(*options):
@@ -401,20 +400,15 @@ def class_quotient(partition: ThinnessPartition) -> ColoredDigraph:
     return ColoredDigraph(colors, arcs)
 
 
-def induced_subgraph_undirected(graph: ColoredGraph, colors: Iterable[str]) -> ColoredGraph:
-    """Color-induced subgraph of an undirected colored graph."""
-    wanted = set(colors)
-    unknown = wanted - set(graph.color_ids)
-    if unknown:
-        raise GraphError(f"unknown color id(s): {sorted(unknown)}")
-    keep = {i for i in range(len(graph)) if graph.color_name(i) in wanted}
-    vertex_colors = {graph.vertex_ids[i]: graph.color_name(i) for i in keep}
-    edges = [
-        (graph.vertex_ids[i], graph.vertex_ids[j])
-        for i, j in graph.edges()
-        if i in keep and j in keep
-    ]
-    return ColoredGraph(vertex_colors, edges)
+def undirected_graph(colors: dict[str, str], edges: Iterable[tuple[str, str]]) -> ColoredDigraph:
+    """Undirected colored graph as the symmetric digraph holding both arcs
+    of each edge."""
+    return ColoredDigraph(colors, [arc for x, y in edges for arc in ((x, y), (y, x))])
+
+
+def edge_ids(graph: ColoredDigraph) -> set[tuple[str, str]]:
+    """Edges of a symmetric digraph, each as its arc ``(x, y)`` with x < y."""
+    return {(x, y) for x, y in arc_ids(graph) if x < y}
 
 
 def aho_graph(triples: Iterable[RootedTriple], subset: Iterable[str]) -> dict[str, set[str]]:
