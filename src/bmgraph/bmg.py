@@ -25,6 +25,10 @@ from .tree import LeafColoredTree, Topology
 
 SHAPES = ("binary", "multifurcating")
 CONTRACTION_PROBABILITY = 0.2  # chance that ``simulate`` contracts an inner edge
+# Uniform colourings ``simulate`` draws, hoping for one that uses every colour,
+# before it builds one that does; far fewer suffice unless colours are
+# nearly as many as leaves.
+COLORING_DRAWS = 500
 
 
 def bmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
@@ -121,19 +125,24 @@ class SimulationConfig:
 
 
 def simulate(cfg: SimulationConfig) -> tuple[LeafColoredTree, ColoredDigraph]:
-    """Grow a random leaf-colored tree and return it with its best match graph."""
+    """Grow a random leaf-colored tree that uses every colour and return it
+    with its best match graph."""
     rng = random.Random(cfg.seed)
     children = _grow_yule_shape(cfg.leaf_count, rng)
     n = cfg.leaf_count
     width = len(str(n))
     names = [f"v{i:0{width}d}" for i in range(1, n + 1)]
     topo = _named_topology(children, names)
-    cwidth = len(str(cfg.color_count))
-    color_names = [f"c{k:0{cwidth}d}" for k in range(1, cfg.color_count + 1)]
-    while True:
-        assignment = [rng.randrange(cfg.color_count) for _ in range(n)]
-        if len(set(assignment)) == cfg.color_count:
+    k = cfg.color_count
+    cwidth = len(str(k))
+    color_names = [f"c{c:0{cwidth}d}" for c in range(1, k + 1)]
+    for _ in range(COLORING_DRAWS):
+        assignment = [rng.randrange(k) for _ in range(n)]
+        if len(set(assignment)) == k:
             break
+    else:  # some colour kept missing: give each colour a leaf, the rest at random
+        assignment = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(assignment)
     colors = {names[i]: color_names[assignment[i]] for i in range(n)}
     tree = LeafColoredTree(topo, colors)
     if cfg.shape == "multifurcating":

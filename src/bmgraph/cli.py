@@ -216,10 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BmgraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BmgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -141,11 +141,17 @@ class ColoredDigraph:
 
 
 def connected_components(graph: ColoredDigraph) -> list[tuple[int, ...]]:
-    """Weakly connected components, ordered by smallest vertex: each grows
-    from its smallest vertex by OR-ing out- and in-bitsets over its frontier."""
-    outs, ins = graph.out_masks, graph.in_masks
-    left = (1 << len(graph)) - 1
-    comps: list[tuple[int, ...]] = []
+    """Weakly connected components, ordered by smallest vertex."""
+    comps = bitset_components(graph.out_masks, graph.in_masks, (1 << len(graph)) - 1)
+    return [tuple(bits(comp)) for comp in comps]
+
+
+def bitset_components(outs: Sequence[int], ins: Sequence[int], left: int) -> list[int]:
+    """Weakly connected components of the elements in the bitset ``left``,
+    whose arcs are the bitsets ``outs`` and ``ins``, as bitsets ordered by
+    lowest element: each grows from its lowest element by OR-ing out- and
+    in-bitsets over its frontier."""
+    comps: list[int] = []
     while left:
         comp = frontier = left & -left
         while frontier:
@@ -155,7 +161,7 @@ def connected_components(graph: ColoredDigraph) -> list[tuple[int, ...]]:
             frontier = reach & ~comp
             comp |= frontier
         left &= ~comp
-        comps.append(tuple(bits(comp)))
+        comps.append(comp)
     return comps
 
 

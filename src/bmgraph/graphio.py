@@ -221,21 +221,21 @@ _PALETTE = (
 
 
 def format_dot(graph: ColoredDigraph) -> str:
-    """Graphviz rendering; bidirectional pairs drawn once without arrowheads."""
+    """Graphviz rendering; bidirectional pairs drawn once without arrowheads.
+    Ids may hold ``"`` and ``\\``, so both are escaped inside the quotes."""
     fill = {
         c: _PALETTE[k % len(_PALETTE)] for k, c in enumerate(graph.color_ids)
     }
+    ids = [v.replace("\\", "\\\\").replace('"', '\\"') for v in graph.vertex_ids]
     lines = ["digraph bmg {", "  node [style=filled];"]
-    for i, v in enumerate(graph.vertex_ids):
+    for i, v in enumerate(ids):
         lines.append(f'  "{v}" [fillcolor="{fill[graph.color_name(i)]}"];')
     for i, j in graph.arcs():
         if graph.has_arc(j, i):
             if i < j:
-                lines.append(
-                    f'  "{graph.vertex_ids[i]}" -> "{graph.vertex_ids[j]}" [dir=none];'
-                )
+                lines.append(f'  "{ids[i]}" -> "{ids[j]}" [dir=none];')
         else:
-            lines.append(f'  "{graph.vertex_ids[i]}" -> "{graph.vertex_ids[j]}";')
+            lines.append(f'  "{ids[i]}" -> "{ids[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -156,7 +156,7 @@ def _recognize_component(
         families = []
         pairs = itertools.combinations(zip(sub.color_ids, sub.color_bitsets()), 2)
         for (s, first), (t, second) in pairs:
-            family = pair_topology(sub, sub.out_masks, sub.in_masks, first | second)
+            family = pair_topology(sub, first | second)
             if isinstance(family, Rejection):
                 report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"
                 return Rejection("2cbmg-failure", family)

@@ -117,10 +117,6 @@ class LeafColoredTree:
 
     # -- elementary queries -------------------------------------------------
 
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
-
     def is_leaf(self, v: int) -> bool:
         return self.label[v] is not None
 

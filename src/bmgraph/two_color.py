@@ -5,10 +5,13 @@ No subgraph is copied.  A graph, or a component of the n-colour recognizer,
 is read through its own adjacency, each vertex's out- and in-neighbourhood
 as a Python-int bitset (``out_masks``, ``in_masks``), and a two-colored
 graph inside it is a vertex mask, such as two colours.  ``pair_classes``
-reads its pieces and thinness classes off the masks.  Class-level
-neighbourhoods are bitsets too, bit ``c`` standing for class ``c``.  All
-axiom algebra runs on them; class granularity makes that lossless.  Axioms
-are checked in the order N2, N3, N1 and the first violating class (pair) in
+reads its thinness classes off the masks and keeps one class table per
+pair: class-level neighbourhoods are bitsets too, bit ``c`` standing for
+class ``c``.  No class neighbourhood crosses a weakly connected piece, so
+the pieces are class bitsets over that one numbering, found by the same
+flood fill as the graph's components.  All axiom algebra runs on these
+bitsets; class granularity makes that lossless.  Axioms are checked piece
+by piece, in the order N2, N3, N1, and the first violating class (pair) in
 class order is the witness.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
@@ -28,10 +31,10 @@ check the colour count and same-colour arcs, then take the first sink and
 the pieces from one ``pair_classes`` call and go on with the one piece.  The
 n-colour recognizer calls ``pair_topology`` on each colour pair directly: a
 pair has no same-colour arc, so its sink-free pieces pass every structure
-check.  Both run the same per-piece steps, down to the tree as a cluster
-family over vertex bitsets, which ``lrt_via_hierarchy`` names.  No forward
-construction runs here: the one exact gate is the n-colour recognizer's
-final arc-for-arc comparison.
+check.  Both run the same per-piece steps on the pair's one class table,
+down to the tree as a cluster family over vertex bitsets, which
+``lrt_via_hierarchy`` names.  No forward construction runs here: the one
+exact gate is the n-colour recognizer's final arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Iterable, Sequence
 
 # bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, ThinnessPartition, bits, thinness_partition  # noqa: F401
+from .digraph import ColoredDigraph, ThinnessPartition, bits, bitset_components, thinness_partition  # noqa: F401
 from .tree import Topology
 from .verdicts import CheckResult, Rejection
 
@@ -80,18 +83,20 @@ def neighborhood_tables(
     return ClassNeighborhoodTables(n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=step(in1, ins))
 
 
-Piece = tuple[list[list[int]], ClassNeighborhoodTables]
+# A colour pair's thinness classes as member lists by smallest member, its
+# class tables, and its weakly connected pieces as class bitsets.
+PairClasses = tuple[list[list[int]], ClassNeighborhoodTables, list[int]]
 
 
-def pair_classes(
-    graph: ColoredDigraph, outs: Sequence[int], ins: Sequence[int], ground: int
-) -> list[Piece] | Rejection:
-    """Thinness classes, as member lists by smallest member, and class tables
-    of each weakly connected piece of the subgraph that the vertex mask
-    ``ground`` induces, pieces by smallest vertex; or its first sink.  Both
-    neighbourhoods within ``ground`` key a vertex's class.  Keys are lifted
-    one class at a time: the lowest vertex left names a class, whose members
-    are then cleared.  A piece is a union of classes, found among them."""
+def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
+    """Thinness classes, class tables and pieces of the subgraph that the
+    vertex mask ``ground`` induces, or its first sink.  Both neighbourhoods
+    within ``ground`` key a vertex's class.  Keys are lifted one class at a
+    time: the lowest vertex left names a class, whose members are then
+    cleared.  No class neighbourhood crosses a piece, so one class numbering
+    serves every piece, and the pieces, ordered by smallest vertex, come
+    from the class tables."""
+    outs, ins = graph.out_masks, graph.in_masks
     index: dict[tuple[int, int], int] = {}
     members: list[list[int]] = []
     masks: list[int] = []
@@ -114,87 +119,70 @@ def pair_classes(
             mask &= ~masks[found[-1]]
         return found
 
-    n1 = [lift(out) for out, _ in index]
-    in1 = [lift(into) for _, into in index]
-    pieces: list[list[int]] = []
-    piece_of = [-1] * len(members)
-    for a in range(len(members)):
-        if piece_of[a] < 0:
-            piece_of[a], found = len(pieces), [a]
-            for b in found:  # grows while it is read
-                for c in itertools.chain(n1[b], in1[b]):
-                    if piece_of[c] < 0:
-                        piece_of[c] = piece_of[a]
-                        found.append(c)
-            pieces.append(sorted(found))
-    if len(pieces) == 1:
-        return [(members, neighborhood_tables(n1, in1))]
-    split = []
-    for piece in pieces:
-        local = {a: i for i, a in enumerate(piece)}.__getitem__
-        tables = neighborhood_tables(
-            [list(map(local, n1[a])) for a in piece], [list(map(local, in1[a])) for a in piece]
-        )
-        split.append(([members[a] for a in piece], tables))
-    return split
+    tables = neighborhood_tables([lift(out) for out, _ in index], [lift(into) for _, into in index])
+    return members, tables, bitset_components(tables.n1, tables.in1, (1 << len(members)) - 1)
 
 
-def _structure_check(graph: ColoredDigraph) -> Piece | CheckResult:
-    """The classes and tables of a two-colored graph without same-colour
-    arcs, sinks or a second piece, or the first such failure; once no vertex
-    is a sink, the pieces are the weakly connected components."""
+def _structure_check(graph: ColoredDigraph) -> PairClasses | CheckResult:
+    """The classes of a two-colored graph without same-colour arcs, sinks or
+    a second piece, or the first such failure; once no vertex is a sink, the
+    pieces are the weakly connected components."""
     if len(graph.color_ids) != 2:
         return CheckResult(False, "wrong-color-count", graph.vertex_ids)
     bad = graph.same_color_arc()
     if bad is not None:
         i, j = bad
         return CheckResult(False, "same-color-arc", (graph.vertex_ids[i], graph.vertex_ids[j]))
-    pieces = pair_classes(graph, graph.out_masks, graph.in_masks, (1 << len(graph)) - 1)
-    if isinstance(pieces, Rejection):
-        return CheckResult(False, pieces.stage, pieces.witness)
-    if len(pieces) != 1:
-        return CheckResult(False, "disconnected", len(pieces))
-    return pieces[0]
+    classes = pair_classes(graph, (1 << len(graph)) - 1)
+    if isinstance(classes, Rejection):
+        return CheckResult(False, classes.stage, classes.witness)
+    if len(classes[2]) != 1:
+        return CheckResult(False, "disconnected", len(classes[2]))
+    return classes
 
 
 def check_axioms(graph: ColoredDigraph) -> CheckResult:
     """Check the three out-neighborhood axioms of connected two-colored graphs."""
-    piece = _structure_check(graph)
-    return piece if isinstance(piece, CheckResult) else _axiom_check(graph, *piece)
+    classes = _structure_check(graph)
+    if isinstance(classes, CheckResult):
+        return classes
+    members, tables, (piece,) = classes
+    return _axiom_check(graph, members, tables, piece)
 
 
 def _axiom_check(
-    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables
+    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables, piece: int
 ) -> CheckResult:
+    """N2, N3, N1 on the classes in the class bitset ``piece``."""
     n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
-    k = len(members)
+    classes = list(bits(piece))
 
     def fail(stage: str, *witness: int) -> CheckResult:
         ids = tuple(tuple(graph.vertex_ids[v] for v in members[a]) for a in witness)
         return CheckResult(False, stage, ids if len(ids) > 1 else ids[0])
 
-    for a in range(k):
+    for a in classes:
         if n3[a] & ~n1[a]:
             return fail("N2", a)
     # Arcs join the two colours, so only classes of one colour can share
     # out-neighbours (N3) and only classes of two colours can meet N(N(.))
     # through N(.) (N1); each loop visits the later classes b > a that the
     # premise of its axiom leaves open.
-    full = (1 << k) - 1
-    colors = [graph.color_of[m[0]] for m in members]
-    first_color = sum(1 << a for a in range(k) if colors[a] == colors[0])
-    same_color = [first_color if colors[a] == colors[0] else full ^ first_color for a in range(k)]
-    for a in range(k):
+    color_of = graph.color_of
+    first = color_of[members[classes[0]][0]]
+    first_color = sum(1 << a for a in classes if color_of[members[a][0]] == first)
+    other_color = piece ^ first_color
+    for a in classes:
         n1a = n1[a]
-        open_pairs = same_color[a] & ~n2[a] & ~in2[a] & ~((2 << a) - 1)
-        for b in bits(open_pairs):
+        same_color = first_color if first_color >> a & 1 else other_color
+        for b in bits(same_color & ~n2[a] & ~in2[a] & ~((2 << a) - 1)):
             n1b = n1[b]
             if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
                 return fail("N3", a, b)
-    for a in range(k):
+    for a in classes:
         n1a, n2a = n1[a], n2[a]
-        open_pairs = (full ^ same_color[a]) & ~n1a & ~in1[a] & ~((2 << a) - 1)
-        for b in bits(open_pairs):
+        other = other_color if first_color >> a & 1 else first_color
+        for b in bits(other & ~n1a & ~in1[a] & ~((2 << a) - 1)):
             if n1a & n2[b] or n1[b] & n2a:
                 return fail("N1", a, b)
     return CheckResult(True)
@@ -338,10 +326,10 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     and the topology explains it.  Wrap it as
     ``LeafColoredTree(topology, graph.colors_as_dict())`` to get the tree.
     """
-    piece = _structure_check(graph)
-    if isinstance(piece, CheckResult):
-        return Rejection("axioms", piece)
-    family = _piece_family(graph, *piece)
+    classes = _structure_check(graph)
+    if isinstance(classes, CheckResult):
+        return Rejection("axioms", classes)
+    family = _pieces_family(graph, *classes)
     return family if isinstance(family, Rejection) else family_topology(family, graph.vertex_ids)
 
 
@@ -350,40 +338,34 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
 Family = tuple
 
 
-def pair_topology(
-    graph: ColoredDigraph, outs: Sequence[int], ins: Sequence[int], ground: int
-) -> Family | Rejection:
+def pair_topology(graph: ColoredDigraph, ground: int) -> Family | Rejection:
     """Least resolved tree of the subgraph that the vertex mask ``ground``
-    induces, from the graph's out- and in-bitsets, as a cluster family over
-    vertex bitsets, or a staged rejection; several pieces are joined under a
-    fresh root.  The caller vouches that the subgraph has two colours and no
-    arc inside one; then each sink-free piece passes every structure check."""
-    pieces = pair_classes(graph, outs, ins, ground)
-    if isinstance(pieces, Rejection):
-        return pieces
-    families: list[Family] = []
-    for members, tables in pieces:
-        family = _piece_family(graph, members, tables)
-        if isinstance(family, Rejection):
-            return family
-        families.append(family)
-    return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
+    induces, as a cluster family over vertex bitsets, or a staged rejection;
+    several pieces are joined under a fresh root.  The caller vouches that
+    the subgraph has two colours and no arc inside one; then each sink-free
+    piece passes every structure check."""
+    classes = pair_classes(graph, ground)
+    return classes if isinstance(classes, Rejection) else _pieces_family(graph, *classes)
 
 
-def _piece_family(
-    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables
+def _pieces_family(
+    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables, pieces: list[int]
 ) -> Family | Rejection:
-    """Least resolved tree of one sink-free piece: axioms, R', Hasse tree."""
-    verdict = _axiom_check(graph, members, tables)
-    if not verdict:
-        return Rejection("axioms", verdict)
+    """Least resolved tree of sink-free pieces, each in turn through axioms,
+    R' and its Hasse tree; the first piece to fail gives the rejection."""
     r_ext = extended_reachable_masks(tables)
-    hierarchy = hasse_tree((1 << len(members)) - 1, set(r_ext))
-    if isinstance(hierarchy, Rejection):
-        ids = graph.vertex_ids
-        witness = (sorted(ids[v] for a in bits(m) for v in members[a]) for m in hierarchy.witness)
-        return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
-    return _family(members, r_ext, hierarchy)
+    families: list[Family] = []
+    for piece in pieces:
+        verdict = _axiom_check(graph, members, tables, piece)
+        if not verdict:
+            return Rejection("axioms", verdict)
+        hierarchy = hasse_tree(piece, {r_ext[a] for a in bits(piece)})
+        if isinstance(hierarchy, Rejection):
+            ids = graph.vertex_ids
+            witness = (sorted(ids[v] for a in bits(m) for v in members[a]) for m in hierarchy.witness)
+            return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
+        families.append(_family(members, r_ext, hierarchy))
+    return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
 
 
 def _family(members: list[list[int]], r_ext: tuple[int, ...], hierarchy: Hierarchy) -> Family:
@@ -391,8 +373,8 @@ def _family(members: list[list[int]], r_ext: tuple[int, ...], hierarchy: Hierarc
     its Hasse children, then the vertices of the classes whose R' set it is."""
     node_of = {s: i for i, s in enumerate(hierarchy.sets)}
     attached: list[list[int]] = [[] for _ in hierarchy.sets]
-    for a, s in enumerate(r_ext):
-        attached[node_of[s]].extend(members[a])
+    for a in bits(hierarchy.ground):
+        attached[node_of[r_ext[a]]].extend(members[a])
     built: list[Family] = []
     for i, kids_at in enumerate(hierarchy.children):  # children before parents
         kids = [built[c] for c in kids_at]

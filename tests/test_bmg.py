@@ -1,6 +1,7 @@
 """Forward construction, oracle agreement, simulator behavior."""
 
 import itertools
+import time
 
 import pytest
 
@@ -140,6 +141,16 @@ def test_simulate_coloring_is_surjective():
     for seed in range(20):
         tree, _ = simulate(SimulationConfig(11, 5, seed))
         assert len(set(tree.colors.values())) == 5
+
+
+@pytest.mark.parametrize("leaves, colors", [(40, 40), (1000, 400)])
+def test_simulate_ends_fast_when_colours_are_nearly_as_many_as_leaves(leaves, colors):
+    # a uniform colouring of 1000 leaves uses all 400 colours with
+    # probability about e^-33, so redrawing until one does never ends
+    start = time.perf_counter()
+    tree, graph = simulate(SimulationConfig(leaves, colors, 1))
+    assert time.perf_counter() - start < 1.0
+    assert len(set(tree.colors.values())) == len(graph.color_ids) == colors
 
 
 def test_simulated_graph_is_recognized():

@@ -123,6 +123,57 @@ def test_dot_output_merges_bidirectional_pairs():
     assert "[dir=none]" in dot
 
 
+def _quoted(line: str) -> list[str] | None:
+    """The quoted strings of a DOT line, unescaped, or None when a quote is
+    left open."""
+    found, current, escaped = [], None, False
+    for ch in line:
+        if current is None:
+            if ch == '"':
+                current = ""
+        elif escaped:
+            current, escaped = current + ch, False
+        elif ch == "\\":
+            escaped = True
+        elif ch == '"':
+            found.append(current)
+            current = None
+        else:
+            current += ch
+    return found if current is None else None
+
+
+def test_dot_output_escapes_quotes_and_backslashes_in_ids(tmp_path):
+    ids = ['a"b', "c\\", 'd\\"e', "f"]
+    text = "".join(f"V {v} {c}\n" for v, c in zip(ids, "rsrs"))
+    text += 'A a"b c\\\nA c\\ a"b\nA f d\\"e\n'
+    graph = parse_graph(text)
+    dot = format_dot(graph)
+    named = [_quoted(line) for line in dot.splitlines()]
+    assert None not in named, dot
+    assert {v for strings in named for v in strings if not v.startswith("#")} == set(ids)
+    gp, dp = str(tmp_path / "g.txt"), str(tmp_path / "g.dot")
+    with open(gp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    run(["recognize", "--graph", gp, "--emit-dot", dp])
+    with open(dp, encoding="utf-8") as fh:
+        assert fh.read() == dot
+
+
+def test_dot_output_of_ordinary_ids_is_unchanged():
+    graph = parse_graph(GRAPH_TEXT + "V z red\nA z y\n")
+    assert format_dot(graph) == (
+        "digraph bmg {\n"
+        "  node [style=filled];\n"
+        '  "x" [fillcolor="#377eb8"];\n'
+        '  "y" [fillcolor="#e41a1c"];\n'
+        '  "z" [fillcolor="#377eb8"];\n'
+        '  "x" -> "y" [dir=none];\n'
+        '  "z" -> "y";\n'
+        "}\n"
+    )
+
+
 def run(args):
     return main(args)
 

@@ -2,6 +2,7 @@
 replaced: same thinness classes, same class tables, same pair outcomes; and
 BUILD gluing from pair cluster families against BUILD gluing from pair trees."""
 
+import dataclasses
 import itertools
 import random
 
@@ -16,7 +17,8 @@ from bmgraph import (
     subgraph_on,
     thinness_partition,
 )
-from bmgraph.two_color import neighborhood_tables, pair_classes, pair_topology
+from bmgraph.digraph import bits
+from bmgraph.two_color import ClassNeighborhoodTables, neighborhood_tables, pair_classes, pair_topology
 from util import family_tree, random_scenario, reference_pair_lrt, tree_glue_build
 
 
@@ -34,6 +36,18 @@ def _pair_masks(sub: ColoredDigraph) -> dict[tuple[str, str], int]:
     return {(s, t): m | n for (s, m), (t, n) in itertools.combinations(named, 2)}
 
 
+def _restricted(tables: ClassNeighborhoodTables, piece: int) -> ClassNeighborhoodTables:
+    """The class tables of the classes in ``piece``, renumbered in order."""
+    classes = list(bits(piece))
+
+    def renumber(mask: int) -> int:
+        return sum(1 << i for i, a in enumerate(classes) if mask >> a & 1)
+
+    return ClassNeighborhoodTables(
+        *(tuple(renumber(table[a]) for a in classes) for table in dataclasses.astuple(tables))
+    )
+
+
 def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
     seen = {"pieces": 0, "split pairs": 0, "split inputs": 0}
     for seed in range(120):
@@ -41,10 +55,10 @@ def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
         subs = _components(graph)
         seen["split inputs"] += len(subs) > 1
         for sub in subs:
-            outs, ins = sub.out_masks, sub.in_masks
             for (s, t), pair in _pair_masks(sub).items():
-                pieces = pair_classes(sub, outs, ins, pair)
-                assert not isinstance(pieces, Rejection)  # a best match graph has no sink
+                classes = pair_classes(sub, pair)
+                assert not isinstance(classes, Rejection)  # a best match graph has no sink
+                members, tables, pieces = classes
                 mine = iter(pieces)
                 gst = induced_subgraph(sub, {s, t})
                 comps = connected_components(gst)
@@ -52,10 +66,11 @@ def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
                 for comp in comps:
                     piece = gst if len(comps) == 1 else subgraph_on(gst, comp)
                     part = thinness_partition(piece)
-                    members, tables = next(mine)
-                    ids = [tuple(sub.vertex_ids[v] for v in m) for m in members]
+                    in_piece = next(mine)
+                    ids = [tuple(sub.vertex_ids[v] for v in members[a]) for a in bits(in_piece)]
                     assert ids == [part.class_ids(a) for a in range(len(part))]
-                    assert tables == neighborhood_tables(part.out_classes, part.in_classes)
+                    expected = neighborhood_tables(part.out_classes, part.in_classes)
+                    assert _restricted(tables, in_piece) == expected
                     seen["pieces"] += 1
                 assert next(mine, None) is None
     assert min(seen.values()) > 0, seen
@@ -85,9 +100,8 @@ def _flip_pool():
 def test_pair_outcomes_equal_the_copying_reference_on_every_flip():
     stages: dict[str, int] = {}
     for sub in _flip_pool():
-        outs, ins = sub.out_masks, sub.in_masks
         for (s, t), pair in _pair_masks(sub).items():
-            mine = family_tree(pair_topology(sub, outs, ins, pair), sub)
+            mine = family_tree(pair_topology(sub, pair), sub)
             expected = reference_pair_lrt(induced_subgraph(sub, {s, t}))
             assert mine == expected, (sub, s, t)
             stage = mine.stage if isinstance(mine, Rejection) else "tree"
@@ -100,8 +114,7 @@ def test_family_glue_build_equals_tree_glue_build_on_every_flip():
     # pair fails still feeds BUILD the rest
     outcomes = {"tree": 0, "inconsistent": 0}
     for sub in _flip_pool():
-        outs, ins = sub.out_masks, sub.in_masks
-        found = (pair_topology(sub, outs, ins, pair) for pair in _pair_masks(sub).values())
+        found = (pair_topology(sub, pair) for pair in _pair_masks(sub).values())
         families = [f for f in found if not isinstance(f, Rejection)]
         mine = build_from_trees(families, sub.vertex_ids)
         expected = tree_glue_build([family_tree(f, sub) for f in families], sub.vertex_ids)

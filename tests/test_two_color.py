@@ -20,7 +20,8 @@ from bmgraph import (
     redundant_edges_n,
     thinness_partition,
 )
-from bmgraph.two_color import extended_reachable_masks, hasse_tree, laminarity_witness
+from bmgraph.digraph import bits
+from bmgraph.two_color import extended_reachable_masks, hasse_tree, laminarity_witness, pair_topology
 from cases import rvsr_tree, smallest_counterexample, weird_tree
 from util import (
     caterpillar,
@@ -434,3 +435,36 @@ def test_hierarchy_topology_explains_every_small_axiom_graph():
             assert not isinstance(topology, Rejection), graph
             assert bmg_of_tree(LeafColoredTree(topology, colors)) == graph
     assert passed == 1035
+
+
+def _named_piece(outs: tuple[int, ...], names: str) -> tuple[dict[str, str], set[tuple[str, str]]]:
+    """Colours and arcs of the graph with out-bitsets ``outs`` on two red
+    vertices, then blue ones, vertex v named ``names[v]``."""
+    colors = {x: "red" if v < 2 else "blue" for v, x in enumerate(names)}
+    return colors, {(names[v], names[w]) for v, out in enumerate(outs) for w in bits(out)}
+
+
+def test_a_split_pair_fails_on_the_piece_holding_its_smallest_vertex():
+    # pieces are checked one after another, by smallest vertex, so of two
+    # failing pieces the one holding the smallest vertex names the failure
+    failing: dict[str, tuple[int, ...]] = {}
+    for outs in connected_sink_free_out_masks(2, 3):
+        verdict = check_axioms(ColoredDigraph(*_named_piece(outs, "abcde")))
+        if not verdict:
+            failing.setdefault(verdict.stage, outs)
+    assert {"N1", "N2", "N3"} <= failing.keys(), failing
+    for stage in ("N1", "N3"):
+        pieces = (failing[stage], failing["N2"])
+        stages = []
+        for namings in (("acegi", "bdfhj"), ("bdfhj", "acegi")):
+            colors, arcs = {}, set()
+            for outs, names in zip(pieces, namings):
+                piece_colors, piece_arcs = _named_piece(outs, names)
+                colors.update(piece_colors)
+                arcs |= piece_arcs
+            graph = ColoredDigraph(colors, arcs)
+            lowest = pieces[namings.index("acegi")]
+            expected = check_axioms(ColoredDigraph(*_named_piece(lowest, "acegi")))
+            assert pair_topology(graph, (1 << len(graph)) - 1) == Rejection("axioms", expected)
+            stages.append(expected.stage)
+        assert stages == [stage, "N2"]
