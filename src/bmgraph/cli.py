@@ -20,12 +20,14 @@ from .graphio import (
     read_graph,
     read_tree,
     write_graph,
+    write_text,
     write_tree,
 )
 from .n_color import recognize_ncbmg
 from .rbmg import check_2crbmg_necessary
 from .triples import informative_triples
 from .two_color import check_axioms
+from .verdicts import CheckResult, Rejection
 
 _ROUTE_BY_FLAG = {"pairwise": "pairwise-lrt", "direct": "informative-direct"}
 
@@ -53,9 +55,13 @@ def _witness_ids(obj: object) -> list[str]:
     return list(found)
 
 
-def _reject(stage: str, witness: object) -> int:
-    ids = " ".join(_witness_ids(witness))
-    print(f"REJECT {stage}{(' ' + ids) if ids else ''}", file=sys.stderr)
+def _verdict_text(verdict: Rejection | CheckResult) -> str:
+    """``<stage> <witness-ids>`` of a failed verdict: every REJECT and FAIL line."""
+    return " ".join((verdict.stage, *_witness_ids(verdict.witness)))
+
+
+def _reject(verdict: Rejection | CheckResult) -> int:
+    print(f"REJECT {_verdict_text(verdict)}", file=sys.stderr)
     return 1
 
 
@@ -73,10 +79,9 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     report = recognize_ncbmg(graph, route=_ROUTE_BY_FLAG[args.route])
     if args.emit_dot:
-        with open(args.emit_dot, "w", encoding="utf-8") as fh:
-            fh.write(format_dot(graph))
+        write_text(format_dot(graph), args.emit_dot)
     if report.lrt is None:  # set exactly when the graph is accepted
-        return _reject(report.stage or "unknown", report.witness)
+        return _reject(report.rejection)
     if report.note:
         print(f"NOTE {report.note}")
     print(f"ACCEPT {len(graph)} vertices {len(graph.color_ids)} colors")
@@ -89,17 +94,17 @@ def cmd_lrt(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     report = recognize_ncbmg(graph, route=_ROUTE_BY_FLAG[args.route])
     if report.lrt is None:  # set exactly when the graph is accepted
-        return _reject(report.stage or "unknown", report.witness)
+        return _reject(report.rejection)
     write_tree(report.lrt, args.out_tree, _colors_path(args.out_tree, None))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.colors == 1:
-        print("warning: one color produces an edge-less graph", file=sys.stderr)
     cfg = SimulationConfig(
         leaf_count=args.leaves, color_count=args.colors, seed=args.seed, shape=args.shape
     )
+    if args.colors == 1:
+        print("warning: one color produces an edge-less graph", file=sys.stderr)
     tree, graph = simulate(cfg)
     if args.out_tree:
         write_tree(tree, args.out_tree, _colors_path(args.out_tree, None))
@@ -111,28 +116,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_triples(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     lines = informative_triples(graph).to_lines()
-    text = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_text("".join(line + "\n" for line in lines), args.out or None)
     return 0
 
 
 def cmd_rbmg(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     sym = symmetric_part(graph)
-    text = format_undirected(sym)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the check raises on malformed input, which must leave nothing written
+    verdict = check_2crbmg_necessary(sym) if args.check else None
+    write_text(format_undirected(sym), args.out or None)
     if args.check:
-        verdict = check_2crbmg_necessary(sym)
         if not verdict:
-            return _reject(verdict.stage or "fail", verdict.witness)
+            return _reject(verdict)
         print("CHECK pass")
     return 0
 
@@ -148,12 +144,8 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
     for k, comp in enumerate(comps):
         sub = graph if len(comps) == 1 else subgraph_on(graph, comp)
         verdict = check_axioms(sub)
-        if verdict:
-            print(f"component {k} PASS")
-        else:
-            failures += 1
-            ids = " ".join(_witness_ids(verdict.witness))
-            print(f"component {k} FAIL {verdict.stage}{(' ' + ids) if ids else ''}")
+        failures += not verdict
+        print(f"component {k} {'PASS' if verdict else 'FAIL ' + _verdict_text(verdict)}")
     return 1 if failures else 0
 
 

@@ -13,6 +13,8 @@ sources once and emits each one's arcs by walking its out-bitset.
 
 from __future__ import annotations
 
+import sys
+
 from .digraph import ColoredDigraph, bits
 from .errors import ParseError, BmgraphError
 from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology
@@ -201,11 +203,19 @@ def read_tree(tree_path: str, colors_path: str) -> LeafColoredTree:
     return tree
 
 
+def write_text(text: str, path: str | None) -> None:
+    """The one writer of every text output: the file ``path``, or stdout
+    when no path is given."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_tree(tree: LeafColoredTree, tree_path: str, colors_path: str) -> None:
-    with open(tree_path, "w", encoding="utf-8") as fh:
-        fh.write(tree.newick() + "\n")
-    with open(colors_path, "w", encoding="utf-8") as fh:
-        fh.write(format_color_map(tree.colors))
+    write_text(tree.newick() + "\n", tree_path)
+    write_text(format_color_map(tree.colors), colors_path)
 
 
 _PALETTE = (
@@ -245,8 +255,7 @@ def read_graph(path: str) -> ColoredDigraph:
 
 
 def write_graph(graph: ColoredDigraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(graph))
+    write_text(format_graph(graph), path)
 
 
 __all__ = [
@@ -260,6 +269,7 @@ __all__ = [
     "write_tree",
     "read_graph",
     "write_graph",
+    "write_text",
     "format_dot",
     "BmgraphError",
 ]

@@ -25,6 +25,11 @@ hierarchy topology; and the BMG of a tree restricted to two colours is the
 tree's BMG restricted to their leaves, so the global comparison also
 catches any pair the candidate fails.  A ``2cbmg-failure`` witness is the
 pair's own ``Rejection``; the colour pair is recorded in ``pair_verdicts``.
+
+Recognition has one exit: each stage before the gate returns the candidate
+topology or a ``Rejection``, and ``recognize_ncbmg`` writes the verdict once.
+A single-colour graph takes the same path: without same-colour arcs it has
+no arc, each vertex is a component of its own, and the gate accepts their star.
 """
 
 from __future__ import annotations
@@ -74,22 +79,37 @@ class RecognitionReport:
 
     @property
     def rejection(self) -> Rejection | None:
-        return None if self.accepted else Rejection(self.stage or "unknown", self.witness)
+        return None if self.accepted else Rejection(self.stage, self.witness)
 
 
 def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> RecognitionReport:
     if route not in ROUTES:
         raise GraphError(f"unknown route {route!r}; pick one of {ROUTES}")
     report = RecognitionReport(accepted=False, route=route)
-    clock = time.perf_counter
+    outcome = _candidate(graph, route, report)
+    if not isinstance(outcome, Rejection):
+        t0 = time.perf_counter()
+        candidate = LeafColoredTree(outcome, graph.colors_as_dict())
+        mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
+        if mismatch is None:
+            report.timings["gate"] = time.perf_counter() - t0
+        outcome = candidate if mismatch is None else Rejection("graph-mismatch", mismatch)
+    if isinstance(outcome, Rejection):
+        report.stage, report.witness = outcome.stage, outcome.witness
+    else:
+        report.accepted, report.lrt = True, outcome
+        if len(graph.color_ids) == 1:
+            report.note = "single-color: edge-less graph, star tree"
+    return report
 
-    t0 = clock()
+
+def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> Topology | Rejection:
+    """The structure checks, then the candidate topologies of the components
+    joined under one root, or the first rejection."""
+    t0 = time.perf_counter()
     bad = graph.same_color_arc()
     if bad is not None:
-        i, j = bad
-        report.stage = "same-color-arc"
-        report.witness = (graph.vertex_ids[i], graph.vertex_ids[j])
-        return report
+        return Rejection("same-color-arc", tuple(graph.vertex_ids[v] for v in bad))
     comps = connected_components(graph)
     report.components = tuple(tuple(graph.vertex_ids[v] for v in comp) for comp in comps)
     color_sets = [
@@ -97,45 +117,19 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
     ]
     for k in range(1, len(color_sets)):
         if color_sets[k] != color_sets[0]:
-            report.stage = "component-color-mismatch"
-            report.witness = (report.components[0], report.components[k])
-            return report
-    report.timings["structure"] = clock() - t0
+            return Rejection("component-color-mismatch", (report.components[0], report.components[k]))
+    report.timings["structure"] = time.perf_counter() - t0
 
-    if len(graph.color_ids) == 1:
-        # no arcs can exist; any tree explains the graph, star is least resolved
-        topo: Topology = (
-            graph.vertex_ids[0] if len(graph) == 1 else tuple(graph.vertex_ids)
-        )
-        report.lrt = LeafColoredTree(topo, graph.colors_as_dict())
-        report.accepted = True
-        report.note = "single-color: edge-less graph, star tree"
-        return report
-
-    t0 = clock()
-    comp_topologies: list[Topology] = []
+    t0 = time.perf_counter()
+    topologies: list[Topology] = []
     for ci, comp in enumerate(comps):
         sub = graph if len(comps) == 1 else subgraph_on(graph, comp)
         outcome = _recognize_component(sub, ci, route, report)
         if isinstance(outcome, Rejection):
-            report.stage = outcome.stage
-            report.witness = outcome.witness
-            return report
-        comp_topologies.append(outcome)
-    report.timings["components"] = clock() - t0
-
-    t0 = clock()
-    topology = comp_topologies[0] if len(comp_topologies) == 1 else tuple(comp_topologies)
-    candidate = LeafColoredTree(topology, graph.colors_as_dict())
-    mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
-    if mismatch is not None:
-        report.stage = "graph-mismatch"
-        report.witness = mismatch
-        return report
-    report.timings["gate"] = clock() - t0
-    report.accepted = True
-    report.lrt = candidate
-    return report
+            return outcome
+        topologies.append(outcome)
+    report.timings["components"] = time.perf_counter() - t0
+    return tuple(topologies)  # a lone component's root is unwrapped by the tree
 
 
 def _recognize_component(

@@ -136,8 +136,10 @@ def _structure_check(graph: ColoredDigraph) -> PairClasses | CheckResult:
     classes = pair_classes(graph, (1 << len(graph)) - 1)
     if isinstance(classes, Rejection):
         return CheckResult(False, classes.stage, classes.witness)
-    if len(classes[2]) != 1:
-        return CheckResult(False, "disconnected", len(classes[2]))
+    if len(classes[2]) != 1:  # each piece's vertex ids; pieces come by smallest vertex
+        members, ids = classes[0], graph.vertex_ids
+        pieces = (sorted(v for a in bits(p) for v in members[a]) for p in classes[2])
+        return CheckResult(False, "disconnected", tuple(tuple(ids[v] for v in p) for p in pieces))
     return classes
 
 

@@ -3,10 +3,10 @@
     PYTHONPATH=src:tests python tests/sweep_two_color.py
 
 For every connected, sink-free two-colored digraph on at most 3 red + 3 blue
-vertices, for every digraph on the colour splits 2+2+1, 3+1+1, 2+1+1+1
-and 3+2+1 in which each vertex has an arc into every other colour, and for
-every graph on 2+2+2 vertices whose three colour pairs are best match graphs,
-both recognition routes must accept exactly when the graph is the best match
+vertices, for every digraph on the colour splits 2+2+1, 3+1+1, 2+1+1+1,
+3+2+1, 4+1+1, 3+1+1+1 and 2+2+1+1 in which each vertex has an arc into every
+other colour, and for every graph on 2+2+2 vertices whose three colour pairs
+are best match graphs, both recognition routes must accept exactly when the graph is the best match
 graph of some tree on those leaves; the trees are enumerated.  Then, on every
 tree of at most 5 leaves coloured by at least two of three colours,
 ``redundant_edges_n`` must be the set of inner edges whose contraction keeps
@@ -34,7 +34,7 @@ from util import (
     pair_bmg_product_out_masks,
 )
 
-SPLITS = ((2, 2, 1), (3, 1, 1), (2, 1, 1, 1), (3, 2, 1))
+SPLITS = ((2, 2, 1), (3, 1, 1), (2, 1, 1, 1), (3, 2, 1), (4, 1, 1), (3, 1, 1, 1), (2, 2, 1, 1))
 
 
 def main() -> int:

@@ -267,6 +267,23 @@ def test_cli_simulate_one_color_warns(tmp_path, capsys):
     assert "NOTE" in out and "single-color" in out
 
 
+@pytest.mark.parametrize("route", ["pairwise", "direct"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_cli_single_color_graphs_get_the_star(tmp_path, capsys, n, route):
+    ids = [f"v{i}" for i in range(n)]
+    gp = tmp_path / "one.g"
+    gp.write_text("".join(f"V {v} r\n" for v in ids))
+    assert run(["recognize", "--graph", str(gp), "--route", route]) == 0
+    assert capsys.readouterr().out == (
+        f"NOTE single-color: edge-less graph, star tree\nACCEPT {n} vertices 1 colors\n"
+    )
+    tp = tmp_path / "lrt.nwk"
+    assert run(["lrt", "--graph", str(gp), "--route", route, "--out-tree", str(tp)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert tp.read_text() == (ids[0] if n == 1 else f"({','.join(ids)})") + ";\n"
+    assert (tmp_path / "lrt.nwk.colors").read_text() == "".join(f"{v}\tr\n" for v in ids)
+
+
 def test_cli_simulate_is_byte_deterministic(tmp_path):
     args = [
         "simulate", "--leaves", "12", "--colors", "3", "--seed", "5",
@@ -307,6 +324,32 @@ def test_cli_rbmg_check(tmp_path, capsys):
     assert run(["rbmg", "--graph", gp, "--check"]) == 0
     out = capsys.readouterr().out
     assert "CHECK pass" in out and "V " in out
+
+
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("V a r\nV b b\nV c g\nA a b\nA b a\n", "check expects a two-colored undirected graph"),
+        ("V a r\nV b r\nV c b\nA a b\nA b a\nA a c\nA c a\n", "same-color edge 'a'-'b'"),
+    ],
+    ids=["three-colors", "same-color-edge"],
+)
+def test_cli_rbmg_check_exit_2_writes_nothing(tmp_path, capsys, text, message, out):
+    (tmp_path / "g.txt").write_text(text)
+    argv = ["rbmg", "--graph", str(tmp_path / "g.txt"), "--check"]
+    op = tmp_path / "sym.txt"
+    assert run(argv + (["--out", str(op)] if out else [])) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not op.exists()
+
+
+def test_cli_simulate_exit_2_writes_nothing(tmp_path, capsys):
+    tp, gp = tmp_path / "t.nwk", tmp_path / "g.txt"
+    argv = ["simulate", "--leaves", "1", "--colors", "1", "--seed", "1"]
+    assert run(argv + ["--out-tree", str(tp), "--out-graph", str(gp)]) == 2
+    assert capsys.readouterr() == ("", "error: simulation needs at least 2 leaves\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_check_axioms(tmp_path, capsys):

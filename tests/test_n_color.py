@@ -19,6 +19,7 @@ from bmgraph import (
     subgraph_on,
     thinness_partition,
 )
+from bmgraph.n_color import ROUTES
 from cases import (
     counterex_sym_graph,
     gate_mismatch_graph,
@@ -108,6 +109,19 @@ def test_single_color_graph_gets_star_with_note():
     single = ColoredDigraph({"a": "r"})
     rep = recognize_ncbmg(single)
     assert rep.accepted and rep.lrt.newick() == "a;"
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_single_color_graphs_get_the_star_on_both_routes(n, route):
+    ids = [f"v{i}" for i in range(n)]
+    report = recognize_ncbmg(ColoredDigraph({v: "r" for v in ids}), route=route)
+    assert report.accepted and report.rejection is None
+    assert report.lrt.newick() == (ids[0] if n == 1 else f"({','.join(ids)})") + ";"
+    assert report.lrt.colors == {v: "r" for v in ids}
+    assert report.note == "single-color: edge-less graph, star tree"
+    assert report.components == tuple((v,) for v in ids)
+    assert report.pair_verdicts == {}
 
 
 def test_round_trip_on_simulated_ncbmgs():

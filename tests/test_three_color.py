@@ -1,6 +1,7 @@
-"""Exactness beyond two colours: every graph on five vertices and three or
-four colours in which each vertex has an arc into every other colour, and
-every graph on 2+2+2 vertices whose three colour pairs are best match graphs,
+"""Exactness beyond two colours: every graph on five or six vertices and
+three or four colours, split 2+2+1, 3+1+1, 2+1+1+1, 4+1+1, 3+1+1+1 or
+2+2+1+1, in which each vertex has an arc into every other colour, and every
+graph on 2+2+2 vertices whose three colour pairs are best match graphs,
 against the best match graphs of all trees on those leaves."""
 
 from collections import Counter
@@ -15,10 +16,16 @@ from util import (
     pair_bmg_product_out_masks,
 )
 
-GRAPHS = {(2, 2, 1): 729, (3, 1, 1): 49, (2, 1, 1, 1): 27}
-# Verdict stages per split and route.  On 2+2+1 both rejections behind the
-# pair checks occur: pair trees that BUILD cannot join, and joined trees that
-# only the final arc-for-arc gate rejects, as ``cases.gate_mismatch_graph``.
+GRAPHS = {
+    (2, 2, 1): 729, (3, 1, 1): 49, (2, 1, 1, 1): 27,
+    (4, 1, 1): 225, (3, 1, 1, 1): 343, (2, 2, 1, 1): 6561,
+}
+# Verdict stages per split and route.  On 2+2+1 and 2+2+1+1 both rejections
+# behind the pair checks occur: pair trees that BUILD cannot join, and joined
+# trees that only the final arc-for-arc gate rejects, as
+# ``cases.gate_mismatch_graph``.  Where at most one colour has two or more
+# vertices, each colour pair has a single vertex on one side and is a best
+# match graph, so no pair check fails.
 STAGES = {
     (2, 2, 1): {
         "pairwise-lrt": {
@@ -31,6 +38,20 @@ STAGES = {
         "informative-direct": {"accepted": 43, "triples-inconsistent": 6},
     },
     (2, 1, 1, 1): {"pairwise-lrt": {"accepted": 27}, "informative-direct": {"accepted": 27}},
+    (4, 1, 1): {
+        "pairwise-lrt": {"accepted": 165, "triples-inconsistent": 60},
+        "informative-direct": {"accepted": 165, "triples-inconsistent": 60},
+    },
+    (3, 1, 1, 1): {
+        "pairwise-lrt": {"accepted": 247, "triples-inconsistent": 96},
+        "informative-direct": {"accepted": 247, "triples-inconsistent": 96},
+    },
+    (2, 2, 1, 1): {
+        "pairwise-lrt": {
+            "accepted": 407, "2cbmg-failure": 5022, "triples-inconsistent": 472, "graph-mismatch": 660,
+        },
+        "informative-direct": {"accepted": 407, "triples-inconsistent": 3718, "graph-mismatch": 2436},
+    },
 }
 # On 2+2+2 each of the three pairs is one of the 19 best match graphs on 2+2
 # leaves, so no pair check fails.  Consistent pair trees whose join still
@@ -55,12 +76,22 @@ def sweep(sizes: tuple[int, ...], out_masks) -> dict[str, Counter]:
     return stages
 
 
-def test_both_routes_accept_exactly_the_tree_bmgs_on_five_vertices():
-    found = {sizes: sweep(sizes, foreign_arc_out_masks(sizes)) for sizes in GRAPHS}
-    for sizes, count in GRAPHS.items():
+def check_splits(vertices: int) -> None:
+    """Graph counts and verdict stages of the splits of ``vertices``."""
+    splits = [sizes for sizes in GRAPHS if sum(sizes) == vertices]
+    found = {sizes: sweep(sizes, foreign_arc_out_masks(sizes)) for sizes in splits}
+    for sizes in splits:
         for route in ROUTES:
-            assert sum(found[sizes][route].values()) == count, (sizes, route)
-    assert found == STAGES
+            assert sum(found[sizes][route].values()) == GRAPHS[sizes], (sizes, route)
+    assert found == {sizes: STAGES[sizes] for sizes in splits}
+
+
+def test_both_routes_accept_exactly_the_tree_bmgs_on_five_vertices():
+    check_splits(5)
+
+
+def test_both_routes_accept_exactly_the_tree_bmgs_on_six_vertices():
+    check_splits(6)
 
 
 def test_both_routes_accept_exactly_the_tree_bmgs_among_2_2_2_pair_bmg_products():

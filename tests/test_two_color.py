@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bmgraph import (
+    CheckResult,
     ColoredDigraph,
     GraphError,
     Hierarchy,
@@ -125,7 +126,19 @@ def test_structural_verdicts_are_distinct():
         [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")],
     )
     assert check_axioms(split).stage == "disconnected"
-    assert check_axioms(split).witness == 2
+    assert check_axioms(split).witness == (("a", "b"), ("c", "d"))
+
+
+def test_disconnected_witness_names_each_piece_by_its_vertices():
+    # the pieces interleave in vertex order; each is named by its vertex ids,
+    # in vertex order, and the pieces come by their smallest vertex
+    split = ColoredDigraph(
+        {"a": "r", "b": "b", "c": "r", "d": "b", "e": "r"},
+        [("a", "d"), ("d", "a"), ("c", "b"), ("b", "c"), ("e", "b")],
+    )
+    expected = CheckResult(False, "disconnected", (("a", "d"), ("b", "c", "e")))
+    assert check_axioms(split) == expected
+    assert lrt_via_hierarchy(split) == Rejection("axioms", expected)
 
 
 def test_reachable_sets_of_weird_tree():
