@@ -8,6 +8,7 @@ usage error.  Rejections print one stable line to stderr:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -16,6 +17,7 @@ from .digraph import connected_components, subgraph_on, symmetric_part
 from .errors import BmgraphError
 from .graphio import (
     format_dot,
+    format_graph,
     format_undirected,
     read_graph,
     read_tree,
@@ -78,15 +80,16 @@ def cmd_from_tree(args: argparse.Namespace) -> int:
 def cmd_recognize(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     report = recognize_ncbmg(graph, route=_ROUTE_BY_FLAG[args.route])
-    if args.emit_dot:
-        write_text(format_dot(graph), args.emit_dot)
+    outputs = [(format_dot(graph), args.emit_dot)] if args.emit_dot else []
     if report.lrt is None:  # set exactly when the graph is accepted
+        write_text(*outputs)
         return _reject(report.rejection)
-    if report.note:
-        print(f"NOTE {report.note}")
-    print(f"ACCEPT {len(graph)} vertices {len(graph.color_ids)} colors")
+    note = f"NOTE {report.note}\n" if report.note else ""
+    outputs.append((f"{note}ACCEPT {len(graph)} vertices {len(graph.color_ids)} colors\n", None))
     if args.emit_lrt:
-        write_tree(report.lrt, args.emit_lrt, _colors_path(args.emit_lrt, None))
+        write_tree(report.lrt, args.emit_lrt, _colors_path(args.emit_lrt, None), *outputs)
+    else:
+        write_text(*outputs)
     return 0
 
 
@@ -106,17 +109,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.colors == 1:
         print("warning: one color produces an edge-less graph", file=sys.stderr)
     tree, graph = simulate(cfg)
+    outputs = [(format_graph(graph), args.out_graph)] if args.out_graph else []
     if args.out_tree:
-        write_tree(tree, args.out_tree, _colors_path(args.out_tree, None))
-    if args.out_graph:
-        write_graph(graph, args.out_graph)
+        write_tree(tree, args.out_tree, _colors_path(args.out_tree, None), *outputs)
+    else:
+        write_text(*outputs)
     return 0
 
 
 def cmd_triples(args: argparse.Namespace) -> int:
     graph = read_graph(args.graph)
     lines = informative_triples(graph).to_lines()
-    write_text("".join(line + "\n" for line in lines), args.out or None)
+    write_text(("".join(line + "\n" for line in lines), args.out or None))
     return 0
 
 
@@ -125,7 +129,7 @@ def cmd_rbmg(args: argparse.Namespace) -> int:
     sym = symmetric_part(graph)
     # the check raises on malformed input, which must leave nothing written
     verdict = check_2crbmg_necessary(sym) if args.check else None
-    write_text(format_undirected(sym), args.out or None)
+    write_text((format_undirected(sym), args.out or None))
     if args.check:
         if not verdict:
             return _reject(verdict)
@@ -140,10 +144,8 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
             f"check-axioms expects a two-colored graph, got {len(graph.color_ids)} colors"
         )
     failures = 0
-    comps = connected_components(graph)
-    for k, comp in enumerate(comps):
-        sub = graph if len(comps) == 1 else subgraph_on(graph, comp)
-        verdict = check_axioms(sub)
+    for k, comp in enumerate(connected_components(graph)):
+        verdict = check_axioms(subgraph_on(graph, comp))
         failures += not verdict
         print(f"component {k} {'PASS' if verdict else 'FAIL ' + _verdict_text(verdict)}")
     return 1 if failures else 0
@@ -203,9 +205,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``main`` builds its parser on the first call and reuses it after
+_parser = functools.cache(make_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (BmgraphError, OSError) as exc:

@@ -171,16 +171,17 @@ def induced_subgraph(graph: ColoredDigraph, colors: Iterable[str]) -> ColoredDig
     unknown = wanted - set(graph.color_ids)
     if unknown:
         raise GraphError(f"unknown color id(s): {sorted(unknown)}")
-    if len(wanted) == len(graph.color_ids):
-        return graph  # immutable, so the whole graph serves as its own copy
     kept = {k for k, c in enumerate(graph.color_ids) if c in wanted}
     in_kept = map(kept.__contains__, graph.color_of)
     return subgraph_on(graph, itertools.compress(range(len(graph)), in_kept))
 
 
 def subgraph_on(graph: ColoredDigraph, vertices: Iterable[int]) -> ColoredDigraph:
-    """Subgraph induced by a set of vertex indices; original ids kept."""
+    """Subgraph induced by a set of vertex indices; original ids kept.  A
+    graph is immutable, so on every vertex it serves as its own subgraph."""
     keep = sorted(set(vertices))
+    if len(keep) == len(graph):
+        return graph
     kept = sum(1 << i for i in keep)
     new_bit = {i: 1 << k for k, i in enumerate(keep)}
     ids, names, color_of = graph.vertex_ids, graph.color_ids, graph.color_of

@@ -13,7 +13,10 @@ sources once and emits each one's arcs by walking its out-bitset.
 
 from __future__ import annotations
 
+import os
+import stat
 import sys
+from typing import TextIO
 
 from .digraph import ColoredDigraph, bits
 from .errors import ParseError, BmgraphError
@@ -203,19 +206,43 @@ def read_tree(tree_path: str, colors_path: str) -> LeafColoredTree:
     return tree
 
 
-def write_text(text: str, path: str | None) -> None:
-    """The one writer of every text output: the file ``path``, or stdout
-    when no path is given."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+# A text and where it goes: a file path, or None for stdout.
+Output = tuple[str, str | None]
 
 
-def write_tree(tree: LeafColoredTree, tree_path: str, colors_path: str) -> None:
-    write_text(tree.newick() + "\n", tree_path)
-    write_text(format_color_map(tree.colors), colors_path)
+def write_text(*outputs: Output) -> None:
+    """The one writer of every text output, which takes all of a command's
+    outputs at once.  Every file is opened before any is truncated or
+    written; if an open fails, the files it created are removed and nothing
+    is written.  Stdout comes last."""
+    opened: list[tuple[TextIO, str, bool]] = []  # handle, text, whether the file was there
+    try:
+        for text, path in outputs:
+            if path is not None:
+                try:
+                    opened.append((open(path, "x", encoding="utf-8"), text, False))
+                except FileExistsError:
+                    opened.append((open(path, "a", encoding="utf-8"), text, True))
+    except OSError:
+        for fh, _, existed in opened:
+            fh.close()
+            if not existed:
+                os.remove(fh.name)
+        raise
+    for fh, text, existed in opened:
+        with fh:
+            if existed and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)  # opened to append, so only now is the old text cut
+            fh.write(text)
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
+
+
+def write_tree(tree: LeafColoredTree, tree_path: str, colors_path: str, *others: Output) -> None:
+    """The tree's Newick file and colour sidecar, written with the command's
+    ``others`` outputs."""
+    write_text((tree.newick() + "\n", tree_path), (format_color_map(tree.colors), colors_path), *others)
 
 
 _PALETTE = (
@@ -255,7 +282,7 @@ def read_graph(path: str) -> ColoredDigraph:
 
 
 def write_graph(graph: ColoredDigraph, path: str) -> None:
-    write_text(format_graph(graph), path)
+    write_text((format_graph(graph), path))
 
 
 __all__ = [

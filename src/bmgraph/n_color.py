@@ -5,15 +5,18 @@ and require equal color sets; these are the only structure checks.  Then per
 component either (a) recognize the two-colored graph of every color pair,
 take its unique least resolved tree, and feed all pair trees to a supertree
 BUILD, or (b) run BUILD on the union of the pairwise informative triples.
-Both read the component's own bitset adjacency.  In (a) a pair is the vertex
-mask of its two colours, and ``two_color.pair_topology`` reads its sinks,
-pieces and thinness classes off the vertices' out- and in-bitsets, with no
-subgraph copy, and returns its tree as a cluster family over the same
-vertex bitsets; ``build_from_trees`` glues from those families, so no pair
-tree is ever built.  In (b) ``build`` reads the glue of the informative
-triples off the out-neighbourhoods split by colour
-(``triples.color_masks``), and the pair notes count each pair's triples
-from the same masks.
+A component is a vertex mask ``ground`` of the input graph, and both read
+the input graph's own bitset adjacency: no component or pair is copied, and
+every vertex keeps its one index.  The colour bitsets are taken once per
+graph.  In (a) a pair is the vertex mask ``(first | second) & ground`` of
+its two colours, and ``two_color.pair_topology`` reads its sinks, pieces
+and thinness classes off the vertices' out- and in-bitsets and returns its
+tree as a cluster family over the same vertex bitsets;
+``build_from_trees`` glues from those families on the leaf set ``ground``,
+so no pair tree is ever built.  In (b) ``build`` reads the glue of the
+informative triples off the out-neighbourhoods split by colour
+(``triples.color_masks``, taken once per graph), and the pair notes count
+each pair's triples inside ``ground`` from the same masks.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the forward engine
@@ -39,8 +42,8 @@ import time
 from dataclasses import dataclass, field
 
 from .bmg import bmg_of_tree
-# induced_subgraph, informative_triples and lrt_via_hierarchy stay bound here:
-# perfbench/layers.py traces them by these names
+# induced_subgraph, subgraph_on, informative_triples and lrt_via_hierarchy
+# stay bound here: perfbench/layers.py traces them by these names
 from .digraph import (  # noqa: F401
     ColoredDigraph,
     connected_components,
@@ -51,6 +54,7 @@ from .digraph import (  # noqa: F401
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
 from .triples import (  # noqa: F401
+    ColorMasks,
     build,
     build_from_trees,
     color_masks,
@@ -61,6 +65,10 @@ from .two_color import lrt_via_hierarchy, pair_topology  # noqa: F401
 from .verdicts import Rejection
 
 ROUTES = ("pairwise-lrt", "informative-direct")
+
+# The colour pairs ``(s, t, mask)`` of a graph, ``mask`` holding the vertices
+# of both colours.
+ColorPairs = list[tuple[str, str, int]]
 
 
 @dataclass
@@ -121,10 +129,15 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
     report.timings["structure"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    shared: ColorMasks | ColorPairs
+    if route == "informative-direct":
+        shared = color_masks(graph)
+    else:
+        named = zip(graph.color_ids, graph.color_bitsets())
+        shared = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
     topologies: list[Topology] = []
     for ci, comp in enumerate(comps):
-        sub = graph if len(comps) == 1 else subgraph_on(graph, comp)
-        outcome = _recognize_component(sub, ci, route, report)
+        outcome = _recognize_component(graph, sum(1 << v for v in comp), ci, shared, report)
         if isinstance(outcome, Rejection):
             return outcome
         topologies.append(outcome)
@@ -133,32 +146,37 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
 
 
 def _recognize_component(
-    sub: ColoredDigraph, ci: int, route: str, report: RecognitionReport
+    graph: ColoredDigraph,
+    ground: int,
+    ci: int,
+    shared: ColorMasks | ColorPairs,
+    report: RecognitionReport,
 ) -> Topology | Rejection:
-    """Candidate topology of one component; no tree is built and no gate
-    runs here, the caller's global comparison is the only one."""
-    if route == "informative-direct":
-        masks = color_masks(sub)
-        counts = informative_triple_counts(masks)
-        names = sub.color_ids
+    """Candidate topology of the component with vertex mask ``ground``, from
+    what the route shares across components: the graph's ``ColorMasks`` on
+    the direct route, its colour pairs as vertex masks on the pairwise one.
+    No tree is built and no gate runs here, the caller's global comparison
+    is the only one."""
+    if isinstance(shared, ColorMasks):
+        counts = informative_triple_counts(shared, ground)
+        names = graph.color_ids
         for s, t in itertools.combinations(range(len(names)), 2):
             report.pair_verdicts[(ci, (names[s], names[t]))] = (
                 f"{counts.get((s, t), 0)} informative triples"
             )
-        topo = build(masks, sub.vertex_ids)
+        topo = build(shared, report.components[ci])
     else:
         families = []
-        pairs = itertools.combinations(zip(sub.color_ids, sub.color_bitsets()), 2)
-        for (s, first), (t, second) in pairs:
-            family = pair_topology(sub, first | second)
+        for s, t, pair in shared:
+            family = pair_topology(graph, pair & ground)
             if isinstance(family, Rejection):
                 report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"
                 return Rejection("2cbmg-failure", family)
             report.pair_verdicts[(ci, (s, t))] = "2-cBMG"
             families.append(family)
-        topo = build_from_trees(families, sub.vertex_ids)
+        topo = build_from_trees(families, graph.vertex_ids, ground)
     if topo is None:
-        return Rejection("triples-inconsistent", tuple(sub.vertex_ids))
+        return Rejection("triples-inconsistent", report.components[ci])
     return topo
 
 

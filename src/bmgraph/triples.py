@@ -122,9 +122,9 @@ def build(
         source = color_masks(source)
     if isinstance(source, ColorMasks):
         graph = source.graph
-        unknown = set(leaf_list) - graph.index_of.keys()
+        unknown = [x for x in leaf_list if x not in graph.index_of]
         if unknown:
-            raise GraphError(f"leaves {sorted(unknown)} are no vertices of the graph")
+            raise GraphError(f"leaves {unknown} are no vertices of the graph")
         names = graph.vertex_ids
         glue = _graph_glue(source)
         root = sum(1 << graph.index_of[x] for x in leaf_list)
@@ -245,15 +245,18 @@ def color_masks(graph: ColoredDigraph) -> ColorMasks:
     return ColorMasks(graph, colors, outs)
 
 
-def informative_triple_counts(masks: ColorMasks) -> dict[tuple[int, int], int]:
+def informative_triple_counts(masks: ColorMasks, ground: int) -> dict[tuple[int, int], int]:
     """Informative triples per color pair ``(s, t)``, ``s < t`` color indices,
-    in closed form for a graph without same-color arcs: ab|z arises from the
-    one arc a->b and the one z of b's color outside N(a), so a pair counts
+    of the subgraph on the vertex mask ``ground``, which no arc leaves, in
+    closed form for a graph without same-color arcs: ab|z arises from the one
+    arc a->b and the one z of b's color outside N(a), so a pair counts
     |N_u(a)| * (|L_u| - |N_u(a)|) over its vertices a, u the other color."""
-    sizes = [mask.bit_count() for mask in masks.colors]
+    sizes = [(mask & ground).bit_count() for mask in masks.colors]
+    color_of, outs = masks.graph.color_of, masks.outs
     counts: dict[tuple[int, int], int] = {}
-    for s, per_color in zip(masks.graph.color_of, masks.outs):
-        for t, hit in per_color:
+    for a in bits(ground):
+        s = color_of[a]
+        for t, hit in outs[a]:
             k = hit.bit_count()
             pair = (s, t) if s < t else (t, s)
             counts[pair] = counts.get(pair, 0) + k * (sizes[t] - k)
@@ -275,16 +278,20 @@ def _triple_glue(triples: TripleSet | Iterable[RootedTriple], index: dict[str, i
     return glue
 
 
-def build_from_trees(families: list[Family], leaves: Sequence[str]) -> Topology | None:
-    """BUILD on the triples that trees display, each tree a cluster family
-    over leaf bitsets, bit v naming ``leaves[v]``: at a level M, a family
-    with two or more leaves in M glues ``kid & M`` for each kid of its lca
-    of them, the children of its restricted root (BuildST, Deng &
-    Fernandez-Baca 2018).  That lca lies at or below the one of M's parent
-    level, where the search starts.  One frame per level."""
-    if not leaves:
+def build_from_trees(families: list[Family], names: Sequence[str], root: int | None = None) -> Topology | None:
+    """BUILD on the leaf bitset ``root`` (all of ``names`` when omitted), on
+    the triples that trees display, each tree a cluster family over leaf
+    bitsets, bit v naming ``names[v]``; leaves that no family covers stay
+    leaves of the root.  At a level M, a family with two or more leaves in M
+    glues ``kid & M`` for each kid of its lca of them, the children of its
+    restricted root (BuildST, Deng & Fernandez-Baca 2018).  That lca lies at
+    or below the one of M's parent level, where the search starts.  One
+    frame per level."""
+    if root is None:
+        root = (1 << len(names)) - 1
+    if not root:
         raise GraphError("BUILD needs at least one leaf")
-    return _build_st((1 << len(leaves)) - 1, families, leaves)
+    return _build_st(root, families, names)
 
 
 def _build_st(level: int, nodes: list[Family], names: Sequence[str]) -> Topology | None:

@@ -1,10 +1,10 @@
 """Two-colored recognition: neighborhood axioms, reachable sets, and the
 hierarchy route to the unique least resolved tree.
 
-No subgraph is copied.  A graph, or a component of the n-colour recognizer,
-is read through its own adjacency, each vertex's out- and in-neighbourhood
-as a Python-int bitset (``out_masks``, ``in_masks``), and a two-colored
-graph inside it is a vertex mask, such as two colours.  ``pair_classes``
+No subgraph is copied.  A graph is read through its own adjacency, each
+vertex's out- and in-neighbourhood as a Python-int bitset (``out_masks``,
+``in_masks``), and a two-colored graph inside it is a vertex mask, such as
+two colours of one component of the n-colour recognizer.  ``pair_classes``
 reads its thinness classes off the masks and keeps one class table per
 pair: class-level neighbourhoods are bitsets too, bit ``c`` standing for
 class ``c``.  No class neighbourhood crosses a weakly connected piece, so

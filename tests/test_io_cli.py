@@ -3,7 +3,7 @@
 import pytest
 
 from bmgraph import ParseError, TreeError, bmg_of_tree
-from bmgraph.cli import main
+from bmgraph.cli import main, make_parser
 from bmgraph.graphio import (
     format_dot,
     format_graph,
@@ -344,12 +344,61 @@ def test_cli_rbmg_check_exit_2_writes_nothing(tmp_path, capsys, text, message, o
     assert not op.exists()
 
 
-def test_cli_simulate_exit_2_writes_nothing(tmp_path, capsys):
-    tp, gp = tmp_path / "t.nwk", tmp_path / "g.txt"
-    argv = ["simulate", "--leaves", "1", "--colors", "1", "--seed", "1"]
+@pytest.mark.parametrize(
+    "leaves, colors, graph_dir", [("1", "1", ""), ("6", "2", "missing/")], ids=["one-leaf", "unopenable-graph"]
+)
+def test_cli_simulate_exit_2_writes_nothing(tmp_path, capsys, leaves, colors, graph_dir):
+    # a graph path that cannot be opened leaves no tree file behind either
+    tp, gp = tmp_path / "t.nwk", tmp_path / f"{graph_dir}g.txt"
+    argv = ["simulate", "--leaves", leaves, "--colors", colors, "--seed", "1"]
     assert run(argv + ["--out-tree", str(tp), "--out-graph", str(gp)]) == 2
-    assert capsys.readouterr() == ("", "error: simulation needs at least 2 leaves\n")
+    out, err = capsys.readouterr()
+    assert out == ""
+    if leaves == "1":
+        assert err == "error: simulation needs at least 2 leaves\n"
+    else:
+        assert err.startswith("error: [Errno 2] No such file or directory:") and str(gp) in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("old_dot", [None, "old\n"], ids=["new-dot", "existing-dot"])
+def test_cli_recognize_exit_2_on_an_unopenable_tree_path_writes_nothing(tmp_path, capsys, old_dot):
+    # the graph is accepted, but no ACCEPT line is printed, and the DOT file,
+    # opened first, is removed again or left as it was
+    gp, dp, lp = tmp_path / "g.txt", tmp_path / "d.dot", tmp_path / "missing" / "l.nwk"
+    write_graph(random_scenario(4, max_leaves=10, max_colors=2)[1], str(gp))
+    if old_dot is not None:
+        dp.write_text(old_dot)
+    argv = ["recognize", "--graph", str(gp), "--emit-dot", str(dp)]
+    assert run(argv + ["--emit-lrt", str(lp)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory:") and str(lp) in err
+    if old_dot is None:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+    else:
+        assert dp.read_text() == old_dot
+        assert run(argv) == 0  # a file that was there is cut only once every path opens
+        assert dp.read_text() == format_dot(read_graph(str(gp)))
+
+
+def test_cli_usage_error_then_a_command_in_one_process(tmp_path, capsys):
+    # ``main`` builds its parser once per process: a usage error must leave
+    # it as a fresh parser would, for every later call
+    gp = tmp_path / "g.txt"
+    write_graph(smallest_counterexample(), str(gp))
+    usage = ["recognize", "--route", "nope", "--graph", str(gp)]
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(usage)
+    fresh = capsys.readouterr()
+    assert fresh.out == "" and "invalid choice: 'nope'" in fresh.err
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            run(usage)
+        assert stop.value.code == 2
+        assert capsys.readouterr() == fresh
+        assert run(["recognize", "--graph", str(gp)]) == 1
+        assert capsys.readouterr() == ("", "REJECT 2cbmg-failure w\n")
 
 
 def test_cli_check_axioms(tmp_path, capsys):

@@ -112,9 +112,9 @@ def test_single_color_graph_gets_star_with_note():
 
 
 @pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 5, 10_000])
 def test_single_color_graphs_get_the_star_on_both_routes(n, route):
-    ids = [f"v{i}" for i in range(n)]
+    ids = [f"v{i:05d}" for i in range(n)]  # zero-padded, so listed in sorted order
     report = recognize_ncbmg(ColoredDigraph({v: "r" for v in ids}), route=route)
     assert report.accepted and report.rejection is None
     assert report.lrt.newick() == (ids[0] if n == 1 else f"({','.join(ids)})") + ";"
@@ -190,6 +190,54 @@ def test_disconnected_union_accepted_iff_same_color_sets():
         recolors[f"R{v}"] = "other-" + g2.color_name(i)
     broken = ColoredDigraph(recolors, arcs)
     assert recognize_ncbmg(broken).stage == "component-color-mismatch"
+
+
+def _component_copy_reference(graph: ColoredDigraph, route: str) -> dict:
+    """The report fields of a rejected graph, each component recognized from
+    its own ``subgraph_on`` copy: the first component to fail before the
+    gate gives the verdict, or else the smallest arc that a component's gate
+    names, since the joined tree explains each component on its own."""
+    comps = connected_components(graph)
+    fields = {
+        "accepted": False,
+        "route": route,
+        "lrt": None,
+        "note": None,
+        "components": tuple(tuple(graph.vertex_ids[v] for v in comp) for comp in comps),
+        "pair_verdicts": {},
+    }
+    mismatches = []
+    for ci, comp in enumerate(comps):
+        report = recognize_ncbmg(subgraph_on(graph, comp), route=route)
+        fields["pair_verdicts"].update(((ci, pair), v) for (_, pair), v in report.pair_verdicts.items())
+        if report.stage == "graph-mismatch":
+            mismatches.append(report.witness)
+        elif not report.accepted:
+            return {**fields, "stage": report.stage, "witness": report.witness}
+    return {**fields, "stage": "graph-mismatch", "witness": min(mismatches)}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("bmg_first", [True, False], ids=["bmg-first", "bmg-second"])
+@pytest.mark.parametrize("failing", ["counterexample", "gate-mismatch"])
+def test_union_of_a_bmg_and_a_failing_component_matches_the_copying_reference(failing, bmg_first, route):
+    bad = smallest_counterexample() if failing == "counterexample" else gate_mismatch_graph()
+    names = bad.color_ids
+    good = bmg_of_tree(LeafColoredTree((("p", "q"), "r"), {"p": names[0], "q": names[1], "r": names[-1]}))
+    good_prefix, bad_prefix = ("a", "b") if bmg_first else ("b", "a")
+    colors, arcs = {}, []
+    for prefix, part in ((good_prefix, good), (bad_prefix, bad)):
+        colors.update({prefix + v: c for v, c in part.colors_as_dict().items()})
+        arcs += [(prefix + x, prefix + y) for x, y in arc_ids(part)]
+    union = ColoredDigraph(colors, arcs)
+    report = recognize_ncbmg(union, route=route)
+    expected = _component_copy_reference(union, route)
+    assert {name: getattr(report, name) for name in expected} == expected
+    assert report.stage == {
+        ("counterexample", "pairwise-lrt"): "2cbmg-failure",
+        ("counterexample", "informative-direct"): "triples-inconsistent",
+    }.get((failing, route), "graph-mismatch")
+    assert report.components[1 if bmg_first else 0][0].startswith(bad_prefix)
 
 
 def test_report_carries_components_pairs_and_timings():

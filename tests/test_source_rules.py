@@ -72,10 +72,11 @@ def _functions(module: str) -> dict[str, ast.FunctionDef]:
 
 
 def test_pairwise_hot_path_copies_no_pair_graph():
-    # the pair layer reads each colour pair off the component's bitsets and
-    # BUILD glues from the pairs' cluster families; a subgraph copy, a
-    # thinness partition, a repeated structure check or a tree per pair would
-    # bring back the per-pair graph and tree objects
+    # a component is a vertex mask of the input graph, the pair layer reads
+    # each colour pair off the graph's bitsets and BUILD glues from the
+    # pairs' cluster families; a subgraph copy, a thinness partition, a
+    # repeated structure check or a tree per pair would bring back the
+    # per-component or per-pair graph and tree objects
     forbidden = {
         "induced_subgraph",
         "subgraph_on",
@@ -85,7 +86,7 @@ def test_pairwise_hot_path_copies_no_pair_graph():
     }
     helpers = ("two_color", "triples")
     defs = {module: _functions(module) for module in ("n_color", *helpers)}
-    work = [("n_color", "_recognize_component")]
+    work = [("n_color", "_candidate")]
     reached: set[tuple[str, str]] = set()
     calls: dict[str, set[str]] = {}
     while work:
