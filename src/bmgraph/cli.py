@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success/accept, 1 mathematical rejection, 2 malformed input or
-usage error.  Rejections print one stable line to stderr:
+Exit codes: 0 success/accept, 1 mathematical rejection, 2 malformed input,
+usage error or internal error.  Rejections print one stable line to stderr:
 ``REJECT <stage> <witness-ids>``.
 """
 
@@ -38,9 +38,8 @@ def _witness_ids(obj: object) -> list[str]:
     """Vertex ids of a witness structure, each once, in the order they appear.
 
     Tuples and lists keep their order, so an arc ``(x, y)`` prints as
-    ``x y``; unordered sets are read in sorted order; a nested verdict is
-    read through its ``witness``.  Anything else, such as an index, names
-    no vertex and is skipped.
+    ``x y``; a nested verdict is read through its ``witness``.  Anything
+    else, such as an index, names no vertex and is skipped.
     """
     found: dict[str, None] = {}
     work = [obj]
@@ -50,8 +49,6 @@ def _witness_ids(obj: object) -> list[str]:
             found.setdefault(item)
         elif isinstance(item, (tuple, list)):
             work.extend(reversed(item))
-        elif isinstance(item, (set, frozenset)):
-            work.extend(sorted(item, key=str, reverse=True))
         elif getattr(item, "witness", None) is not None:
             work.append(item.witness)
     return list(found)
@@ -219,7 +216,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # an exception that ``main`` does not handle is no rejection: exit 2, not 1
+    try:
+        code = main()
+    except Exception as exc:
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ bitset's bits (``bits``) lists its vertices sorted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -140,10 +139,9 @@ class ColoredDigraph:
         return f"ColoredDigraph({len(self)} vertices, {self.arc_count()} arcs, {len(self.color_ids)} colors)"
 
 
-def connected_components(graph: ColoredDigraph) -> list[tuple[int, ...]]:
-    """Weakly connected components, ordered by smallest vertex."""
-    comps = bitset_components(graph.out_masks, graph.in_masks, (1 << len(graph)) - 1)
-    return [tuple(bits(comp)) for comp in comps]
+def connected_components(graph: ColoredDigraph) -> list[int]:
+    """Weakly connected components as vertex bitsets, ordered by smallest vertex."""
+    return bitset_components(graph.out_masks, graph.in_masks, (1 << len(graph)) - 1)
 
 
 def bitset_components(outs: Sequence[int], ins: Sequence[int], left: int) -> list[int]:
@@ -165,24 +163,29 @@ def bitset_components(outs: Sequence[int], ins: Sequence[int], left: int) -> lis
     return comps
 
 
+def check_vertex_mask(graph: ColoredDigraph, mask: int) -> None:
+    """Raise unless ``mask`` is a bitset of the graph's vertex indices."""
+    if not isinstance(mask, int) or mask < 0 or mask.bit_length() > len(graph):
+        raise GraphError(f"vertex set is no bitset of the graph's {len(graph)} vertex indices")
+
+
 def induced_subgraph(graph: ColoredDigraph, colors: Iterable[str]) -> ColoredDigraph:
     """Subgraph on all vertices whose color lies in ``colors``."""
     wanted = set(colors)
     unknown = wanted - set(graph.color_ids)
     if unknown:
         raise GraphError(f"unknown color id(s): {sorted(unknown)}")
-    kept = {k for k, c in enumerate(graph.color_ids) if c in wanted}
-    in_kept = map(kept.__contains__, graph.color_of)
-    return subgraph_on(graph, itertools.compress(range(len(graph)), in_kept))
+    by_color = zip(graph.color_ids, graph.color_bitsets())
+    return subgraph_on(graph, sum(mask for name, mask in by_color if name in wanted))  # disjoint: sum is OR
 
 
-def subgraph_on(graph: ColoredDigraph, vertices: Iterable[int]) -> ColoredDigraph:
-    """Subgraph induced by a set of vertex indices; original ids kept.  A
+def subgraph_on(graph: ColoredDigraph, kept: int) -> ColoredDigraph:
+    """Subgraph induced by the vertex bitset ``kept``; original ids kept.  A
     graph is immutable, so on every vertex it serves as its own subgraph."""
-    keep = sorted(set(vertices))
-    if len(keep) == len(graph):
+    check_vertex_mask(graph, kept)
+    if kept == (1 << len(graph)) - 1:
         return graph
-    kept = sum(1 << i for i in keep)
+    keep = list(bits(kept))
     new_bit = {i: 1 << k for k, i in enumerate(keep)}
     ids, names, color_of = graph.vertex_ids, graph.color_ids, graph.color_of
     return ColoredDigraph.from_masks(

@@ -5,18 +5,19 @@ and require equal color sets; these are the only structure checks.  Then per
 component either (a) recognize the two-colored graph of every color pair,
 take its unique least resolved tree, and feed all pair trees to a supertree
 BUILD, or (b) run BUILD on the union of the pairwise informative triples.
-A component is a vertex mask ``ground`` of the input graph, and both read
-the input graph's own bitset adjacency: no component or pair is copied, and
-every vertex keeps its one index.  The colour bitsets are taken once per
-graph.  In (a) a pair is the vertex mask ``(first | second) & ground`` of
-its two colours, and ``two_color.pair_topology`` reads its sinks, pieces
-and thinness classes off the vertices' out- and in-bitsets and returns its
-tree as a cluster family over the same vertex bitsets;
-``build_from_trees`` glues from those families on the leaf set ``ground``,
-so no pair tree is ever built.  In (b) ``build`` reads the glue of the
-informative triples off the out-neighbourhoods split by colour
-(``triples.color_masks``, taken once per graph), and the pair notes count
-each pair's triples inside ``ground`` from the same masks.
+Every vertex set handed on is a bitset of vertex indices; only report
+fields and witnesses name ids.  ``connected_components`` gives each
+component as a mask, passed on unchanged as ``ground``, and both routes
+read the input graph's own bitset adjacency, so nothing is copied.  The
+colour bitsets, taken once per graph, give each component's colour set and
+the colour pairs.  In (a) a pair is the mask ``(first | second) & ground``,
+and ``two_color.pair_topology`` reads its sinks, pieces and thinness
+classes off the out- and in-bitsets and returns its tree as a cluster
+family over vertex bitsets; ``build_from_trees`` glues from those families
+on ``ground``, so no pair tree is ever built.  In (b) ``build`` on
+``ground`` reads the glue of the informative triples off the per-colour
+out-neighbourhoods (``triples.color_masks``, once per graph), from which
+the pair notes count each pair's triples.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the forward engine
@@ -46,6 +47,7 @@ from .bmg import bmg_of_tree
 # stay bound here: perfbench/layers.py traces them by these names
 from .digraph import (  # noqa: F401
     ColoredDigraph,
+    bits,
     connected_components,
     first_arc_difference,
     induced_subgraph,
@@ -99,8 +101,7 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
         t0 = time.perf_counter()
         candidate = LeafColoredTree(outcome, graph.colors_as_dict())
         mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
-        if mismatch is None:
-            report.timings["gate"] = time.perf_counter() - t0
+        report.timings["gate"] = time.perf_counter() - t0
         outcome = candidate if mismatch is None else Rejection("graph-mismatch", mismatch)
     if isinstance(outcome, Rejection):
         report.stage, report.witness = outcome.stage, outcome.witness
@@ -119,12 +120,11 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
     if bad is not None:
         return Rejection("same-color-arc", tuple(graph.vertex_ids[v] for v in bad))
     comps = connected_components(graph)
-    report.components = tuple(tuple(graph.vertex_ids[v] for v in comp) for comp in comps)
-    color_sets = [
-        frozenset(graph.color_name(v) for v in comp) for comp in comps
-    ]
-    for k in range(1, len(color_sets)):
-        if color_sets[k] != color_sets[0]:
+    ids, by_color = graph.vertex_ids, graph.color_bitsets()
+    report.components = tuple(tuple(ids[v] for v in bits(comp)) for comp in comps)
+    met = [bool(mask & comps[0]) for mask in by_color]
+    for k in range(1, len(comps)):
+        if [bool(mask & comps[k]) for mask in by_color] != met:
             return Rejection("component-color-mismatch", (report.components[0], report.components[k]))
     report.timings["structure"] = time.perf_counter() - t0
 
@@ -133,11 +133,11 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
     if route == "informative-direct":
         shared = color_masks(graph)
     else:
-        named = zip(graph.color_ids, graph.color_bitsets())
+        named = zip(graph.color_ids, by_color)
         shared = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
     topologies: list[Topology] = []
     for ci, comp in enumerate(comps):
-        outcome = _recognize_component(graph, sum(1 << v for v in comp), ci, shared, report)
+        outcome = _recognize_component(graph, comp, ci, shared, report)
         if isinstance(outcome, Rejection):
             return outcome
         topologies.append(outcome)
@@ -164,7 +164,7 @@ def _recognize_component(
             report.pair_verdicts[(ci, (names[s], names[t]))] = (
                 f"{counts.get((s, t), 0)} informative triples"
             )
-        topo = build(shared, report.components[ci])
+        topo = build(shared, ground)
     else:
         families = []
         for s, t, pair in shared:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # bmg_of_tree stays bound here: perfbench/layers.py traces it by this name
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, bits
+from .digraph import ColoredDigraph, bits, check_vertex_mask
 from .errors import GraphError
 from .tree import Topology
 from .two_color import Family
@@ -107,31 +107,26 @@ def informative_triples(graph: ColoredDigraph) -> TripleSet:
 
 def build(
     source: ColoredDigraph | ColorMasks | TripleSet | Iterable[RootedTriple],
-    leaves: Iterable[str],
+    leaves: int | Iterable[str],
 ) -> Topology | None:
     """Aho tree on ``leaves``, or None when no tree displays the triples.
 
-    ``source`` is a triple collection, or a colored digraph (or its
-    ``color_masks``) standing for its informative triples, which are then
-    read off the graph and never built.
+    ``source`` is a triple collection on the labels ``leaves``, or a colored
+    digraph (or its ``color_masks``) standing for its informative triples,
+    which are then read off the graph and never built; ``leaves`` is then a
+    bitset of the graph's vertex indices.
     """
-    leaf_list = sorted(set(leaves))
-    if not leaf_list:
-        raise GraphError("BUILD needs at least one leaf")
     if isinstance(source, ColoredDigraph):
         source = color_masks(source)
     if isinstance(source, ColorMasks):
-        graph = source.graph
-        unknown = [x for x in leaf_list if x not in graph.index_of]
-        if unknown:
-            raise GraphError(f"leaves {unknown} are no vertices of the graph")
-        names = graph.vertex_ids
-        glue = _graph_glue(source)
-        root = sum(1 << graph.index_of[x] for x in leaf_list)
+        check_vertex_mask(source.graph, leaves)
+        names, glue, root = source.graph.vertex_ids, _graph_glue(source), leaves
     else:
-        names = tuple(leaf_list)
+        names = tuple(sorted(set(leaves)))
         glue = _triple_glue(source, {x: k for k, x in enumerate(names)})
         root = (1 << len(names)) - 1
+    if not root:
+        raise GraphError("BUILD needs at least one leaf")
     return _aho_tree(root, glue, names)
 
 

@@ -5,14 +5,15 @@ No subgraph is copied.  A graph is read through its own adjacency, each
 vertex's out- and in-neighbourhood as a Python-int bitset (``out_masks``,
 ``in_masks``), and a two-colored graph inside it is a vertex mask, such as
 two colours of one component of the n-colour recognizer.  ``pair_classes``
-reads its thinness classes off the masks and keeps one class table per
-pair: class-level neighbourhoods are bitsets too, bit ``c`` standing for
-class ``c``.  No class neighbourhood crosses a weakly connected piece, so
-the pieces are class bitsets over that one numbering, found by the same
-flood fill as the graph's components.  All axiom algebra runs on these
-bitsets; class granularity makes that lossless.  Axioms are checked piece
-by piece, in the order N2, N3, N1, and the first violating class (pair) in
-class order is the witness.
+reads its thinness classes off the masks, each class the bitset of its
+vertices, and keeps one class table per pair: class-level neighbourhoods
+are bitsets too, bit ``c`` standing for class ``c``.  No class
+neighbourhood crosses a weakly connected piece, so the pieces are class
+bitsets over that one numbering, found by the same flood fill as the
+graph's components.  All axiom algebra runs on these bitsets; class
+granularity makes that lossless.  Axioms are checked piece by piece, in
+the order N2, N3, N1, and the first violating class (pair) in class order
+is the witness.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
 With N2, N(N(N(a))) lies in N(a), so the reachable set of class a is
@@ -83,33 +84,30 @@ def neighborhood_tables(
     return ClassNeighborhoodTables(n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=step(in1, ins))
 
 
-# A colour pair's thinness classes as member lists by smallest member, its
+# A colour pair's thinness classes as vertex bitsets by smallest member, its
 # class tables, and its weakly connected pieces as class bitsets.
-PairClasses = tuple[list[list[int]], ClassNeighborhoodTables, list[int]]
+PairClasses = tuple[list[int], ClassNeighborhoodTables, list[int]]
 
 
 def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
     """Thinness classes, class tables and pieces of the subgraph that the
-    vertex mask ``ground`` induces, or its first sink.  Both neighbourhoods
-    within ``ground`` key a vertex's class.  Keys are lifted one class at a
-    time: the lowest vertex left names a class, whose members are then
-    cleared.  No class neighbourhood crosses a piece, so one class numbering
-    serves every piece, and the pieces, ordered by smallest vertex, come
-    from the class tables."""
+    vertex mask ``ground`` induces, or its first sink.  A class is the
+    bitset of its vertices, and both neighbourhoods within ``ground`` key
+    it.  Keys are lifted one class at a time: the lowest vertex left names
+    a class, whose vertices are then cleared.  No class neighbourhood
+    crosses a piece, so one class numbering serves every piece, and the
+    pieces, ordered by smallest vertex, come from the class tables."""
     outs, ins = graph.out_masks, graph.in_masks
     index: dict[tuple[int, int], int] = {}
-    members: list[list[int]] = []
     masks: list[int] = []
     class_of: dict[int, int] = {}
     for v in bits(ground):
         out = outs[v] & ground
         if not out:
             return Rejection("sink-vertex", graph.vertex_ids[v])
-        a = class_of[v] = index.setdefault((out, ins[v] & ground), len(members))
-        if a == len(members):
-            members.append([])
+        a = class_of[v] = index.setdefault((out, ins[v] & ground), len(masks))
+        if a == len(masks):
             masks.append(0)
-        members[a].append(v)
         masks[a] |= 1 << v
 
     def lift(mask: int) -> list[int]:
@@ -120,7 +118,12 @@ def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
         return found
 
     tables = neighborhood_tables([lift(out) for out, _ in index], [lift(into) for _, into in index])
-    return members, tables, bitset_components(tables.n1, tables.in1, (1 << len(members)) - 1)
+    return masks, tables, bitset_components(tables.n1, tables.in1, (1 << len(masks)) - 1)
+
+
+def _class_ids(graph: ColoredDigraph, masks: list[int], class_set: int) -> tuple[str, ...]:
+    """Sorted ids of the vertices of the classes in the class bitset ``class_set``."""
+    return tuple(graph.vertex_ids[v] for v in bits(reduce(or_, map(masks.__getitem__, bits(class_set)))))
 
 
 def _structure_check(graph: ColoredDigraph) -> PairClasses | CheckResult:
@@ -137,9 +140,7 @@ def _structure_check(graph: ColoredDigraph) -> PairClasses | CheckResult:
     if isinstance(classes, Rejection):
         return CheckResult(False, classes.stage, classes.witness)
     if len(classes[2]) != 1:  # each piece's vertex ids; pieces come by smallest vertex
-        members, ids = classes[0], graph.vertex_ids
-        pieces = (sorted(v for a in bits(p) for v in members[a]) for p in classes[2])
-        return CheckResult(False, "disconnected", tuple(tuple(ids[v] for v in p) for p in pieces))
+        return CheckResult(False, "disconnected", tuple(_class_ids(graph, classes[0], p) for p in classes[2]))
     return classes
 
 
@@ -148,19 +149,19 @@ def check_axioms(graph: ColoredDigraph) -> CheckResult:
     classes = _structure_check(graph)
     if isinstance(classes, CheckResult):
         return classes
-    members, tables, (piece,) = classes
-    return _axiom_check(graph, members, tables, piece)
+    masks, tables, (piece,) = classes
+    return _axiom_check(graph, masks, tables, piece)
 
 
 def _axiom_check(
-    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables, piece: int
+    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, piece: int
 ) -> CheckResult:
     """N2, N3, N1 on the classes in the class bitset ``piece``."""
     n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
     classes = list(bits(piece))
 
     def fail(stage: str, *witness: int) -> CheckResult:
-        ids = tuple(tuple(graph.vertex_ids[v] for v in members[a]) for a in witness)
+        ids = tuple(_class_ids(graph, masks, 1 << a) for a in witness)
         return CheckResult(False, stage, ids if len(ids) > 1 else ids[0])
 
     for a in classes:
@@ -169,10 +170,11 @@ def _axiom_check(
     # Arcs join the two colours, so only classes of one colour can share
     # out-neighbours (N3) and only classes of two colours can meet N(N(.))
     # through N(.) (N1); each loop visits the later classes b > a that the
-    # premise of its axiom leaves open.
+    # premise of its axiom leaves open.  A class's colour is that of its
+    # highest vertex.
     color_of = graph.color_of
-    first = color_of[members[classes[0]][0]]
-    first_color = sum(1 << a for a in classes if color_of[members[a][0]] == first)
+    first = color_of[masks[classes[0]].bit_length() - 1]
+    first_color = sum(1 << a for a in classes if color_of[masks[a].bit_length() - 1] == first)
     other_color = piece ^ first_color
     for a in classes:
         n1a = n1[a]
@@ -351,36 +353,34 @@ def pair_topology(graph: ColoredDigraph, ground: int) -> Family | Rejection:
 
 
 def _pieces_family(
-    graph: ColoredDigraph, members: list[list[int]], tables: ClassNeighborhoodTables, pieces: list[int]
+    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
 ) -> Family | Rejection:
     """Least resolved tree of sink-free pieces, each in turn through axioms,
     R' and its Hasse tree; the first piece to fail gives the rejection."""
     r_ext = extended_reachable_masks(tables)
     families: list[Family] = []
     for piece in pieces:
-        verdict = _axiom_check(graph, members, tables, piece)
+        verdict = _axiom_check(graph, masks, tables, piece)
         if not verdict:
             return Rejection("axioms", verdict)
         hierarchy = hasse_tree(piece, {r_ext[a] for a in bits(piece)})
         if isinstance(hierarchy, Rejection):
-            ids = graph.vertex_ids
-            witness = (sorted(ids[v] for a in bits(m) for v in members[a]) for m in hierarchy.witness)
-            return Rejection(hierarchy.stage, tuple(map(tuple, witness)))
-        families.append(_family(members, r_ext, hierarchy))
+            return Rejection(hierarchy.stage, tuple(_class_ids(graph, masks, m) for m in hierarchy.witness))
+        families.append(_family(masks, r_ext, hierarchy))
     return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
 
 
-def _family(members: list[list[int]], r_ext: tuple[int, ...], hierarchy: Hierarchy) -> Family:
+def _family(masks: list[int], r_ext: tuple[int, ...], hierarchy: Hierarchy) -> Family:
     """The Hasse tree as a cluster family, built bottom-up: a node's kids are
     its Hasse children, then the vertices of the classes whose R' set it is."""
     node_of = {s: i for i, s in enumerate(hierarchy.sets)}
-    attached: list[list[int]] = [[] for _ in hierarchy.sets]
+    attached = [0] * len(hierarchy.sets)
     for a in bits(hierarchy.ground):
-        attached[node_of[r_ext[a]]].extend(members[a])
+        attached[node_of[r_ext[a]]] |= masks[a]
     built: list[Family] = []
     for i, kids_at in enumerate(hierarchy.children):  # children before parents
         kids = [built[c] for c in kids_at]
-        kids.extend((1 << v, ()) for v in sorted(attached[i]))
+        kids.extend((1 << v, ()) for v in bits(attached[i]))
         built.append((sum(k[0] for k in kids), tuple(kids)) if len(kids) > 1 else kids[0])
     return built[hierarchy.root]
 

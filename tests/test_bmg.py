@@ -40,7 +40,7 @@ def test_restriction_can_add_arcs():
         {"w": "red", "y": "blue", "u": "red", "v": "blue"},
     )
     g = bmg_of_tree(t)
-    keep = [t_i for t_i, lab in enumerate(g.vertex_ids) if lab in {"u", "v", "w"}]
+    keep = sum(1 << t_i for t_i, lab in enumerate(g.vertex_ids) if lab in {"u", "v", "w"})
     induced = subgraph_on(g, keep)
     restricted = bmg_of_tree(t.restrict({"u", "v", "w"}))
     assert arc_ids(induced) == {("u", "v"), ("v", "u")}
@@ -58,7 +58,7 @@ def test_subgraph_monotonicity_under_restriction():
         if len(colors_in_sub) < 1:
             continue
         restricted = bmg_of_tree(tree.restrict(sub))
-        keep = [i for i, lab in enumerate(graph.vertex_ids) if lab in set(sub)]
+        keep = sum(1 << i for i, lab in enumerate(graph.vertex_ids) if lab in set(sub))
         induced = subgraph_on(graph, keep)
         assert arc_ids(induced) <= arc_ids(restricted)
 
@@ -105,7 +105,7 @@ def test_components_sit_below_root_children():
             for c in tree.children[tree.root]
         ]
         for comp in comps:
-            members = {graph.vertex_ids[v] for v in comp}
+            members = {graph.vertex_ids[v] for v in bits(comp)}
             assert any(members <= ls for ls in kids_leafsets)
 
 

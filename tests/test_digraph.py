@@ -20,6 +20,7 @@ from bmgraph import (
     symmetric_part,
     thinness_partition,
 )
+from bmgraph.digraph import bits
 from bmgraph.graphio import format_graph, parse_graph
 from cases import countercog_tree, weird_tree
 from util import arc_ids, class_quotient, edge_ids, random_scenario
@@ -38,12 +39,34 @@ def random_digraphs(draw):
 
 def test_single_arc_is_one_component():
     g = ColoredDigraph({"x": "r", "y": "b"}, [("x", "y")])
-    assert connected_components(g) == [(0, 1)]
+    assert connected_components(g) == [0b11]
 
 
 def test_edgeless_graph_has_singleton_components():
     g = ColoredDigraph({"a": "r", "b": "b", "c": "b"})
-    assert connected_components(g) == [(0,), (1,), (2,)]
+    assert connected_components(g) == [0b001, 0b010, 0b100]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_digraphs())
+def test_components_are_disjoint_closed_connected_masks_by_lowest_bit(g):
+    comps = connected_components(g)
+    arcs = arc_ids(g)
+    union = 0
+    for comp in comps:
+        assert comp and not comp & union
+        union |= comp
+        for v in bits(comp):  # closed under arcs, both ways
+            assert g.out_masks[v] | g.in_masks[v] | comp == comp
+        reached = {g.vertex_ids[(comp & -comp).bit_length() - 1]}
+        frontier = set(reached)
+        while frontier:  # connected: a search over ids from the lowest vertex reaches all of it
+            frontier = {y for x in frontier for y in g.vertex_ids if {(x, y), (y, x)} & arcs} - reached
+            reached |= frontier
+        assert reached == {g.vertex_ids[v] for v in bits(comp)}
+    assert union == (1 << len(g)) - 1
+    lowest = [comp & -comp for comp in comps]
+    assert lowest == sorted(lowest)
 
 
 def test_construction_rejects_bad_input():
@@ -145,13 +168,13 @@ def test_components_of_induced_subgraph_partition_it(g):
     chosen = set(g.color_ids[:1])
     sub = induced_subgraph(g, chosen)
     comps = connected_components(sub)
-    flat = sorted(v for comp in comps for v in comp)
+    flat = sorted(v for comp in comps for v in bits(comp))
     assert flat == list(range(len(sub)))
 
 
 def test_subgraph_on_preserves_ids():
     g = ColoredDigraph({"a": "r", "b": "b", "c": "r"}, [("a", "b"), ("b", "c")])
-    sub = subgraph_on(g, [0, 1])
+    sub = subgraph_on(g, 0b011)
     assert sub.vertex_ids == ("a", "b")
     assert arc_ids(sub) == {("a", "b")}
 
@@ -168,7 +191,7 @@ def test_projections_equal_graphs_built_from_string_ids():
             assert sub == ColoredDigraph(colors, arcs)
             assert sub.in_masks == ColoredDigraph(colors, arcs).in_masks
             for comp in connected_components(sub):
-                members = {sub.vertex_ids[i] for i in comp}
+                members = {sub.vertex_ids[i] for i in bits(comp)}
                 piece = subgraph_on(sub, comp)
                 assert piece == ColoredDigraph(
                     {v: c for v, c in colors.items() if v in members},
@@ -204,7 +227,7 @@ def test_in_masks_reverse_out_masks_however_the_graph_is_made(graph, rng):
     made = [
         graph,
         ColoredDigraph.from_masks(graph.colors_as_dict(), graph.out_masks),
-        subgraph_on(graph, subset or [0]),
+        subgraph_on(graph, sum(1 << v for v in subset) or 1),
         parse_graph(format_graph(graph)),
     ]
     for g in made:

@@ -1,8 +1,10 @@
 """File formats and the command-line surface."""
 
+import sys
+
 import pytest
 
-from bmgraph import ParseError, TreeError, bmg_of_tree
+from bmgraph import ParseError, TreeError, bmg_of_tree, cli
 from bmgraph.cli import main, make_parser
 from bmgraph.graphio import (
     format_dot,
@@ -245,6 +247,25 @@ def test_cli_exit_2_on_malformed_input(tmp_path, capsys):
     assert run(["recognize", "--graph", str(gp)]) == 2
     assert "error:" in capsys.readouterr().err
     assert run(["recognize", "--graph", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_cli_entry_exits_2_on_an_internal_error(tmp_path, capsys, monkeypatch):
+    # an exception that ``main`` does not handle is no rejection, so not exit 1
+    def broken(graph, route):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    gp = str(tmp_path / "g.txt")
+    write_graph(smallest_counterexample(), gp)
+    monkeypatch.setattr(sys, "argv", ["bmgraph", "recognize", "--graph", gp])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 1  # a rejection keeps its code
+    assert capsys.readouterr() == ("", "REJECT 2cbmg-failure w\n")
+    monkeypatch.setattr(cli, "recognize_ncbmg", broken)
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 2
+    assert capsys.readouterr() == ("", "error: internal RecursionError: maximum recursion depth exceeded\n")
 
 
 def test_cli_recognize_emits_dot(tmp_path, capsys):

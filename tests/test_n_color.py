@@ -19,6 +19,7 @@ from bmgraph import (
     subgraph_on,
     thinness_partition,
 )
+from bmgraph.digraph import bits
 from bmgraph.n_color import ROUTES
 from cases import (
     counterex_sym_graph,
@@ -203,7 +204,7 @@ def _component_copy_reference(graph: ColoredDigraph, route: str) -> dict:
         "route": route,
         "lrt": None,
         "note": None,
-        "components": tuple(tuple(graph.vertex_ids[v] for v in comp) for comp in comps),
+        "components": tuple(tuple(graph.vertex_ids[v] for v in bits(comp)) for comp in comps),
         "pair_verdicts": {},
     }
     mismatches = []
@@ -347,6 +348,7 @@ def test_global_gate_names_the_first_differing_arc():
         report = recognize_ncbmg(graph, route=route)
         assert report.stage == "graph-mismatch"
         assert report.witness == ("v3", "v2")
+        assert report.timings.keys() == {"structure", "components", "gate"}  # the gate's time too
     assert set(recognize_ncbmg(graph).pair_verdicts.values()) == {"2-cBMG"}
 
 

@@ -58,7 +58,7 @@ def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
             for (s, t), pair in _pair_masks(sub).items():
                 classes = pair_classes(sub, pair)
                 assert not isinstance(classes, Rejection)  # a best match graph has no sink
-                members, tables, pieces = classes
+                class_masks, tables, pieces = classes
                 mine = iter(pieces)
                 gst = induced_subgraph(sub, {s, t})
                 comps = connected_components(gst)
@@ -67,7 +67,7 @@ def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
                     piece = gst if len(comps) == 1 else subgraph_on(gst, comp)
                     part = thinness_partition(piece)
                     in_piece = next(mine)
-                    ids = [tuple(sub.vertex_ids[v] for v in members[a]) for a in bits(in_piece)]
+                    ids = [tuple(sub.vertex_ids[v] for v in bits(class_masks[a])) for a in bits(in_piece)]
                     assert ids == [part.class_ids(a) for a in range(len(part))]
                     expected = neighborhood_tables(part.out_classes, part.in_classes)
                     assert _restricted(tables, in_piece) == expected

@@ -22,6 +22,7 @@ from bmgraph import (
     subgraph_on,
     thinness_partition,
 )
+from bmgraph.digraph import bits
 from cases import counter_triples_graph
 from util import (
     aho_graph,
@@ -178,8 +179,8 @@ def test_disconnected_join_equals_component_augmentation():
         for comp in comps:
             pooled |= informative_triples(subgraph_on(graph, comp)).triples
         for one, other in itertools.permutations(comps, 2):
-            for x, y in itertools.combinations(one, 2):
-                for z in other:
+            for x, y in itertools.combinations(bits(one), 2):
+                for z in bits(other):
                     pooled.add(
                         RootedTriple.of(
                             graph.vertex_ids[x], graph.vertex_ids[y], graph.vertex_ids[z]
@@ -225,11 +226,12 @@ def test_graph_glue_equals_triple_glue():
         pooled = _pooled_pair_triples(graph)
         assert pooled == informative_triples(graph)
         ids = list(graph.vertex_ids)
-        topo = build(graph, ids)
+        topo = build(graph, (1 << len(ids)) - 1)
         assert topo == build(pooled, ids), arc_ids(graph)
         outcomes[topo is None] += 1
         part = ids[::2] + ids[1:2]
-        assert build(graph, part) == build(pooled, part), (arc_ids(graph), part)
+        kept = sum(1 << graph.index_of[x] for x in part)
+        assert build(graph, kept) == build(pooled, part), (arc_ids(graph), part)
     assert min(outcomes.values()) > 100, outcomes
 
 
@@ -240,13 +242,19 @@ def test_graph_glue_equals_triple_glue_with_same_color_arcs():
         pairs = list(itertools.permutations(graph.vertex_ids, 2))
         noisy = ColoredDigraph(graph.colors_as_dict(), [a for a in pairs if rng.random() < 0.4])
         ids = noisy.vertex_ids
-        assert build(noisy, ids) == build(informative_triples(noisy), ids), arc_ids(noisy)
+        assert build(noisy, (1 << len(ids)) - 1) == build(informative_triples(noisy), ids), arc_ids(noisy)
 
 
 def test_graph_glue_rejects_foreign_leaves():
+    # a leaf set over a graph is a bitset of its vertex indices
     graph = counter_triples_graph()
+    for stray in (1 << len(graph), 1 | 1 << (len(graph) + 5), -1, ["a"]):
+        with pytest.raises(GraphError):
+            build(graph, stray)
+        with pytest.raises(GraphError):
+            subgraph_on(graph, stray)
     with pytest.raises(GraphError):
-        build(graph, ["a", "nope"])
+        build(graph, 0)
 
 
 def test_direct_pair_verdicts_count_the_pair_triples():
@@ -254,7 +262,7 @@ def test_direct_pair_verdicts_count_the_pair_triples():
     for graph in _mixed_graphs(400):
         report = recognize_ncbmg(graph, route="informative-direct")
         for (ci, (s, t)), verdict in report.pair_verdicts.items():
-            comp = [graph.index_of[x] for x in report.components[ci]]
+            comp = sum(1 << graph.index_of[x] for x in report.components[ci])
             sub = subgraph_on(graph, comp)
             found = informative_triples(induced_subgraph(sub, {s, t}))
             assert verdict == f"{len(found)} informative triples"
