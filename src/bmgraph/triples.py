@@ -17,7 +17,10 @@ The triples route is ``recognize_ncbmg(graph, route="informative-direct")``,
 which runs ``build`` per component and then the one gate; none runs here.
 
 ``build_from_trees`` glues from pair trees given as cluster families over
-leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``.
+leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``
+where two or more families span a level.  A level that only one family spans
+splits by that family's kids, which are disjoint already, so a deep pair tree
+costs a few bitset operations per level, not one step per leaf.
 """
 
 from __future__ import annotations
@@ -167,7 +170,8 @@ def _blocks(level: int, glued: Iterable[int]) -> list[int]:
     """Connected blocks of ``level`` once every glued set is joined, sorted by
     smallest leaf.  A union-find over leaf indices, linked by size, keeps
     each root's block mask, so a glued set costs one step per block it
-    touches."""
+    touches; a leaf that no earlier set held is a block of its own, so a set
+    of fresh leaves costs one step per leaf."""
     up: dict[int, int] = {}
     block_of: dict[int, int] = {}
     for chunk in glued:
@@ -189,7 +193,12 @@ def _blocks(level: int, glued: Iterable[int]) -> list[int]:
         if merged == level:
             return [level]
         block_of[top] = merged
-    blocks = list(block_of.values())
+    return _with_singletons(level, list(block_of.values()))
+
+
+def _with_singletons(level: int, blocks: list[int]) -> list[int]:
+    """``blocks``, disjoint subsets of ``level``, and a singleton for each
+    leaf of ``level`` they miss, sorted by smallest leaf."""
     alone = level
     for mask in blocks:
         alone &= ~mask
@@ -280,8 +289,10 @@ def build_from_trees(families: list[Family], names: Sequence[str], root: int | N
     leaves of the root.  At a level M, a family with two or more leaves in M
     glues ``kid & M`` for each kid of its lca of them, the children of its
     restricted root (BuildST, Deng & Fernandez-Baca 2018).  That lca lies at
-    or below the one of M's parent level, where the search starts.  One
-    frame per level."""
+    or below the one of M's parent level, where the search starts.  When
+    only one family has two or more leaves in M, its chunks are M's blocks,
+    with each leaf they miss alone, and no union-find runs.  One frame per
+    level."""
     if root is None:
         root = (1 << len(names)) - 1
     if not root:
@@ -292,14 +303,16 @@ def build_from_trees(families: list[Family], names: Sequence[str], root: int | N
 def _build_st(level: int, nodes: list[Family], names: Sequence[str]) -> Topology | None:
     if level & (level - 1) == 0:
         return names[level.bit_length() - 1]
-    here, glued = [], []
+    here = []
     for node in nodes:
         inside = node[0] & level
         if inside & (inside - 1):
-            node = _lca(node, inside)
-            here.append(node)
-            glued.extend(hit for kid in node[1] if (hit := kid[0] & level) & (hit - 1))
-    blocks = _blocks(level, glued)
+            here.append(_lca(node, inside))
+    if len(here) == 1:  # its chunks are disjoint already: no union-find
+        blocks = _with_singletons(level, [hit for kid in here[0][1] if (hit := kid[0] & level)])
+    else:
+        glued = (hit for node in here for kid in node[1] if (hit := kid[0] & level) & (hit - 1))
+        blocks = _blocks(level, glued)
     if len(blocks) == 1:
         return None
     kids = []

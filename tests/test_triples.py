@@ -21,17 +21,22 @@ from bmgraph import (
     recognize_ncbmg,
     subgraph_on,
     thinness_partition,
+    triples,
 )
 from bmgraph.digraph import bits
+from bmgraph.two_color import pair_topology
 from cases import counter_triples_graph
 from util import (
     aho_graph,
     arc_ids,
+    caterpillar,
     connected_scenario,
     direct_lrt,
+    family_tree,
     hierarchy_lrt,
     random_scenario,
     tree_family,
+    tree_glue_build,
 )
 
 
@@ -268,3 +273,87 @@ def test_direct_pair_verdicts_count_the_pair_triples():
             assert verdict == f"{len(found)} informative triples"
             reached += 1
     assert reached > 1000
+
+
+def _caterpillar_family(n: int):
+    """A 2-colour caterpillar, its graph's vertex ids and its pair family."""
+    tree = caterpillar(n)
+    graph = bmg_of_tree(tree)
+    return tree, graph.vertex_ids, pair_topology(graph, (1 << len(graph)) - 1)
+
+
+def test_build_from_one_family_is_its_own_tree():
+    # every level has one family with two or more leaves in it
+    for seed in range(80):
+        _, graph = connected_scenario(seed, colors=2, max_leaves=16)
+        family = pair_topology(graph, (1 << len(graph)) - 1)
+        tree = family_tree(family, graph)
+        ids = graph.vertex_ids
+        assert build_from_trees([family], ids) == tree_glue_build([tree], ids) == tree.topology()
+    tree, ids, family = _caterpillar_family(600)
+    assert build_from_trees([family], ids) == tree_glue_build([tree], ids) == tree.topology()
+
+
+def _shuffled(tree: LeafColoredTree, rng: random.Random) -> LeafColoredTree:
+    """``tree`` with its leaf labels permuted, each label keeping its colour."""
+    labels = list(tree.leaf_labels)
+    swap = dict(zip(labels, rng.sample(labels, len(labels))))
+
+    def go(topo):
+        return swap[topo] if isinstance(topo, str) else tuple(go(t) for t in topo)
+
+    return LeafColoredTree(go(tree.topology()), tree.colors)
+
+
+def test_build_from_mixed_families_equals_the_reference_glue():
+    # deep levels of a caterpillar: its own family spans them, and each
+    # small family holds at most one of their leaves
+    outcomes = {True: 0, False: 0}
+    rng = random.Random(5)
+    cater, ids, family = _caterpillar_family(120)
+    for _ in range(40):
+        trees = [cater]
+        for _ in range(rng.randint(1, 4)):
+            small = cater.restrict(rng.sample(ids, rng.randint(2, 4)))
+            trees.append(_shuffled(small, rng) if rng.random() < 0.3 else small)
+        families = [family] + [tree_family(t, ids) for t in trees[1:]]
+        topo = build_from_trees(families, ids)
+        assert topo == tree_glue_build(trees, ids)
+        outcomes[topo is None] += 1
+    # Yule trees in many colours: pair trees, some from a relabelled tree
+    for seed in range(150):
+        tree, _ = random_scenario(seed, max_leaves=30, max_colors=6)
+        ids = tree.leaf_labels
+        other = _shuffled(tree, rng)
+        trees = []
+        for s, t in itertools.combinations(tree.color_universe, 2):
+            source = other if rng.random() < 0.1 else tree
+            trees.append(source.restrict(x for x in ids if tree.colors[x] in (s, t)))
+        topo = build_from_trees([tree_family(t, ids) for t in trees], ids)
+        assert topo == tree_glue_build(trees, ids), seed
+        outcomes[topo is None] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def test_a_level_one_family_spans_runs_no_union_find(monkeypatch):
+    def refuse(level, glued):
+        raise AssertionError(f"union-find ran on {level:b}")
+
+    tree, ids, family = _caterpillar_family(300)
+    monkeypatch.setattr(triples, "_blocks", refuse)
+    assert build_from_trees([family], ids) == tree.topology()
+
+
+def test_a_level_two_families_span_runs_the_union_find(monkeypatch):
+    seen = []
+    real = triples._blocks
+
+    def spy(level, glued):
+        seen.append(level)
+        return real(level, glued)
+
+    tree, ids, family = _caterpillar_family(8)
+    part = tree.restrict(ids[4:])
+    monkeypatch.setattr(triples, "_blocks", spy)
+    assert build_from_trees([family, tree_family(part, ids)], ids) == tree.topology()
+    assert seen[0] == (1 << len(ids)) - 1
