@@ -10,12 +10,14 @@ built on the first read of ``in_masks`` and kept, so a graph that is only
 written or compared, as in ``from-tree`` and the acceptance gate, never
 builds them.  An undirected graph, such as the symmetric part, is a digraph
 that holds both arcs of each edge.  Bit order is vertex order, so walking a
-bitset's bits (``bits``) lists its vertices sorted.
+bitset's bits (``bits``, or ``scan_bits`` where masks may be dense) lists
+its vertices sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphError
@@ -28,6 +30,23 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# turns binary digits into the truth values ``compress`` selects by
+_DIGIT_TRUTH = bytes.maketrans(b"01", b"\x00\x01")
+# ``scan_bits`` scans a mask with at least one bit set in this many of its width
+SCAN_DENSITY = 8
+
+
+def scan_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first, as ``bits``
+    gives them.  Each step of ``bits`` costs O(width/64) words, so a mask
+    with at least one bit set in ``SCAN_DENSITY`` is read in one C-level
+    scan of its binary digits instead; a sparser one goes through ``bits``."""
+    width = mask.bit_length()
+    if mask.bit_count() * SCAN_DENSITY < width:
+        return bits(mask)
+    return compress(range(width), bin(mask)[:1:-1].encode().translate(_DIGIT_TRUTH))
 
 
 class ColoredDigraph:
@@ -79,7 +98,7 @@ class ColoredDigraph:
             ins = [0] * len(self.vertex_ids)
             for i, out in enumerate(self.out_masks):
                 bit = 1 << i
-                for j in bits(out):
+                for j in scan_bits(out):
                     ins[j] |= bit
             in_masks = self._in_masks = tuple(ins)
         return in_masks

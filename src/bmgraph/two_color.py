@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 # bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, ThinnessPartition, bits, bitset_components, thinness_partition  # noqa: F401
+from .digraph import ColoredDigraph, ThinnessPartition, bits, bitset_components, scan_bits, thinness_partition  # noqa: F401
 from .tree import Topology
 from .verdicts import CheckResult, Rejection
 
@@ -93,10 +93,12 @@ def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
     """Thinness classes, class tables and pieces of the subgraph that the
     vertex mask ``ground`` induces, or its first sink.  A class is the
     bitset of its vertices, and both neighbourhoods within ``ground`` key
-    it.  Keys are lifted one class at a time: the lowest vertex left names
-    a class, whose vertices are then cleared.  No class neighbourhood
-    crosses a piece, so one class numbering serves every piece, and the
-    pieces, ordered by smallest vertex, come from the class tables."""
+    it.  A key is listed as classes by its class representatives, each
+    class's smallest vertex: ``scan_bits`` walks ``key & reps``, reading a
+    dense key, such as one of a deep two-colour caterpillar, in one C-level
+    scan.  No class neighbourhood crosses a piece, so one class numbering
+    serves every piece, and the pieces, ordered by smallest vertex, come
+    from the class tables."""
     outs, ins = graph.out_masks, graph.in_masks
     index: dict[tuple[int, int], int] = {}
     masks: list[int] = []
@@ -110,12 +112,10 @@ def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
             masks.append(0)
         masks[a] |= 1 << v
 
+    reps = sum(m & -m for m in masks)
+
     def lift(mask: int) -> list[int]:
-        found = []
-        while mask:
-            found.append(class_of[(mask & -mask).bit_length() - 1])
-            mask &= ~masks[found[-1]]
-        return found
+        return list(map(class_of.__getitem__, scan_bits(mask & reps)))
 
     tables = neighborhood_tables([lift(out) for out, _ in index], [lift(into) for _, into in index])
     return masks, tables, bitset_components(tables.n1, tables.in1, (1 << len(masks)) - 1)

@@ -20,7 +20,7 @@ from bmgraph import (
     symmetric_part,
     thinness_partition,
 )
-from bmgraph.digraph import bits
+from bmgraph.digraph import SCAN_DENSITY, bits, scan_bits
 from bmgraph.graphio import format_graph, parse_graph
 from cases import countercog_tree, weird_tree
 from util import arc_ids, class_quotient, edge_ids, random_scenario
@@ -235,6 +235,19 @@ def test_in_masks_reverse_out_masks_however_the_graph_is_made(graph, rng):
         assert g.in_masks is g.in_masks  # built once, then kept
 
 
+def test_in_masks_of_a_parsed_graph_are_the_transposition_whatever_the_vertex_order():
+    # shuffled V lines take the parser's renumbering path
+    for seed in range(30):
+        rng = random.Random(seed)
+        _, graph = random_scenario(seed, max_leaves=30, max_colors=5)
+        lines = format_graph(graph).splitlines()
+        vertex_lines = [line for line in lines if line.startswith("V ")]
+        rng.shuffle(vertex_lines)
+        parsed = parse_graph("\n".join(vertex_lines + lines[len(vertex_lines):]) + "\n")
+        assert parsed == graph
+        assert parsed.in_masks == in_neighborhoods(graph)
+
+
 def test_in_masks_of_forward_graphs_are_built_on_first_read():
     for seed in range(30):
         tree, _ = random_scenario(seed, max_leaves=30, max_colors=5)
@@ -271,3 +284,48 @@ def test_racing_first_reads_of_in_masks_agree():
             assert fresh.in_masks == expected
     finally:
         sys.setswitchinterval(old)
+
+
+def _mask_of(positions) -> int:
+    return sum(1 << p for p in set(positions))
+
+
+def test_scan_bits_lists_the_set_bits_of_fixed_masks():
+    rng = random.Random(3)
+    masks = [
+        0,
+        1,
+        1 << 9_999,
+        _mask_of(rng.sample(range(10_000), 8)),
+        _mask_of(rng.sample(range(10_000), 5_000)),
+        (1 << 10_000) - 1,
+    ]
+    for width in (8, 64, 1_000, 10_000):
+        # just below, at and above the density at which scan_bits switches
+        switch = width // SCAN_DENSITY
+        for count in (switch - 1, switch, switch + 1):
+            masks.append(_mask_of(rng.sample(range(width - 1), max(count - 1, 0))) | 1 << width - 1)
+    for mask in masks:
+        assert list(scan_bits(mask)) == list(bits(mask))
+
+
+def test_scan_bits_scans_dense_masks_and_walks_sparse_ones():
+    width = 1_000
+    top = 1 << width - 1
+    sparse = _mask_of(range(0, width - 1, SCAN_DENSITY + 1)) | top
+    dense = _mask_of(range(0, width - 1, SCAN_DENSITY)) | top
+    assert sparse.bit_count() * SCAN_DENSITY < width <= dense.bit_count() * SCAN_DENSITY
+    assert isinstance(scan_bits(dense), itertools.compress)
+    assert not isinstance(scan_bits(sparse), itertools.compress)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=1 << 2_000),  # about half the bits set
+        st.sets(st.integers(min_value=0, max_value=2_000), max_size=40).map(_mask_of),
+    )
+)
+def test_scan_bits_equals_bits(mask):
+    expected = [p for p in range(mask.bit_length()) if mask >> p & 1]
+    assert list(scan_bits(mask)) == list(bits(mask)) == expected

@@ -1,6 +1,7 @@
 """The pair layer on component bitsets against the per-pair graph copies it
-replaced: same thinness classes, same class tables, same pair outcomes; and
-BUILD gluing from pair cluster families against BUILD gluing from pair trees."""
+replaced: same thinness classes, same class tables, same pair outcomes, on
+dense pairs and sparse ones alike; and BUILD gluing from pair cluster
+families against BUILD gluing from pair trees."""
 
 import dataclasses
 import itertools
@@ -10,6 +11,7 @@ from bmgraph import (
     ColoredDigraph,
     Rejection,
     SimulationConfig,
+    bmg_of_tree,
     build_from_trees,
     connected_components,
     induced_subgraph,
@@ -17,9 +19,10 @@ from bmgraph import (
     subgraph_on,
     thinness_partition,
 )
-from bmgraph.digraph import bits
+from bmgraph import two_color
+from bmgraph.digraph import bits, scan_bits
 from bmgraph.two_color import ClassNeighborhoodTables, neighborhood_tables, pair_classes, pair_topology
-from util import family_tree, random_scenario, reference_pair_lrt, tree_glue_build
+from util import caterpillar, family_tree, random_scenario, reference_pair_lrt, tree_glue_build
 
 
 def _components(graph: ColoredDigraph) -> list[ColoredDigraph]:
@@ -74,6 +77,47 @@ def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
                     seen["pieces"] += 1
                 assert next(mine, None) is None
     assert min(seen.values()) > 0, seen
+
+
+def _two_colour_graphs():
+    """Two-colour graphs, so the pair is every vertex: caterpillars of 60 and
+    300 leaves, whose classes are single vertices, and Yule graphs of 8-40
+    leaves, whose keys are dense in the small ones and sparse in the large;
+    each with whether it is a caterpillar."""
+    for n in (60, 300):
+        yield bmg_of_tree(caterpillar(n, 2)), True
+    rng = random.Random(5)
+    for _ in range(60):
+        yield simulate(SimulationConfig(rng.randint(8, 40), 2, rng.getrandbits(48)))[1], False
+
+
+def test_pair_classes_and_tables_equal_the_thinness_reference_on_dense_and_sparse_keys(monkeypatch):
+    scanned: list[bool] = []  # per key, whether it was read in one C-level scan
+
+    def recorded(mask: int):
+        walk = scan_bits(mask)
+        scanned.append(isinstance(walk, itertools.compress))
+        return walk
+
+    monkeypatch.setattr(two_color, "scan_bits", recorded)
+    seen = {"a key scanned": 0, "a key scanned, a class of several vertices": 0, "a key walked": 0}
+    for graph, is_caterpillar in _two_colour_graphs():
+        del scanned[:]
+        classes = pair_classes(graph, (1 << len(graph)) - 1)
+        assert not isinstance(classes, Rejection)
+        class_masks, tables, pieces = classes
+        comps = connected_components(graph)
+        assert len(pieces) == len(comps)
+        for comp, in_piece in zip(comps, pieces):
+            part = thinness_partition(subgraph_on(graph, comp))
+            ids = [tuple(graph.vertex_ids[v] for v in bits(class_masks[a])) for a in bits(in_piece)]
+            assert ids == [part.class_ids(a) for a in range(len(part))]
+            assert _restricted(tables, in_piece) == neighborhood_tables(part.out_classes, part.in_classes)
+        assert any(scanned) or not is_caterpillar  # a caterpillar has dense keys
+        seen["a key scanned"] += any(scanned)
+        seen["a key scanned, a class of several vertices"] += any(scanned) and len(class_masks) < len(graph)
+        seen["a key walked"] += not all(scanned)
+    assert min(seen.values()) >= 10, seen
 
 
 def _flips(graph: ColoredDigraph):
