@@ -5,13 +5,16 @@ of the original string ids, so "smallest vertex" is well defined and every
 derived object (components, classes, arc listings) is deterministic.
 
 A digraph stores one Python-int bitset per vertex, its only adjacency: bit
-j of ``out_masks[i]`` is set exactly for the arc i -> j.  The in-bitsets are
-built on the first read of ``in_masks`` and kept, so a graph that is only
-written or compared, as in ``from-tree`` and the acceptance gate, never
-builds them.  An undirected graph, such as the symmetric part, is a digraph
-that holds both arcs of each edge.  Bit order is vertex order, so walking a
-bitset's bits (``bits``, or ``scan_bits`` where masks may be dense) lists
-its vertices sorted.
+j of ``out_masks[i]`` is set exactly for the arc i -> j.  Three views are
+built on first read and then kept: the in-bitsets ``in_masks``, and the
+graph's one colour table, ``color_masks`` (the colour classes L_t) and
+``color_outs`` (each vertex's colour-t out-neighbourhoods N_t(v)), which
+every layer reads in place of rebuilding it.  So a graph that is only
+written or compared, as in ``from-tree`` and the acceptance gate, builds
+none of them.  An undirected graph, such as the symmetric part, is a
+digraph that holds both arcs of each edge.  Bit order is vertex order, so
+walking a bitset's bits (``bits``, or ``scan_bits`` where masks may be
+dense) lists its vertices sorted.
 """
 
 from __future__ import annotations
@@ -52,7 +55,10 @@ def scan_bits(mask: int) -> Iterator[int]:
 class ColoredDigraph:
     """Immutable loop-free digraph with one color per vertex."""
 
-    __slots__ = ("vertex_ids", "index_of", "color_ids", "color_of", "out_masks", "_in_masks")
+    __slots__ = (
+        "vertex_ids", "index_of", "color_ids", "color_of", "out_masks",
+        "_in_masks", "_color_masks", "_color_outs",  # the views built on first read
+    )
 
     def __init__(self, colors: Mapping[str, str], arcs: Iterable[tuple[str, str]] = ()):
         # ids and colors are written as file tokens, so they must read back
@@ -69,7 +75,6 @@ class ColoredDigraph:
                 raise GraphError(f"self-loop on vertex {src!r}")
             out[i] |= 1 << j
         self.out_masks: tuple[int, ...] = tuple(out)
-        self._in_masks: tuple[int, ...] | None = None
 
     @classmethod
     def from_masks(cls, colors: Mapping[str, str], masks: Sequence[int]) -> "ColoredDigraph":
@@ -78,7 +83,6 @@ class ColoredDigraph:
         graph = cls.__new__(cls)
         graph._intern(colors)
         graph.out_masks = tuple(masks)
-        graph._in_masks = None
         return graph
 
     def _intern(self, colors: Mapping[str, str]) -> None:
@@ -89,6 +93,9 @@ class ColoredDigraph:
         self.color_ids: tuple[str, ...] = tuple(sorted(set(colors.values())))
         color_index = {c: i for i, c in enumerate(self.color_ids)}
         self.color_of: tuple[int, ...] = tuple(color_index[colors[v]] for v in self.vertex_ids)
+        self._in_masks: tuple[int, ...] | None = None
+        self._color_masks: tuple[int, ...] | None = None
+        self._color_outs: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     @property
     def in_masks(self) -> tuple[int, ...]:
@@ -102,6 +109,32 @@ class ColoredDigraph:
                     ins[j] |= bit
             in_masks = self._in_masks = tuple(ins)
         return in_masks
+
+    @property
+    def color_masks(self) -> tuple[int, ...]:
+        """Per colour index t, the bitset of the vertices of colour t (L_t),
+        built on first read and then kept."""
+        color_masks = self._color_masks
+        if color_masks is None:
+            by_color = [0] * len(self.color_ids)
+            for v, c in enumerate(self.color_of):
+                by_color[c] |= 1 << v
+            color_masks = self._color_masks = tuple(by_color)
+        return color_masks
+
+    @property
+    def color_outs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex v, the pairs ``(t, N_t(v))`` of the colours t that v has
+        arcs to, by colour index, N_t(v) the bitset of v's out-neighbours of
+        colour t; built on first read, one AND per vertex and colour, and then
+        kept."""
+        color_outs = self._color_outs
+        if color_outs is None:
+            by_color = tuple(enumerate(self.color_masks))
+            color_outs = self._color_outs = tuple(
+                tuple([(t, hit) for t, mask in by_color if (hit := out & mask)]) for out in self.out_masks
+            )
+        return color_outs
 
     # -- basic queries ---------------------------------------------------
 
@@ -126,16 +159,9 @@ class ColoredDigraph:
     def colors_as_dict(self) -> dict[str, str]:
         return {v: self.color_ids[self.color_of[i]] for i, v in enumerate(self.vertex_ids)}
 
-    def color_bitsets(self) -> list[int]:
-        """Per color index, the bitset of the vertices of that color."""
-        by_color = [0] * len(self.color_ids)
-        for v, c in enumerate(self.color_of):
-            by_color[c] |= 1 << v
-        return by_color
-
     def same_color_arc(self) -> tuple[int, int] | None:
         """Smallest arc joining two vertices of equal color, if any."""
-        by_color = self.color_bitsets()
+        by_color = self.color_masks
         for i, (out, c) in enumerate(zip(self.out_masks, self.color_of)):
             same = out & by_color[c]
             if same:
@@ -194,7 +220,7 @@ def induced_subgraph(graph: ColoredDigraph, colors: Iterable[str]) -> ColoredDig
     unknown = wanted - set(graph.color_ids)
     if unknown:
         raise GraphError(f"unknown color id(s): {sorted(unknown)}")
-    by_color = zip(graph.color_ids, graph.color_bitsets())
+    by_color = zip(graph.color_ids, graph.color_masks)
     return subgraph_on(graph, sum(mask for name, mask in by_color if name in wanted))  # disjoint: sum is OR
 
 

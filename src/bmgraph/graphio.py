@@ -8,7 +8,8 @@ live in a tab-separated sidecar, which is the single source of color truth.
 Vertex ids, leaf labels and colours are whitespace-free and hold no ``#``,
 and the constructors check that, so what a writer emits reads back.  All
 writers emit sorted, byte-deterministic output; the graph writer sorts the
-sources once and emits each one's arcs by walking its out-bitset.
+sources once and emits each one's arcs by walking its out-bitset with
+``scan_bits``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import stat
 import sys
 from typing import TextIO
 
-from .digraph import ColoredDigraph, bits
+from .digraph import ColoredDigraph, bits, scan_bits
 from .errors import ParseError, BmgraphError
 from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology
 
@@ -82,7 +83,7 @@ def format_graph(graph: ColoredDigraph) -> str:
     for i in sorted(range(len(ids)), key=lambda i: ids[i] + " "):
         if outs[i]:
             head = f"A {ids[i]} "
-            lines.append(head + ("\n" + head).join(map(ids.__getitem__, bits(outs[i]))))
+            lines.append(head + ("\n" + head).join(map(ids.__getitem__, scan_bits(outs[i]))))
     return "\n".join(lines) + "\n"
 
 
@@ -212,9 +213,17 @@ Output = tuple[str, str | None]
 
 def write_text(*outputs: Output) -> None:
     """The one writer of every text output, which takes all of a command's
-    outputs at once.  Every file is opened before any is truncated or
-    written; if an open fails, the files it created are removed and nothing
-    is written.  Stdout comes last."""
+    outputs at once.  Two paths that resolve to one file raise
+    ``BmgraphError`` before anything is opened.  Every file is opened before
+    any is truncated or written; if an open fails, the files it created are
+    removed and nothing is written.  Stdout comes last."""
+    named: dict[str, str] = {}  # resolved path -> the path as given
+    for _, path in outputs:
+        if path is not None:
+            where = os.path.realpath(path)
+            if where in named:
+                raise BmgraphError(f"outputs {named[where]!r} and {path!r} name one file")
+            named[where] = path
     opened: list[tuple[TextIO, str, bool]] = []  # handle, text, whether the file was there
     try:
         for text, path in outputs:

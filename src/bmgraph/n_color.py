@@ -8,16 +8,17 @@ BUILD, or (b) run BUILD on the union of the pairwise informative triples.
 Every vertex set handed on is a bitset of vertex indices; only report
 fields and witnesses name ids.  ``connected_components`` gives each
 component as a mask, passed on unchanged as ``ground``, and both routes
-read the input graph's own bitset adjacency, so nothing is copied.  The
-colour bitsets, taken once per graph, give each component's colour set and
-the colour pairs.  In (a) a pair is the mask ``(first | second) & ground``,
+read the input graph's own bitset adjacency and its one colour table, so
+nothing is copied.  The colour classes ``graph.color_masks`` give each
+component's colour set and the colour pairs, which are built once per
+graph.  In (a) a pair is the mask ``(first | second) & ground``,
 and ``two_color.pair_topology`` reads its sinks, pieces and thinness
 classes off the out- and in-bitsets and returns its tree as a cluster
 family over vertex bitsets; ``build_from_trees`` glues from those families
-on ``ground``, so no pair tree is ever built.  In (b) ``build`` on
-``ground`` reads the glue of the informative triples off the per-colour
-out-neighbourhoods (``triples.color_masks``, once per graph), from which
-the pair notes count each pair's triples.
+on ``ground``, so no pair tree is ever built.  In (b) ``build(graph,
+ground)`` reads the glue of the informative triples off the graph's
+per-colour out-neighbourhoods ``graph.color_outs``, from which the pair
+notes count each pair's triples.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the forward engine
@@ -55,14 +56,7 @@ from .digraph import (  # noqa: F401
 )
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
-from .triples import (  # noqa: F401
-    ColorMasks,
-    build,
-    build_from_trees,
-    color_masks,
-    informative_triple_counts,
-    informative_triples,
-)
+from .triples import build, build_from_trees, informative_triple_counts, informative_triples  # noqa: F401
 from .two_color import lrt_via_hierarchy, pair_topology  # noqa: F401
 from .verdicts import Rejection
 
@@ -120,7 +114,7 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
     if bad is not None:
         return Rejection("same-color-arc", tuple(graph.vertex_ids[v] for v in bad))
     comps = connected_components(graph)
-    ids, by_color = graph.vertex_ids, graph.color_bitsets()
+    ids, by_color = graph.vertex_ids, graph.color_masks
     report.components = tuple(tuple(ids[v] for v in bits(comp)) for comp in comps)
     met = [bool(mask & comps[0]) for mask in by_color]
     for k in range(1, len(comps)):
@@ -129,15 +123,13 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
     report.timings["structure"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    shared: ColorMasks | ColorPairs
-    if route == "informative-direct":
-        shared = color_masks(graph)
-    else:
+    pairs: ColorPairs | None = None
+    if route == "pairwise-lrt":
         named = zip(graph.color_ids, by_color)
-        shared = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
+        pairs = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
     topologies: list[Topology] = []
     for ci, comp in enumerate(comps):
-        outcome = _recognize_component(graph, comp, ci, shared, report)
+        outcome = _recognize_component(graph, comp, ci, pairs, report)
         if isinstance(outcome, Rejection):
             return outcome
         topologies.append(outcome)
@@ -149,25 +141,25 @@ def _recognize_component(
     graph: ColoredDigraph,
     ground: int,
     ci: int,
-    shared: ColorMasks | ColorPairs,
+    pairs: ColorPairs | None,
     report: RecognitionReport,
 ) -> Topology | Rejection:
-    """Candidate topology of the component with vertex mask ``ground``, from
-    what the route shares across components: the graph's ``ColorMasks`` on
-    the direct route, its colour pairs as vertex masks on the pairwise one.
-    No tree is built and no gate runs here, the caller's global comparison
-    is the only one."""
-    if isinstance(shared, ColorMasks):
-        counts = informative_triple_counts(shared, ground)
+    """Candidate topology of the component with vertex mask ``ground``.  The
+    pairwise route hands in the graph's colour pairs as vertex masks; the
+    direct route hands in None and reads the graph's colour table.  No tree
+    is built and no gate runs here, the caller's global comparison is the
+    only one."""
+    if pairs is None:
+        counts = informative_triple_counts(graph, ground)
         names = graph.color_ids
         for s, t in itertools.combinations(range(len(names)), 2):
             report.pair_verdicts[(ci, (names[s], names[t]))] = (
                 f"{counts.get((s, t), 0)} informative triples"
             )
-        topo = build(shared, ground)
+        topo = build(graph, ground)
     else:
         families = []
-        for s, t, pair in shared:
+        for s, t, pair in pairs:
             family = pair_topology(graph, pair & ground)
             if isinstance(family, Rejection):
                 report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"

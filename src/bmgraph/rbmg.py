@@ -23,7 +23,7 @@ def check_2crbmg_necessary(graph: ColoredDigraph) -> CheckResult:
     if bad is not None:
         i, j = bad
         raise GraphError(f"same-color edge {graph.vertex_ids[i]!r}-{graph.vertex_ids[j]!r}")
-    first_color = graph.color_bitsets()[0]
+    first_color = graph.color_masks[0]
     for comp in connected_components(graph):
         arc_count = sum(graph.out_masks[v].bit_count() for v in bits(comp))
         side = (comp & first_color).bit_count()

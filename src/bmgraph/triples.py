@@ -9,10 +9,12 @@ images, in O(|E| |L|).
 
 ``build`` is the one BUILD for triples.  It runs from an explicit stack over
 Python-int leaf bitsets and takes its glue from a triple collection or
-straight from a colored digraph: at a level M, ab|z lies inside M exactly
-for an arc a->b and some z in M of b's color outside N(a), so a is joined
-to N_t(a) & M for each color t where such a z is left, and no triple is
-ever built.  ``RootedTriple`` and ``TripleSet`` serve the API and the CLI.
+straight from a colored digraph's colour table (``color_masks`` and
+``color_outs``): at a level M, ab|z lies inside M exactly for an arc a->b
+and some z in M of b's color outside N(a), so a is joined to N_t(a) & M
+for each color t where such a z is left, and no triple is ever built.  The
+closed-form triple counts of the direct route's pair notes read the same
+table.  ``RootedTriple`` and ``TripleSet`` serve the API and the CLI.
 The triples route is ``recognize_ncbmg(graph, route="informative-direct")``,
 which runs ``build`` per component and then the one gate; none runs here.
 
@@ -26,7 +28,7 @@ costs a few bitset operations per level, not one step per leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # bmg_of_tree stays bound here: perfbench/layers.py traces it by this name
 from .bmg import bmg_of_tree  # noqa: F401
@@ -98,8 +100,7 @@ class TripleSet:
 
 def informative_triples(graph: ColoredDigraph) -> TripleSet:
     """All forced triples of a (two-)colored digraph, via the (arc, witness) scan."""
-    ids, color_of = graph.vertex_ids, graph.color_of
-    by_color = graph.color_bitsets()
+    ids, color_of, by_color = graph.vertex_ids, graph.color_of, graph.color_masks
     found: set[RootedTriple] = set()
     for i, out in enumerate(graph.out_masks):
         for j in bits(out):
@@ -109,21 +110,19 @@ def informative_triples(graph: ColoredDigraph) -> TripleSet:
 
 
 def build(
-    source: ColoredDigraph | ColorMasks | TripleSet | Iterable[RootedTriple],
+    source: ColoredDigraph | TripleSet | Iterable[RootedTriple],
     leaves: int | Iterable[str],
 ) -> Topology | None:
     """Aho tree on ``leaves``, or None when no tree displays the triples.
 
     ``source`` is a triple collection on the labels ``leaves``, or a colored
-    digraph (or its ``color_masks``) standing for its informative triples,
-    which are then read off the graph and never built; ``leaves`` is then a
-    bitset of the graph's vertex indices.
+    digraph standing for its informative triples, which are then read off
+    the graph's colour table and never built; ``leaves`` is then a bitset of
+    the graph's vertex indices.
     """
     if isinstance(source, ColoredDigraph):
-        source = color_masks(source)
-    if isinstance(source, ColorMasks):
-        check_vertex_mask(source.graph, leaves)
-        names, glue, root = source.graph.vertex_ids, _graph_glue(source), leaves
+        check_vertex_mask(source, leaves)
+        names, glue, root = source.vertex_ids, _graph_glue(source), leaves
     else:
         names = tuple(sorted(set(leaves)))
         glue = _triple_glue(source, {x: k for k, x in enumerate(names)})
@@ -210,11 +209,11 @@ def _with_singletons(level: int, blocks: list[int]) -> list[int]:
     return blocks
 
 
-def _graph_glue(masks: ColorMasks) -> Glue:
+def _graph_glue(graph: ColoredDigraph) -> Glue:
     """Glue of the informative triples of a graph: ab|z lies inside a level
     M exactly for an arc a->b and a vertex z of b's color in M, outside N(a)
     and other than a; so a joins N_t(a) & M whenever some such z exists."""
-    color_sets, out_masks = masks.colors, masks.outs
+    color_sets, out_masks = graph.color_masks, graph.color_outs
 
     def glue(level: int) -> Iterator[int]:
         inside = [level & mask for mask in color_sets]
@@ -230,33 +229,14 @@ def _graph_glue(masks: ColorMasks) -> Glue:
     return glue
 
 
-class ColorMasks(NamedTuple):
-    """A graph's out-neighbourhoods split by colour, as bitsets: ``colors[t]``
-    holds the vertices of color t, and ``outs[v]`` the ``(t, N_t(v))`` pairs
-    of the colors that v has arcs to."""
-
-    graph: ColoredDigraph
-    colors: list[int]
-    outs: list[list[tuple[int, int]]]
-
-
-def color_masks(graph: ColoredDigraph) -> ColorMasks:
-    """The graph's out-neighbourhoods per colour, one AND per vertex and colour."""
-    colors = graph.color_bitsets()
-    outs = [
-        [(t, hit) for t, mask in enumerate(colors) if (hit := out & mask)] for out in graph.out_masks
-    ]
-    return ColorMasks(graph, colors, outs)
-
-
-def informative_triple_counts(masks: ColorMasks, ground: int) -> dict[tuple[int, int], int]:
+def informative_triple_counts(graph: ColoredDigraph, ground: int) -> dict[tuple[int, int], int]:
     """Informative triples per color pair ``(s, t)``, ``s < t`` color indices,
     of the subgraph on the vertex mask ``ground``, which no arc leaves, in
     closed form for a graph without same-color arcs: ab|z arises from the one
     arc a->b and the one z of b's color outside N(a), so a pair counts
     |N_u(a)| * (|L_u| - |N_u(a)|) over its vertices a, u the other color."""
-    sizes = [(mask & ground).bit_count() for mask in masks.colors]
-    color_of, outs = masks.graph.color_of, masks.outs
+    sizes = [(mask & ground).bit_count() for mask in graph.color_masks]
+    color_of, outs = graph.color_of, graph.color_outs
     counts: dict[tuple[int, int], int] = {}
     for a in bits(ground):
         s = color_of[a]

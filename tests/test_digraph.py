@@ -21,7 +21,8 @@ from bmgraph import (
     thinness_partition,
 )
 from bmgraph.digraph import SCAN_DENSITY, bits, scan_bits
-from bmgraph.graphio import format_graph, parse_graph
+from bmgraph import cli
+from bmgraph.graphio import format_graph, parse_graph, write_tree
 from cases import countercog_tree, weird_tree
 from util import arc_ids, class_quotient, edge_ids, random_scenario
 
@@ -220,6 +221,29 @@ def in_neighborhoods(graph):
     return tuple(sum(1 << i for i in vertices if graph.has_arc(i, j)) for j in vertices)
 
 
+def color_table(graph):
+    """Colour classes and per-colour out-neighbourhoods straight from the definition."""
+    vertices, colors = range(len(graph)), range(len(graph.color_ids))
+    classes = tuple(sum(1 << v for v in vertices if graph.color_of[v] == t) for t in colors)
+    outs = tuple(
+        tuple(
+            (t, hit)
+            for t in colors
+            if (hit := sum(1 << w for w in vertices if graph.has_arc(v, w) and graph.color_of[w] == t))
+        )
+        for v in vertices
+    )
+    return classes, outs
+
+
+def shuffled_parse(graph, rng):
+    """The graph read back from its text with the ``V`` lines shuffled."""
+    lines = format_graph(graph).splitlines()
+    vertex_lines = [line for line in lines if line.startswith("V ")]
+    rng.shuffle(vertex_lines)
+    return parse_graph("\n".join(vertex_lines + lines[len(vertex_lines):]) + "\n")
+
+
 @settings(max_examples=80, deadline=None)
 @given(random_digraphs(), st.randoms(use_true_random=False))
 def test_in_masks_reverse_out_masks_however_the_graph_is_made(graph, rng):
@@ -238,14 +262,11 @@ def test_in_masks_reverse_out_masks_however_the_graph_is_made(graph, rng):
 def test_in_masks_of_a_parsed_graph_are_the_transposition_whatever_the_vertex_order():
     # shuffled V lines take the parser's renumbering path
     for seed in range(30):
-        rng = random.Random(seed)
         _, graph = random_scenario(seed, max_leaves=30, max_colors=5)
-        lines = format_graph(graph).splitlines()
-        vertex_lines = [line for line in lines if line.startswith("V ")]
-        rng.shuffle(vertex_lines)
-        parsed = parse_graph("\n".join(vertex_lines + lines[len(vertex_lines):]) + "\n")
+        parsed = shuffled_parse(graph, random.Random(seed))
         assert parsed == graph
         assert parsed.in_masks == in_neighborhoods(graph)
+        assert (parsed.color_masks, parsed.color_outs) == color_table(graph)
 
 
 def test_in_masks_of_forward_graphs_are_built_on_first_read():
@@ -258,9 +279,44 @@ def test_in_masks_of_forward_graphs_are_built_on_first_read():
         assert graph.in_masks == in_neighborhoods(graph)
 
 
+@settings(max_examples=80, deadline=None)
+@given(random_digraphs(), st.randoms(use_true_random=False))
+def test_color_table_is_its_definition_however_the_graph_is_made(graph, rng):
+    made = [
+        graph,
+        ColoredDigraph.from_masks(graph.colors_as_dict(), graph.out_masks),
+        parse_graph(format_graph(graph)),
+        shuffled_parse(graph, rng),
+    ]
+    for g in made:
+        assert (g.color_masks, g.color_outs) == color_table(graph)
+        assert g.color_masks is g.color_masks  # built once, then kept
+        assert g.color_outs is g.color_outs
+
+
+def test_a_from_tree_run_builds_no_view_of_its_graph(tmp_path, monkeypatch):
+    # the forward path writes the graph and reads only its out-bitsets
+    written, original = [], cli.write_graph
+
+    def write_graph(graph, path):
+        written.append(graph)
+        original(graph, path)
+
+    monkeypatch.setattr(cli, "write_graph", write_graph)
+    for seed in range(10):
+        tree, _ = random_scenario(seed, max_leaves=30, max_colors=5)
+        tp = tmp_path / "t.nwk"
+        write_tree(tree, str(tp), str(tp) + ".colors")
+        assert cli.main(["from-tree", "--tree", str(tp), "--out", str(tmp_path / "g.txt")]) == 0
+        (graph,) = written
+        written.clear()
+        assert (graph._in_masks, graph._color_masks, graph._color_outs) == (None, None, None)
+        assert (graph.color_masks, graph.color_outs) == color_table(graph)
+
+
 def test_racing_first_reads_of_in_masks_agree():
-    # the one value computed after construction: threads that race on its
-    # first read each build an equal tuple
+    # a view computed after construction: threads that race on its first
+    # read each build an equal tuple
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

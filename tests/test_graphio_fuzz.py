@@ -14,8 +14,10 @@ from bmgraph import (
     ParseError,
     SimulationConfig,
     TreeError,
+    bmg_of_tree,
     simulate,
 )
+from bmgraph.digraph import SCAN_DENSITY
 from bmgraph.graphio import (
     format_color_map,
     format_graph,
@@ -25,7 +27,7 @@ from bmgraph.graphio import (
     read_tree,
     write_tree,
 )
-from util import reference_format_graph
+from util import caterpillar, reference_format_graph
 
 # characters the three formats give meaning to, plus line breaks and blanks
 # that ``str.splitlines`` / ``str.split`` treat specially
@@ -206,6 +208,14 @@ def test_format_graph_equals_one_sort_of_all_lines(graph):
 @pytest.mark.parametrize("leaves, colors", [(1000, 20), (2500, 4)])
 def test_format_graph_equals_one_sort_of_all_lines_on_simulated_graphs(leaves, colors):
     _, graph = simulate(SimulationConfig(leaves, colors, leaves + colors))
+    assert format_graph(graph) == reference_format_graph(graph)
+
+
+@pytest.mark.parametrize("leaves", [60, 400])
+def test_format_graph_equals_one_sort_of_all_lines_on_dense_caterpillars(leaves):
+    # a two-colour caterpillar's out-bitsets are dense, so the writer scans them
+    graph = bmg_of_tree(caterpillar(leaves, 2))
+    assert any(out.bit_count() * SCAN_DENSITY >= out.bit_length() > 0 for out in graph.out_masks)
     assert format_graph(graph) == reference_format_graph(graph)
 
 

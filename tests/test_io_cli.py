@@ -382,6 +382,26 @@ def test_cli_simulate_exit_2_writes_nothing(tmp_path, capsys, leaves, colors, gr
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spelling", ["", "./"], ids=["plain", "dot-slash"])
+def test_cli_simulate_exit_2_when_the_graph_is_the_colour_sidecar(tmp_path, capsys, monkeypatch, spelling):
+    # the tree's sidecar is <tree>.colors, the very file named for the graph
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--leaves", "6", "--colors", "2", "--seed", "1"]
+    assert run(argv + ["--out-tree", "t", "--out-graph", f"{spelling}t.colors"]) == 2
+    assert capsys.readouterr() == ("", f"error: outputs 't.colors' and '{spelling}t.colors' name one file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["", "./"], ids=["plain", "dot-slash"])
+def test_cli_recognize_exit_2_when_lrt_and_dot_name_one_file(tmp_path, capsys, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    write_graph(random_scenario(4, max_leaves=10, max_colors=2)[1], "g.txt")
+    argv = ["recognize", "--graph", "g.txt", "--emit-lrt", "x", "--emit-dot", f"{spelling}x"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: outputs 'x' and '{spelling}x' name one file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+
+
 @pytest.mark.parametrize("old_dot", [None, "old\n"], ids=["new-dot", "existing-dot"])
 def test_cli_recognize_exit_2_on_an_unopenable_tree_path_writes_nothing(tmp_path, capsys, old_dot):
     # the graph is accepted, but no ACCEPT line is printed, and the DOT file,

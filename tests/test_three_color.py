@@ -2,11 +2,15 @@
 three or four colours, split 2+2+1, 3+1+1, 2+1+1+1, 4+1+1, 3+1+1+1 or
 2+2+1+1, in which each vertex has an arc into every other colour, and every
 graph on 2+2+2 vertices whose three colour pairs are best match graphs,
-against the best match graphs of all trees on those leaves."""
+against the best match graphs of all trees on those leaves.  On seven
+vertices, split 5+1+1, every best match graph and every single-arc flip
+that leaves the best match graphs, against the trees on those leaves, which
+also give each best match graph's least resolved tree."""
 
+import itertools
 from collections import Counter
 
-from bmgraph import LeafColoredTree, bmg_of_tree, recognize_ncbmg
+from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg
 from bmgraph.n_color import ROUTES
 from util import (
     all_topologies,
@@ -97,3 +101,40 @@ def test_both_routes_accept_exactly_the_tree_bmgs_on_six_vertices():
 def test_both_routes_accept_exactly_the_tree_bmgs_among_2_2_2_pair_bmg_products():
     found = sweep((2, 2, 2), pair_bmg_product_out_masks((2, 2, 2)))
     assert found == {route: PRODUCT_STAGES for route in ROUTES}
+
+
+def test_both_routes_on_every_bmg_and_non_bmg_flip_of_the_seven_leaf_split_5_1_1():
+    # Every tree on the leaves is enumerated, so the set of their graphs is
+    # exactly the split's best match graphs, and a best match graph's least
+    # resolved tree is the one tree with the fewest inner nodes that explains
+    # it (Geiss et al. 2019); neither route is trusted for either.
+    ids, colors = coloured_leaves((5, 1, 1))
+    fewest: dict[tuple[int, ...], list[LeafColoredTree]] = {}  # per graph, its trees with fewest inner nodes
+    topologies = all_topologies(ids)
+    for topo in topologies:
+        tree = LeafColoredTree(topo, colors)
+        outs = bmg_of_tree(tree).out_masks
+        best = fewest.get(outs)
+        if best is None or len(tree.parent) < len(best[0].parent):
+            fewest[outs] = [tree]
+        elif len(tree.parent) == len(best[0].parent):
+            best.append(tree)
+    assert (len(topologies), len(fewest)) == (39_208, 571)
+    flips: set[tuple[int, ...]] = set()
+    color_of = [colors[v] for v in ids]
+    for outs, best in fewest.items():
+        assert len(best) == 1
+        graph = ColoredDigraph.from_masks(colors, outs)
+        for route in ROUTES:
+            report = recognize_ncbmg(graph, route=route)
+            assert report.accepted and report.lrt == best[0], (route, outs)
+        for x, y in itertools.permutations(range(len(ids)), 2):
+            if color_of[x] != color_of[y]:
+                flipped = outs[:x] + (outs[x] ^ 1 << y,) + outs[x + 1 :]
+                if flipped not in fewest:
+                    flips.add(flipped)
+    assert len(flips) == 7_304
+    for outs in flips:
+        graph = ColoredDigraph.from_masks(colors, outs)
+        for route in ROUTES:
+            assert not recognize_ncbmg(graph, route=route).accepted, (route, outs)
