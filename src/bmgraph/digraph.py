@@ -41,13 +41,17 @@ _DIGIT_TRUTH = bytes.maketrans(b"01", b"\x00\x01")
 SCAN_DENSITY = 8
 
 
-def scan_bits(mask: int) -> Iterator[int]:
+def scan_bits(mask: int) -> Iterable[int]:
     """Positions of the set bits of ``mask``, lowest first, as ``bits``
     gives them.  Each step of ``bits`` costs O(width/64) words, so a mask
     with at least one bit set in ``SCAN_DENSITY`` is read in one C-level
-    scan of its binary digits instead; a sparser one goes through ``bits``."""
+    scan of its binary digits instead; a sparser one goes through ``bits``,
+    and one of at most one bit needs no walk at all."""
     width = mask.bit_length()
-    if mask.bit_count() * SCAN_DENSITY < width:
+    count = mask.bit_count()
+    if count < 2:
+        return (width - 1,) if count else ()
+    if count * SCAN_DENSITY < width:
         return bits(mask)
     return compress(range(width), bin(mask)[:1:-1].encode().translate(_DIGIT_TRUTH))
 

@@ -11,17 +11,19 @@ are bitsets too, bit ``c`` standing for class ``c``.  No class
 neighbourhood crosses a weakly connected piece, so the pieces are class
 bitsets over that one numbering, found by the same flood fill as the
 graph's components.  All axiom algebra runs on these bitsets; class
-granularity makes that lossless.  Axioms are checked piece by piece, in
-the order N2, N3, N1, and the first violating class (pair) in class order
-is the witness.
+granularity makes that lossless.  The axioms are checked in the order N2,
+N3, N1, and the first violating class (pair) in class order is the
+witness.  A pair's pieces are checked all at once: each is sink-free and
+self-contained, so they pass together exactly when each one passes.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
 With N2, N(N(N(a))) lies in N(a), so the reachable set of class a is
 R(a) = N(a) | N(N(a)) and no search is needed; the extended reachable set
 R'(a) adds Q(a), the classes with a's in-neighbourhood whose
-out-neighbourhood lies in N(a).  One pass over the distinct R' sets,
-smallest first, checks that they are laminar and links each to its Hasse
-parent.  ``reachable_set`` (a BFS), ``extended_reachable_set`` and
+out-neighbourhood lies in N(a).  One pass over the distinct R' sets of all
+pieces, smallest first, checks that they are laminar, links each to its
+Hasse parent and builds its node of the tree; its maximal sets must be the
+pieces.  ``reachable_set`` (a BFS), ``extended_reachable_set`` and
 ``laminarity_witness`` are the plain definitions on vertex sets, kept as
 the references the closed forms are tested against.
 
@@ -32,10 +34,12 @@ check the colour count and same-colour arcs, then take the first sink and
 the pieces from one ``pair_classes`` call and go on with the one piece.  The
 n-colour recognizer calls ``pair_topology`` on each colour pair directly: a
 pair has no same-colour arc, so its sink-free pieces pass every structure
-check.  Both run the same per-piece steps on the pair's one class table,
-down to the tree as a cluster family over vertex bitsets, which
-``lrt_via_hierarchy`` names.  No forward construction runs here: the one
-exact gate is the n-colour recognizer's final arc-for-arc comparison.
+check.  Both run the same steps on the pair's one class table, once per
+pair, down to the tree as a cluster family over vertex bitsets, which
+``lrt_via_hierarchy`` names.  Only a pair that fails runs its pieces again,
+one at a time, so that the first failing piece names the rejection.  No
+forward construction runs here: the one exact gate is the n-colour
+recognizer's final arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -44,13 +48,15 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 # bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
 from .bmg import bmg_of_tree  # noqa: F401
 from .digraph import ColoredDigraph, ThinnessPartition, bits, bitset_components, scan_bits, thinness_partition  # noqa: F401
 from .tree import Topology
 from .verdicts import CheckResult, Rejection
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -71,15 +77,24 @@ def neighborhood_tables(
 ) -> ClassNeighborhoodTables:
     """Tables of the classes whose out- and in-neighbour classes are ``outs[a]``
     and ``ins[a]``, each class listed once."""
-    bit = [1 << c for c in range(len(outs))]
+    return _class_tables(range(len(outs)), outs, ins)
 
-    def masks(class_sets) -> tuple[int, ...]:
-        return tuple(sum(map(bit.__getitem__, s)) for s in class_sets)
 
-    def step(table: tuple[int, ...], class_sets) -> tuple[int, ...]:
-        return tuple(reduce(or_, map(table.__getitem__, s), 0) for s in class_sets)
+def _class_tables(
+    labels: Sequence[int], outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]
+) -> ClassNeighborhoodTables:
+    """Tables of the classes labelled ``labels``, class a's out- and
+    in-neighbour classes listed by their labels in ``outs[a]`` and ``ins[a]``.
+    Each list is read once per table it feeds, through maps from a label to
+    its class bit and to its row of the table one step shorter."""
+    bit = dict(zip(labels, [1 << c for c in range(len(labels))]))
 
-    n1, in1 = masks(outs), masks(ins)
+    def step(table: tuple[int, ...], lists: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        row = dict(zip(labels, table))
+        return tuple([reduce(or_, map(row.__getitem__, s), 0) for s in lists])
+
+    n1 = tuple([sum(map(bit.__getitem__, s)) for s in outs])
+    in1 = tuple([sum(map(bit.__getitem__, s)) for s in ins])
     n2 = step(n1, outs)
     return ClassNeighborhoodTables(n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=step(in1, ins))
 
@@ -93,31 +108,32 @@ def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
     """Thinness classes, class tables and pieces of the subgraph that the
     vertex mask ``ground`` induces, or its first sink.  A class is the
     bitset of its vertices, and both neighbourhoods within ``ground`` key
-    it.  A key is listed as classes by its class representatives, each
-    class's smallest vertex: ``scan_bits`` walks ``key & reps``, reading a
-    dense key, such as one of a deep two-colour caterpillar, in one C-level
-    scan.  No class neighbourhood crosses a piece, so one class numbering
-    serves every piece, and the pieces, ordered by smallest vertex, come
-    from the class tables."""
+    it.  Each key is listed once, as the class representatives it holds,
+    each class's smallest vertex: ``scan_bits`` walks ``key & reps``, reading
+    a dense key, such as one of a deep two-colour caterpillar, in one
+    C-level scan.  The class tables are built from these lists, with each
+    class labelled by its representative.  No class neighbourhood crosses a
+    piece, so one class numbering serves every piece, and the pieces,
+    ordered by smallest vertex, come from the class tables."""
     outs, ins = graph.out_masks, graph.in_masks
     index: dict[tuple[int, int], int] = {}
     masks: list[int] = []
-    class_of: dict[int, int] = {}
     for v in bits(ground):
         out = outs[v] & ground
         if not out:
             return Rejection("sink-vertex", graph.vertex_ids[v])
-        a = class_of[v] = index.setdefault((out, ins[v] & ground), len(masks))
+        a = index.setdefault((out, ins[v] & ground), len(masks))
         if a == len(masks):
             masks.append(0)
         masks[a] |= 1 << v
 
-    reps = sum(m & -m for m in masks)
-
-    def lift(mask: int) -> list[int]:
-        return list(map(class_of.__getitem__, scan_bits(mask & reps)))
-
-    tables = neighborhood_tables([lift(out) for out, _ in index], [lift(into) for _, into in index])
+    lows = [m & -m for m in masks]
+    reps = sum(lows)
+    tables = _class_tables(
+        [low.bit_length() - 1 for low in lows],
+        [list(scan_bits(out & reps)) for out, _ in index],
+        [list(scan_bits(into & reps)) for _, into in index],
+    )
     return masks, tables, bitset_components(tables.n1, tables.in1, (1 << len(masks)) - 1)
 
 
@@ -149,46 +165,52 @@ def check_axioms(graph: ColoredDigraph) -> CheckResult:
     classes = _structure_check(graph)
     if isinstance(classes, CheckResult):
         return classes
-    masks, tables, (piece,) = classes
-    return _axiom_check(graph, masks, tables, piece)
+    masks, tables, pieces = classes
+    return _axiom_check(graph, masks, tables, pieces)
 
 
 def _axiom_check(
-    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, piece: int
+    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
 ) -> CheckResult:
-    """N2, N3, N1 on the classes in the class bitset ``piece``."""
+    """N2, N3, N1 on the classes of ``pieces``, class bitsets that no class
+    neighbourhood crosses, so a class can only break N1 or N3 together with
+    a class of its own piece."""
     n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
-    classes = list(bits(piece))
+    by_piece = [(piece, list(bits(piece))) for piece in pieces]
 
     def fail(stage: str, *witness: int) -> CheckResult:
         ids = tuple(_class_ids(graph, masks, 1 << a) for a in witness)
         return CheckResult(False, stage, ids if len(ids) > 1 else ids[0])
 
-    for a in classes:
-        if n3[a] & ~n1[a]:
-            return fail("N2", a)
+    for _, classes in by_piece:
+        for a in classes:
+            if n3[a] & ~n1[a]:
+                return fail("N2", a)
     # Arcs join the two colours, so only classes of one colour can share
     # out-neighbours (N3) and only classes of two colours can meet N(N(.))
-    # through N(.) (N1); each loop visits the later classes b > a that the
-    # premise of its axiom leaves open.  A class's colour is that of its
-    # highest vertex.
+    # through N(.) (N1); each loop visits the later classes b > a of a's
+    # piece that the premise of its axiom leaves open.  A class's colour is
+    # that of its highest vertex.
     color_of = graph.color_of
-    first = color_of[masks[classes[0]].bit_length() - 1]
-    first_color = sum(1 << a for a in classes if color_of[masks[a].bit_length() - 1] == first)
-    other_color = piece ^ first_color
-    for a in classes:
-        n1a = n1[a]
-        same_color = first_color if first_color >> a & 1 else other_color
-        for b in bits(same_color & ~n2[a] & ~in2[a] & ~((2 << a) - 1)):
-            n1b = n1[b]
-            if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
-                return fail("N3", a, b)
-    for a in classes:
-        n1a, n2a = n1[a], n2[a]
-        other = other_color if first_color >> a & 1 else first_color
-        for b in bits(other & ~n1a & ~in1[a] & ~((2 << a) - 1)):
-            if n1a & n2[b] or n1[b] & n2a:
-                return fail("N1", a, b)
+    first = color_of[masks[by_piece[0][1][0]].bit_length() - 1]
+    first_color = sum(
+        1 << a for _, classes in by_piece for a in classes if color_of[masks[a].bit_length() - 1] == first
+    )
+    for piece, classes in by_piece:
+        for a in classes:
+            n1a = n1[a]
+            same_color = piece & (first_color if first_color >> a & 1 else ~first_color)
+            for b in bits(same_color & ~n2[a] & ~in2[a] & ~((2 << a) - 1)):
+                n1b = n1[b]
+                if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
+                    return fail("N3", a, b)
+    for piece, classes in by_piece:
+        for a in classes:
+            n1a, n2a = n1[a], n2[a]
+            other = piece & (~first_color if first_color >> a & 1 else first_color)
+            for b in bits(other & ~n1a & ~in1[a] & ~((2 << a) - 1)):
+                if n1a & n2[b] or n1[b] & n2a:
+                    return fail("N1", a, b)
     return CheckResult(True)
 
 
@@ -264,32 +286,40 @@ def laminarity_witness(
     sets: tuple[frozenset[int], ...],
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """First pair of sets that overlap without nesting, if any (all pairs;
-    the reference for the one pass in ``hasse_tree``)."""
+    the reference for the one pass in ``hasse_forest``)."""
     for s, t in itertools.combinations(sets, 2):
         if s & t and not (s <= t or t <= s):
             return s, t
     return None
 
 
-def hasse_tree(ground: int, sets: Iterable[int]) -> Hierarchy | Rejection:
-    """Hasse tree of a family of distinct bitsets, or a staged rejection:
-    ``laminarity`` names a set and an earlier set it overlaps without
-    nesting, ``hasse-not-tree`` the maximal sets unless the only one is
-    ``ground``.
+def hasse_forest(
+    pieces: Sequence[int], sets: Iterable[int], node: Callable[[int, list[T]], T]
+) -> list[T] | Rejection:
+    """Hasse forest of a family of distinct bitsets whose maximal sets must
+    be ``pieces``, disjoint and ordered by lowest bit, as the nodes that
+    ``node`` builds, or a staged rejection: ``laminarity`` names a set and an
+    earlier set it overlaps without nesting, ``hasse-not-tree`` the maximal
+    sets, smallest first, unless they are the pieces.
 
     One pass from smallest to largest set.  The sets placed so far form a
     forest whose roots are disjoint; each new set must contain every root it
     meets, and becomes their parent.  ``first[c]`` is the smallest set that
     holds element c, and ``top`` (a union-find over set indices) leads from
     it to the root above it, so each set costs one step per root it meets.
+    A set meets the roots it absorbs in lowest-bit order, and the pass builds
+    its node there, ``node(s, kids)`` from their nodes in that order; it
+    returns the nodes of the pieces.
     """
-    order = tuple(sorted(sets, key=lambda s: (s.bit_count(), s)))
-    parent = [-1] * len(order)
+    order = sorted(sets)
+    order.sort(key=int.bit_count)  # stable: by size, then by value
     top: list[int] = []
     first: dict[int, int] = {}
+    built: list[T] = []
     covered = 0
     for i, s in enumerate(order):
         top.append(i)
+        kids: list[T] = []
         meets = s & covered
         while meets:
             r = first[(meets & -meets).bit_length() - 1]
@@ -298,26 +328,41 @@ def hasse_tree(ground: int, sets: Iterable[int]) -> Hierarchy | Rejection:
                 r = top[r]
             if order[r] & ~s:
                 return Rejection("laminarity", (s, order[r]))
-            parent[r] = top[r] = i
+            top[r] = i
+            kids.append(built[r])
             meets &= ~order[r]
         for c in bits(s & ~covered):
             first[c] = i
         covered |= s
-    roots = [i for i, p in enumerate(parent) if p == -1]
-    if len(roots) != 1 or order[roots[0]] != ground:
+        built.append(node(s, kids))
+    roots = [i for i, t in enumerate(top) if t == i]
+    maximal = sorted(roots, key=lambda r: order[r] & -order[r])
+    if [order[r] for r in maximal] != list(pieces):
         return Rejection("hasse-not-tree", tuple(order[r] for r in roots))
-    children: list[list[int]] = [[] for _ in order]
-    for i, p in enumerate(parent):
-        if p != -1:
-            children[p].append(i)
-    for kids in children:  # the roots a set absorbs are disjoint
-        kids.sort(key=lambda i: order[i] & -order[i])
+    return [built[r] for r in maximal]
+
+
+def hasse_tree(ground: int, sets: Iterable[int]) -> Hierarchy | Rejection:
+    """Hasse tree of a family of distinct bitsets whose one maximal set must
+    be ``ground``, or the staged rejection of ``hasse_forest``, with the sets
+    numbered from smallest to largest."""
+    placed: list[int] = []
+    children: list[tuple[int, ...]] = []
+
+    def node(s: int, kids: list[int]) -> int:
+        placed.append(s)
+        children.append(tuple(kids))
+        return len(placed) - 1
+
+    roots = hasse_forest((ground,), sets, node)
+    if isinstance(roots, Rejection):
+        return roots
+    parent = [-1] * len(placed)
+    for p, kids in enumerate(children):
+        for c in kids:
+            parent[c] = p
     return Hierarchy(
-        ground=ground,
-        sets=order,
-        parent=tuple(parent),
-        children=tuple(tuple(kids) for kids in children),
-        root=roots[0],
+        ground=ground, sets=tuple(placed), parent=tuple(parent), children=tuple(children), root=roots[0]
     )
 
 
@@ -333,7 +378,7 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     classes = _structure_check(graph)
     if isinstance(classes, CheckResult):
         return Rejection("axioms", classes)
-    family = _pieces_family(graph, *classes)
+    family = _pieces_family(graph, *classes, [(1 << v, ()) for v in range(len(graph))])
     return family if isinstance(family, Rejection) else family_topology(family, graph.vertex_ids)
 
 
@@ -342,47 +387,74 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
 Family = tuple
 
 
-def pair_topology(graph: ColoredDigraph, ground: int) -> Family | Rejection:
+def pair_topology(
+    graph: ColoredDigraph, ground: int, leaves: Sequence[Family] | None = None
+) -> Family | Rejection:
     """Least resolved tree of the subgraph that the vertex mask ``ground``
     induces, as a cluster family over vertex bitsets, or a staged rejection;
-    several pieces are joined under a fresh root.  The caller vouches that
-    the subgraph has two colours and no arc inside one; then each sink-free
-    piece passes every structure check."""
+    several pieces are joined under a fresh root.  ``leaves[v]`` is the leaf
+    ``(1 << v, ())`` of vertex v, one table that a recognizer shares among
+    all its colour pairs; without it the call makes its own.  The caller
+    vouches that the subgraph has two colours and no arc inside one; then
+    each sink-free piece passes every structure check."""
     classes = pair_classes(graph, ground)
-    return classes if isinstance(classes, Rejection) else _pieces_family(graph, *classes)
+    if isinstance(classes, Rejection):
+        return classes
+    if leaves is None:
+        leaves = {v: (1 << v, ()) for v in bits(ground)}
+    return _pieces_family(graph, *classes, leaves)
 
 
 def _pieces_family(
-    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
+    graph: ColoredDigraph,
+    masks: list[int],
+    tables: ClassNeighborhoodTables,
+    pieces: list[int],
+    leaves: Sequence[Family],
 ) -> Family | Rejection:
-    """Least resolved tree of sink-free pieces, each in turn through axioms,
-    R' and its Hasse tree; the first piece to fail gives the rejection."""
-    r_ext = extended_reachable_masks(tables)
-    families: list[Family] = []
-    for piece in pieces:
-        verdict = _axiom_check(graph, masks, tables, piece)
-        if not verdict:
-            return Rejection("axioms", verdict)
-        hierarchy = hasse_tree(piece, {r_ext[a] for a in bits(piece)})
-        if isinstance(hierarchy, Rejection):
-            return Rejection(hierarchy.stage, tuple(_class_ids(graph, masks, m) for m in hierarchy.witness))
-        families.append(_family(masks, r_ext, hierarchy))
+    """Least resolved tree of sink-free pieces, all at once through axioms,
+    R' and one Hasse pass.  No class neighbourhood crosses a piece, so the
+    pieces together pass exactly when each one does; when they fail, they
+    run one by one, in order, through the same steps, and the first piece to
+    fail gives the rejection."""
+    attached: dict[int, int] = {}  # an R' set -> the vertices of the classes whose R' set it is
+    for r, mask in zip(extended_reachable_masks(tables), masks):
+        attached[r] = attached.get(r, 0) | mask
+    found = _family(graph, masks, tables, pieces, attached, leaves)
+    if isinstance(found, Rejection) and len(pieces) > 1:
+        for piece in pieces:  # each R' set lies in the piece of its class
+            own = {r: mask for r, mask in attached.items() if r & piece}
+            failed = _family(graph, masks, tables, [piece], own, leaves)
+            if isinstance(failed, Rejection):
+                return failed
+    return found
+
+
+def _family(
+    graph: ColoredDigraph,
+    masks: list[int],
+    tables: ClassNeighborhoodTables,
+    pieces: list[int],
+    attached: dict[int, int],
+    leaves: Sequence[Family],
+) -> Family | Rejection:
+    """The axioms on the classes of ``pieces``, then the Hasse forest of
+    their R' sets, the keys of ``attached``, as one cluster family.  Each
+    node is built as the Hasse pass places its set: its kids are the nodes
+    of its Hasse children, then the leaves of the vertices that ``attached``
+    gives the set."""
+    verdict = _axiom_check(graph, masks, tables, pieces)
+    if not verdict:
+        return Rejection("axioms", verdict)
+
+    def node(s: int, kids: list[Family]) -> Family:
+        kids.extend(map(leaves.__getitem__, bits(attached[s])))
+        return (sum(k[0] for k in kids), tuple(kids)) if len(kids) > 1 else kids[0]
+
+    families = hasse_forest(pieces, attached, node)
+    if isinstance(families, Rejection):
+        return Rejection(families.stage, tuple(_class_ids(graph, masks, m) for m in families.witness))
     return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
-
-
-def _family(masks: list[int], r_ext: tuple[int, ...], hierarchy: Hierarchy) -> Family:
-    """The Hasse tree as a cluster family, built bottom-up: a node's kids are
-    its Hasse children, then the vertices of the classes whose R' set it is."""
-    node_of = {s: i for i, s in enumerate(hierarchy.sets)}
-    attached = [0] * len(hierarchy.sets)
-    for a in bits(hierarchy.ground):
-        attached[node_of[r_ext[a]]] |= masks[a]
-    built: list[Family] = []
-    for i, kids_at in enumerate(hierarchy.children):  # children before parents
-        kids = [built[c] for c in kids_at]
-        kids.extend((1 << v, ()) for v in bits(attached[i]))
-        built.append((sum(k[0] for k in kids), tuple(kids)) if len(kids) > 1 else kids[0])
-    return built[hierarchy.root]
 
 
 def family_topology(family: Family, names: Sequence[str]) -> Topology:

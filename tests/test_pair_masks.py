@@ -15,14 +15,29 @@ from bmgraph import (
     build_from_trees,
     connected_components,
     induced_subgraph,
+    recognize_ncbmg,
     simulate,
     subgraph_on,
     thinness_partition,
 )
-from bmgraph import two_color
+from bmgraph import n_color, two_color
 from bmgraph.digraph import bits, scan_bits
-from bmgraph.two_color import ClassNeighborhoodTables, neighborhood_tables, pair_classes, pair_topology
-from util import caterpillar, family_tree, random_scenario, reference_pair_lrt, tree_glue_build
+from bmgraph.two_color import (
+    ClassNeighborhoodTables,
+    extended_reachable_masks,
+    hasse_tree,
+    neighborhood_tables,
+    pair_classes,
+    pair_topology,
+)
+from util import (
+    caterpillar,
+    connected_sink_free_out_masks,
+    family_tree,
+    random_scenario,
+    reference_pair_lrt,
+    tree_glue_build,
+)
 
 
 def _components(graph: ColoredDigraph) -> list[ColoredDigraph]:
@@ -165,3 +180,127 @@ def test_family_glue_build_equals_tree_glue_build_on_every_flip():
         assert mine == expected, sub
         outcomes["inconsistent" if mine is None else "tree"] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+def _piece_family(masks: list[int], r_ext: tuple[int, ...], hierarchy) -> tuple:
+    """A piece's Hasse tree as a cluster family, built bottom-up: a node's
+    kids are its Hasse children, then the vertices of the classes whose R'
+    set it is."""
+    node_of = {s: i for i, s in enumerate(hierarchy.sets)}
+    attached = [0] * len(hierarchy.sets)
+    for a in bits(hierarchy.ground):
+        attached[node_of[r_ext[a]]] |= masks[a]
+    built: list[tuple] = []
+    for i, kids_at in enumerate(hierarchy.children):  # children before parents
+        kids = [built[c] for c in kids_at]
+        kids.extend((1 << v, ()) for v in bits(attached[i]))
+        built.append((sum(k[0] for k in kids), tuple(kids)) if len(kids) > 1 else kids[0])
+    return built[hierarchy.root]
+
+
+def _piece_by_piece(graph: ColoredDigraph, ground: int):
+    """``pair_topology`` as its pieces give it one at a time, in order, each
+    through the axioms, the Hasse tree of its R' sets and that tree's cluster
+    family; the first piece to fail names the rejection."""
+    classes = pair_classes(graph, ground)
+    if isinstance(classes, Rejection):
+        return classes
+    masks, tables, pieces = classes
+    r_ext = extended_reachable_masks(tables)
+    families = []
+    for piece in pieces:
+        verdict = two_color._axiom_check(graph, masks, tables, [piece])
+        if not verdict:
+            return Rejection("axioms", verdict)
+        hierarchy = hasse_tree(piece, {r_ext[a] for a in bits(piece)})
+        if isinstance(hierarchy, Rejection):
+            ids = tuple(two_color._class_ids(graph, masks, m) for m in hierarchy.witness)
+            return Rejection(hierarchy.stage, ids)
+        families.append(_piece_family(masks, r_ext, hierarchy))
+    return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
+
+
+def _split_pairs():
+    """Two-colour graphs of two pieces, each a connected sink-free graph on
+    2 red and 3 blue vertices: for every two different outcomes among N1,
+    N2, N3 and passing, a piece with each, both ways round, so that either
+    piece holds the smallest vertex."""
+    found: dict[str, tuple[int, ...]] = {}
+    for outs in connected_sink_free_out_masks(2, 3):
+        names = "abcde"
+        colors = {x: "red" if v < 2 else "blue" for v, x in enumerate(names)}
+        arcs = {(names[v], names[w]) for v, out in enumerate(outs) for w in bits(out)}
+        verdict = two_color.check_axioms(ColoredDigraph(colors, arcs))
+        found.setdefault(verdict.stage or "pass", outs)
+    assert {"N1", "N2", "N3", "pass"} <= found.keys(), found
+    for first, second in itertools.permutations(sorted(found), 2):
+        colors, arcs = {}, set()
+        for outs, names in ((found[first], "acegi"), (found[second], "bdfhj")):
+            colors.update({x: "red" if v < 2 else "blue" for v, x in enumerate(names)})
+            arcs |= {(names[v], names[w]) for v, out in enumerate(outs) for w in bits(out)}
+        yield ColoredDigraph(colors, arcs)
+
+
+def test_one_pass_pair_outcome_equals_the_piece_by_piece_outcome():
+    # the pair layer checks the axioms on all pieces at once and runs one
+    # Hasse pass over all their R' sets; the outcome, witness included, must
+    # be that of the pieces run one at a time; the pairs of a 60-leaf,
+    # 8-colour graph pass with three or more pieces
+    seen: dict[str, int] = {}
+    _, wide = simulate(SimulationConfig(60, 8, 3))
+    subs = itertools.chain(_flip_pool(), _split_pairs(), _components(wide))
+    for sub in subs:
+        for pair in _pair_masks(sub).values():
+            mine = pair_topology(sub, pair)
+            assert mine == _piece_by_piece(sub, pair), (sub, pair)
+            if isinstance(mine, Rejection):
+                stage = mine.witness.stage if mine.stage == "axioms" else mine.stage
+            else:
+                stage = f"tree of {min(len(pair_classes(sub, pair)[2]), 3)}+ pieces"
+            seen[stage] = seen.get(stage, 0) + 1
+    assert {"sink-vertex", "N1", "N2", "N3", "tree of 3+ pieces"} <= seen.keys(), seen
+
+
+def _calls(monkeypatch, module, name: str, argument: int) -> list:
+    """The ``argument``-th positional argument of every call of ``module.name``."""
+    recorded: list = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        recorded.append(args[argument])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return recorded
+
+
+def test_the_pair_layer_checks_the_axioms_and_runs_one_hasse_pass_per_colour_pair(monkeypatch):
+    pairs = _calls(monkeypatch, n_color, "pair_topology", 1)
+    checked = _calls(monkeypatch, two_color, "_axiom_check", 3)
+    passes = _calls(monkeypatch, two_color, "hasse_forest", 0)
+    _, graph = simulate(SimulationConfig(60, 8, 3))
+    report = recognize_ncbmg(graph)
+    assert report.accepted
+    assert len(pairs) == 28 * len(report.components)
+    pieces = [pair_classes(graph, ground)[2] for ground in pairs]
+    assert max(map(len, pieces)) >= 3  # batching is exercised
+    assert checked == passes == pieces  # once per pair, on all of its pieces
+
+    # a flip that breaks one pair of several pieces, not the first pair:
+    # only that pair replays its pieces, one by one up to the failing one
+    found = None
+    for flipped in _flips(graph):
+        del pairs[:], checked[:], passes[:]
+        report = recognize_ncbmg(flipped)
+        if report.stage == "2cbmg-failure" and report.witness.stage == "axioms" and len(pairs) > 1:
+            failing = pair_classes(flipped, pairs[-1])[2]
+            if len(failing) >= 2:
+                found = flipped
+                break
+    assert found is not None
+    first = [pair_classes(found, ground)[2] for ground in pairs]
+    replayed = checked[len(pairs) :]
+    assert checked[: len(pairs)] == first  # each pair once, the failing one on all its pieces
+    assert replayed and replayed == [[piece] for piece in failing[: len(replayed)]]
+    assert passes[: len(pairs) - 1] == first[:-1]
+    assert all(len(p) == 1 for p in passes[len(pairs) - 1 :])
