@@ -2,6 +2,9 @@
 
 Graph files are plain text: ``V <id> <color>`` declares a vertex, ``A <src>
 <dst>`` an arc between previously declared vertices, ``#`` starts a comment.
+A file in the layout the graph writer emits is read in bulk, block by block;
+any other layout, and any invalid file, is read line by line, which gives the
+same graph and is the one source of ``ParseError``.
 Vertex ids are leaf labels, so they hold no character Newick gives meaning to.
 Trees are rooted Newick without branch lengths or inner labels; leaf colors
 live in a tab-separated sidecar, which is the single source of color truth.
@@ -17,13 +20,74 @@ from __future__ import annotations
 import os
 import stat
 import sys
+from itertools import groupby
 from typing import TextIO
 
 from .digraph import ColoredDigraph, bits, scan_bits
 from .errors import ParseError, BmgraphError
 from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology
 
+# characters per block of the bulk path, which cuts each at the next line end
+_BLOCK = 1 << 14
+
+
 def parse_graph(text: str) -> ColoredDigraph:
+    """Graph of a graph file: in bulk when the text is in the writer's layout,
+    else line by line, which gives the same graph and raises every
+    ``ParseError``."""
+    graph = _parse_layout(text)
+    return graph if graph is not None else _parse_lines(text)
+
+
+def _parse_layout(text: str) -> ColoredDigraph | None:
+    """Graph of a text in the layout ``format_graph`` writes, or ``None`` for
+    any other layout and any invalid file: ``V`` lines, then ``A`` lines, one
+    space between fields, every line ending in ``\n``, no ``#``.  Each block
+    is split once and must be its own rendering from its tokens, so it holds
+    only lines of three fields, each ended by ``\n``.  The targets of a run
+    of arcs with one source are ORed in at once as bits of their ranks in
+    sorted id order, the order ``ColoredDigraph`` interns; a repeated arc
+    shows as a carry (popcount below the run's length) or as a bit already
+    set."""
+    if "#" in text:
+        return None
+    colors: dict[str, str] = {}
+    declared = 0  # V lines read
+    bit: dict[str, int] = {}  # id -> 1 << its rank, set at the first arc
+    out: dict[str, int] = {}  # id -> out-bitset, in rank order
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        block, start = text[start:end], end
+        fields = block.split()
+        kinds, firsts, seconds = fields[::3], fields[1::3], fields[2::3]
+        if block != "\n".join(map(" ".join, zip(kinds, firsts, seconds))) + "\n":
+            return None
+        nv = kinds.count("V")
+        if kinds != ["V"] * nv + ["A"] * (len(kinds) - nv) or (nv and bit):
+            return None
+        colors.update(zip(firsts[:nv], seconds[:nv]))
+        declared += nv
+        if nv < len(kinds) and not bit:
+            bit = {v: 1 << r for r, v in enumerate(sorted(colors))}
+            out = dict.fromkeys(bit, 0)
+        i = nv
+        try:
+            for src, run in groupby(firsts[nv:]):
+                j = i + len(list(run))
+                mask = sum(map(bit.__getitem__, seconds[i:j]))
+                if mask.bit_count() != j - i or mask & (out[src] | bit[src]):
+                    return None
+                out[src] |= mask
+                i = j
+        except KeyError:  # an undeclared endpoint
+            return None
+    if not colors or len(colors) != declared or not _FORBIDDEN_LABEL_CHARS.isdisjoint("".join(colors)):
+        return None
+    return ColoredDigraph.from_masks(colors, list(out.values()) if out else [0] * len(colors))
+
+
+def _parse_lines(text: str) -> ColoredDigraph:
     """Graph of a graph file.  Each vertex gets a slot at its ``V`` line and
     arcs are kept as bitsets over slots, so they are checked as they are
     read; the slots are renumbered into sorted id order once, at the end,

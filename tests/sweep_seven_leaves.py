@@ -9,7 +9,8 @@ best match graphs is exactly the split's, and each one's least resolved tree
 is the one tree with the fewest inner nodes that explains it (Geiss et al.
 2019); neither route is trusted for either.  Both routes must accept every
 best match graph with that tree, and reject every distinct graph one
-cross-colour arc flip away from one that is no best match graph.  Prints per
+cross-colour arc flip away from one that is no best match graph, and that
+tree must have no redundant edge (``redundant_edges_n``).  Prints per
 split the graph counts, the wrong verdicts and the verdict stages per route,
 and exits 1 on any wrong verdict or tree.
 """
@@ -21,7 +22,7 @@ import sys
 import time
 from collections import Counter
 
-from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg
+from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg, redundant_edges_n
 from bmgraph.n_color import ROUTES
 from util import all_topologies, coloured_leaves
 
@@ -66,10 +67,13 @@ def sweep(sizes: tuple[int, ...]) -> int:
                 if flipped not in fewest:
                     flips.add(flipped)
     split = "+".join(map(str, sizes))
-    wrong = {route: 0 for route in ROUTES}
+    wrong = {route: 0 for route in ROUTES} | {"oracle": 0}
     stages: dict[str, Counter] = {route: Counter() for route in ROUTES}
     for outs, best in fewest.items():
         graph = ColoredDigraph.from_masks(colors, outs)
+        if redundant_edges_n(best[0], graph):
+            wrong["oracle"] += 1
+            print(f"oracle tree of best match graph {outs} of {split} has a redundant edge")
         for route in ROUTES:
             report = recognize_ncbmg(graph, route=route)
             stages[route][report.stage or "accepted"] += 1
@@ -86,7 +90,7 @@ def sweep(sizes: tuple[int, ...]) -> int:
                 print(f"wrong {route} verdict on flip {outs} of {split}")
     print(
         f"{split}: {len(fewest)} best match graphs, {len(flips)} non-BMG flips, "
-        + ", ".join(f"{wrong[route]} wrong {route}" for route in ROUTES)
+        + ", ".join(f"{count} wrong {name}" for name, count in wrong.items())
     )
     for route in ROUTES:
         print(f"  {route}: {dict(sorted(stages[route].items()))}")

@@ -17,6 +17,7 @@ from bmgraph import (
     bmg_of_tree,
     simulate,
 )
+from bmgraph import graphio
 from bmgraph.digraph import SCAN_DENSITY
 from bmgraph.graphio import (
     format_color_map,
@@ -209,6 +210,120 @@ def test_format_graph_equals_one_sort_of_all_lines(graph):
 def test_format_graph_equals_one_sort_of_all_lines_on_simulated_graphs(leaves, colors):
     _, graph = simulate(SimulationConfig(leaves, colors, leaves + colors))
     assert format_graph(graph) == reference_format_graph(graph)
+
+
+# blanks ``str.split`` splits on, so that an id holding one reads as two tokens
+SPLITTING = "\x1c\x85\xa0 "
+MUTATIONS = (
+    "as written", "repeated line", "self-loop", "undeclared endpoint", "V line after the arcs",
+    "unsorted V lines", "id holding (", "double space", "trailing space", "tab",
+    "split id", "CRLF", "no final line end", "# note",
+)
+
+
+@st.composite
+def layout_mutations(draw):
+    """``format_graph`` text of a drawn graph, as written or with one
+    mutation that takes it out of the writer's layout or makes it invalid."""
+    graph = draw(awkward_graphs())
+    ids = graph.vertex_ids
+    lines = format_graph(graph)[:-1].split("\n")  # the V lines come first
+    k = draw(st.integers(0, len(lines) - 1))
+    v, w = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+    fields = lines[k].split(" ")
+    arc_at = draw(st.integers(len(ids), len(lines)))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "repeated line":
+        lines.insert(k, lines[k])
+    elif mutation == "self-loop":
+        lines.insert(arc_at, f"A {v} {v}")
+    elif mutation == "undeclared endpoint":
+        lines.insert(arc_at, f"A {v} {draw(awkward_ids.filter(lambda u: u not in ids))}")
+    elif mutation == "V line after the arcs":
+        lines.append(lines.pop(ids.index(v)))
+    elif mutation == "unsorted V lines":
+        i, j = ids.index(v), ids.index(w)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif mutation == "id holding (":
+        lines[k] = " ".join([fields[0], fields[1] + "(", fields[2]])
+    elif mutation == "double space":
+        lines[k] = lines[k].replace(" ", "  ", 1)
+    elif mutation == "trailing space":
+        lines[k] += " "
+    elif mutation == "tab":
+        lines[k] = lines[k].replace(" ", "\t", 1)
+    elif mutation == "split id":
+        at = draw(st.integers(0, len(fields[1])))
+        fields[1] = fields[1][:at] + draw(st.sampled_from(SPLITTING)) + fields[1][at:]
+        lines[k] = " ".join(fields)
+    elif mutation == "# note":
+        lines[k] += draw(st.sampled_from([" # note", "#note"]))
+    text = "\n".join(lines) + "\n"
+    if mutation == "CRLF":
+        return text.replace("\n", "\r\n")
+    return text[:-1] if mutation == "no final line end" else text
+
+
+def graph_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@FUZZ
+@given(st.one_of(layout_mutations(), texts))
+@example("V 0 0\n")  # no arc follows the V lines
+@example("V x red\nV x blue\n")  # a repeated id, whose second colour would replace the first
+@example("V a( r\n")  # an id no Newick label can be, with no arc to check it at
+@example("A b a\nV a r\nV b a\n")  # an arc before the vertices, of three fields as they are
+def test_parse_graph_equals_the_line_reader(text):
+    assert graph_or_error(parse_graph, text) == graph_or_error(graphio._parse_lines, text)
+
+
+def blocks(text):
+    """The blocks of the bulk path: cut at the first line end after each
+    ``graphio._BLOCK`` characters."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + graphio._BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def test_the_writer_layout_is_read_in_bulk(monkeypatch):
+    caterpillar_graph = bmg_of_tree(caterpillar(300, 2))
+    text = format_graph(caterpillar_graph)
+    parts = list(blocks(text))
+    assert len(parts) > 10
+    last_lines = [part[:-1].rsplit("\n", 1)[-1] for part in parts]
+    # the arcs of some source run on from one block into the next
+    assert any(
+        last.startswith("A ") and last.split(" ")[:2] == part.split(" ")[:2]
+        for last, part in zip(last_lines, parts[1:])
+    )
+    # an arc repeated across a cut is a repeated arc, not a new run
+    cut = len(parts[0])
+    repeated = text[:cut] + last_lines[0] + "\n" + text[cut:]
+    assert graphio._parse_layout(repeated) is None
+    with pytest.raises(ParseError, match="duplicate arc"):
+        parse_graph(repeated)
+    # a vertex declared after the arcs of an earlier block is valid, but read line by line
+    late = text[:cut] + "V zz c0\n" + text[cut:]
+    assert graphio._parse_layout(late) is None
+    assert parse_graph(late).vertex_ids[-1] == "zz"
+
+    def no_line_reader(text):
+        raise AssertionError("the bulk path gave up on the writer's layout")
+
+    monkeypatch.setattr(graphio, "_parse_lines", no_line_reader)
+    graphs = [
+        simulate(SimulationConfig(60, 4, 1))[1],
+        ColoredDigraph({"b": "r", "a": "s", "c": "r"}),
+        caterpillar_graph,
+    ]
+    for graph in graphs:
+        assert parse_graph(format_graph(graph)) == graph
 
 
 @pytest.mark.parametrize("leaves", [60, 400])

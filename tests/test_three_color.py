@@ -10,7 +10,7 @@ also give each best match graph's least resolved tree."""
 import itertools
 from collections import Counter
 
-from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg
+from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg, redundant_edges_n
 from bmgraph.n_color import ROUTES
 from util import (
     all_topologies,
@@ -125,6 +125,7 @@ def test_both_routes_on_every_bmg_and_non_bmg_flip_of_the_seven_leaf_split_5_1_1
     for outs, best in fewest.items():
         assert len(best) == 1
         graph = ColoredDigraph.from_masks(colors, outs)
+        assert redundant_edges_n(best[0], graph) == frozenset(), outs  # least resolved: no edge contracts
         for route in ROUTES:
             report = recognize_ncbmg(graph, route=route)
             assert report.accepted and report.lrt == best[0], (route, outs)
