@@ -6,29 +6,37 @@ A file in the layout the graph writer emits is read in bulk, block by block;
 any other layout, and any invalid file, is read line by line, which gives the
 same graph and is the one source of ``ParseError``.
 Vertex ids are leaf labels, so they hold no character Newick gives meaning to.
-Trees are rooted Newick without branch lengths or inner labels; leaf colors
-live in a tab-separated sidecar, which is the single source of color truth.
+Trees are rooted Newick without branch lengths or inner labels, read token
+by token; leaf colors live in a tab-separated sidecar, which is the single
+source of color truth and, like graph files, is read in bulk in the layout
+its writer emits and line by line otherwise.
 Vertex ids, leaf labels and colours are whitespace-free and hold no ``#``,
 and the constructors check that, so what a writer emits reads back.  All
 writers emit sorted, byte-deterministic output; the graph writer sorts the
-sources once and emits each one's arcs by walking its out-bitset with
-``scan_bits``.
+sources once and names each one's targets from the nonzero bytes of its
+out-bitset, or bit by bit where the bitset is sparse.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import stat
 import sys
-from itertools import groupby
+from itertools import compress, groupby
 from typing import TextIO
 
-from .digraph import ColoredDigraph, bits, scan_bits
+from .digraph import ColoredDigraph, bits
 from .errors import ParseError, BmgraphError
 from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology
 
 # characters per block of the bulk path, which cuts each at the next line end
 _BLOCK = 1 << 14
+# the tokens of a Newick text: one character of ``(),;#``, a run of blanks
+# (``\s`` is ``str.isspace``), or a run of label characters
+_NEWICK_TOKEN = re.compile(r"[(),;#]|\s+|[^\s(),;#]+")
+# the positions of the set bits of each byte value, lowest first
+_BYTE_BITS = [tuple(q for q in range(8) if b >> q & 1) for b in range(256)]
 
 
 def parse_graph(text: str) -> ColoredDigraph:
@@ -141,13 +149,25 @@ def format_graph(graph: ColoredDigraph) -> str:
     """Graph file text: ``V`` lines in id order, then ``A x y`` lines in
     string order.  No id holds a space, so that order is by ``x + " "``, then
     by ``y``; ids are interned sorted, so ``y`` order is bit order and the
-    lines of one source walk its out-bitset."""
+    lines of one source walk its out-bitset.  A bitset with at least one bit
+    set per 64 of its width is walked by its nonzero bytes, each naming its
+    targets from an 8-id slice through ``_BYTE_BITS``; a sparser one, bit by
+    bit."""
     ids, names, outs = graph.vertex_ids, graph.color_ids, graph.out_masks
     lines = [f"V {v} {names[c]}" for v, c in zip(ids, graph.color_of)]
-    for i in sorted(range(len(ids)), key=lambda i: ids[i] + " "):
-        if outs[i]:
+    octets = [ids[p : p + 8] for p in range(0, len(ids), 8)]
+    for i in sorted(range(len(ids)), key=[v + " " for v in ids].__getitem__):
+        out = outs[i]
+        if out:
+            width = out.bit_length()
+            if out.bit_count() * 64 < width:
+                targets = map(ids.__getitem__, bits(out))
+            else:
+                nb = (width + 7) // 8
+                raw = out.to_bytes(nb, "little")
+                targets = [octets[p][q] for p in compress(range(nb), raw) for q in _BYTE_BITS[raw[p]]]
             head = f"A {ids[i]} "
-            lines.append(head + ("\n" + head).join(map(ids.__getitem__, scan_bits(outs[i]))))
+            lines.append(head + ("\n" + head).join(targets))
     return "\n".join(lines) + "\n"
 
 
@@ -161,62 +181,54 @@ def format_undirected(graph: ColoredDigraph) -> str:
 
 
 def parse_newick(text: str) -> Topology:
-    """Parse a rooted Newick string into a nested-tuple topology."""
+    """Parse a rooted Newick string into a nested-tuple topology, token by
+    token (see ``_NEWICK_TOKEN``)."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty tree file", 1, 1)
     stack: list[list[Topology]] = []
     current: list[Topology] = []
-    token = ""
-    closed = False  # an element (label or group) just finished
+    last = ""  # the element that just finished: "label", ")", or "" for none
     done_at: int | None = None
-
-    def flush() -> None:
-        nonlocal token, closed
-        if token:
-            current.append(token)
-            token = ""
-            closed = True
-
-    for col, ch in enumerate(stripped, start=1):
-        if done_at is not None and not ch.isspace():
+    col = 1
+    for tok in _NEWICK_TOKEN.findall(stripped):
+        if done_at is not None and not tok.isspace():
             raise ParseError("content after ';'", 1, col)
-        if ch == "(":
-            if token or closed:
-                raise ParseError("'(' directly after an element", 1, col)
-            stack.append(current)
-            current = []
-        elif ch == ",":
-            flush()
+        if tok == ",":
             if not stack:
                 raise ParseError("',' outside parentheses", 1, col)
-            if not closed:
+            if not last:
                 raise ParseError("empty element before ','", 1, col)
-            closed = False
-        elif ch == ")":
-            flush()
+            last = ""
+        elif tok == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", 1, col)
-            if not closed:
+            if not last:
                 raise ParseError("empty element before ')'", 1, col)
             group = tuple(current)
             current = stack.pop()
             current.append(group if len(group) > 1 else group[0])
-            closed = True
-        elif ch == ";":
-            flush()
+            last = ")"
+        elif tok == "(":
+            if last:
+                raise ParseError("'(' directly after an element", 1, col)
+            stack.append(current)
+            current = []
+        elif tok == ";":
             if stack:
                 raise ParseError("unbalanced '(' before ';'", 1, col)
-            done_at = col
-        elif ch.isspace():
-            if token:
+            done_at, last = col, ""
+        elif tok.isspace():
+            if last == "label":
                 raise ParseError("whitespace inside label", 1, col)
-        elif ch == "#":
+        elif tok == "#":
             raise ParseError("'#' not allowed in newick", 1, col)
         else:
-            if closed:
+            if last:
                 raise ParseError("label directly after ')'", 1, col)
-            token += ch
+            current.append(tok)
+            last = "label"
+        col += len(tok)
     if done_at is None:
         raise ParseError("missing ';' terminator", 1, len(stripped))
     if len(current) != 1:
@@ -225,6 +237,28 @@ def parse_newick(text: str) -> Topology:
 
 
 def parse_color_map(text: str) -> dict[str, str]:
+    """Leaf colours of a colour sidecar: in bulk when the text is in the
+    layout ``format_color_map`` writes, else line by line, which gives the
+    same map and raises every ``ParseError``."""
+    colors = _parse_color_layout(text)
+    return colors if colors is not None else _parse_color_lines(text)
+
+
+def _parse_color_layout(text: str) -> dict[str, str] | None:
+    """Colour map of a text in the layout ``format_color_map`` writes (no
+    ``#``, no leaf twice, and equal to its rendering from its tokens), or
+    ``None`` for any other layout and any invalid sidecar."""
+    if "#" in text:
+        return None
+    fields = text.split()
+    leaves, palette = fields[::2], fields[1::2]
+    if text != "\n".join(map("\t".join, zip(leaves, palette))) + "\n":
+        return None
+    colors = dict(zip(leaves, palette))
+    return colors if len(colors) == len(leaves) else None
+
+
+def _parse_color_lines(text: str) -> dict[str, str]:
     colors: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()

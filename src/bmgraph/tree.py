@@ -3,13 +3,13 @@
 Trees are immutable once built.  Construction canonicalizes the shape in
 one layout pass (``_layout``): one-element tuples are unwrapped as vertices
 are allocated, which suppresses degree-two inner vertices and single-child
-roots, children are ordered by their smallest descendant leaf label, and
-node ids are the preorder ranks of that canonical layout.  Two equal trees
-therefore have identical node numbering, which keeps every downstream
-computation and serialization deterministic.  Leaf labels are
-whitespace-free and hold none of ``();,#``, and colours are whitespace-free
-and hold no ``#``, so every label and colour reads back from the files the
-library writes.
+roots, the leaf labels are checked all at once, children are ordered by
+their smallest descendant leaf label, and node ids are the preorder ranks
+of that canonical layout.  Two equal trees therefore have identical node
+numbering, which keeps every downstream computation and serialization
+deterministic.  Leaf labels are whitespace-free and hold none of
+``();,#``, and colours are whitespace-free and hold no ``#``, so every
+label and colour reads back from the files the library writes.
 
 Preorder ids make every subtree the id range ``[v, v + size[v])``, so an
 ancestor test is two comparisons and ``lca`` climbs only the shorter of
@@ -36,12 +36,6 @@ def _is_token(token: object, forbidden: frozenset[str]) -> bool:
     # ``str.split`` breaks at exactly the ``str.isspace`` characters, which
     # every reader takes for separators, so a token is one whitespace-free word
     return isinstance(token, str) and token.split() == [token] and forbidden.isdisjoint(token)
-
-
-def _check_label(token: str) -> str:
-    if not _is_token(token, _FORBIDDEN_LABEL_CHARS):
-        raise TreeError(f"illegal leaf label {token!r}")
-    return token
 
 
 def _check_tokens(
@@ -315,43 +309,49 @@ def _layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[
 
     Each vertex is allocated after its parent, and one-element tuples are
     unwrapped on the way: that is the suppression of degree-two vertices and
-    single-child roots.  Kids come after their parent, so one reverse scan
-    over allocation order sorts every child list by smallest leaf label;
-    then the vertices are renumbered in preorder.
+    single-child roots.  The labels are checked all at once after the walk;
+    only a failed check, or a structural fault met on the way, pays for the
+    scan in allocation order that finds the first fault.  Kids come after
+    their parent, so one reverse scan over allocation order sorts every
+    child list by smallest leaf label; then the vertices are renumbered in
+    preorder.
     """
     parent: list[int] = []
-    kids: list[list[int]] = []
+    kids: list[list[int] | None] = []  # None for a leaf
     label: list[str | None] = []
-    seen: set[str] = set()
+    fault = None  # the structural fault the walk stopped at
     work: list[tuple[Topology, int]] = [(topology, -1)]
     while work:
         topo, par = work.pop()
         while isinstance(topo, tuple) and len(topo) == 1:
             topo = topo[0]
         v = len(parent)
-        parent.append(par)
-        kids.append([])
-        if par >= 0:
-            kids[par].append(v)
         if isinstance(topo, str):
-            _check_label(topo)
-            if topo in seen:
-                raise TreeError(f"duplicate leaf label {topo!r}")
-            seen.add(topo)
+            kids.append(None)
             label.append(topo)
-        elif isinstance(topo, tuple):
-            if not topo:
-                raise TreeError("empty inner node in topology")
+        elif isinstance(topo, tuple) and topo:
+            kids.append([])
             label.append(None)
-            work.extend((sub, v) for sub in topo)
+            work.extend(zip(topo, itertools.repeat(v)))
         else:
-            raise TreeError(f"bad topology element: {topo!r}")
+            empty = isinstance(topo, tuple)
+            fault = TreeError("empty inner node in topology" if empty else f"bad topology element: {topo!r}")
+            break
+        parent.append(par)
+        if par >= 0:
+            kids[par].append(v)  # type: ignore[union-attr]
+    leaves: list[str] = [lab for lab in label if lab is not None]
+    joined = "".join(leaves)
+    legal = joined.split() == [joined] and _FORBIDDEN_LABEL_CHARS.isdisjoint(joined) and all(leaves)
+    if fault or not legal or len(set(leaves)) < len(leaves):
+        _raise_first_fault(leaves, fault)
 
     first = label[:]  # smallest leaf label below each vertex
+    key = first.__getitem__
     for v in reversed(range(len(parent))):
-        if label[v] is None:
-            below = kids[v]
-            below.sort(key=first.__getitem__)  # type: ignore[arg-type]
+        below = kids[v]
+        if below is not None:
+            below.sort(key=key)  # type: ignore[arg-type]
             first[v] = first[below[0]]
 
     order: list[int] = []
@@ -359,10 +359,27 @@ def _layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(reversed(kids[v]))
+        below = kids[v]
+        if below is not None:
+            stack.extend(reversed(below))
     rank = [0] * len(order)
     for r, v in enumerate(order):
         rank[v] = r
-    new_parent = [-1] + [rank[parent[v]] for v in order[1:]]
-    new_children = [tuple(map(rank.__getitem__, kids[v])) for v in order]
-    return new_parent, new_children, [label[v] for v in order]
+    at = rank.__getitem__
+    new_parent = [-1, *map(at, map(parent.__getitem__, order[1:]))]
+    new_children = [tuple(map(at, below)) if below else () for below in map(kids.__getitem__, order)]
+    return new_parent, new_children, list(map(label.__getitem__, order))
+
+
+def _raise_first_fault(leaves: list[str], fault: TreeError | None) -> None:
+    """Raise the first fault of a topology as its layout walk meets them:
+    an illegal label, then a repeat, leaf by leaf in allocation order, and
+    ``fault``, the structural fault met after the last of ``leaves``."""
+    seen: set[str] = set()
+    for lab in leaves:
+        if not _is_token(lab, _FORBIDDEN_LABEL_CHARS):
+            raise TreeError(f"illegal leaf label {lab!r}")
+        if lab in seen:
+            raise TreeError(f"duplicate leaf label {lab!r}")
+        seen.add(lab)
+    raise fault  # type: ignore[misc]

@@ -1,5 +1,6 @@
 """Parser fuzzing: only ``ParseError`` escapes, and formatting round-trips."""
 
+import itertools
 import os
 import tempfile
 
@@ -17,7 +18,8 @@ from bmgraph import (
     bmg_of_tree,
     simulate,
 )
-from bmgraph import graphio
+from bmgraph import cli, graphio
+from bmgraph import tree as tree_module
 from bmgraph.digraph import SCAN_DENSITY
 from bmgraph.graphio import (
     format_color_map,
@@ -28,7 +30,7 @@ from bmgraph.graphio import (
     read_tree,
     write_tree,
 )
-from util import caterpillar, reference_format_graph
+from util import caterpillar, reference_format_graph, reference_parse_newick
 
 # characters the three formats give meaning to, plus line breaks and blanks
 # that ``str.splitlines`` / ``str.split`` treat specially
@@ -397,3 +399,151 @@ def test_trees_the_constructor_accepts_read_back_equal(labels, palette):
         tp, cp = os.path.join(tmp, "t.nwk"), os.path.join(tmp, "t.nwk.colors")
         write_tree(tree, tp, cp)
         assert read_tree(tp, cp) == tree
+
+
+def result_or_error(parse, text):
+    """What ``parse`` makes of ``text``: its result, or the text, line and
+    column of its ``ParseError``."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# blanks, including ones ``str.splitlines`` breaks lines at and ones only
+# ``str.isspace`` knows
+BLANKS = st.sampled_from([" ", "\t", "\n", "  ", "\x1c", "\x85", "\xa0", "\u3000"])
+NEWICK_MUTATIONS = (
+    "as written", "blank after (", "blank after ,", "blank after )", "blank inside a label",
+    "# after )", "# inside a label", "content after ;", "no ;", "()",
+)
+
+
+@st.composite
+def newick_mutations(draw):
+    """``newick()`` text of a drawn tree, as written or with one mutation,
+    most of which make it invalid."""
+    text = draw(trees()).newick()
+    mutation = draw(st.sampled_from(NEWICK_MUTATIONS))
+    punct = {"blank after (": "(", "blank after ,": ",", "blank after )": ")", "# after )": ")"}
+    if mutation in punct:
+        spots = [k + 1 for k, ch in enumerate(text) if ch == punct[mutation]]
+        insert = "#" if mutation == "# after )" else draw(BLANKS)
+    elif mutation in ("blank inside a label", "# inside a label"):
+        spots = [k for k in range(1, len(text)) if text[k - 1] not in "(),;" and text[k] not in "(),;"]
+        insert = "#" if mutation == "# inside a label" else draw(BLANKS)
+    elif mutation == "content after ;":
+        spots, insert = [len(text)], draw(BLANKS) + draw(st.sampled_from(["a", "(", ";", "#"]))
+    elif mutation == "no ;":
+        return text[:-1]
+    elif mutation == "()":
+        spots = [k for k, ch in enumerate(text) if ch in "(,"]
+        insert = draw(st.sampled_from(["()", "(),", ",()"]))
+    else:
+        return text
+    if not spots:
+        return text
+    at = draw(st.sampled_from(spots))
+    return text[:at] + insert + text[at:]
+
+
+@FUZZ
+@given(st.one_of(newick_mutations(), texts))
+@example("(a,b) ;")
+@example("(a,b)#c;")  # '#' right after ')': the '#' error, not a label after ')'
+@example("(a,b)c#;")
+@example("(a,b#c);")  # '#' inside a label, at its own column
+@example("(a,b); (c")  # content after ';' wins over the rest
+@example("(a b,c);")
+@example("(a,b")
+@example("();")
+@example(";")
+def test_parse_newick_equals_the_char_reader(text):
+    assert result_or_error(parse_newick, text) == result_or_error(reference_parse_newick, text)
+
+
+COLOR_MUTATIONS = (
+    "as written", "CRLF", "second tab", "trailing blank", "# comment", "empty field",
+    "repeated leaf", "blank line", "no final line end",
+)
+
+
+@st.composite
+def color_map_mutations(draw):
+    """``format_color_map`` text of a drawn map, as written or with one
+    line mutated."""
+    colors = draw(st.dictionaries(tokens, tokens, min_size=1, max_size=8))
+    lines = format_color_map(colors).splitlines(keepends=True)
+    k = draw(st.integers(0, len(lines) - 1))
+    leaf, color = lines[k][:-1].split("\t")
+    mutation = draw(st.sampled_from(COLOR_MUTATIONS))
+    if mutation == "CRLF":
+        lines[k] = lines[k][:-1] + "\r\n"
+    elif mutation == "second tab":
+        lines[k] = f"{leaf}\t{color}\textra\n" if draw(st.booleans()) else f"{leaf}\t\t{color}\n"
+    elif mutation == "trailing blank":
+        lines[k] = f"{leaf}\t{color}{draw(BLANKS)}\n"
+    elif mutation == "# comment":
+        lines[k] = draw(st.sampled_from([f"{leaf}\t{color} # note\n", f"{leaf}\t{color}#note\n", "# a comment\n"]))
+    elif mutation == "empty field":
+        lines[k] = draw(st.sampled_from([f"{leaf}\t\n", f"\t{color}\n"]))
+    elif mutation == "repeated leaf":
+        lines.insert(k, f"{leaf}\t{draw(tokens)}\n")
+    elif mutation == "blank line":
+        lines.insert(k, draw(st.sampled_from(["\n", " \n", "\t\n"])))
+    elif mutation == "no final line end":
+        lines[-1] = lines[-1][:-1]
+    return "".join(lines)
+
+
+@FUZZ
+@given(st.one_of(color_map_mutations(), texts))
+@example("")
+@example("\n")
+@example("a\tr\nb\tr")  # no final line end
+@example("a\tr\na\ts\n")
+@example("a\tr#note\n")  # a comment glued to the colour
+def test_parse_color_map_equals_the_line_reader(text):
+    colors = result_or_error(parse_color_map, text)
+    expected = result_or_error(graphio._parse_color_lines, text)
+    if isinstance(expected, dict):
+        assert list(colors.items()) == list(expected.items())
+    else:
+        assert colors == expected
+
+
+def boundary_masks(n):
+    """Out-bitsets over ``n`` vertices, none with a loop: bits at the byte
+    and word edges, and k bits spread up to bit n - 1 for k just below the
+    switch to the byte walk (one set bit per 64 of the width), at it, and in
+    the dense band."""
+    masks = [sum(1 << p for p in {0, 7, 8, 63, 64, n - 1} if p < n)]
+    for k in ((n - 1) // 64, (n + 63) // 64, n // 8, n // 2, n):
+        if k:
+            masks.append(sum(1 << (n - 1 - j * n // k) for j in range(k)))
+    return [mask & ~(1 << v) for v, mask in zip(range(n), itertools.cycle(masks))]
+
+
+@pytest.mark.parametrize("n", [*range(1, 131), 2500])
+def test_format_graph_equals_one_sort_of_all_lines_at_byte_and_word_edges(n):
+    ids = [f"v{k:04d}" for k in range(n)]
+    masks = boundary_masks(n)
+    if n > 64:  # masks on both sides of the switch
+        assert any(0 < mask.bit_count() * 64 < mask.bit_length() for mask in masks)
+        assert any(mask.bit_count() * 64 >= mask.bit_length() > 64 for mask in masks)
+    graph = ColoredDigraph.from_masks({v: f"c{k % 3}" for k, v in enumerate(ids)}, masks)
+    assert format_graph(graph) == reference_format_graph(graph)
+
+
+def test_from_tree_takes_the_bulk_paths(tmp_path, monkeypatch):
+    def no_slow_path(*args):
+        raise AssertionError("a bulk path gave up on the writer's layout")
+
+    monkeypatch.setattr(graphio, "_parse_color_lines", no_slow_path)
+    monkeypatch.setattr(tree_module, "_raise_first_fault", no_slow_path)
+    for leaves, colors, seed in [(60, 4, 1), (1000, 20, 2), (2500, 4, 3)]:
+        tree, _ = simulate(SimulationConfig(leaves, colors, seed))
+        nwk, out = tmp_path / f"{seed}.nwk", tmp_path / f"{seed}.graph"
+        write_tree(tree, str(nwk), str(nwk) + ".colors")
+        assert cli.main(["from-tree", "--tree", str(nwk), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == reference_format_graph(bmg_of_tree(tree))

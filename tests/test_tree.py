@@ -6,10 +6,13 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bmgraph import LeafColoredTree, ParseError, SimulationConfig, TreeError, build, simulate
+from bmgraph import tree as tree_module
 from bmgraph.graphio import parse_graph, parse_newick
-from util import caterpillar, random_scenario
+from util import caterpillar, random_scenario, reference_layout
 
 CHERRY = LeafColoredTree((("x", "y"), "z"), {"x": "r", "y": "b", "z": "b"})
 
@@ -308,3 +311,44 @@ def test_deep_trees_compare_and_hash():
     assert deep != recolored
     reshaped = deep.contract_edges([deep.inner_edges()[-1]])
     assert deep != reshaped and len({deep, same, reshaped}) == 2
+
+
+# leaves of drawn topologies: legal labels, repeats of them, labels no
+# reader reads back, and elements that are no topology at all
+faulty_leaves = st.one_of(
+    st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.sampled_from(["a b", "a#", "", "(", "x;", "\x85", "b\u3000"]),
+    st.sampled_from([3, None, b"a", ["a"]]),
+)
+faulty_topologies = st.recursive(
+    faulty_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4).map(tuple), kids.map(lambda k: (k,))),
+    max_leaves=14,
+)
+
+
+def layout_or_error(layout, topology):
+    try:
+        return layout(topology)
+    except TreeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(faulty_topologies)
+@example(("a b", "a b"))  # one leaf both illegal and a repeat: illegal wins
+@example((("a", "a"), ()))  # a repeat allocated before an empty inner node
+@example(((), ("a", "a")))  # an empty inner node allocated before a repeat
+@example(("a", ("a b", 3), "a"))  # bad element, illegal label and repeat, all in one group
+@example(("a", ("b", ("c",)), "d"))
+def test_layout_equals_the_checking_walk(topology):
+    # the walk allocates the last element of a tuple first, so the first
+    # fault the reference meets may sit anywhere in the drawn text order
+    assert layout_or_error(tree_module._layout, topology) == layout_or_error(reference_layout, topology)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layout_equals_the_checking_walk_on_simulated_trees(seed):
+    tree, _ = simulate(SimulationConfig(300 + 200 * seed, 2 + seed, seed))
+    topology = wrap_randomly(tree.topology(), random.Random(seed))
+    assert tree_module._layout(topology) == reference_layout(topology)

@@ -24,7 +24,8 @@ from bmgraph import (
     subgraph_on,
 )
 from bmgraph.digraph import bits
-from bmgraph.tree import Topology
+from bmgraph.errors import ParseError, TreeError
+from bmgraph.tree import _FORBIDDEN_LABEL_CHARS, Topology, _is_token
 from bmgraph.two_color import Family, family_topology
 
 
@@ -420,3 +421,129 @@ def aho_graph(triples: Iterable[RootedTriple], subset: Iterable[str]) -> dict[st
             adj[t.a].add(t.b)
             adj[t.b].add(t.a)
     return adj
+
+
+def reference_parse_newick(text: str) -> Topology:
+    """Nested-tuple topology of a rooted Newick string, read character by
+    character: the reference ``graphio.parse_newick`` is tested against."""
+    stripped = text.strip()
+    if not stripped:
+        raise ParseError("empty tree file", 1, 1)
+    stack: list[list[Topology]] = []
+    current: list[Topology] = []
+    token = ""
+    closed = False  # an element (label or group) just finished
+    done_at: int | None = None
+
+    def flush() -> None:
+        nonlocal token, closed
+        if token:
+            current.append(token)
+            token = ""
+            closed = True
+
+    for col, ch in enumerate(stripped, start=1):
+        if done_at is not None and not ch.isspace():
+            raise ParseError("content after ';'", 1, col)
+        if ch == "(":
+            if token or closed:
+                raise ParseError("'(' directly after an element", 1, col)
+            stack.append(current)
+            current = []
+        elif ch == ",":
+            flush()
+            if not stack:
+                raise ParseError("',' outside parentheses", 1, col)
+            if not closed:
+                raise ParseError("empty element before ','", 1, col)
+            closed = False
+        elif ch == ")":
+            flush()
+            if not stack:
+                raise ParseError("unbalanced ')'", 1, col)
+            if not closed:
+                raise ParseError("empty element before ')'", 1, col)
+            group = tuple(current)
+            current = stack.pop()
+            current.append(group if len(group) > 1 else group[0])
+            closed = True
+        elif ch == ";":
+            flush()
+            if stack:
+                raise ParseError("unbalanced '(' before ';'", 1, col)
+            done_at = col
+        elif ch.isspace():
+            if token:
+                raise ParseError("whitespace inside label", 1, col)
+        elif ch == "#":
+            raise ParseError("'#' not allowed in newick", 1, col)
+        else:
+            if closed:
+                raise ParseError("label directly after ')'", 1, col)
+            token += ch
+    if done_at is None:
+        raise ParseError("missing ';' terminator", 1, len(stripped))
+    if len(current) != 1:
+        raise ParseError("newick must describe exactly one tree", 1, done_at)
+    return current[0]
+
+
+def reference_layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[str | None]]:
+    """Canonical parent/children/label arrays of a nested-tuple topology,
+    rooted at 0, each element checked as it is allocated: the reference
+    ``tree._layout`` is tested against.
+
+    Each vertex is allocated after its parent, and one-element tuples are
+    unwrapped on the way: that is the suppression of degree-two vertices and
+    single-child roots.  Kids come after their parent, so one reverse scan
+    over allocation order sorts every child list by smallest leaf label;
+    then the vertices are renumbered in preorder.
+    """
+    parent: list[int] = []
+    kids: list[list[int]] = []
+    label: list[str | None] = []
+    seen: set[str] = set()
+    work: list[tuple[Topology, int]] = [(topology, -1)]
+    while work:
+        topo, par = work.pop()
+        while isinstance(topo, tuple) and len(topo) == 1:
+            topo = topo[0]
+        v = len(parent)
+        parent.append(par)
+        kids.append([])
+        if par >= 0:
+            kids[par].append(v)
+        if isinstance(topo, str):
+            if not _is_token(topo, _FORBIDDEN_LABEL_CHARS):
+                raise TreeError(f"illegal leaf label {topo!r}")
+            if topo in seen:
+                raise TreeError(f"duplicate leaf label {topo!r}")
+            seen.add(topo)
+            label.append(topo)
+        elif isinstance(topo, tuple):
+            if not topo:
+                raise TreeError("empty inner node in topology")
+            label.append(None)
+            work.extend((sub, v) for sub in topo)
+        else:
+            raise TreeError(f"bad topology element: {topo!r}")
+
+    first = label[:]  # smallest leaf label below each vertex
+    for v in reversed(range(len(parent))):
+        if label[v] is None:
+            below = kids[v]
+            below.sort(key=first.__getitem__)  # type: ignore[arg-type]
+            first[v] = first[below[0]]
+
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(kids[v]))
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    new_parent = [-1] + [rank[parent[v]] for v in order[1:]]
+    new_children = [tuple(map(rank.__getitem__, kids[v])) for v in order]
+    return new_parent, new_children, [label[v] for v in order]
