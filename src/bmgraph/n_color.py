@@ -17,9 +17,9 @@ classes off the out- and in-bitsets and returns its tree as a cluster
 family over vertex bitsets, whose leaf nodes, one per vertex, are built
 once per graph and shared by all pairs; ``build_from_trees`` glues from
 those families on ``ground``, so no pair tree is ever built.  In (b) ``build(graph,
-ground)`` reads the glue of the informative triples off the graph's
-per-colour out-neighbourhoods ``graph.color_outs``, from which the pair
-notes count each pair's triples.
+ground)`` groups the component's per-colour out-neighbourhoods
+``graph.color_outs`` by (t, N_t) and glues once per group; the pair notes
+count each pair's triples from the same table.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the forward engine

@@ -7,16 +7,13 @@ lca(x,z).  Scanning (arc, third vertex) pairs enumerates exactly the induced
 subgraphs that admit such a reading, including their recolored mirror
 images, in O(|E| |L|).
 
-``build`` is the one BUILD for triples.  It runs from an explicit stack over
-Python-int leaf bitsets and takes its glue from a triple collection or
-straight from a colored digraph's colour table (``color_masks`` and
-``color_outs``): at a level M, ab|z lies inside M exactly for an arc a->b
-and some z in M of b's color outside N(a), so a is joined to N_t(a) & M
-for each color t where such a z is left, and no triple is ever built.  The
-closed-form triple counts of the direct route's pair notes read the same
-table.  ``RootedTriple`` and ``TripleSet`` serve the API and the CLI.
-The triples route is ``recognize_ncbmg(graph, route="informative-direct")``,
-which runs ``build`` per component and then the one gate; none runs here.
+``build`` is the one BUILD for triples, from an explicit stack over leaf
+bitsets.  Its glue comes from a triple collection or a colored digraph's
+colour table: ab|z lies inside a level M exactly for an arc a->b and a z
+in M of b's colour t outside N_t(a), a test that reads a only through
+(t, N_t(a)), so the vertices sharing that key glue as one source and no
+triple is built.  The pair notes count triples off the same table.  The
+triples route is ``recognize_ncbmg(graph, route="informative-direct")``.
 
 ``build_from_trees`` glues from pair trees given as cluster families over
 leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``
@@ -28,11 +25,11 @@ costs a few bitset operations per level, not one step per leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # bmg_of_tree stays bound here: perfbench/layers.py traces it by this name
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, bits, check_vertex_mask
+from .digraph import ColoredDigraph, _blocks, _with_singletons, bits, check_vertex_mask, scan_bits
 from .errors import GraphError
 from .tree import Topology
 from .two_color import Family
@@ -113,120 +110,100 @@ def build(
     source: ColoredDigraph | TripleSet | Iterable[RootedTriple],
     leaves: int | Iterable[str],
 ) -> Topology | None:
-    """Aho tree on ``leaves``, or None when no tree displays the triples.
-
-    ``source`` is a triple collection on the labels ``leaves``, or a colored
-    digraph standing for its informative triples, which are then read off
-    the graph's colour table and never built; ``leaves`` is then a bitset of
-    the graph's vertex indices.
-    """
+    """Aho tree on ``leaves``, or None when no tree displays the triples:
+    those of a collection on the labels ``leaves``, or the informative ones
+    of a colored digraph on the vertex bitset ``leaves``, read off its
+    colour table and never built."""
     if isinstance(source, ColoredDigraph):
         check_vertex_mask(source, leaves)
-        names, glue, root = source.vertex_ids, _graph_glue(source), leaves
+        names, sources, root = source.vertex_ids, _graph_sources(source, leaves), leaves
     else:
         names = tuple(sorted(set(leaves)))
-        glue = _triple_glue(source, {x: k for k, x in enumerate(names)})
+        sources = _triple_sources(source, {x: k for k, x in enumerate(names)})
         root = (1 << len(names)) - 1
     if not root:
         raise GraphError("BUILD needs at least one leaf")
-    return _aho_tree(root, glue, names)
+    return _aho_tree(root, sources, names)
 
 
-Glue = Callable[[int], Iterable[int]]
+# A glue source ``(m, n, z)`` of leaf bitsets glues ``(m | n) & M`` on each level M with a bit of each
+Source = tuple[int, int, int]
 
 
-def _aho_tree(root: int, glue: Glue, names: tuple[str, ...]) -> Topology | None:
-    """BUILD from an explicit stack over leaf bitsets: ``glue(level)`` yields
-    leaf sets that must end up in one block of ``level``; blocks are ordered
-    by their smallest leaf, so a name order equal to index order makes the
-    output canonical.  Nodes are numbered parents first, so the topology is
-    assembled by one pass in reverse."""
-    kids: list[list[int]] = []
-    leaf_of: list[int] = []  # leaf index, or -1 for an inner node
-    stack = [(root, -1)]
+def _aho_tree(root: int, sources: list[Source], names: tuple[str, ...]) -> Topology | None:
+    """BUILD from an explicit stack over leaf bitsets, blocks ordered by
+    smallest leaf, so a name order equal to index order makes the output
+    canonical.  Each source goes down with the block holding its chunk, and,
+    as it spans three leaves, a block of at most two is settled at once.
+    Inner nodes are numbered parents first, so the topology is assembled by
+    one pass in reverse."""
+    if (settled := _settled(root, names)) is not None:
+        return settled
+    kids: list[list] = []  # per inner node, per block, a settled topology or an inner node
+    stack = [(root, sources, [None], 0)]
     while stack:
-        level, parent = stack.pop()
-        node = len(kids)
-        if parent >= 0:
-            kids[parent].append(node)
-        kids.append([])
-        if level & (level - 1) == 0:
-            leaf_of.append(level.bit_length() - 1)
-            continue
-        blocks = _blocks(level, glue(level))
+        level, sources, slots, slot = stack.pop()
+        live, firsts, chunks = _glue(level, sources)
+        blocks = _blocks(level, chunks)
         if len(blocks) == 1:
             return None
-        leaf_of.append(-1)
-        stack.extend((block, node) for block in reversed(blocks))
+        slots[slot] = len(kids)
+        here = [_settled(b, names) for b in blocks]
+        kids.append(here)
+        inner = [k for k, done in enumerate(here) if done is None]
+        if len(inner) > 1:  # hand each source to the block holding its chunk
+            lows = sum(1 << v for v in set(firsts))
+            block_at = {v: k for k, block in enumerate(blocks) for v in bits(block & lows)}
+            shares: list[list[Source]] = [[] for _ in blocks]
+            for source, first in zip(live, firsts):
+                shares[block_at[first]].append(source)
+        else:
+            shares = [live] * len(blocks)
+        stack.extend((blocks[k], shares[k], here, k) for k in reversed(inner))
     built: list[Topology] = [""] * len(kids)
     for node in range(len(kids) - 1, -1, -1):
-        leaf = leaf_of[node]
-        built[node] = names[leaf] if leaf >= 0 else tuple(built[c] for c in kids[node])
+        built[node] = tuple([built[x] if type(x) is int else x for x in kids[node]])
     return built[0]
 
 
-def _blocks(level: int, glued: Iterable[int]) -> list[int]:
-    """Connected blocks of ``level`` once every glued set is joined, sorted by
-    smallest leaf.  A union-find over leaf indices, linked by size, keeps
-    each root's block mask, so a glued set costs one step per block it
-    touches; a leaf that no earlier set held is a block of its own, so a set
-    of fresh leaves costs one step per leaf."""
-    up: dict[int, int] = {}
-    block_of: dict[int, int] = {}
-    for chunk in glued:
-        top = (chunk & -chunk).bit_length() - 1
-        while top in up:
-            top = up[top]
-        merged = block_of.pop(top, 1 << top)
-        rest = chunk & ~merged
-        while rest:
-            other = (rest & -rest).bit_length() - 1
-            while other in up:
-                other = up[other]
-            mask = block_of.pop(other, 1 << other)
-            if mask.bit_count() > merged.bit_count():
-                top, other = other, top
-            up[other] = top
-            merged |= mask
-            rest &= ~mask
-        if merged == level:
-            return [level]
-        block_of[top] = merged
-    return _with_singletons(level, list(block_of.values()))
+def _settled(block: int, names: tuple[str, ...]) -> Topology | None:
+    """The leaf of a one-leaf block, the cherry of a two-leaf one, else None."""
+    low, rest = block & -block, block & (block - 1)
+    if rest & (rest - 1):
+        return None
+    return (names[low.bit_length() - 1], names[rest.bit_length() - 1]) if rest else names[low.bit_length() - 1]
 
 
-def _with_singletons(level: int, blocks: list[int]) -> list[int]:
-    """``blocks``, disjoint subsets of ``level``, and a singleton for each
-    leaf of ``level`` they miss, sorted by smallest leaf."""
-    alone = level
-    for mask in blocks:
-        alone &= ~mask
-    while alone:
-        low = alone & -alone
-        blocks.append(low)
-        alone ^= low
-    blocks.sort(key=lambda mask: mask & -mask)
-    return blocks
+def _glue(level: int, sources: list[Source]) -> tuple[list[Source], list[int], list[int]]:
+    """The sources that glue at ``level``, the lowest leaf of each one's
+    ``n & level``, and their chunks, joined where they share it.  A source
+    that fails here fails on every level below."""
+    live, firsts, chunks = [], [], {}
+    for source in sources:
+        m, n, z = source
+        hit = n & level
+        if hit and m & level and z & level:
+            first = (hit & -hit).bit_length() - 1
+            live.append(source)
+            firsts.append(first)
+            chunks[first] = chunks.get(first, 0) | hit | m & level
+    return live, firsts, list(chunks.values())
 
 
-def _graph_glue(graph: ColoredDigraph) -> Glue:
-    """Glue of the informative triples of a graph: ab|z lies inside a level
-    M exactly for an arc a->b and a vertex z of b's color in M, outside N(a)
-    and other than a; so a joins N_t(a) & M whenever some such z exists."""
-    color_sets, out_masks = graph.color_masks, graph.color_outs
-
-    def glue(level: int) -> Iterator[int]:
-        inside = [level & mask for mask in color_sets]
-        rest = level
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for t, nbrs in out_masks[low.bit_length() - 1]:
-                hit = nbrs & level
-                if hit and inside[t] & ~(hit | low):
-                    yield low | hit
-
-    return glue
+def _graph_sources(graph: ColoredDigraph, leaves: int) -> list[Source]:
+    """Glue sources of the informative triples inside ``leaves``: the
+    vertices not of colour t that share one N = N_t(a) give one source
+    ``(members, N, z)``, z the rest of colour t; a same-colour arc its own."""
+    color_sets, color_of, outs = graph.color_masks, graph.color_of, graph.color_outs
+    sources, members = [], {}
+    for a in scan_bits(leaves):
+        bit, s = 1 << a, color_of[a]
+        for t, n in outs[a]:
+            if t == s:
+                sources.append((bit, n, color_sets[t] & ~(n | bit)))
+            else:
+                members[n] = members.get(n, 0) | bit
+    return sources + [(m, n, color_sets[color_of[(n & -n).bit_length() - 1]] & ~n) for n, m in members.items()]
 
 
 def informative_triple_counts(graph: ColoredDigraph, ground: int) -> dict[tuple[int, int], int]:
@@ -238,7 +215,7 @@ def informative_triple_counts(graph: ColoredDigraph, ground: int) -> dict[tuple[
     sizes = [(mask & ground).bit_count() for mask in graph.color_masks]
     color_of, outs = graph.color_of, graph.color_outs
     counts: dict[tuple[int, int], int] = {}
-    for a in bits(ground):
+    for a in scan_bits(ground):
         s = color_of[a]
         for t, hit in outs[a]:
             k = hit.bit_count()
@@ -247,19 +224,16 @@ def informative_triple_counts(graph: ColoredDigraph, ground: int) -> dict[tuple[
     return counts
 
 
-def _triple_glue(triples: TripleSet | Iterable[RootedTriple], index: dict[str, int]) -> Glue:
-    """Glue of a triple collection: ab|z joins a and b on every level that
-    holds all three; triples leaving the leaf set are dropped."""
-    spans: list[tuple[int, int]] = []
+def _triple_sources(triples: TripleSet | Iterable[RootedTriple], index: dict[str, int]) -> list[Source]:
+    """Glue sources of a triple collection: ab|z joins a and b on every level
+    that holds all three; triples leaving the leaf set are dropped."""
+    sources = []
     for t in triples.triples if isinstance(triples, TripleSet) else triples:
+        if len({t.a, t.b, t.out}) != 3:
+            raise GraphError(f"triple needs three distinct leaves: {(t.a, t.b, t.out)}")
         if t.a in index and t.b in index and t.out in index:
-            pair = 1 << index[t.a] | 1 << index[t.b]
-            spans.append((pair | 1 << index[t.out], pair))
-
-    def glue(level: int) -> Iterator[int]:
-        return (pair for span, pair in spans if span & level == span)
-
-    return glue
+            sources.append((1 << index[t.a], 1 << index[t.b], 1 << index[t.out]))
+    return sources
 
 
 def build_from_trees(families: list[Family], names: Sequence[str], root: int | None = None) -> Topology | None:

@@ -9,8 +9,8 @@ reads its thinness classes off the masks, each class the bitset of its
 vertices, and keeps one class table per pair: class-level neighbourhoods
 are bitsets too, bit ``c`` standing for class ``c``.  No class
 neighbourhood crosses a weakly connected piece, so the pieces are class
-bitsets over that one numbering, found by the same flood fill as the
-graph's components.  All axiom algebra runs on these bitsets; class
+bitsets over that one numbering, found by the same merge as the graph's
+components.  All axiom algebra runs on these bitsets; class
 granularity makes that lossless.  The axioms are checked in the order N2,
 N3, N1, and the first violating class (pair) in class order is the
 witness.  A pair's pieces are checked all at once: each is sink-free and
@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 # bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, ThinnessPartition, bits, bitset_components, scan_bits, thinness_partition  # noqa: F401
+from .digraph import ColoredDigraph, ThinnessPartition, _blocks, bits, scan_bits, thinness_partition  # noqa: F401
 from .tree import Topology
 from .verdicts import CheckResult, Rejection
 
@@ -134,7 +134,7 @@ def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
         [list(scan_bits(out & reps)) for out, _ in index],
         [list(scan_bits(into & reps)) for _, into in index],
     )
-    return masks, tables, bitset_components(tables.n1, tables.in1, (1 << len(masks)) - 1)
+    return masks, tables, _blocks((1 << len(masks)) - 1, (out | 1 << a for a, out in enumerate(tables.n1)))
 
 
 def _class_ids(graph: ColoredDigraph, masks: list[int], class_set: int) -> tuple[str, ...]:

@@ -20,7 +20,7 @@ from bmgraph import (
     symmetric_part,
     thinness_partition,
 )
-from bmgraph.digraph import SCAN_DENSITY, bits, scan_bits
+from bmgraph.digraph import SCAN_DENSITY, _blocks, bits, scan_bits
 from bmgraph import cli
 from bmgraph.graphio import format_graph, parse_graph, write_tree
 from cases import countercog_tree, weird_tree
@@ -46,12 +46,15 @@ def test_single_arc_is_one_component():
 def test_edgeless_graph_has_singleton_components():
     g = ColoredDigraph({"a": "r", "b": "b", "c": "b"})
     assert connected_components(g) == [0b001, 0b010, 0b100]
+    wide = ColoredDigraph({f"v{i:05d}": "r" for i in range(10_000)})
+    assert connected_components(wide) == [1 << v for v in range(10_000)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_digraphs())
 def test_components_are_disjoint_closed_connected_masks_by_lowest_bit(g):
     comps = connected_components(g)
+    assert g._in_masks is None  # each vertex is joined to its out-neighbours only
     arcs = arc_ids(g)
     union = 0
     for comp in comps:
@@ -68,6 +71,46 @@ def test_components_are_disjoint_closed_connected_masks_by_lowest_bit(g):
     assert union == (1 << len(g)) - 1
     lowest = [comp & -comp for comp in comps]
     assert lowest == sorted(lowest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 80), st.lists(st.lists(st.integers(0, 79), min_size=1, max_size=4), max_size=60))
+def test_blocks_join_every_glued_set_by_scan_or_union_find(width, sets):
+    # up to 16 blocks are found by a scan, more by the union-find
+    level = (1 << width) - 1
+    glued = [sum(1 << v for v in {x % width for x in chunk}) for chunk in sets]
+    blocks = [1 << v for v in range(width)]
+    for chunk in glued:
+        met = [b for b in blocks if b & chunk]
+        blocks = [b for b in blocks if not b & chunk] + [sum(met)]
+    assert _blocks(level, glued) == sorted(blocks, key=lambda b: b & -b)
+
+
+def test_components_of_many_pieces_in_shuffled_vertex_order():
+    rng = random.Random(3)
+    for pieces in (5, 40, 300):
+        ids = [f"v{i:04d}" for i in range(3 * pieces)]
+        rng.shuffle(ids)
+        colors = {v: "rs"[k % 2] for k, v in enumerate(ids)}
+        arcs = [(ids[3 * p + k], ids[3 * p + (k + 1) % 2]) for p in range(pieces) for k in range(2)]
+        g = ColoredDigraph(colors, arcs)
+        assert connected_components(g) == reference_components(g)
+
+
+def reference_components(g):
+    """Components grown over out- and in-bitsets, ordered by smallest vertex."""
+    comps, left = [], (1 << len(g)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.out_masks[v] | g.in_masks[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        left &= ~comp
+        comps.append(comp)
+    return comps
 
 
 def test_construction_rejects_bad_input():

@@ -110,6 +110,15 @@ def test_build_contradiction_and_star():
         build(TripleSet.of("", []), [])
 
 
+def test_build_rejects_triples_without_three_distinct_leaves():
+    # the dataclass constructor skips the check of RootedTriple.of, so build makes it
+    rest = [RootedTriple("b", "c", "a"), RootedTriple("d", "e", "a")]
+    assert build(rest, "abcde") == ("a", ("b", "c"), ("d", "e"))
+    for bad in (RootedTriple("a", "a", "c"), RootedTriple("a", "b", "a"), RootedTriple("a", "b", "b")):
+        with pytest.raises(GraphError, match="three distinct leaves"):
+            build([bad, *rest], "abcde")
+
+
 def test_build_reconstructs_random_trees():
     for seed in range(60):
         tree, _ = random_scenario(seed, max_leaves=12)
@@ -266,6 +275,7 @@ def test_direct_pair_verdicts_count_the_pair_triples():
     reached = 0
     for graph in _mixed_graphs(400):
         report = recognize_ncbmg(graph, route="informative-direct")
+        assert graph._in_masks is None  # components and glue read out-bitsets only
         for (ci, (s, t)), verdict in report.pair_verdicts.items():
             comp = sum(1 << graph.index_of[x] for x in report.components[ci])
             sub = subgraph_on(graph, comp)

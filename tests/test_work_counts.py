@@ -1,0 +1,82 @@
+"""Deterministic work counts of both BUILDs as complexity guards.
+
+Single timings on a shared host spread up to 2x, so a regression in how
+BUILD work grows can hide in noise; the counts of ``util.build_work`` do
+not drift.  Each bound is an upper bound on today's count or log-log slope,
+over caterpillars of 200, 400 and 800 leaves."""
+
+import math
+
+import pytest
+
+from bmgraph import ColoredDigraph, bmg_of_tree, recognize_ncbmg
+from util import build_work, caterpillar
+
+SIZES = (200, 400, 800)
+ROUTES = ("informative-direct", "pairwise-lrt")
+
+
+def _slope(counts: list[int]) -> float:
+    """Least-squares slope of log(count) over log(leaves)."""
+    xs = [math.log(n) for n in SIZES]
+    ys = [math.log(c) for c in counts]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+@pytest.fixture(scope="module")
+def work():
+    """Per (route, colours), the work counts of each caterpillar size."""
+    found = {}
+    for colors in (2, 20):
+        for n in SIZES:
+            graph = bmg_of_tree(caterpillar(n, colors))
+            for route in ROUTES:
+                with build_work() as counts:
+                    assert recognize_ncbmg(graph, route=route).accepted
+                found.setdefault((route, colors), []).append(counts)
+    return found
+
+
+def test_direct_route_glues_once_per_group(work):
+    # the chunks that share a leaf are joined before the merge, so their
+    # count grows with the depth (slopes 1.01 and 1.09 when first measured),
+    # while each level still visits its live sources (slopes 2.00 and 2.10)
+    chunks = {colors: [c["chunks"] for c in work["informative-direct", colors]] for colors in (2, 20)}
+    assert chunks[20][-1] <= 350_000, chunks
+    for colors, counts in chunks.items():
+        assert _slope(counts) <= 1.2, (colors, counts)
+        visits = [c["visits"] for c in work["informative-direct", colors]]
+        assert _slope(visits) <= 2.15, (colors, visits)
+
+
+def test_pairwise_route_walks_each_pair_tree_once(work):
+    # one _lca call per level on two colours (slope 1.00 when first measured),
+    # one per level and family on twenty (1.055 when first measured)
+    for colors, bound in ((2, 1.05), (20, 1.1)):
+        lca = [c["lca"] for c in work["pairwise-lrt", colors]]
+        assert _slope(lca) <= bound, (colors, lca)
+    assert [c["chunks"] for c in work["pairwise-lrt", 2]] == [0, 0, 0]
+    chunks = [c["chunks"] for c in work["pairwise-lrt", 20]]
+    assert _slope(chunks) <= 1.15, chunks
+
+
+def test_each_level_is_one_inner_node_of_the_tree(work):
+    # one merge per BUILD level, and a tree on n leaves has at most n - 1 inner nodes
+    for (route, colors), counts in work.items():
+        for n, c in zip(SIZES, counts):
+            assert 0 < c["levels"] <= n - 1, (route, colors, n, c)
+
+
+def test_each_component_build_visits_its_own_groups_only():
+    # 2,000 components ((a, b), c), a of colour a, b and c of colour b: b and c
+    # share N_a = {a}, so each component has two groups and one BUILD level
+    pairs = 2000
+    colors = {f"{side}{i:04d}": "b" if side == "c" else side for i in range(pairs) for side in "abc"}
+    arcs = [(f"{x}{i:04d}", f"{y}{i:04d}") for i in range(pairs) for x, y in ("ab", "ba", "ca")]
+    graph = ColoredDigraph(colors, arcs)
+    with build_work() as counts:
+        assert recognize_ncbmg(graph, route="informative-direct").accepted
+    groups = {(t, n) for row in graph.color_outs for t, n in row}  # one group per (t, N_t), as no arc joins one colour
+    assert len(groups) == 2 * pairs
+    assert 0 < counts["visits"] <= 4 * len(groups), counts

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
+from contextlib import contextmanager
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Sequence
@@ -23,6 +24,7 @@ from bmgraph import (
     simulate,
     subgraph_on,
 )
+from bmgraph import triples
 from bmgraph.digraph import bits
 from bmgraph.errors import ParseError, TreeError
 from bmgraph.tree import _FORBIDDEN_LABEL_CHARS, Topology, _is_token
@@ -547,3 +549,46 @@ def reference_layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...
     new_parent = [-1] + [rank[parent[v]] for v in order[1:]]
     new_children = [tuple(map(rank.__getitem__, kids[v])) for v in order]
     return new_parent, new_children, [label[v] for v in order]
+
+
+@contextmanager
+def build_work():
+    """Count the work of both BUILDs while the block runs, by wrapping
+    ``triples`` functions from outside: ``chunks`` glued by the merge,
+    inner ``levels`` that run a merge (the direct route settles a block of
+    at most two leaves without one), ``_lca`` calls, and glue-source
+    ``visits`` (the sources each direct-route level is handed).  The
+    component split runs the merge through ``digraph``'s own binding, so
+    its chunks are not counted."""
+    counts = dict.fromkeys(("chunks", "levels", "lca", "visits"), 0)
+    real = {name: getattr(triples, name) for name in ("_blocks", "_with_singletons", "_lca", "_glue")}
+
+    def ticked(chunks):
+        for chunk in chunks:
+            counts["chunks"] += 1
+            yield chunk
+
+    def blocks(level, glued):
+        counts["levels"] += 1
+        return real["_blocks"](level, ticked(glued))
+
+    def with_singletons(level, found):
+        counts["levels"] += 1
+        return real["_with_singletons"](level, found)
+
+    def lca(node, inside):
+        counts["lca"] += 1
+        return real["_lca"](node, inside)
+
+    def glue(level, sources):
+        counts["visits"] += len(sources)
+        return real["_glue"](level, sources)
+
+    wrappers = {"_blocks": blocks, "_with_singletons": with_singletons, "_lca": lca, "_glue": glue}
+    for name, wrapper in wrappers.items():
+        setattr(triples, name, wrapper)
+    try:
+        yield counts
+    finally:
+        for name, function in real.items():
+            setattr(triples, name, function)
