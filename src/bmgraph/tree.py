@@ -88,12 +88,6 @@ class LeafColoredTree:
 
     # -- construction helpers ---------------------------------------------
 
-    @classmethod
-    def from_newick(cls, text: str, colors: Mapping[str, str]) -> "LeafColoredTree":
-        from .graphio import parse_newick  # local import to avoid a cycle
-
-        return cls(parse_newick(text), colors)
-
     def _finalize(self) -> None:
         n = len(self.parent)
         size = [1] * n
@@ -195,7 +189,7 @@ class LeafColoredTree:
     def contract_edges(self, edges: Iterable[tuple[int, int]]) -> "LeafColoredTree":
         doomed: set[int] = set()
         for u, v in edges:
-            if not (0 <= v < len(self.parent)) or self.parent[v] != u:
+            if not (0 < v < len(self.parent)) or self.parent[v] != u:
                 raise TreeError(f"({u}, {v}) is not an edge of this tree")
             if self.label[v] is not None:
                 raise TreeError(f"({u}, {v}) is an outer edge; only inner edges contract")
@@ -251,17 +245,6 @@ class LeafColoredTree:
                         x, y = y, x
                     out.update((x, y, z) for z in outside)
         return out
-
-    def triples(self):
-        """Triple set displayed by the tree (see :mod:`bmgraph.triples`)."""
-        from .triples import TripleSet, RootedTriple
-
-        return TripleSet(
-            universe=frozenset(self.leaf_labels),
-            triples=frozenset(
-                RootedTriple(a, b, z) for a, b, z in self.triple_tuples()
-            ),
-        )
 
     # -- serialization and comparison -----------------------------------------
 

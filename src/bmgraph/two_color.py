@@ -11,10 +11,10 @@ are bitsets too, bit ``c`` standing for class ``c``.  No class
 neighbourhood crosses a weakly connected piece, so the pieces are class
 bitsets over that one numbering, found by the same merge as the graph's
 components.  All axiom algebra runs on these bitsets; class
-granularity makes that lossless.  The axioms are checked in the order N2,
-N3, N1, and the first violating class (pair) in class order is the
-witness.  A pair's pieces are checked all at once: each is sink-free and
-self-contained, so they pass together exactly when each one passes.
+granularity makes that lossless.  The axioms are checked piece by piece,
+in the order the pieces come, each in the order N2, N3, N1, and the first
+violating class (pair) in class order is the witness; so the first piece
+to fail names the violation.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
 With N2, N(N(N(a))) lies in N(a), so the reachable set of class a is
@@ -34,12 +34,12 @@ check the colour count and same-colour arcs, then take the first sink and
 the pieces from one ``pair_classes`` call and go on with the one piece.  The
 n-colour recognizer calls ``pair_topology`` on each colour pair directly: a
 pair has no same-colour arc, so its sink-free pieces pass every structure
-check.  Both run the same steps on the pair's one class table, once per
-pair, down to the tree as a cluster family over vertex bitsets, which
-``lrt_via_hierarchy`` names.  Only a pair that fails runs its pieces again,
-one at a time, so that the first failing piece names the rejection.  No
-forward construction runs here: the one exact gate is the n-colour
-recognizer's final arc-for-arc comparison.
+check.  Both decide the pair in one pass: one class table, one axiom check
+and one Hasse pass, down to the tree as a cluster family over vertex
+bitsets, which ``lrt_via_hierarchy`` names.  Pieces that pass the axioms
+are best match graphs, so the Hasse pass cannot fail on them.  No forward
+construction runs here: the one exact gate is the n-colour recognizer's
+final arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 # bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, ThinnessPartition, _blocks, bits, scan_bits, thinness_partition  # noqa: F401
+from .digraph import ColoredDigraph, ThinnessPartition, _blocks, bits, check_vertex_mask, scan_bits
+from .digraph import thinness_partition  # noqa: F401
+from .errors import GraphError
 from .tree import Topology
 from .verdicts import CheckResult, Rejection
 
@@ -172,31 +174,29 @@ def check_axioms(graph: ColoredDigraph) -> CheckResult:
 def _axiom_check(
     graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
 ) -> CheckResult:
-    """N2, N3, N1 on the classes of ``pieces``, class bitsets that no class
-    neighbourhood crosses, so a class can only break N1 or N3 together with
-    a class of its own piece."""
+    """N2, N3, N1 on the classes of each of ``pieces`` in turn, class bitsets
+    that no class neighbourhood crosses, so a class can only break N1 or N3
+    together with a class of its own piece, and the first piece to fail
+    names the violation."""
     n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
-    by_piece = [(piece, list(bits(piece))) for piece in pieces]
 
     def fail(stage: str, *witness: int) -> CheckResult:
         ids = tuple(_class_ids(graph, masks, 1 << a) for a in witness)
         return CheckResult(False, stage, ids if len(ids) > 1 else ids[0])
 
-    for _, classes in by_piece:
-        for a in classes:
-            if n3[a] & ~n1[a]:
-                return fail("N2", a)
     # Arcs join the two colours, so only classes of one colour can share
     # out-neighbours (N3) and only classes of two colours can meet N(N(.))
     # through N(.) (N1); each loop visits the later classes b > a of a's
     # piece that the premise of its axiom leaves open.  A class's colour is
     # that of its highest vertex.
     color_of = graph.color_of
-    first = color_of[masks[by_piece[0][1][0]].bit_length() - 1]
-    first_color = sum(
-        1 << a for _, classes in by_piece for a in classes if color_of[masks[a].bit_length() - 1] == first
-    )
-    for piece, classes in by_piece:
+    tops = [color_of[m.bit_length() - 1] for m in masks]
+    first_color = sum(1 << a for a, c in enumerate(tops) if c == tops[0])
+    for piece in pieces:
+        classes = list(bits(piece))
+        for a in classes:
+            if n3[a] & ~n1[a]:
+                return fail("N2", a)
         for a in classes:
             n1a = n1[a]
             same_color = piece & (first_color if first_color >> a & 1 else ~first_color)
@@ -204,7 +204,6 @@ def _axiom_check(
                 n1b = n1[b]
                 if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
                     return fail("N3", a, b)
-    for piece, classes in by_piece:
         for a in classes:
             n1a, n2a = n1[a], n2[a]
             other = piece & (~first_color if first_color >> a & 1 else first_color)
@@ -378,7 +377,7 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     classes = _structure_check(graph)
     if isinstance(classes, CheckResult):
         return Rejection("axioms", classes)
-    family = _pieces_family(graph, *classes, [(1 << v, ()) for v in range(len(graph))])
+    family = _family(graph, *classes, [(1 << v, ()) for v in range(len(graph))])
     return family if isinstance(family, Rejection) else family_topology(family, graph.vertex_ids)
 
 
@@ -390,44 +389,20 @@ Family = tuple
 def pair_topology(
     graph: ColoredDigraph, ground: int, leaves: Sequence[Family] | None = None
 ) -> Family | Rejection:
-    """Least resolved tree of the subgraph that the vertex mask ``ground``
-    induces, as a cluster family over vertex bitsets, or a staged rejection;
-    several pieces are joined under a fresh root.  ``leaves[v]`` is the leaf
-    ``(1 << v, ())`` of vertex v, one table that a recognizer shares among
-    all its colour pairs; without it the call makes its own.  The caller
-    vouches that the subgraph has two colours and no arc inside one; then
-    each sink-free piece passes every structure check."""
+    """Least resolved tree of the subgraph that the non-empty vertex mask
+    ``ground`` induces, as a cluster family over vertex bitsets, or a staged
+    rejection; several pieces are joined under a fresh root.  ``leaves[v]``
+    is the leaf ``(1 << v, ())`` of vertex v, one table that a recognizer
+    shares among all its colour pairs; without it the call makes its own.
+    The caller vouches that the subgraph has two colours and no arc inside
+    one; then each sink-free piece passes every structure check."""
+    check_vertex_mask(graph, ground)
+    if not ground:
+        raise GraphError("a colour pair needs at least one vertex")
     classes = pair_classes(graph, ground)
     if isinstance(classes, Rejection):
         return classes
-    if leaves is None:
-        leaves = {v: (1 << v, ()) for v in bits(ground)}
-    return _pieces_family(graph, *classes, leaves)
-
-
-def _pieces_family(
-    graph: ColoredDigraph,
-    masks: list[int],
-    tables: ClassNeighborhoodTables,
-    pieces: list[int],
-    leaves: Sequence[Family],
-) -> Family | Rejection:
-    """Least resolved tree of sink-free pieces, all at once through axioms,
-    R' and one Hasse pass.  No class neighbourhood crosses a piece, so the
-    pieces together pass exactly when each one does; when they fail, they
-    run one by one, in order, through the same steps, and the first piece to
-    fail gives the rejection."""
-    attached: dict[int, int] = {}  # an R' set -> the vertices of the classes whose R' set it is
-    for r, mask in zip(extended_reachable_masks(tables), masks):
-        attached[r] = attached.get(r, 0) | mask
-    found = _family(graph, masks, tables, pieces, attached, leaves)
-    if isinstance(found, Rejection) and len(pieces) > 1:
-        for piece in pieces:  # each R' set lies in the piece of its class
-            own = {r: mask for r, mask in attached.items() if r & piece}
-            failed = _family(graph, masks, tables, [piece], own, leaves)
-            if isinstance(failed, Rejection):
-                return failed
-    return found
+    return _family(graph, *classes, leaves or {v: (1 << v, ()) for v in bits(ground)})
 
 
 def _family(
@@ -435,17 +410,21 @@ def _family(
     masks: list[int],
     tables: ClassNeighborhoodTables,
     pieces: list[int],
-    attached: dict[int, int],
     leaves: Sequence[Family],
 ) -> Family | Rejection:
-    """The axioms on the classes of ``pieces``, then the Hasse forest of
-    their R' sets, the keys of ``attached``, as one cluster family.  Each
-    node is built as the Hasse pass places its set: its kids are the nodes
-    of its Hasse children, then the leaves of the vertices that ``attached``
-    gives the set."""
+    """Least resolved tree of sink-free pieces as one cluster family: the
+    axioms piece by piece, then one Hasse pass over the R' sets of all
+    pieces.  Once the axioms hold, each piece is a best match graph and its
+    R' sets form its hierarchy, so the pass cannot fail; its rejections stay
+    as safety checks.  Each node is built as the pass places its set: its
+    kids are the nodes of its Hasse children, then the ``leaves`` of the
+    vertices of the classes whose R' set it is."""
     verdict = _axiom_check(graph, masks, tables, pieces)
     if not verdict:
         return Rejection("axioms", verdict)
+    attached: dict[int, int] = {}  # an R' set -> the vertices of the classes whose R' set it is
+    for r, mask in zip(extended_reachable_masks(tables), masks):
+        attached[r] = attached.get(r, 0) | mask
 
     def node(s: int, kids: list[Family]) -> Family:
         kids.extend(map(leaves.__getitem__, bits(attached[s])))

@@ -232,7 +232,7 @@ def test_criterion_7_build_correctness():
         failures.append("contradictory-pair-not-flagged")
     for seed in range(500):
         tree, _ = random_scenario(seed + 5000, max_leaves=12, max_colors=6)
-        topo = build(tree.triples(), tree.leaf_labels)
+        topo = build(TripleSet.of(tree.leaf_labels, tree.triple_tuples()), tree.leaf_labels)
         if topo is None or LeafColoredTree(topo, tree.colors) != tree:
             failures.append(seed)
     _report(7, "BUILD reconstructs 500 trees from their triples", failures)

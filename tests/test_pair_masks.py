@@ -7,8 +7,11 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 from bmgraph import (
     ColoredDigraph,
+    GraphError,
     Rejection,
     SimulationConfig,
     bmg_of_tree,
@@ -287,7 +290,8 @@ def test_the_pair_layer_checks_the_axioms_and_runs_one_hasse_pass_per_colour_pai
     assert checked == passes == pieces  # once per pair, on all of its pieces
 
     # a flip that breaks one pair of several pieces, not the first pair:
-    # only that pair replays its pieces, one by one up to the failing one
+    # that pair, too, is checked once, on all its pieces, and the check's
+    # rejection ends recognition before any Hasse pass on it
     found = None
     for flipped in _flips(graph):
         del pairs[:], checked[:], passes[:]
@@ -299,8 +303,14 @@ def test_the_pair_layer_checks_the_axioms_and_runs_one_hasse_pass_per_colour_pai
                 break
     assert found is not None
     first = [pair_classes(found, ground)[2] for ground in pairs]
-    replayed = checked[len(pairs) :]
-    assert checked[: len(pairs)] == first  # each pair once, the failing one on all its pieces
-    assert replayed and replayed == [[piece] for piece in failing[: len(replayed)]]
-    assert passes[: len(pairs) - 1] == first[:-1]
-    assert all(len(p) == 1 for p in passes[len(pairs) - 1 :])
+    assert checked == first  # each pair once, the failing one on all its pieces
+    assert passes == first[:-1]  # no Hasse pass follows the failing check
+
+
+def test_pair_topology_rejects_an_empty_or_foreign_vertex_mask():
+    # as ``build(graph, mask)`` does: a colour pair is a non-empty bitset of
+    # the graph's vertex indices
+    _, graph = simulate(SimulationConfig(12, 3, 1))
+    for stray in (0, 1 << len(graph), -1):
+        with pytest.raises(GraphError):
+            pair_topology(graph, stray)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bmgraph import LeafColoredTree, ParseError, SimulationConfig, TreeError, build, simulate
+from bmgraph import LeafColoredTree, ParseError, SimulationConfig, TreeError, TripleSet, build, simulate
 from bmgraph import tree as tree_module
 from bmgraph.graphio import parse_graph, parse_newick
 from util import caterpillar, random_scenario, reference_layout
@@ -183,6 +183,13 @@ def test_contract_nothing_and_forced_star():
         CHERRY.contract_edges([(0, 57)])
 
 
+def test_contract_rejects_the_root_as_a_child():
+    # the root's parent entry is -1, so (-1, root) looks like an edge to a
+    # bare parent lookup; the root is no edge's child
+    with pytest.raises(TreeError, match="is not an edge of this tree"):
+        CHERRY.contract_edges([(-1, CHERRY.root)])
+
+
 def test_contract_preserves_leaves_and_phylogenetic_shape():
     for seed in range(15):
         tree, _ = random_scenario(seed, max_leaves=18)
@@ -289,7 +296,7 @@ def test_triples_match_distinguished_edges():
 def test_build_reconstructs_trees_from_their_triples():
     for seed in range(40):
         tree, _ = random_scenario(seed, max_leaves=11)
-        topo = build(tree.triples(), tree.leaf_labels)
+        topo = build(TripleSet.of(tree.leaf_labels, tree.triple_tuples()), tree.leaf_labels)
         assert topo is not None
         assert LeafColoredTree(topo, tree.colors) == tree
 
@@ -297,7 +304,7 @@ def test_build_reconstructs_trees_from_their_triples():
 def test_newick_round_trip():
     for seed in range(20):
         tree, _ = random_scenario(seed, max_leaves=15)
-        again = LeafColoredTree.from_newick(tree.newick(), tree.colors)
+        again = LeafColoredTree(parse_newick(tree.newick()), tree.colors)
         assert again == tree
 
 

@@ -122,7 +122,7 @@ def test_build_rejects_triples_without_three_distinct_leaves():
 def test_build_reconstructs_random_trees():
     for seed in range(60):
         tree, _ = random_scenario(seed, max_leaves=12)
-        topo = build(tree.triples(), tree.leaf_labels)
+        topo = build(TripleSet.of(tree.leaf_labels, tree.triple_tuples()), tree.leaf_labels)
         assert topo is not None
         assert LeafColoredTree(topo, tree.colors) == tree
 
@@ -130,7 +130,7 @@ def test_build_reconstructs_random_trees():
 def test_build_is_monotone_under_restriction():
     for seed in range(20):
         tree, _ = random_scenario(seed, max_leaves=10)
-        trips = tree.triples()
+        trips = TripleSet.of(tree.leaf_labels, tree.triple_tuples())
         labels = list(tree.leaf_labels)
         for cut in (2, max(2, len(labels) // 2)):
             sub = labels[:cut]
@@ -142,7 +142,8 @@ def test_build_from_trees_equals_build_on_pooled_triples():
         tree_a, _ = random_scenario(seed, max_leaves=9)
         labels = list(tree_a.leaf_labels)
         tree_b = tree_a.restrict(labels[: max(2, len(labels) - 2)])
-        pooled = tree_a.triples().union(tree_b.triples())
+        own = [TripleSet.of(t.leaf_labels, t.triple_tuples()) for t in (tree_a, tree_b)]
+        pooled = own[0].union(own[1])
         lhs = build_from_trees([tree_family(tree_a, labels), tree_family(tree_b, labels)], labels)
         rhs = build(pooled, labels)
         assert lhs == rhs

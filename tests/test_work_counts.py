@@ -1,4 +1,5 @@
-"""Deterministic work counts of both BUILDs as complexity guards.
+"""Deterministic work counts of both BUILDs and of the pair layer as
+complexity guards.
 
 Single timings on a shared host spread up to 2x, so a regression in how
 BUILD work grows can hide in noise; the counts of ``util.build_work`` do
@@ -59,6 +60,17 @@ def test_pairwise_route_walks_each_pair_tree_once(work):
     assert [c["chunks"] for c in work["pairwise-lrt", 2]] == [0, 0, 0]
     chunks = [c["chunks"] for c in work["pairwise-lrt", 20]]
     assert _slope(chunks) <= 1.15, chunks
+
+
+def test_the_pair_layer_decides_each_colour_pair_in_one_pass(work):
+    # one class table, one axiom check and one Hasse pass per colour pair:
+    # 1 pair on two colours, 190 on twenty; the direct route runs none
+    for colors in (2, 20):
+        pairs = colors * (colors - 1) // 2
+        for c in work["pairwise-lrt", colors]:
+            assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == pairs, (colors, c)
+        for c in work["informative-direct", colors]:
+            assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == 0, (colors, c)
 
 
 def test_each_level_is_one_inner_node_of_the_tree(work):

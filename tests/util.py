@@ -24,7 +24,7 @@ from bmgraph import (
     simulate,
     subgraph_on,
 )
-from bmgraph import triples
+from bmgraph import triples, two_color
 from bmgraph.digraph import bits
 from bmgraph.errors import ParseError, TreeError
 from bmgraph.tree import _FORBIDDEN_LABEL_CHARS, Topology, _is_token
@@ -553,15 +553,25 @@ def reference_layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...
 
 @contextmanager
 def build_work():
-    """Count the work of both BUILDs while the block runs, by wrapping
-    ``triples`` functions from outside: ``chunks`` glued by the merge,
-    inner ``levels`` that run a merge (the direct route settles a block of
-    at most two leaves without one), ``_lca`` calls, and glue-source
-    ``visits`` (the sources each direct-route level is handed).  The
-    component split runs the merge through ``digraph``'s own binding, so
-    its chunks are not counted."""
-    counts = dict.fromkeys(("chunks", "levels", "lca", "visits"), 0)
+    """Count the work of both BUILDs and of the pair layer while the block
+    runs, by wrapping ``triples`` and ``two_color`` functions from outside:
+    ``chunks`` glued by the merge, inner ``levels`` that run a merge (the
+    direct route settles a block of at most two leaves without one),
+    ``_lca`` calls, glue-source ``visits`` (the sources each direct-route
+    level is handed), and the calls of ``pair_classes``, ``_axiom_check``
+    and ``hasse_forest``.  The component split runs the merge through
+    ``digraph``'s own binding, so its chunks are not counted."""
+    pair_layer = {"pair_classes": "pair_classes", "_axiom_check": "axiom_checks", "hasse_forest": "hasse_passes"}
+    counts = dict.fromkeys(("chunks", "levels", "lca", "visits", *pair_layer.values()), 0)
     real = {name: getattr(triples, name) for name in ("_blocks", "_with_singletons", "_lca", "_glue")}
+    real_pair = {name: getattr(two_color, name) for name in pair_layer}
+
+    def counted(name):
+        def wrapper(*args):
+            counts[pair_layer[name]] += 1
+            return real_pair[name](*args)
+
+        return wrapper
 
     def ticked(chunks):
         for chunk in chunks:
@@ -587,8 +597,12 @@ def build_work():
     wrappers = {"_blocks": blocks, "_with_singletons": with_singletons, "_lca": lca, "_glue": glue}
     for name, wrapper in wrappers.items():
         setattr(triples, name, wrapper)
+    for name in pair_layer:
+        setattr(two_color, name, counted(name))
     try:
         yield counts
     finally:
         for name, function in real.items():
             setattr(triples, name, function)
+        for name, function in real_pair.items():
+            setattr(two_color, name, function)
