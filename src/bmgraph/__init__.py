@@ -11,12 +11,11 @@ from .digraph import (
 )
 from .errors import BmgraphError, GraphError, ParseError, TreeError
 from .tree import LeafColoredTree, Topology
-from .bmg import SimulationConfig, bmg_of_tree, bmg_oracle, rbmg_of_tree, simulate
+from .bmg import SimulationConfig, bmg_of_tree, bmg_oracle, simulate
 from .two_color import (
     ClassNeighborhoodTables,
     Hierarchy,
     check_axioms,
-    class_reachable_set,
     extended_reachable_set,
     lrt_via_hierarchy,
     neighborhood_tables,
@@ -58,7 +57,6 @@ __all__ = [
     "build_from_trees",
     "check_2crbmg_necessary",
     "check_axioms",
-    "class_reachable_set",
     "connected_components",
     "extended_reachable_set",
     "induced_subgraph",
@@ -68,7 +66,6 @@ __all__ = [
     "reachable_set",
     "recognize_ncbmg",
     "redundant_edges_n",
-    "rbmg_of_tree",
     "simulate",
     "subgraph_on",
     "symmetric_part",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, bits, symmetric_part
+from .digraph import ColoredDigraph, bits
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
 
@@ -97,11 +97,6 @@ def bmg_oracle(tree: LeafColoredTree) -> ColoredDigraph:
             ):
                 arcs.append((x, y))
     return ColoredDigraph(dict(colors), arcs)
-
-
-def rbmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
-    """Reciprocal best matches: the symmetric part of the best match digraph."""
-    return symmetric_part(bmg_of_tree(tree))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ component's colour set and the colour pairs, which are built once per
 graph.  In (a) a pair is the mask ``(first | second) & ground``,
 and ``two_color.pair_topology`` reads its sinks, pieces and thinness
 classes off the out- and in-bitsets and returns its tree as a cluster
-family over vertex bitsets, whose leaf nodes, one per vertex, are built
-once per graph and shared by all pairs; ``build_from_trees`` glues from
-those families on ``ground``, so no pair tree is ever built.  In (b) ``build(graph,
+family over vertex bitsets, which holds the tree's inner nodes only;
+``build_from_trees`` glues from those families on ``ground``, so no pair
+tree is ever built.  In (b) ``build(graph,
 ground)`` groups the component's per-colour out-neighbourhoods
 ``graph.color_outs`` by (t, N_t) and glues once per group; the pair notes
 count each pair's triples from the same table.
@@ -58,7 +58,7 @@ from .digraph import (  # noqa: F401
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
 from .triples import build, build_from_trees, informative_triple_counts, informative_triples  # noqa: F401
-from .two_color import Family, lrt_via_hierarchy, pair_topology  # noqa: F401
+from .two_color import lrt_via_hierarchy, pair_topology  # noqa: F401
 from .verdicts import Rejection
 
 ROUTES = ("pairwise-lrt", "informative-direct")
@@ -125,14 +125,12 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
 
     t0 = time.perf_counter()
     pairs: ColorPairs | None = None
-    leaves: list[Family] | None = None
     if route == "pairwise-lrt":
         named = zip(graph.color_ids, by_color)
         pairs = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
-        leaves = [(1 << v, ()) for v in range(len(graph))]
     topologies: list[Topology] = []
     for ci, comp in enumerate(comps):
-        outcome = _recognize_component(graph, comp, ci, pairs, leaves, report)
+        outcome = _recognize_component(graph, comp, ci, pairs, report)
         if isinstance(outcome, Rejection):
             return outcome
         topologies.append(outcome)
@@ -145,13 +143,11 @@ def _recognize_component(
     ground: int,
     ci: int,
     pairs: ColorPairs | None,
-    leaves: list[Family] | None,
     report: RecognitionReport,
 ) -> Topology | Rejection:
     """Candidate topology of the component with vertex mask ``ground``.  The
-    pairwise route hands in the graph's colour pairs as vertex masks and one
-    family leaf per vertex, shared by every pair family that holds it; the
-    direct route hands in None for both and reads the graph's colour table.
+    pairwise route hands in the graph's colour pairs as vertex masks; the
+    direct route hands in None and reads the graph's colour table.
     No tree is built and no gate runs here, the caller's global comparison
     is the only one."""
     if pairs is None:
@@ -165,7 +161,7 @@ def _recognize_component(
     else:
         families = []
         for s, t, pair in pairs:
-            family = pair_topology(graph, pair & ground, leaves)
+            family = pair_topology(graph, pair & ground)
             if isinstance(family, Rejection):
                 report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"
                 return Rejection("2cbmg-failure", family)

@@ -1,4 +1,4 @@
-"""Rooted leaf-colored phylogenetic trees with preorder-range lca queries.
+"""Rooted leaf-colored phylogenetic trees in canonical preorder arrays.
 
 Trees are immutable once built.  Construction canonicalizes the shape in
 one layout pass (``_layout``): one-element tuples are unwrapped as vertices
@@ -11,9 +11,9 @@ deterministic.  Leaf labels are whitespace-free and hold none of
 ``();,#``, and colours are whitespace-free and hold no ``#``, so every
 label and colour reads back from the files the library writes.
 
-Preorder ids make every subtree the id range ``[v, v + size[v])``, so an
-ancestor test is two comparisons and ``lca`` climbs only the shorter of
-the two root paths (see :meth:`LeafColoredTree.lca`).
+Preorder ids put every child after its parent, so one reverse pass over
+the ids folds any per-node quantity from the leaves up, as ``_finalize``
+does for the colour set below each node.
 
 All traversals are iterative so that caterpillar trees of a few hundred
 leaves stay well clear of the interpreter recursion limit.
@@ -22,7 +22,7 @@ leaves stay well clear of the interpreter recursion limit.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import TreeError
 
@@ -60,7 +60,6 @@ class LeafColoredTree:
         "colors",
         "leaf_labels",
         "color_universe",
-        "size",
         "_leaf_node",
         "_colormask",
     )
@@ -89,24 +88,17 @@ class LeafColoredTree:
     # -- construction helpers ---------------------------------------------
 
     def _finalize(self) -> None:
-        n = len(self.parent)
-        size = [1] * n
-        cmask = [0] * n
-        cindex = {c: k for k, c in enumerate(self.color_universe)}
+        parent = self.parent
+        bit = {c: 1 << k for k, c in enumerate(self.color_universe)}
+        cmask = [0] * len(parent)
+        for lab, v in self._leaf_node.items():
+            cmask[v] = bit[self.colors[lab]]
         # node ids are preorder ranks, so children come after their parent
-        for v in reversed(range(n)):
-            if self.label[v] is not None:
-                cmask[v] = 1 << cindex[self.colors[self.label[v]]]
-            if v != self.root:
-                size[self.parent[v]] += size[v]
-                cmask[self.parent[v]] |= cmask[v]
-        self.size = tuple(size)
+        for v in range(len(parent) - 1, 0, -1):
+            cmask[parent[v]] |= cmask[v]
         self._colormask = tuple(cmask)
 
     # -- elementary queries -------------------------------------------------
-
-    def is_leaf(self, v: int) -> bool:
-        return self.label[v] is not None
 
     def leaf_node(self, lab: str) -> int:
         try:
@@ -117,9 +109,6 @@ class LeafColoredTree:
     def nodes(self) -> range:
         return range(len(self.parent))
 
-    def inner_nodes(self) -> Iterator[int]:
-        return (v for v in self.nodes() if self.label[v] is None)
-
     def inner_edges(self) -> list[tuple[int, int]]:
         """Edges (parent, child) whose child is an inner node."""
         return [
@@ -128,63 +117,7 @@ class LeafColoredTree:
             if v != self.root and self.label[v] is None
         ]
 
-    def leaves_under(self, v: int) -> list[int]:
-        # preorder ids make every subtree a contiguous id range
-        return [w for w in range(v, v + self.size[v]) if self.label[w] is not None]
-
-    # -- lca ----------------------------------------------------------------
-
-    def lca(self, u: int, v: int) -> int:
-        if not (0 <= u < len(self.parent) and 0 <= v < len(self.parent)):
-            raise TreeError(f"node out of range: {(u, v)}")
-        if u > v:
-            u, v = v, u
-        # For u <= v, an ancestor a of v is one of u iff a <= u, and an
-        # ancestor b of u is one of v iff v < b + size[b].  Climb both root
-        # paths in step; the first node that closes the range is the lca.
-        parent, size = self.parent, self.size
-        a, b = v, u
-        while a > u:
-            if b + size[b] > v:
-                return b
-            a, b = parent[a], parent[b]
-        return a
-
-    def lca_set(self, nodes: Iterable[int]) -> int:
-        # a subtree is a preorder range: it holds the set iff it holds both ends
-        ids = list(nodes)
-        if not ids:
-            raise TreeError("lca of an empty node set")
-        return self.lca(min(ids), max(ids))
-
-    def is_ancestor(self, anc: int, v: int) -> bool:
-        """True iff ``anc`` lies on the path from the root to ``v`` (inclusive)."""
-        return anc <= v < anc + self.size[anc]
-
     # -- structural operations ------------------------------------------------
-
-    def restrict(self, labels: Iterable[str]) -> "LeafColoredTree":
-        keep = set(labels)
-        if not keep:
-            raise TreeError("restriction to an empty leaf set")
-        unknown = keep - set(self.leaf_labels)
-        if unknown:
-            raise TreeError(f"unknown leaves in restriction: {sorted(unknown)}")
-        rep: list[object] = [None] * len(self.parent)
-        for v in reversed(range(len(self.parent))):
-            lab = self.label[v]
-            if lab is not None:
-                rep[v] = lab if lab in keep else None
-            else:
-                kids = [rep[c] for c in self.children[v] if rep[c] is not None]
-                if not kids:
-                    rep[v] = None
-                elif len(kids) == 1:
-                    rep[v] = kids[0]
-                else:
-                    rep[v] = tuple(kids)
-        # keep is a non-empty set of this tree's leaves, so the root has a topology
-        return LeafColoredTree(rep[self.root], {lab: self.colors[lab] for lab in keep})
 
     def contract_edges(self, edges: Iterable[tuple[int, int]]) -> "LeafColoredTree":
         doomed: set[int] = set()
@@ -210,41 +143,6 @@ class LeafColoredTree:
             flat[v] = kids
             rep[v] = tuple(kids)
         return LeafColoredTree(rep[self.root], self.colors)
-
-    def displays(self, other: "LeafColoredTree") -> bool:
-        """True iff ``other`` arises from a restriction of this tree by contractions."""
-        extra = set(other.leaf_labels) - set(self.leaf_labels)
-        if extra:
-            raise TreeError(f"displayed-tree leaves missing here: {sorted(extra)}")
-        clash = [
-            lab for lab in other.leaf_labels if self.colors[lab] != other.colors[lab]
-        ]
-        if clash:
-            raise TreeError(f"color mismatch on shared leaves: {clash}")
-        restricted = self.restrict(other.leaf_labels)
-        return other.triple_tuples() <= restricted.triple_tuples()
-
-    def triple_tuples(self) -> set[tuple[str, str, str]]:
-        """All rooted triples xy|z displayed by this tree, as (x, y, z) with x < y."""
-        label, size = self.label, self.size
-        out: set[tuple[str, str, str]] = set()
-        for w in self.inner_nodes():
-            if w == self.root:
-                continue
-            # xy|z iff lca(x, y) = w for x, y under different children of w
-            # and z lies outside w
-            end = w + size[w]
-            outside = [z for z in label[:w] + label[end:] if z is not None]
-            groups = [
-                [x for x in label[c : c + size[c]] if x is not None]
-                for c in self.children[w]
-            ]
-            for left, right in itertools.combinations(groups, 2):
-                for x, y in itertools.product(left, right):
-                    if x > y:
-                        x, y = y, x
-                    out.update((x, y, z) for z in outside)
-        return out
 
     # -- serialization and comparison -----------------------------------------
 

@@ -239,14 +239,14 @@ def _triple_sources(triples: TripleSet | Iterable[RootedTriple], index: dict[str
 def build_from_trees(families: list[Family], names: Sequence[str], root: int | None = None) -> Topology | None:
     """BUILD on the leaf bitset ``root`` (all of ``names`` when omitted), on
     the triples that trees display, each tree a cluster family over leaf
-    bitsets, bit v naming ``names[v]``; leaves that no family covers stay
-    leaves of the root.  At a level M, a family with two or more leaves in M
-    glues ``kid & M`` for each kid of its lca of them, the children of its
-    restricted root (BuildST, Deng & Fernandez-Baca 2018).  That lca lies at
-    or below the one of M's parent level, where the search starts.  When
-    only one family has two or more leaves in M, its chunks are M's blocks,
-    with each leaf they miss alone, and no union-find runs.  One frame per
-    level."""
+    bitsets, with or without leaf nodes, bit v naming ``names[v]``; leaves
+    that no family covers stay leaves of the root.  At a level M, a family
+    with two or more leaves in M glues ``kid & M`` for each kid of its lca of
+    them, the children of its restricted root (BuildST, Deng & Fernandez-Baca
+    2018), and a leaf node glues nothing.  That lca lies at or below the one
+    of M's parent level, where the search starts.  When only one family has
+    two or more leaves in M, its chunks are M's blocks, with each leaf they
+    miss alone, and no union-find runs.  One frame per level."""
     if root is None:
         root = (1 << len(names)) - 1
     if not root:

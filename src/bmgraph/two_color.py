@@ -36,10 +36,11 @@ n-colour recognizer calls ``pair_topology`` on each colour pair directly: a
 pair has no same-colour arc, so its sink-free pieces pass every structure
 check.  Both decide the pair in one pass: one class table, one axiom check
 and one Hasse pass, down to the tree as a cluster family over vertex
-bitsets, which ``lrt_via_hierarchy`` names.  Pieces that pass the axioms
-are best match graphs, so the Hasse pass cannot fail on them.  No forward
-construction runs here: the one exact gate is the n-colour recognizer's
-final arc-for-arc comparison.
+bitsets, which ``lrt_via_hierarchy`` names.  Its nodes are the tree's inner
+nodes only: a vertex is a leaf of the lowest node that holds it.  Pieces
+that pass the axioms are best match graphs, so the Hasse pass cannot fail
+on them.  No forward construction runs here: the one exact gate is the
+n-colour recognizer's final arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -220,6 +221,9 @@ def reachable_set(graph: ColoredDigraph, seed: frozenset[int] | tuple[int, ...])
     route uses the closed form N | N(N) instead, which equals it only once
     axiom N2 holds; tests compare the two.
     """
+    stray = [v for v in seed if not 0 <= v < len(graph)]
+    if stray:
+        raise GraphError(f"vertex index out of range: {stray[0]!r}")
     outs = graph.out_masks
     seen = frontier = reduce(or_, map(outs.__getitem__, seed), 0)
     while frontier:
@@ -229,10 +233,6 @@ def reachable_set(graph: ColoredDigraph, seed: frozenset[int] | tuple[int, ...])
         frontier = nxt & ~seen
         seen |= nxt
     return frozenset(bits(seen))
-
-
-def class_reachable_set(partition: ThinnessPartition, a: int) -> frozenset[int]:
-    return reachable_set(partition.graph, partition.classes[a])
 
 
 def extended_reachable_set(partition: ThinnessPartition, a: int) -> frozenset[int]:
@@ -377,48 +377,42 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     classes = _structure_check(graph)
     if isinstance(classes, CheckResult):
         return Rejection("axioms", classes)
-    family = _family(graph, *classes, [(1 << v, ()) for v in range(len(graph))])
+    family = _family(graph, *classes)
     return family if isinstance(family, Rejection) else family_topology(family, graph.vertex_ids)
 
 
-# A cluster family: a node is (vertex bitset, kids), a leaf (1 << v, ()), and
-# a node's bitset is the union of its kids'.
+# A cluster family: a node is (vertex bitset, kids), a node's bitset holds
+# its kids' bitsets, and the vertices it holds that no kid does are leaves
+# directly below it.  Leaf nodes (1 << v, ()) are optional: the pair layer
+# builds none, and every reader takes a family with or without them.
 Family = tuple
 
 
-def pair_topology(
-    graph: ColoredDigraph, ground: int, leaves: Sequence[Family] | None = None
-) -> Family | Rejection:
+def pair_topology(graph: ColoredDigraph, ground: int) -> Family | Rejection:
     """Least resolved tree of the subgraph that the non-empty vertex mask
     ``ground`` induces, as a cluster family over vertex bitsets, or a staged
-    rejection; several pieces are joined under a fresh root.  ``leaves[v]``
-    is the leaf ``(1 << v, ())`` of vertex v, one table that a recognizer
-    shares among all its colour pairs; without it the call makes its own.
-    The caller vouches that the subgraph has two colours and no arc inside
-    one; then each sink-free piece passes every structure check."""
+    rejection; several pieces are joined under a fresh root.  The caller
+    vouches that the subgraph has two colours and no arc inside one; then
+    each sink-free piece passes every structure check."""
     check_vertex_mask(graph, ground)
     if not ground:
         raise GraphError("a colour pair needs at least one vertex")
     classes = pair_classes(graph, ground)
     if isinstance(classes, Rejection):
         return classes
-    return _family(graph, *classes, leaves or {v: (1 << v, ()) for v in bits(ground)})
+    return _family(graph, *classes)
 
 
 def _family(
-    graph: ColoredDigraph,
-    masks: list[int],
-    tables: ClassNeighborhoodTables,
-    pieces: list[int],
-    leaves: Sequence[Family],
+    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
 ) -> Family | Rejection:
     """Least resolved tree of sink-free pieces as one cluster family: the
     axioms piece by piece, then one Hasse pass over the R' sets of all
     pieces.  Once the axioms hold, each piece is a best match graph and its
     R' sets form its hierarchy, so the pass cannot fail; its rejections stay
     as safety checks.  Each node is built as the pass places its set: its
-    kids are the nodes of its Hasse children, then the ``leaves`` of the
-    vertices of the classes whose R' set it is."""
+    kids are the nodes of its Hasse children, and the vertices of the
+    classes whose R' set it is are its own leaves."""
     verdict = _axiom_check(graph, masks, tables, pieces)
     if not verdict:
         return Rejection("axioms", verdict)
@@ -427,8 +421,8 @@ def _family(
         attached[r] = attached.get(r, 0) | mask
 
     def node(s: int, kids: list[Family]) -> Family:
-        kids.extend(map(leaves.__getitem__, bits(attached[s])))
-        return (sum(k[0] for k in kids), tuple(kids)) if len(kids) > 1 else kids[0]
+        own = attached[s]
+        return kids[0] if not own and len(kids) == 1 else (sum(k[0] for k in kids) | own, tuple(kids))
 
     families = hasse_forest(pieces, attached, node)
     if isinstance(families, Rejection):
@@ -437,8 +431,8 @@ def _family(
 
 
 def family_topology(family: Family, names: Sequence[str]) -> Topology:
-    """Nested-tuple topology of a cluster family, bit v named ``names[v]``;
-    iterative, so any depth is fine."""
+    """Nested-tuple topology of a cluster family, bit v named ``names[v]``,
+    with or without leaf nodes; iterative, so any depth is fine."""
     order, stack = [], [family]
     while stack:  # parents before their kids
         order.append(stack.pop())
@@ -446,5 +440,7 @@ def family_topology(family: Family, names: Sequence[str]) -> Topology:
     named: dict[int, Topology] = {}  # by node identity; ``order`` keeps every node alive
     for node in reversed(order):
         mask, kids = node
-        named[id(node)] = tuple(named[id(k)] for k in kids) if kids else names[mask.bit_length() - 1]
+        below = [named[id(k)] for k in kids]
+        below += map(names.__getitem__, bits(mask & ~sum(k[0] for k in kids)))  # kids are disjoint
+        named[id(node)] = tuple(below) if len(below) > 1 else below[0]
     return named[id(family)]

@@ -22,13 +22,11 @@ from bmgraph import (
     build,
     check_2crbmg_necessary,
     check_axioms,
-    class_reachable_set,
     connected_components,
     induced_subgraph,
     informative_triples,
     recognize_ncbmg,
     redundant_edges_n,
-    rbmg_of_tree,
     simulate,
     symmetric_part,
     thinness_partition,
@@ -47,8 +45,12 @@ from util import (
     color_partitions,
     coloring_from_partition,
     connected_scenario,
+    class_reachable_set,
     direct_lrt,
+    displays,
     random_scenario,
+    rbmg_of_tree,
+    triple_tuples,
 )
 
 
@@ -105,7 +107,7 @@ def test_criterion_2_round_trip():
             continue
         if bmg_of_tree(report.lrt) != graph:
             failures.append((seed, "lrt-does-not-explain"))
-        if not tree.displays(report.lrt):
+        if not displays(tree, report.lrt):
             failures.append((seed, "lrt-not-displayed"))
     _report(2, "round trip over 1000 simulated scenarios", failures)
 
@@ -232,7 +234,7 @@ def test_criterion_7_build_correctness():
         failures.append("contradictory-pair-not-flagged")
     for seed in range(500):
         tree, _ = random_scenario(seed + 5000, max_leaves=12, max_colors=6)
-        topo = build(TripleSet.of(tree.leaf_labels, tree.triple_tuples()), tree.leaf_labels)
+        topo = build(TripleSet.of(tree.leaf_labels, triple_tuples(tree)), tree.leaf_labels)
         if topo is None or LeafColoredTree(topo, tree.colors) != tree:
             failures.append(seed)
     _report(7, "BUILD reconstructs 500 trees from their triples", failures)

@@ -13,14 +13,13 @@ from bmgraph import (
     bmg_of_tree,
     bmg_oracle,
     connected_components,
-    rbmg_of_tree,
     recognize_ncbmg,
     simulate,
     subgraph_on,
     symmetric_part,
 )
 from bmgraph.digraph import bits
-from util import arc_ids, random_scenario
+from util import arc_ids, inner_nodes, leaves_under, random_scenario, rbmg_of_tree, restrict
 
 
 def test_two_leaves_are_mutual_best_matches():
@@ -42,7 +41,7 @@ def test_restriction_can_add_arcs():
     g = bmg_of_tree(t)
     keep = sum(1 << t_i for t_i, lab in enumerate(g.vertex_ids) if lab in {"u", "v", "w"})
     induced = subgraph_on(g, keep)
-    restricted = bmg_of_tree(t.restrict({"u", "v", "w"}))
+    restricted = bmg_of_tree(restrict(t, {"u", "v", "w"}))
     assert arc_ids(induced) == {("u", "v"), ("v", "u")}
     assert arc_ids(restricted) == {("u", "v"), ("v", "u"), ("w", "v")}
 
@@ -57,7 +56,7 @@ def test_subgraph_monotonicity_under_restriction():
         colors_in_sub = {tree.colors[l] for l in sub}
         if len(colors_in_sub) < 1:
             continue
-        restricted = bmg_of_tree(tree.restrict(sub))
+        restricted = bmg_of_tree(restrict(tree, sub))
         keep = sum(1 << i for i, lab in enumerate(graph.vertex_ids) if lab in set(sub))
         induced = subgraph_on(graph, keep)
         assert arc_ids(induced) <= arc_ids(restricted)
@@ -88,7 +87,7 @@ def test_connectivity_criterion():
         all_colors = set(tree.color_universe)
         root_kids = tree.children[tree.root]
         some_child_misses_color = any(
-            {tree.colors[tree.label[w]] for w in tree.leaves_under(c)} != all_colors
+            {tree.colors[tree.label[w]] for w in leaves_under(tree, c)} != all_colors
             for c in root_kids
         )
         assert (len(connected_components(graph)) == 1) == some_child_misses_color
@@ -101,7 +100,7 @@ def test_components_sit_below_root_children():
         if len(comps) == 1:
             continue
         kids_leafsets = [
-            {tree.label[w] for w in tree.leaves_under(c)}
+            {tree.label[w] for w in leaves_under(tree, c)}
             for c in tree.children[tree.root]
         ]
         for comp in comps:
@@ -119,7 +118,7 @@ def test_color_restriction_commutes_with_bmg():
         for chosen in (colors[:1], colors[:2], colors[:-1]):
             subset = set(chosen)
             keep = [l for l in tree.leaf_labels if tree.colors[l] in subset]
-            assert induced_subgraph(graph, subset) == bmg_of_tree(tree.restrict(keep))
+            assert induced_subgraph(graph, subset) == bmg_of_tree(restrict(tree, keep))
 
 
 def test_rbmg_is_symmetric_part_of_bmg():
@@ -193,7 +192,7 @@ def test_engine_matches_oracle_on_deep_and_many_color_trees():
     deep = caterpillar(300)
     assert bmg_of_tree(deep) == bmg_oracle(deep)
     wide, graph = simulate(SimulationConfig(60, 12, 5, shape="multifurcating"))
-    assert any(len(wide.children[v]) > 2 for v in wide.inner_nodes())
+    assert any(len(wide.children[v]) > 2 for v in inner_nodes(wide))
     assert len(wide.color_universe) == 12
     assert graph == bmg_oracle(wide)
 

@@ -15,7 +15,6 @@ from bmgraph import (
     bmg_of_tree,
     connected_components,
     induced_subgraph,
-    rbmg_of_tree,
     subgraph_on,
     symmetric_part,
     thinness_partition,
@@ -24,7 +23,7 @@ from bmgraph.digraph import SCAN_DENSITY, _blocks, bits, scan_bits
 from bmgraph import cli
 from bmgraph.graphio import format_graph, parse_graph, write_tree
 from cases import countercog_tree, weird_tree
-from util import arc_ids, class_quotient, edge_ids, random_scenario
+from util import arc_ids, class_quotient, edge_ids, random_scenario, rbmg_of_tree
 
 
 @st.composite

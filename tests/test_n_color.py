@@ -36,9 +36,11 @@ from util import (
     coloured_trees,
     connected_scenario,
     contractible_edges,
+    displays,
     hierarchy_lrt,
     random_binary_refinement,
     random_scenario,
+    restrict,
 )
 
 
@@ -53,7 +55,7 @@ def test_three_class_scenario():
     assert report.accepted and direct.accepted
     assert report.lrt == direct.lrt
     assert bmg_of_tree(report.lrt) == graph
-    assert tree.displays(report.lrt)
+    assert displays(tree, report.lrt)
 
 
 def test_counterex_sym_is_rejected_after_all_pair_checks_pass():
@@ -131,7 +133,7 @@ def test_round_trip_on_simulated_ncbmgs():
         report = recognize_ncbmg(graph)
         assert report.accepted, (seed, report.stage)
         assert bmg_of_tree(report.lrt) == graph
-        assert tree.displays(report.lrt)
+        assert displays(tree, report.lrt)
 
 
 def test_routes_agree_on_simulated_ncbmgs():
@@ -155,7 +157,7 @@ def test_pairwise_lrts_are_displayed_by_final_tree():
                 piece = subgraph_on(sub, comp)
                 pair_lrt = hierarchy_lrt(piece)
                 assert isinstance(pair_lrt, LeafColoredTree)
-                assert lrt.displays(pair_lrt)
+                assert displays(lrt, pair_lrt)
 
 
 def test_three_distinct_colors_restrict_to_complete_triangle():
@@ -169,7 +171,7 @@ def test_three_distinct_colors_restrict_to_complete_triangle():
             picks = rng.sample(labels, 3)
             if len({tree.colors[p] for p in picks}) != 3:
                 continue
-            small = bmg_of_tree(tree.restrict(picks))
+            small = bmg_of_tree(restrict(tree, picks))
             assert len(list(small.arcs())) == 6
 
 

@@ -39,6 +39,7 @@ from util import (
     family_tree,
     random_scenario,
     reference_pair_lrt,
+    tree_family,
     tree_glue_build,
 )
 
@@ -173,22 +174,28 @@ def test_pair_outcomes_equal_the_copying_reference_on_every_flip():
 
 def test_family_glue_build_equals_tree_glue_build_on_every_flip():
     # BUILD runs on the families of the pairs that pass, so a flip whose
-    # pair fails still feeds BUILD the rest
+    # pair fails still feeds BUILD the rest.  A pair family holds inner nodes
+    # only; the same trees as families with a leaf node per vertex name the
+    # same trees and give BUILD the same topology
     outcomes = {"tree": 0, "inconsistent": 0}
     for sub in _flip_pool():
         found = (pair_topology(sub, pair) for pair in _pair_masks(sub).values())
         families = [f for f in found if not isinstance(f, Rejection)]
+        trees = [family_tree(f, sub) for f in families]
+        with_leaves = [tree_family(tree, sub.vertex_ids) for tree in trees]
+        assert [family_tree(f, sub) for f in with_leaves] == trees, sub
         mine = build_from_trees(families, sub.vertex_ids)
-        expected = tree_glue_build([family_tree(f, sub) for f in families], sub.vertex_ids)
+        assert build_from_trees(with_leaves, sub.vertex_ids) == mine, sub
+        expected = tree_glue_build(trees, sub.vertex_ids)
         assert mine == expected, sub
         outcomes["inconsistent" if mine is None else "tree"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
 
 def _piece_family(masks: list[int], r_ext: tuple[int, ...], hierarchy) -> tuple:
-    """A piece's Hasse tree as a cluster family, built bottom-up: a node's
-    kids are its Hasse children, then the vertices of the classes whose R'
-    set it is."""
+    """A piece's Hasse tree as a cluster family of inner nodes, built
+    bottom-up: a node's kids are its Hasse children, and the vertices of the
+    classes whose R' set it is are its own leaves."""
     node_of = {s: i for i, s in enumerate(hierarchy.sets)}
     attached = [0] * len(hierarchy.sets)
     for a in bits(hierarchy.ground):
@@ -196,8 +203,8 @@ def _piece_family(masks: list[int], r_ext: tuple[int, ...], hierarchy) -> tuple:
     built: list[tuple] = []
     for i, kids_at in enumerate(hierarchy.children):  # children before parents
         kids = [built[c] for c in kids_at]
-        kids.extend((1 << v, ()) for v in bits(attached[i]))
-        built.append((sum(k[0] for k in kids), tuple(kids)) if len(kids) > 1 else kids[0])
+        own = attached[i]
+        built.append(kids[0] if not own and len(kids) == 1 else (sum(k[0] for k in kids) | own, tuple(kids)))
     return built[hierarchy.root]
 
 
@@ -244,11 +251,21 @@ def _split_pairs():
         yield ColoredDigraph(colors, arcs)
 
 
+def _nodes(family: tuple) -> list[tuple]:
+    """Every node of a cluster family, the family itself included."""
+    found, stack = [], [family]
+    while stack:
+        found.append(stack.pop())
+        stack.extend(found[-1][1])
+    return found
+
+
 def test_one_pass_pair_outcome_equals_the_piece_by_piece_outcome():
     # the pair layer checks the axioms on all pieces at once and runs one
     # Hasse pass over all their R' sets; the outcome, witness included, must
     # be that of the pieces run one at a time; the pairs of a 60-leaf,
-    # 8-colour graph pass with three or more pieces
+    # 8-colour graph pass with three or more pieces.  A family holds inner
+    # nodes only: no node is a single vertex unless the pair is one
     seen: dict[str, int] = {}
     _, wide = simulate(SimulationConfig(60, 8, 3))
     subs = itertools.chain(_flip_pool(), _split_pairs(), _components(wide))
@@ -260,6 +277,8 @@ def test_one_pass_pair_outcome_equals_the_piece_by_piece_outcome():
                 stage = mine.witness.stage if mine.stage == "axioms" else mine.stage
             else:
                 stage = f"tree of {min(len(pair_classes(sub, pair)[2]), 3)}+ pieces"
+                single = [node for node in _nodes(mine) if node[0].bit_count() == 1]
+                assert not single or pair.bit_count() == 1, (sub, pair, single)
             seen[stage] = seen.get(stage, 0) + 1
     assert {"sink-vertex", "N1", "N2", "N3", "tree of 3+ pieces"} <= seen.keys(), seen
 

@@ -9,12 +9,11 @@ from bmgraph import (
     GraphError,
     check_2crbmg_necessary,
     induced_subgraph,
-    rbmg_of_tree,
     recognize_ncbmg,
     symmetric_part,
 )
 from cases import counterex_sym_graph, countercog_tree, p4_path
-from util import connected_scenario, edge_ids, undirected_graph
+from util import connected_scenario, edge_ids, rbmg_of_tree, undirected_graph
 
 
 def test_single_edge_passes():

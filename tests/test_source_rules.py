@@ -108,6 +108,32 @@ def test_pairwise_hot_path_copies_no_pair_graph():
     assert not found, found
 
 
+def test_every_tree_method_has_a_caller_in_src():
+    # a LeafColoredTree method that no code in the package calls is API kept
+    # for tests alone, and belongs in tests/util.py; ``topology`` is exempt as
+    # the documented way to read a tree back as nested tuples
+    source = ast.parse((SRC / "bmgraph" / "tree.py").read_text(encoding="utf-8"))
+    [tree_class] = [n for n in source.body if isinstance(n, ast.ClassDef) and n.name == "LeafColoredTree"]
+    methods = {
+        node.name
+        for node in tree_class.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    } - {"topology"}
+    called = set()
+    for path in sorted((SRC / "bmgraph").glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(top, ast.FunctionDef):
+                called |= {
+                    node.func.attr
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    # a call inside a method's own body does not count for it
+                    and node.func.attr != top.name
+                }
+    uncalled = sorted(methods - called)
+    assert methods and not uncalled, uncalled
+
+
 def test_one_gate_calls_bmg_of_tree():
     # recognition has one exact gate, the final comparison in
     # ``recognize_ncbmg``; a second caller would be a second gate
@@ -124,6 +150,5 @@ def test_one_gate_calls_bmg_of_tree():
         "n_color.recognize_ncbmg",
         "n_color.redundant_edges_n",
         "bmg.simulate",
-        "bmg.rbmg_of_tree",
         "cli.cmd_from_tree",
     }, sorted(callers)

@@ -12,7 +12,19 @@ from hypothesis import strategies as st
 from bmgraph import LeafColoredTree, ParseError, SimulationConfig, TreeError, TripleSet, build, simulate
 from bmgraph import tree as tree_module
 from bmgraph.graphio import parse_graph, parse_newick
-from util import caterpillar, random_scenario, reference_layout
+from util import (
+    caterpillar,
+    displays,
+    inner_nodes,
+    is_ancestor,
+    lca,
+    lca_set,
+    leaves_under,
+    random_scenario,
+    reference_layout,
+    restrict,
+    triple_tuples,
+)
 
 CHERRY = LeafColoredTree((("x", "y"), "z"), {"x": "r", "y": "b", "z": "b"})
 
@@ -35,13 +47,18 @@ def naive_lca(tree, u, v):
 
 def test_lca_identity_and_cherry():
     x, y, z = (CHERRY.leaf_node(l) for l in "xyz")
-    assert CHERRY.lca(x, x) == x
+    assert lca(CHERRY, x, x) == x
     inner = CHERRY.parent[x]
-    assert CHERRY.lca(x, y) == inner
+    assert lca(CHERRY, x, y) == inner
     assert inner != CHERRY.root
-    assert CHERRY.lca(x, z) == CHERRY.root
+    assert lca(CHERRY, x, z) == CHERRY.root
     with pytest.raises(TreeError):
-        CHERRY.lca(0, 99)
+        lca(CHERRY, 0, 99)
+    for stray in (-1, 99):
+        with pytest.raises(TreeError):
+            leaves_under(CHERRY, stray)
+        with pytest.raises(TreeError):
+            is_ancestor(CHERRY, stray, x)
 
 
 def test_lca_matches_path_walking_oracle():
@@ -51,7 +68,7 @@ def test_lca_matches_path_walking_oracle():
         rng = random.Random(seed)
         for _ in range(60):
             u, v = rng.choice(nodes), rng.choice(nodes)
-            assert tree.lca(u, v) == naive_lca(tree, u, v)
+            assert lca(tree, u, v) == naive_lca(tree, u, v)
     rng = random.Random(5)
     for seed in range(30):
         n = rng.randint(3, 60)
@@ -59,11 +76,11 @@ def test_lca_matches_path_walking_oracle():
         nodes = list(tree.nodes())
         for u in nodes:
             for v in nodes:
-                assert tree.lca(u, v) == naive_lca(tree, u, v)
+                assert lca(tree, u, v) == naive_lca(tree, u, v)
         for _ in range(40):
             subset = rng.sample(nodes, rng.randint(1, min(6, len(nodes))))
             expected = functools.reduce(lambda a, b: naive_lca(tree, a, b), subset)
-            assert tree.lca_set(subset) == expected
+            assert lca_set(tree, subset) == expected
 
 
 def naive_depth(tree, v):
@@ -93,11 +110,11 @@ def test_lca_on_deep_caterpillars(lean):
     pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(1500)]
     pairs += [(deepest, v) for v in nodes[::7]] + [(v, deepest) for v in nodes[::11]]
     for u, v in pairs:
-        assert tree.lca(u, v) == naive_lca(tree, u, v)
+        assert lca(tree, u, v) == naive_lca(tree, u, v)
     with pytest.raises(TreeError):
-        tree.lca(0, len(nodes))
+        lca(tree, 0, len(nodes))
     with pytest.raises(TreeError):
-        tree.lca(-1, 0)
+        lca(tree, -1, 0)
 
 
 def test_single_child_root_and_degree_two_suppression():
@@ -144,12 +161,12 @@ def test_labels_with_whitespace_raise_as_the_readers_do(char):
 
 
 def test_restrict_identity_and_forced_cherry():
-    assert CHERRY.restrict({"x", "y", "z"}) == CHERRY
-    assert CHERRY.restrict({"x", "z"}).newick() == "(x,z);"
+    assert restrict(CHERRY, {"x", "y", "z"}) == CHERRY
+    assert restrict(CHERRY, {"x", "z"}).newick() == "(x,z);"
     with pytest.raises(TreeError):
-        CHERRY.restrict(set())
+        restrict(CHERRY, set())
     with pytest.raises(TreeError):
-        CHERRY.restrict({"nope"})
+        restrict(CHERRY, {"nope"})
 
 
 def test_restrict_composes():
@@ -159,7 +176,7 @@ def test_restrict_composes():
         labels = list(tree.leaf_labels)
         big = set(rng.sample(labels, max(2, len(labels) * 2 // 3)))
         small = set(rng.sample(sorted(big), max(1, len(big) // 2)))
-        assert tree.restrict(big).restrict(small) == tree.restrict(small)
+        assert restrict(restrict(tree, big), small) == restrict(tree, small)
 
 
 def test_restrict_keeps_exactly_inner_triples():
@@ -168,8 +185,8 @@ def test_restrict_keeps_exactly_inner_triples():
         rng = random.Random(seed + 2)
         labels = list(tree.leaf_labels)
         sub = set(rng.sample(labels, max(1, 2 * len(labels) // 3)))
-        expected = {t for t in tree.triple_tuples() if {t[0], t[1], t[2]} <= sub}
-        assert tree.restrict(sub).triple_tuples() == expected
+        expected = {t for t in triple_tuples(tree) if {t[0], t[1], t[2]} <= sub}
+        assert triple_tuples(restrict(tree, sub)) == expected
 
 
 def test_contract_nothing_and_forced_star():
@@ -197,7 +214,7 @@ def test_contract_preserves_leaves_and_phylogenetic_shape():
         chosen = [e for e in tree.inner_edges() if rng.random() < 0.5]
         smaller = tree.contract_edges(chosen)
         assert smaller.leaf_labels == tree.leaf_labels
-        for v in smaller.inner_nodes():
+        for v in inner_nodes(smaller):
             assert v == smaller.root or len(smaller.children[v]) >= 2
 
 
@@ -214,39 +231,39 @@ def test_contract_in_steps_equals_contract_at_once():
         stepwise = tree.contract_edges(first)
         # identify surviving edges by the leaf set below their lower end
         remap = {
-            frozenset(stepwise.label[w] for w in stepwise.leaves_under(v)): (u, v)
+            frozenset(stepwise.label[w] for w in leaves_under(stepwise, v)): (u, v)
             for u, v in stepwise.inner_edges()
         }
         second_mapped = [
-            remap[frozenset(tree.label[w] for w in tree.leaves_under(v))]
+            remap[frozenset(tree.label[w] for w in leaves_under(tree, v))]
             for _, v in second
         ]
         assert stepwise.contract_edges(second_mapped) == tree.contract_edges(chosen)
 
 
 def test_displays_reflexive_and_star_cases():
-    assert CHERRY.displays(CHERRY)
+    assert displays(CHERRY, CHERRY)
     star = LeafColoredTree(("x", "y", "z"), CHERRY.colors)
-    assert CHERRY.displays(star) is False or star.triple_tuples() == set()
+    assert displays(CHERRY, star) is False or triple_tuples(star) == set()
     # a star displays no proper binary resolution on >= 3 leaves
-    assert not star.displays(CHERRY)
-    assert CHERRY.displays(star)
+    assert not displays(star, CHERRY)
+    assert displays(CHERRY, star)
 
 
 def test_displays_requires_color_agreement():
     other = LeafColoredTree(("x", "y"), {"x": "b", "y": "b"})
     with pytest.raises(TreeError):
-        CHERRY.displays(other)
+        displays(CHERRY, other)
 
 
 def test_triples_of_star_and_cherry_and_caterpillar():
     star = LeafColoredTree(("x", "y", "z"), {"x": "r", "y": "b", "z": "b"})
-    assert star.triple_tuples() == set()
-    assert CHERRY.triple_tuples() == {("x", "y", "z")}
+    assert triple_tuples(star) == set()
+    assert triple_tuples(CHERRY) == {("x", "y", "z")}
     cat = LeafColoredTree(
         ((("a", "b"), "c"), "d"), {"a": "r", "b": "b", "c": "r", "d": "b"}
     )
-    assert cat.triple_tuples() == {
+    assert triple_tuples(cat) == {
         ("a", "b", "c"),
         ("a", "b", "d"),
         ("a", "c", "d"),
@@ -270,18 +287,18 @@ def brute_triples(tree):
 def test_triple_tuples_equal_the_definition():
     for seed in range(150):
         tree, _ = random_scenario(seed, max_leaves=9)
-        assert tree.triple_tuples() == brute_triples(tree)
+        assert triple_tuples(tree) == brute_triples(tree)
 
 
 def test_triples_match_distinguished_edges():
     for seed in range(10):
         tree, _ = random_scenario(seed, max_leaves=10)
-        trips = tree.triple_tuples()
+        trips = triple_tuples(tree)
         for u, v in tree.inner_edges():
-            below = [tree.label[w] for w in tree.leaves_under(v)]
+            below = [tree.label[w] for w in leaves_under(tree, v)]
             above = [
                 tree.label[w]
-                for w in tree.leaves_under(u)
+                for w in leaves_under(tree, u)
                 if tree.label[w] not in set(below)
             ]
             for x in below:
@@ -289,14 +306,14 @@ def test_triples_match_distinguished_edges():
                     if x < y:
                         for z in above:
                             nx, ny, nz = (tree.leaf_node(l) for l in (x, y, z))
-                            if tree.lca(nx, ny) == v and tree.lca_set((nx, ny, nz)) == u:
+                            if lca(tree, nx, ny) == v and lca_set(tree, (nx, ny, nz)) == u:
                                 assert (x, y, z) in trips
 
 
 def test_build_reconstructs_trees_from_their_triples():
     for seed in range(40):
         tree, _ = random_scenario(seed, max_leaves=11)
-        topo = build(TripleSet.of(tree.leaf_labels, tree.triple_tuples()), tree.leaf_labels)
+        topo = build(TripleSet.of(tree.leaf_labels, triple_tuples(tree)), tree.leaf_labels)
         assert topo is not None
         assert LeafColoredTree(topo, tree.colors) == tree
 

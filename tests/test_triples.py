@@ -34,9 +34,13 @@ from util import (
     direct_lrt,
     family_tree,
     hierarchy_lrt,
+    lca,
+    lca_set,
     random_scenario,
+    restrict,
     tree_family,
     tree_glue_build,
+    triple_tuples,
 )
 
 
@@ -68,7 +72,7 @@ def test_single_pair_has_no_informative_triples():
 def test_informative_triples_are_displayed_by_source_tree():
     for seed in range(50):
         tree, graph = connected_scenario(seed)
-        displayed = tree.triple_tuples()
+        displayed = triple_tuples(tree)
         for t in informative_triples(graph):
             assert (t.a, t.b, t.out) in displayed
 
@@ -122,7 +126,7 @@ def test_build_rejects_triples_without_three_distinct_leaves():
 def test_build_reconstructs_random_trees():
     for seed in range(60):
         tree, _ = random_scenario(seed, max_leaves=12)
-        topo = build(TripleSet.of(tree.leaf_labels, tree.triple_tuples()), tree.leaf_labels)
+        topo = build(TripleSet.of(tree.leaf_labels, triple_tuples(tree)), tree.leaf_labels)
         assert topo is not None
         assert LeafColoredTree(topo, tree.colors) == tree
 
@@ -130,7 +134,7 @@ def test_build_reconstructs_random_trees():
 def test_build_is_monotone_under_restriction():
     for seed in range(20):
         tree, _ = random_scenario(seed, max_leaves=10)
-        trips = TripleSet.of(tree.leaf_labels, tree.triple_tuples())
+        trips = TripleSet.of(tree.leaf_labels, triple_tuples(tree))
         labels = list(tree.leaf_labels)
         for cut in (2, max(2, len(labels) // 2)):
             sub = labels[:cut]
@@ -141,8 +145,8 @@ def test_build_from_trees_equals_build_on_pooled_triples():
     for seed in range(30):
         tree_a, _ = random_scenario(seed, max_leaves=9)
         labels = list(tree_a.leaf_labels)
-        tree_b = tree_a.restrict(labels[: max(2, len(labels) - 2)])
-        own = [TripleSet.of(t.leaf_labels, t.triple_tuples()) for t in (tree_a, tree_b)]
+        tree_b = restrict(tree_a, labels[: max(2, len(labels) - 2)])
+        own = [TripleSet.of(t.leaf_labels, triple_tuples(t)) for t in (tree_a, tree_b)]
         pooled = own[0].union(own[1])
         lhs = build_from_trees([tree_family(tree_a, labels), tree_family(tree_b, labels)], labels)
         rhs = build(pooled, labels)
@@ -175,7 +179,7 @@ def test_every_lrt_inner_edge_is_distinguished():
             distinguished = False
             for t in trips:
                 na, nb, nz = (lrt.leaf_node(l) for l in (t.a, t.b, t.out))
-                if lrt.lca(na, nb) == v and lrt.lca_set((na, nb, nz)) == u:
+                if lca(lrt, na, nb) == v and lca_set(lrt, (na, nb, nz)) == u:
                     distinguished = True
                     break
             assert distinguished
@@ -325,7 +329,7 @@ def test_build_from_mixed_families_equals_the_reference_glue():
     for _ in range(40):
         trees = [cater]
         for _ in range(rng.randint(1, 4)):
-            small = cater.restrict(rng.sample(ids, rng.randint(2, 4)))
+            small = restrict(cater, rng.sample(ids, rng.randint(2, 4)))
             trees.append(_shuffled(small, rng) if rng.random() < 0.3 else small)
         families = [family] + [tree_family(t, ids) for t in trees[1:]]
         topo = build_from_trees(families, ids)
@@ -339,7 +343,7 @@ def test_build_from_mixed_families_equals_the_reference_glue():
         trees = []
         for s, t in itertools.combinations(tree.color_universe, 2):
             source = other if rng.random() < 0.1 else tree
-            trees.append(source.restrict(x for x in ids if tree.colors[x] in (s, t)))
+            trees.append(restrict(source, (x for x in ids if tree.colors[x] in (s, t))))
         topo = build_from_trees([tree_family(t, ids) for t in trees], ids)
         assert topo == tree_glue_build(trees, ids), seed
         outcomes[topo is None] += 1
@@ -364,7 +368,7 @@ def test_a_level_two_families_span_runs_the_union_find(monkeypatch):
         return real(level, glued)
 
     tree, ids, family = _caterpillar_family(8)
-    part = tree.restrict(ids[4:])
+    part = restrict(tree, ids[4:])
     monkeypatch.setattr(triples, "_blocks", spy)
     assert build_from_trees([family, tree_family(part, ids)], ids) == tree.topology()
     assert seen[0] == (1 << len(ids)) - 1

@@ -12,13 +12,15 @@ from bmgraph import (
     Hierarchy,
     LeafColoredTree,
     Rejection,
+    SimulationConfig,
     bmg_of_tree,
     check_axioms,
-    class_reachable_set,
     extended_reachable_set,
     lrt_via_hierarchy,
     neighborhood_tables,
+    reachable_set,
     redundant_edges_n,
+    simulate,
     thinness_partition,
 )
 from bmgraph.digraph import bits
@@ -27,10 +29,13 @@ from cases import rvsr_tree, smallest_counterexample, weird_tree
 from util import (
     caterpillar,
     class_members,
+    class_reachable_set,
     class_roots,
     connected_scenario,
     connected_sink_free_out_masks,
+    displays,
     hierarchy_lrt,
+    is_ancestor,
     random_binary_refinement,
 )
 
@@ -156,6 +161,16 @@ def test_two_vertex_reachability_closure():
     part = thinness_partition(g)
     assert class_reachable_set(part, 0) == frozenset({0, 1})
     assert extended_reachable_set(part, 0) == frozenset({0, 1})
+
+
+def test_reachable_set_rejects_a_vertex_index_out_of_range():
+    # as the mask-taking functions do: a seed holds the graph's vertex indices
+    _, graph = simulate(SimulationConfig(8, 2, 1))
+    assert len(graph) == 8
+    assert reachable_set(graph, (7,)) <= frozenset(range(8))
+    for stray in ((99,), (-1,)):
+        with pytest.raises(GraphError):
+            reachable_set(graph, stray)
 
 
 def test_bfs_equals_two_step_union_when_axioms_hold():
@@ -309,11 +324,11 @@ def test_four_root_cases_for_class_pairs():
             if cases[0]:
                 assert ra == rb
             elif cases[1]:
-                assert tree.is_ancestor(rb, ra) and ra != rb
+                assert is_ancestor(tree, rb, ra) and ra != rb
             elif cases[2]:
-                assert tree.is_ancestor(ra, rb) and ra != rb
+                assert is_ancestor(tree, ra, rb) and ra != rb
             else:
-                assert not tree.is_ancestor(ra, rb) and not tree.is_ancestor(rb, ra)
+                assert not is_ancestor(tree, ra, rb) and not is_ancestor(tree, rb, ra)
 
 
 def test_lrt_two_vertex_graph():
@@ -340,7 +355,7 @@ def test_lrt_round_trip_and_display():
         lrt = hierarchy_lrt(graph)
         assert isinstance(lrt, LeafColoredTree)
         assert bmg_of_tree(lrt) == graph
-        assert tree.displays(lrt)
+        assert displays(tree, lrt)
 
 
 def test_lrt_has_no_redundant_edges():

@@ -4,22 +4,24 @@ complexity guards.
 Single timings on a shared host spread up to 2x, so a regression in how
 BUILD work grows can hide in noise; the counts of ``util.build_work`` do
 not drift.  Each bound is an upper bound on today's count or log-log slope,
-over caterpillars of 200, 400 and 800 leaves."""
+over caterpillars of 200, 400 and 800 leaves and Yule graphs of 100, 200
+and 400 leaves in 20 colours."""
 
 import math
 
 import pytest
 
-from bmgraph import ColoredDigraph, bmg_of_tree, recognize_ncbmg
+from bmgraph import ColoredDigraph, SimulationConfig, bmg_of_tree, recognize_ncbmg, simulate
 from util import build_work, caterpillar
 
 SIZES = (200, 400, 800)
+YULE_SIZES = (100, 200, 400)
 ROUTES = ("informative-direct", "pairwise-lrt")
 
 
-def _slope(counts: list[int]) -> float:
+def _slope(counts: list[int], sizes: tuple[int, ...] = SIZES) -> float:
     """Least-squares slope of log(count) over log(leaves)."""
-    xs = [math.log(n) for n in SIZES]
+    xs = [math.log(n) for n in sizes]
     ys = [math.log(c) for c in counts]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
@@ -78,6 +80,42 @@ def test_each_level_is_one_inner_node_of_the_tree(work):
     for (route, colors), counts in work.items():
         for n, c in zip(SIZES, counts):
             assert 0 < c["levels"] <= n - 1, (route, colors, n, c)
+
+
+@pytest.fixture(scope="module")
+def yule_work():
+    """Per route, the work counts and components of each 20-colour Yule
+    graph; seed 2 splits the 400-leaf graph into three components."""
+    found = {}
+    for n in YULE_SIZES:
+        _, graph = simulate(SimulationConfig(n, 20, 2))
+        for route in ROUTES:
+            with build_work() as counts:
+                report = recognize_ncbmg(graph, route=route)
+            assert report.accepted
+            found.setdefault(route, []).append((counts, len(report.components)))
+    return found
+
+
+def test_yule_pairwise_work_grows_with_the_levels(yule_work):
+    # when first measured: _lca calls 2,394 / 4,775 / 8,826 (slope 0.94) and
+    # chunks 1,388 / 3,457 / 7,118 (slope 1.18); each colour pair of each
+    # component is decided by one class table, axiom check and Hasse pass
+    lca = [c["lca"] for c, _ in yule_work["pairwise-lrt"]]
+    chunks = [c["chunks"] for c, _ in yule_work["pairwise-lrt"]]
+    assert lca[-1] <= 9_300 and _slope(lca, YULE_SIZES) <= 1.0, lca
+    assert chunks[-1] <= 7_500 and _slope(chunks, YULE_SIZES) <= 1.25, chunks
+    assert max(comps for _, comps in yule_work["pairwise-lrt"]) > 1
+    for c, comps in yule_work["pairwise-lrt"]:
+        assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == 190 * comps, (comps, c)
+
+
+def test_yule_direct_work_grows_with_the_levels(yule_work):
+    # when first measured: glue-source visits 521 / 1,525 / 2,976 (slope 1.26)
+    visits = [c["visits"] for c, _ in yule_work["informative-direct"]]
+    assert visits[-1] <= 3_150 and _slope(visits, YULE_SIZES) <= 1.3, visits
+    for c, _ in yule_work["informative-direct"]:
+        assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == 0, c
 
 
 def test_each_component_build_visits_its_own_groups_only():

@@ -20,9 +20,11 @@ from bmgraph import (
     bmg_of_tree,
     connected_components,
     lrt_via_hierarchy,
+    reachable_set,
     recognize_ncbmg,
     simulate,
     subgraph_on,
+    symmetric_part,
 )
 from bmgraph import triples, two_color
 from bmgraph.digraph import bits
@@ -171,16 +173,138 @@ def family_tree(family: Family | Rejection, graph: ColoredDigraph) -> LeafColore
 
 
 def tree_family(tree: LeafColoredTree, leaves: Sequence[str]) -> Family:
-    """A tree as a cluster family, leaf ``leaves[v]`` at bit v."""
+    """A tree as a cluster family with a leaf node per leaf, leaf
+    ``leaves[v]`` at bit v."""
     bit = {x: 1 << v for v, x in enumerate(leaves)}
     built: dict[int, Family] = {}
     for v in reversed(tree.nodes()):  # preorder ids: kids come after their parent
-        if tree.is_leaf(v):
+        if is_leaf(tree, v):
             built[v] = (bit[tree.label[v]], ())
         else:
             kids = tuple(built[c] for c in tree.children[v])
             built[v] = (sum(kid[0] for kid in kids), kids)
     return built[tree.root]
+
+
+# -- tree queries and displays, by preorder ids -------------------------------
+
+
+@lru_cache(maxsize=256)
+def subtree_sizes(tree: LeafColoredTree) -> tuple[int, ...]:
+    """Nodes below each node, itself included: preorder ids make the subtree
+    of v the id range ``[v, v + size[v])``."""
+    size = [1] * len(tree.parent)
+    for v in range(len(size) - 1, 0, -1):  # children come after their parent
+        size[tree.parent[v]] += size[v]
+    return tuple(size)
+
+
+def _check_nodes(tree: LeafColoredTree, *nodes: int) -> None:
+    if not all(0 <= v < len(tree.parent) for v in nodes):
+        raise TreeError(f"node out of range: {nodes}")
+
+
+def is_leaf(tree: LeafColoredTree, v: int) -> bool:
+    return tree.label[v] is not None
+
+
+def inner_nodes(tree: LeafColoredTree) -> list[int]:
+    return [v for v in tree.nodes() if tree.label[v] is None]
+
+
+def leaves_under(tree: LeafColoredTree, v: int) -> list[int]:
+    _check_nodes(tree, v)
+    return [w for w in range(v, v + subtree_sizes(tree)[v]) if tree.label[w] is not None]
+
+
+def is_ancestor(tree: LeafColoredTree, anc: int, v: int) -> bool:
+    """True iff ``anc`` lies on the path from the root to ``v`` (inclusive)."""
+    _check_nodes(tree, anc, v)
+    return anc <= v < anc + subtree_sizes(tree)[anc]
+
+
+def lca(tree: LeafColoredTree, u: int, v: int) -> int:
+    _check_nodes(tree, u, v)
+    if u > v:
+        u, v = v, u
+    # For u <= v, an ancestor a of v is one of u iff a <= u, and an ancestor
+    # b of u is one of v iff v < b + size[b].  Climb both root paths in
+    # step; the first node that closes the range is the lca.
+    parent, size = tree.parent, subtree_sizes(tree)
+    a, b = v, u
+    while a > u:
+        if b + size[b] > v:
+            return b
+        a, b = parent[a], parent[b]
+    return a
+
+
+def lca_set(tree: LeafColoredTree, nodes: Iterable[int]) -> int:
+    # a subtree is a preorder range: it holds the set iff it holds both ends
+    ids = list(nodes)
+    if not ids:
+        raise TreeError("lca of an empty node set")
+    return lca(tree, min(ids), max(ids))
+
+
+def restrict(tree: LeafColoredTree, labels: Iterable[str]) -> LeafColoredTree:
+    """The tree on the leaves ``labels``, degree-two vertices suppressed."""
+    keep = set(labels)
+    if not keep:
+        raise TreeError("restriction to an empty leaf set")
+    unknown = keep - set(tree.leaf_labels)
+    if unknown:
+        raise TreeError(f"unknown leaves in restriction: {sorted(unknown)}")
+    rep: list[object] = [None] * len(tree.parent)
+    for v in reversed(tree.nodes()):
+        lab = tree.label[v]
+        if lab is not None:
+            rep[v] = lab if lab in keep else None
+        else:
+            kids = [rep[c] for c in tree.children[v] if rep[c] is not None]
+            rep[v] = None if not kids else kids[0] if len(kids) == 1 else tuple(kids)
+    # keep is a non-empty set of the tree's leaves, so the root has a topology
+    return LeafColoredTree(rep[tree.root], {lab: tree.colors[lab] for lab in keep})
+
+
+def triple_tuples(tree: LeafColoredTree) -> set[tuple[str, str, str]]:
+    """All rooted triples xy|z displayed by the tree, as (x, y, z) with x < y."""
+    label, size = tree.label, subtree_sizes(tree)
+    out: set[tuple[str, str, str]] = set()
+    for w in inner_nodes(tree):
+        if w == tree.root:
+            continue
+        # xy|z iff lca(x, y) = w for x, y under different children of w and
+        # z lies outside w
+        end = w + size[w]
+        outside = [z for z in label[:w] + label[end:] if z is not None]
+        groups = [[x for x in label[c : c + size[c]] if x is not None] for c in tree.children[w]]
+        for left, right in itertools.combinations(groups, 2):
+            for x, y in itertools.product(left, right):
+                if x > y:
+                    x, y = y, x
+                out.update((x, y, z) for z in outside)
+    return out
+
+
+def displays(tree: LeafColoredTree, other: LeafColoredTree) -> bool:
+    """True iff ``other`` arises from a restriction of ``tree`` by contractions."""
+    extra = set(other.leaf_labels) - set(tree.leaf_labels)
+    if extra:
+        raise TreeError(f"displayed-tree leaves missing here: {sorted(extra)}")
+    clash = [lab for lab in other.leaf_labels if tree.colors[lab] != other.colors[lab]]
+    if clash:
+        raise TreeError(f"color mismatch on shared leaves: {clash}")
+    return triple_tuples(other) <= triple_tuples(restrict(tree, other.leaf_labels))
+
+
+def rbmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
+    """Reciprocal best matches: the symmetric part of the best match digraph."""
+    return symmetric_part(bmg_of_tree(tree))
+
+
+def class_reachable_set(partition: ThinnessPartition, a: int) -> frozenset[int]:
+    return reachable_set(partition.graph, partition.classes[a])
 
 
 class _UnionFind:
@@ -214,8 +338,8 @@ def tree_glue_build(trees: list[LeafColoredTree], leaves: Iterable[str]) -> Topo
 def _tree_blocks(tree: LeafColoredTree, members: list[str]) -> list[list[str]]:
     """Partition of ``members`` by the root children of the restricted tree."""
     nodes = [tree.leaf_node(lab) for lab in members]
-    top = tree.lca_set(nodes)
-    if tree.is_leaf(top):
+    top = lca_set(tree, nodes)
+    if is_leaf(tree, top):
         return [members]
     kids = tree.children[top]  # preorder ids ascend in canonical child order
     blocks: dict[int, list[str]] = {}
@@ -275,7 +399,7 @@ def class_roots(tree: LeafColoredTree, graph: ColoredDigraph, part: ThinnessPart
     for a in range(len(part)):
         nodes = [tree.leaf_node(graph.vertex_ids[v]) for v in part.classes[a]]
         nodes += [tree.leaf_node(graph.vertex_ids[v]) for v in part.vertex_out(a)]
-        roots.append(tree.lca_set(nodes))
+        roots.append(lca_set(tree, nodes))
     return roots
 
 
