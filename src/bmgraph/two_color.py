@@ -7,14 +7,15 @@ vertex's out- and in-neighbourhood as a Python-int bitset (``out_masks``,
 two colours of one component of the n-colour recognizer.  ``pair_classes``
 reads its thinness classes off the masks, each class the bitset of its
 vertices, and keeps one class table per pair: class-level neighbourhoods
-are bitsets too, bit ``c`` standing for class ``c``.  No class
-neighbourhood crosses a weakly connected piece, so the pieces are class
-bitsets over that one numbering, found by the same merge as the graph's
-components.  All axiom algebra runs on these bitsets; class
-granularity makes that lossless.  The axioms are checked piece by piece,
-in the order the pieces come, each in the order N2, N3, N1, and the first
-violating class (pair) in class order is the witness; so the first piece
-to fail names the violation.
+are bitsets too, bit ``c`` standing for class ``c``.  It scans each
+class's out-key once and takes the in-tables from the transpose of those
+lists, so no in-key is scanned.  No class neighbourhood crosses a weakly
+connected piece, so the pieces are class bitsets over that one numbering,
+found by the same merge as the graph's components.  All axiom algebra
+runs on these bitsets; class granularity makes that lossless.  The axioms
+are checked piece by piece, in the order the pieces come, each in the
+order N2, N3, N1, and the first violating class (pair) in class order is
+the witness; so the first piece to fail names the violation.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
 With N2, N(N(N(a))) lies in N(a), so the reachable set of class a is
@@ -79,25 +80,22 @@ def neighborhood_tables(
     outs: Sequence[Iterable[int]], ins: Sequence[Iterable[int]]
 ) -> ClassNeighborhoodTables:
     """Tables of the classes whose out- and in-neighbour classes are ``outs[a]``
-    and ``ins[a]``, each class listed once."""
-    return _class_tables(range(len(outs)), outs, ins)
+    and ``ins[a]``, each list read once per table it feeds; the reference the
+    one pass of ``pair_classes`` is tested against.  Raises ``GraphError``
+    unless both list every class and name classes in ``range(len(outs))``."""
+    outs, ins = [list(s) for s in outs], [list(s) for s in ins]
+    classes = range(len(outs))
+    if len(ins) != len(outs):
+        raise GraphError(f"{len(outs)} out-lists but {len(ins)} in-lists")
+    stray = [c for s in outs + ins for c in s if c not in classes]
+    if stray:
+        raise GraphError(f"class index out of range: {stray[0]!r}")
 
+    def step(table: Sequence[int], lists: list[list[int]]) -> tuple[int, ...]:
+        return tuple([reduce(or_, map(table.__getitem__, s), 0) for s in lists])
 
-def _class_tables(
-    labels: Sequence[int], outs: Sequence[Sequence[int]], ins: Sequence[Sequence[int]]
-) -> ClassNeighborhoodTables:
-    """Tables of the classes labelled ``labels``, class a's out- and
-    in-neighbour classes listed by their labels in ``outs[a]`` and ``ins[a]``.
-    Each list is read once per table it feeds, through maps from a label to
-    its class bit and to its row of the table one step shorter."""
-    bit = dict(zip(labels, [1 << c for c in range(len(labels))]))
-
-    def step(table: tuple[int, ...], lists: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        row = dict(zip(labels, table))
-        return tuple([reduce(or_, map(row.__getitem__, s), 0) for s in lists])
-
-    n1 = tuple([sum(map(bit.__getitem__, s)) for s in outs])
-    in1 = tuple([sum(map(bit.__getitem__, s)) for s in ins])
+    bit = [1 << c for c in classes]
+    n1, in1 = step(bit, outs), step(bit, ins)
     n2 = step(n1, outs)
     return ClassNeighborhoodTables(n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=step(in1, ins))
 
@@ -111,13 +109,15 @@ def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
     """Thinness classes, class tables and pieces of the subgraph that the
     vertex mask ``ground`` induces, or its first sink.  A class is the
     bitset of its vertices, and both neighbourhoods within ``ground`` key
-    it.  Each key is listed once, as the class representatives it holds,
-    each class's smallest vertex: ``scan_bits`` walks ``key & reps``, reading
-    a dense key, such as one of a deep two-colour caterpillar, in one
-    C-level scan.  The class tables are built from these lists, with each
-    class labelled by its representative.  No class neighbourhood crosses a
-    piece, so one class numbering serves every piece, and the pieces,
-    ordered by smallest vertex, come from the class tables."""
+    it.  Only the out-keys are listed, each once, as the classes whose
+    representatives, their smallest vertices, it holds: ``scan_bits`` walks
+    ``key & reps``, reading a dense key, such as one of a deep two-colour
+    caterpillar, in one C-level scan.  Class a has an arc to class b exactly
+    when a's representative lies in b's in-key, so the in-tables are the
+    transpose of these lists: one pass over them builds in1 and n2, a
+    second in2 and n3.  No class neighbourhood crosses a piece, so one class
+    numbering serves every piece, and the pieces, ordered by smallest
+    vertex, come from the class tables."""
     outs, ins = graph.out_masks, graph.in_masks
     index: dict[tuple[int, int], int] = {}
     masks: list[int] = []
@@ -131,13 +131,27 @@ def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
         masks[a] |= 1 << v
 
     lows = [m & -m for m in masks]
+    label = dict(zip([low.bit_length() - 1 for low in lows], range(len(masks)))).__getitem__
     reps = sum(lows)
-    tables = _class_tables(
-        [low.bit_length() - 1 for low in lows],
-        [list(scan_bits(out & reps)) for out, _ in index],
-        [list(scan_bits(into & reps)) for _, into in index],
-    )
-    return masks, tables, _blocks((1 << len(masks)) - 1, (out | 1 << a for a, out in enumerate(tables.n1)))
+    lists = [list(map(label, scan_bits(out & reps))) for out, _ in index]
+    bit = [1 << a for a in range(len(masks))]
+    n1 = [sum(map(bit.__getitem__, row)) for row in lists]
+    in1, n2 = [0] * len(masks), []
+    for row, bit_a in zip(lists, bit):
+        here = 0
+        for b in row:
+            in1[b] |= bit_a
+            here |= n1[b]
+        n2.append(here)
+    in2, n3 = [0] * len(masks), []
+    for row, in1_a in zip(lists, in1):
+        here = 0
+        for b in row:
+            in2[b] |= in1_a
+            here |= n2[b]
+        n3.append(here)
+    tables = ClassNeighborhoodTables(tuple(n1), tuple(n2), tuple(n3), tuple(in1), tuple(in2))
+    return masks, tables, _blocks((1 << len(masks)) - 1, (out | 1 << a for a, out in enumerate(n1)))
 
 
 def _class_ids(graph: ColoredDigraph, masks: list[int], class_set: int) -> tuple[str, ...]:

@@ -67,6 +67,24 @@ def test_axioms_pass_on_complete_bipartite():
         assert tables.n3[a] == tables.n1[a]
 
 
+def test_neighborhood_tables_reject_malformed_class_lists():
+    # a class index outside range(len(outs)), in either list, or in-lists
+    # that do not pair up one to one with the out-lists
+    malformed = (
+        ([[-1]], [[0]]),
+        ([[1]], [[0]]),
+        ([[0]], [[1]]),
+        ([[0]], [[0], [0]]),
+        ([[1], [0]], [[1]]),
+    )
+    for outs, ins in malformed:
+        with pytest.raises(GraphError):
+            neighborhood_tables(outs, ins)
+    tables = neighborhood_tables([[1], [0]], [[1], [0]])
+    assert tables.n1 == tables.n3 == tables.in1 == (0b10, 0b01)
+    assert tables.n2 == tables.in2 == (0b01, 0b10)
+
+
 def test_axioms_fail_on_counterexample():
     verdict = check_axioms(smallest_counterexample())
     assert not verdict

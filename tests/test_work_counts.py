@@ -118,6 +118,15 @@ def test_yule_direct_work_grows_with_the_levels(yule_work):
         assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == 0, c
 
 
+def test_the_pair_layer_scans_each_class_key_once(work, yule_work):
+    # pair_classes lists each class's out-key with one scan_bits call; the
+    # in-tables are the transpose of those lists, so no in-key is scanned
+    found = [c for colors in (2, 20) for c in work["pairwise-lrt", colors]]
+    found += [c for c, _ in yule_work["pairwise-lrt"]]
+    for c in found:
+        assert 0 < c["scans"] == c["classes"], c
+
+
 def test_each_component_build_visits_its_own_groups_only():
     # 2,000 components ((a, b), c), a of colour a, b and c of colour b: b and c
     # share N_a = {a}, so each component has two groups and one BUILD level

@@ -682,18 +682,25 @@ def build_work():
     ``chunks`` glued by the merge, inner ``levels`` that run a merge (the
     direct route settles a block of at most two leaves without one),
     ``_lca`` calls, glue-source ``visits`` (the sources each direct-route
-    level is handed), and the calls of ``pair_classes``, ``_axiom_check``
-    and ``hasse_forest``.  The component split runs the merge through
-    ``digraph``'s own binding, so its chunks are not counted."""
-    pair_layer = {"pair_classes": "pair_classes", "_axiom_check": "axiom_checks", "hasse_forest": "hasse_passes"}
-    counts = dict.fromkeys(("chunks", "levels", "lca", "visits", *pair_layer.values()), 0)
+    level is handed), the calls of ``pair_classes``, ``_axiom_check``,
+    ``hasse_forest`` and ``two_color.scan_bits`` (``scans``), and the
+    ``classes`` that ``pair_classes`` returns.  The component split runs the
+    merge through ``digraph``'s own binding, so its chunks are not counted."""
+    pair_layer = {
+        "pair_classes": "pair_classes", "_axiom_check": "axiom_checks", "hasse_forest": "hasse_passes",
+        "scan_bits": "scans",
+    }
+    counts = dict.fromkeys(("chunks", "levels", "lca", "visits", "classes", *pair_layer.values()), 0)
     real = {name: getattr(triples, name) for name in ("_blocks", "_with_singletons", "_lca", "_glue")}
     real_pair = {name: getattr(two_color, name) for name in pair_layer}
 
     def counted(name):
         def wrapper(*args):
             counts[pair_layer[name]] += 1
-            return real_pair[name](*args)
+            found = real_pair[name](*args)
+            if name == "pair_classes" and not isinstance(found, Rejection):
+                counts["classes"] += len(found[0])
+            return found
 
         return wrapper
 
