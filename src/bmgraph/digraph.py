@@ -254,8 +254,9 @@ def _with_singletons(level: int, blocks: list[int]) -> list[int]:
 
 
 def check_vertex_mask(graph: ColoredDigraph, mask: int) -> None:
-    """Raise unless ``mask`` is a bitset of the graph's vertex indices."""
-    if not isinstance(mask, int) or mask < 0 or mask.bit_length() > len(graph):
+    """Raise unless ``mask`` is a bitset of the graph's vertex indices, an
+    ``int`` that is no ``bool``."""
+    if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0 or mask.bit_length() > len(graph):
         raise GraphError(f"vertex set is no bitset of the graph's {len(graph)} vertex indices")
 
 

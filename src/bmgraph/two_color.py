@@ -4,44 +4,49 @@ hierarchy route to the unique least resolved tree.
 No subgraph is copied.  A graph is read through its own adjacency, each
 vertex's out- and in-neighbourhood as a Python-int bitset (``out_masks``,
 ``in_masks``), and a two-colored graph inside it is a vertex mask, such as
-two colours of one component of the n-colour recognizer.  ``pair_classes``
-reads its thinness classes off the masks, each class the bitset of its
-vertices, and keeps one class table per pair: class-level neighbourhoods
-are bitsets too, bit ``c`` standing for class ``c``.  It scans each
-class's out-key once and takes the in-tables from the transpose of those
-lists, so no in-key is scanned.  No class neighbourhood crosses a weakly
-connected piece, so the pieces are class bitsets over that one numbering,
-found by the same merge as the graph's components.  All axiom algebra
-runs on these bitsets; class granularity makes that lossless.  The axioms
-are checked piece by piece, in the order the pieces come, each in the
-order N2, N3, N1, and the first violating class (pair) in class order is
-the witness; so the first piece to fail names the violation.
+two colours of one component of the n-colour recognizer.
+``pair_topology`` decides such a pair in one body, from the vertex keys to
+the extended reachable sets, and then runs one Hasse pass.  It keys each
+vertex by both neighbourhoods within the mask into one dict of class
+bitsets, so a class is the bitset of its vertices, and keeps one class
+table per pair, plain lists of bitsets over the classes, bit ``c`` standing
+for class ``c``.  It scans each class's out-key once and takes the
+in-tables from the transpose of those lists, so no in-key is scanned; the
+classes that break N2 come out of the second pass over them as one class
+bitset.  No class neighbourhood crosses a weakly connected piece, so the
+pieces are class bitsets over that one numbering, found by the same merge
+as the graph's components.  All axiom algebra runs on these bitsets; class
+granularity makes that lossless.  The axioms are checked piece by piece, in
+the order the pieces come, each in the order N2 (one AND per piece), N3,
+N1, and the first violating class (pair) in class order is the witness; so
+the first piece to fail names the violation.
 
 The hierarchy route uses closed forms that hold only once the axioms do.
 With N2, N(N(N(a))) lies in N(a), so the reachable set of class a is
 R(a) = N(a) | N(N(a)) and no search is needed; the extended reachable set
 R'(a) adds Q(a), the classes with a's in-neighbourhood whose
-out-neighbourhood lies in N(a).  One pass over the distinct R' sets of all
-pieces, smallest first, checks that they are laminar, links each to its
-Hasse parent and builds its node of the tree; its maximal sets must be the
-pieces.  ``reachable_set`` (a BFS), ``extended_reachable_set`` and
-``laminarity_witness`` are the plain definitions on vertex sets, kept as
-the references the closed forms are tested against.
+out-neighbourhood lies in N(a), which is a alone when no other class shares
+it.  One pass over the distinct R' sets of all pieces, smallest first,
+checks that they are laminar, links each to its Hasse parent and builds its
+node of the tree; its maximal sets must be the pieces.  ``reachable_set``
+(a BFS), ``extended_reachable_set``, ``neighborhood_tables`` and
+``laminarity_witness`` are the plain definitions, kept as the references
+the closed forms and the one pass are tested against.
 
 A connected, sink-free two-colored digraph satisfies N1-N3 exactly when it
 is a best match graph, and then the Hasse tree of its extended reachable
 sets is its least resolved tree.  ``check_axioms`` and ``lrt_via_hierarchy``
-check the colour count and same-colour arcs, then take the first sink and
-the pieces from one ``pair_classes`` call and go on with the one piece.  The
-n-colour recognizer calls ``pair_topology`` on each colour pair directly: a
-pair has no same-colour arc, so its sink-free pieces pass every structure
-check.  Both decide the pair in one pass: one class table, one axiom check
-and one Hasse pass, down to the tree as a cluster family over vertex
-bitsets, which ``lrt_via_hierarchy`` names.  Its nodes are the tree's inner
-nodes only: a vertex is a leaf of the lowest node that holds it.  Pieces
-that pass the axioms are best match graphs, so the Hasse pass cannot fail
-on them.  No forward construction runs here: the one exact gate is the
-n-colour recognizer's final arc-for-arc comparison.
+check the colour count, same-colour arcs, the first sink in vertex order and
+connectedness, then run ``pair_topology`` on all vertices; the n-colour
+recognizer calls it on each colour pair directly: a pair has no same-colour
+arc, so its sink-free pieces pass every structure check.  So every caller
+decides a pair by the same steps, down to the tree as a cluster family over
+vertex bitsets, which ``lrt_via_hierarchy`` names and ``check_axioms``
+drops.  Its nodes are the tree's inner nodes only: a vertex is a leaf of the
+lowest node that holds it.  Pieces that pass the axioms are best match
+graphs, so the Hasse pass cannot fail on them.  No forward construction
+runs here: the one exact gate is the n-colour recognizer's final
+arc-for-arc comparison.
 """
 
 from __future__ import annotations
@@ -54,7 +59,15 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 # bmg_of_tree and thinness_partition stay bound: perfbench/layers.py traces them
 from .bmg import bmg_of_tree  # noqa: F401
-from .digraph import ColoredDigraph, ThinnessPartition, _blocks, bits, check_vertex_mask, scan_bits
+from .digraph import (
+    ColoredDigraph,
+    ThinnessPartition,
+    _blocks,
+    bits,
+    check_vertex_mask,
+    connected_components,
+    scan_bits,
+)
 from .digraph import thinness_partition  # noqa: F401
 from .errors import GraphError
 from .tree import Topology
@@ -81,15 +94,18 @@ def neighborhood_tables(
 ) -> ClassNeighborhoodTables:
     """Tables of the classes whose out- and in-neighbour classes are ``outs[a]``
     and ``ins[a]``, each list read once per table it feeds; the reference the
-    one pass of ``pair_classes`` is tested against.  Raises ``GraphError``
-    unless both list every class and name classes in ``range(len(outs))``."""
+    class tables of ``pair_topology`` are tested against.  Raises
+    ``GraphError`` unless both list every class and name classes by ``int``
+    indices in ``range(len(outs))``, a ``bool`` being no class index."""
     outs, ins = [list(s) for s in outs], [list(s) for s in ins]
     classes = range(len(outs))
     if len(ins) != len(outs):
         raise GraphError(f"{len(outs)} out-lists but {len(ins)} in-lists")
-    stray = [c for s in outs + ins for c in s if c not in classes]
+    stray = [
+        c for s in outs + ins for c in s if isinstance(c, bool) or not isinstance(c, int) or c not in classes
+    ]
     if stray:
-        raise GraphError(f"class index out of range: {stray[0]!r}")
+        raise GraphError(f"class index is no int in range({len(outs)}): {stray[0]!r}")
 
     def step(table: Sequence[int], lists: list[list[int]]) -> tuple[int, ...]:
         return tuple([reduce(or_, map(table.__getitem__, s), 0) for s in lists])
@@ -100,132 +116,39 @@ def neighborhood_tables(
     return ClassNeighborhoodTables(n1=n1, n2=n2, n3=step(n2, outs), in1=in1, in2=step(in1, ins))
 
 
-# A colour pair's thinness classes as vertex bitsets by smallest member, its
-# class tables, and its weakly connected pieces as class bitsets.
-PairClasses = tuple[list[int], ClassNeighborhoodTables, list[int]]
-
-
-def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
-    """Thinness classes, class tables and pieces of the subgraph that the
-    vertex mask ``ground`` induces, or its first sink.  A class is the
-    bitset of its vertices, and both neighbourhoods within ``ground`` key
-    it.  Only the out-keys are listed, each once, as the classes whose
-    representatives, their smallest vertices, it holds: ``scan_bits`` walks
-    ``key & reps``, reading a dense key, such as one of a deep two-colour
-    caterpillar, in one C-level scan.  Class a has an arc to class b exactly
-    when a's representative lies in b's in-key, so the in-tables are the
-    transpose of these lists: one pass over them builds in1 and n2, a
-    second in2 and n3.  No class neighbourhood crosses a piece, so one class
-    numbering serves every piece, and the pieces, ordered by smallest
-    vertex, come from the class tables."""
-    outs, ins = graph.out_masks, graph.in_masks
-    index: dict[tuple[int, int], int] = {}
-    masks: list[int] = []
-    for v in bits(ground):
-        out = outs[v] & ground
-        if not out:
-            return Rejection("sink-vertex", graph.vertex_ids[v])
-        a = index.setdefault((out, ins[v] & ground), len(masks))
-        if a == len(masks):
-            masks.append(0)
-        masks[a] |= 1 << v
-
-    lows = [m & -m for m in masks]
-    label = dict(zip([low.bit_length() - 1 for low in lows], range(len(masks)))).__getitem__
-    reps = sum(lows)
-    lists = [list(map(label, scan_bits(out & reps))) for out, _ in index]
-    bit = [1 << a for a in range(len(masks))]
-    n1 = [sum(map(bit.__getitem__, row)) for row in lists]
-    in1, n2 = [0] * len(masks), []
-    for row, bit_a in zip(lists, bit):
-        here = 0
-        for b in row:
-            in1[b] |= bit_a
-            here |= n1[b]
-        n2.append(here)
-    in2, n3 = [0] * len(masks), []
-    for row, in1_a in zip(lists, in1):
-        here = 0
-        for b in row:
-            in2[b] |= in1_a
-            here |= n2[b]
-        n3.append(here)
-    tables = ClassNeighborhoodTables(tuple(n1), tuple(n2), tuple(n3), tuple(in1), tuple(in2))
-    return masks, tables, _blocks((1 << len(masks)) - 1, (out | 1 << a for a, out in enumerate(n1)))
-
-
 def _class_ids(graph: ColoredDigraph, masks: list[int], class_set: int) -> tuple[str, ...]:
     """Sorted ids of the vertices of the classes in the class bitset ``class_set``."""
     return tuple(graph.vertex_ids[v] for v in bits(reduce(or_, map(masks.__getitem__, bits(class_set)))))
 
 
-def _structure_check(graph: ColoredDigraph) -> PairClasses | CheckResult:
-    """The classes of a two-colored graph without same-colour arcs, sinks or
-    a second piece, or the first such failure; once no vertex is a sink, the
-    pieces are the weakly connected components."""
+def _structure_check(graph: ColoredDigraph) -> CheckResult | None:
+    """The first failure of a graph with other than two colours, a
+    same-colour arc, a sink or a second weakly connected component, if any;
+    once no vertex is a sink, its pieces are those components."""
     if len(graph.color_ids) != 2:
         return CheckResult(False, "wrong-color-count", graph.vertex_ids)
     bad = graph.same_color_arc()
     if bad is not None:
         i, j = bad
         return CheckResult(False, "same-color-arc", (graph.vertex_ids[i], graph.vertex_ids[j]))
-    classes = pair_classes(graph, (1 << len(graph)) - 1)
-    if isinstance(classes, Rejection):
-        return CheckResult(False, classes.stage, classes.witness)
-    if len(classes[2]) != 1:  # each piece's vertex ids; pieces come by smallest vertex
-        return CheckResult(False, "disconnected", tuple(_class_ids(graph, classes[0], p) for p in classes[2]))
-    return classes
+    if not all(graph.out_masks):
+        return CheckResult(False, "sink-vertex", graph.vertex_ids[graph.out_masks.index(0)])
+    comps = connected_components(graph)
+    if len(comps) != 1:  # each component's vertex ids; components come by smallest vertex
+        ids = graph.vertex_ids
+        return CheckResult(False, "disconnected", tuple(tuple(ids[v] for v in bits(c)) for c in comps))
+    return None
 
 
 def check_axioms(graph: ColoredDigraph) -> CheckResult:
     """Check the three out-neighborhood axioms of connected two-colored graphs."""
-    classes = _structure_check(graph)
-    if isinstance(classes, CheckResult):
-        return classes
-    masks, tables, pieces = classes
-    return _axiom_check(graph, masks, tables, pieces)
-
-
-def _axiom_check(
-    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
-) -> CheckResult:
-    """N2, N3, N1 on the classes of each of ``pieces`` in turn, class bitsets
-    that no class neighbourhood crosses, so a class can only break N1 or N3
-    together with a class of its own piece, and the first piece to fail
-    names the violation."""
-    n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
-
-    def fail(stage: str, *witness: int) -> CheckResult:
-        ids = tuple(_class_ids(graph, masks, 1 << a) for a in witness)
-        return CheckResult(False, stage, ids if len(ids) > 1 else ids[0])
-
-    # Arcs join the two colours, so only classes of one colour can share
-    # out-neighbours (N3) and only classes of two colours can meet N(N(.))
-    # through N(.) (N1); each loop visits the later classes b > a of a's
-    # piece that the premise of its axiom leaves open.  A class's colour is
-    # that of its highest vertex.
-    color_of = graph.color_of
-    tops = [color_of[m.bit_length() - 1] for m in masks]
-    first_color = sum(1 << a for a, c in enumerate(tops) if c == tops[0])
-    for piece in pieces:
-        classes = list(bits(piece))
-        for a in classes:
-            if n3[a] & ~n1[a]:
-                return fail("N2", a)
-        for a in classes:
-            n1a = n1[a]
-            same_color = piece & (first_color if first_color >> a & 1 else ~first_color)
-            for b in bits(same_color & ~n2[a] & ~in2[a] & ~((2 << a) - 1)):
-                n1b = n1[b]
-                if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
-                    return fail("N3", a, b)
-        for a in classes:
-            n1a, n2a = n1[a], n2[a]
-            other = piece & (~first_color if first_color >> a & 1 else first_color)
-            for b in bits(other & ~n1a & ~in1[a] & ~((2 << a) - 1)):
-                if n1a & n2[b] or n1[b] & n2a:
-                    return fail("N1", a, b)
-    return CheckResult(True)
+    failed = _structure_check(graph)
+    if failed is not None:
+        return failed
+    found = pair_topology(graph, (1 << len(graph)) - 1)
+    if not isinstance(found, Rejection):
+        return CheckResult(True)
+    return found.witness if found.stage == "axioms" else CheckResult(False, found.stage, found.witness)
 
 
 def reachable_set(graph: ColoredDigraph, seed: frozenset[int] | tuple[int, ...]) -> frozenset[int]:
@@ -252,7 +175,8 @@ def reachable_set(graph: ColoredDigraph, seed: frozenset[int] | tuple[int, ...])
 def extended_reachable_set(partition: ThinnessPartition, a: int) -> frozenset[int]:
     """R'(a): the reachable set plus all classes with equal in-neighborhood
     and nested out-neighborhood (the set Q), which always contains ``a``.
-    Reference definition on vertex sets; see ``extended_reachable_masks``."""
+    Reference definition on vertex sets; ``pair_topology`` uses the closed
+    form on class bitsets."""
     graph = partition.graph
     q: set[int] = set()
     for b in range(len(partition)):
@@ -262,24 +186,6 @@ def extended_reachable_set(partition: ThinnessPartition, a: int) -> frozenset[in
         ):
             q.update(partition.classes[b])
     return reachable_set(graph, partition.classes[a]) | frozenset(q)
-
-
-def extended_reachable_masks(tables: ClassNeighborhoodTables) -> tuple[int, ...]:
-    """R'(a) of every class a as a class bitset, in closed form:
-    N(a) | N(N(a)) | Q(a), with Q(a) looked for among the classes that share
-    a's in-neighbourhood.  Equals ``extended_reachable_set`` once N2 holds."""
-    n1, n2, in1 = tables.n1, tables.n2, tables.in1
-    same_in: dict[int, int] = {}
-    for b, m in enumerate(in1):
-        same_in[m] = same_in.get(m, 0) | 1 << b
-    out = []
-    for a, n1a in enumerate(n1):
-        q = 0
-        for b in bits(same_in[in1[a]]):
-            if not n1[b] & ~n1a:
-                q |= 1 << b
-        out.append(n1a | n2[a] | q)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -388,10 +294,10 @@ def lrt_via_hierarchy(graph: ColoredDigraph) -> Topology | Rejection:
     and the topology explains it.  Wrap it as
     ``LeafColoredTree(topology, graph.colors_as_dict())`` to get the tree.
     """
-    classes = _structure_check(graph)
-    if isinstance(classes, CheckResult):
-        return Rejection("axioms", classes)
-    family = _family(graph, *classes)
+    failed = _structure_check(graph)
+    if failed is not None:
+        return Rejection("axioms", failed)
+    family = pair_topology(graph, (1 << len(graph)) - 1)
     return family if isinstance(family, Rejection) else family_topology(family, graph.vertex_ids)
 
 
@@ -407,41 +313,125 @@ def pair_topology(graph: ColoredDigraph, ground: int) -> Family | Rejection:
     ``ground`` induces, as a cluster family over vertex bitsets, or a staged
     rejection; several pieces are joined under a fresh root.  The caller
     vouches that the subgraph has two colours and no arc inside one; then
-    each sink-free piece passes every structure check."""
+    each sink-free piece passes every structure check.
+
+    One body, from the vertex keys to the R' sets.  A class is the bitset of
+    its vertices, keyed by both neighbourhoods within ``ground``.  Only the
+    out-keys are listed, each once, as the classes whose representatives,
+    their smallest vertices, it holds: ``scan_bits`` walks ``key & reps``,
+    reading a dense key, such as one of a deep two-colour caterpillar, in
+    one C-level scan.  Class a has an arc to class b exactly when a's
+    representative lies in b's in-key, so the in-tables are the transpose
+    of these lists: one pass over them builds in1 and N(N(.)), a second in2
+    and the classes whose N(N(N(.))) leaves N(.), which break N2.  No class
+    neighbourhood crosses a piece, so one class numbering serves every
+    piece, and the pieces, ordered by smallest vertex, come from N(.).  The
+    axioms run piece by piece, each in the order N2, N3, N1, and the first
+    violating class (pair) in class order is the witness.  Once they hold,
+    each piece is a best match graph and its R' sets form its hierarchy, so
+    the one Hasse pass over the R' sets of all pieces cannot fail; its
+    rejections stay as safety checks.  Each node is built as the pass
+    places its set: its kids are the nodes of its Hasse children, and the
+    vertices of the classes whose R' set it is are its own leaves."""
     check_vertex_mask(graph, ground)
     if not ground:
         raise GraphError("a colour pair needs at least one vertex")
-    classes = pair_classes(graph, ground)
-    if isinstance(classes, Rejection):
-        return classes
-    return _family(graph, *classes)
+    outs, ins = graph.out_masks, graph.in_masks
+    keyed: dict[tuple[int, int], int] = {}  # (out-key, in-key) -> the class's vertices
+    for v in bits(ground):
+        out = outs[v] & ground
+        if not out:
+            return Rejection("sink-vertex", graph.vertex_ids[v])
+        key = out, ins[v] & ground
+        keyed[key] = keyed.get(key, 0) | 1 << v
+    masks = list(keyed.values())  # classes by smallest vertex
+    bit = [1 << a for a in range(len(masks))]
+    lows = [m & -m for m in masks]
+    label = dict(zip([low.bit_length() - 1 for low in lows], range(len(masks)))).__getitem__
+    reps = sum(lows)
+    lists = [list(map(label, scan_bits(out & reps))) for out, _ in keyed]
+    n1 = [sum(map(bit.__getitem__, row)) for row in lists]
+    in1, n2 = [0] * len(masks), []
+    for row, bit_a in zip(lists, bit):
+        here = 0
+        for b in row:
+            in1[b] |= bit_a
+            here |= n1[b]
+        n2.append(here)
+    in2 = [0] * len(masks)
+    broken = 0  # the classes a with N(N(N(a))) outside N(a)
+    same_in: dict[int, int] = {}  # an in-neighbourhood -> the classes that have it
+    for row, n1_a, in1_a, bit_a in zip(lists, n1, in1, bit):
+        here = 0
+        for b in row:
+            in2[b] |= in1_a
+            here |= n2[b]
+        if here & ~n1_a:
+            broken |= bit_a
+        same_in[in1_a] = same_in.get(in1_a, 0) | bit_a
+    pieces = _blocks((1 << len(masks)) - 1, (out | bit_a for out, bit_a in zip(n1, bit)))
 
+    def fail(stage: str, *witness: int) -> Rejection:
+        ids = tuple(_class_ids(graph, masks, bit[a]) for a in witness)
+        return Rejection("axioms", CheckResult(False, stage, ids if len(ids) > 1 else ids[0]))
 
-def _family(
-    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
-) -> Family | Rejection:
-    """Least resolved tree of sink-free pieces as one cluster family: the
-    axioms piece by piece, then one Hasse pass over the R' sets of all
-    pieces.  Once the axioms hold, each piece is a best match graph and its
-    R' sets form its hierarchy, so the pass cannot fail; its rejections stay
-    as safety checks.  Each node is built as the pass places its set: its
-    kids are the nodes of its Hasse children, and the vertices of the
-    classes whose R' set it is are its own leaves."""
-    verdict = _axiom_check(graph, masks, tables, pieces)
-    if not verdict:
-        return Rejection("axioms", verdict)
+    # Arcs join the two colours, so only classes of one colour can share
+    # out-neighbours (N3) and only classes of two colours can meet N(N(.))
+    # through N(.) (N1); each loop visits the later classes b > a of a's
+    # piece that the premise of its axiom leaves open, and only when there
+    # is one.  A class's colour is that of its highest vertex.
+    color_of = graph.color_of
+    tops = [color_of[m.bit_length() - 1] for m in masks]
+    first_color = sum([bit_a for bit_a, c in zip(bit, tops) if c == tops[0]])
+    for piece in pieces:
+        hit = piece & broken
+        if hit:
+            return fail("N2", (hit & -hit).bit_length() - 1)
+        classes = list(bits(piece))
+        for a in classes:
+            same = piece & (first_color if first_color >> a & 1 else ~first_color)
+            open_b = same & ~n2[a] & ~in2[a] & (-2 << a)
+            if open_b:
+                n1_a, in1_a = n1[a], in1[a]
+                for b in bits(open_b):
+                    n1_b = n1[b]
+                    if n1_a & n1_b and not (in1_a == in1[b] and (not n1_a & ~n1_b or not n1_b & ~n1_a)):
+                        return fail("N3", a, b)
+        for a in classes:
+            n1_a, n2_a = n1[a], n2[a]
+            other = piece & (~first_color if first_color >> a & 1 else first_color)
+            open_b = other & ~n1_a & ~in1[a] & (-2 << a)
+            if open_b:
+                for b in bits(open_b):
+                    if n1_a & n2[b] or n1[b] & n2_a:
+                        return fail("N1", a, b)
+
+    # R'(a) = N(a) | N(N(a)) | Q(a) in closed form, Q(a) the classes with
+    # a's in-neighbourhood whose out-neighbourhood lies in N(a): a alone
+    # when no other class shares its in-neighbourhood
     attached: dict[int, int] = {}  # an R' set -> the vertices of the classes whose R' set it is
-    for r, mask in zip(extended_reachable_masks(tables), masks):
+    for mask, n1_a, n2_a, in1_a, bit_a in zip(masks, n1, n2, in1, bit):
+        q = group = same_in[in1_a]
+        if group != bit_a:
+            q = 0
+            for b in bits(group):
+                if not n1[b] & ~n1_a:
+                    q |= bit[b]
+        r = n1_a | n2_a | q
         attached[r] = attached.get(r, 0) | mask
 
     def node(s: int, kids: list[Family]) -> Family:
         own = attached[s]
-        return kids[0] if not own and len(kids) == 1 else (sum(k[0] for k in kids) | own, tuple(kids))
+        if not own and len(kids) == 1:
+            return kids[0]
+        for kid in kids:
+            own |= kid[0]
+        return own, tuple(kids)
 
     families = hasse_forest(pieces, attached, node)
     if isinstance(families, Rejection):
         return Rejection(families.stage, tuple(_class_ids(graph, masks, m) for m in families.witness))
-    return families[0] if len(families) == 1 else (sum(f[0] for f in families), tuple(families))
+    return families[0] if len(families) == 1 else (ground, tuple(families))  # the pieces cover ground
 
 
 def family_topology(family: Family, names: Sequence[str]) -> Topology:

@@ -25,18 +25,14 @@ from bmgraph import (
 )
 from bmgraph import n_color, two_color
 from bmgraph.digraph import bits, scan_bits
-from bmgraph.two_color import (
-    ClassNeighborhoodTables,
-    extended_reachable_masks,
-    hasse_tree,
-    neighborhood_tables,
-    pair_classes,
-    pair_topology,
-)
+from bmgraph.two_color import ClassNeighborhoodTables, hasse_tree, neighborhood_tables, pair_topology
 from util import (
+    axiom_check,
     caterpillar,
     connected_sink_free_out_masks,
+    extended_reachable_masks,
     family_tree,
+    pair_classes,
     random_scenario,
     reference_pair_lrt,
     tree_family,
@@ -122,6 +118,7 @@ def test_pair_classes_and_tables_equal_the_thinness_reference_on_dense_and_spars
     seen = {"a key scanned": 0, "a key scanned, a class of several vertices": 0, "a key walked": 0}
     for graph, is_caterpillar in _two_colour_graphs():
         del scanned[:]
+        assert not isinstance(pair_topology(graph, (1 << len(graph)) - 1), Rejection)  # scans the keys
         classes = pair_classes(graph, (1 << len(graph)) - 1)
         assert not isinstance(classes, Rejection)
         class_masks, tables, pieces = classes
@@ -265,7 +262,7 @@ def _piece_by_piece(graph: ColoredDigraph, ground: int):
     r_ext = extended_reachable_masks(tables)
     families = []
     for piece in pieces:
-        verdict = two_color._axiom_check(graph, masks, tables, [piece])
+        verdict = axiom_check(graph, masks, tables, [piece])
         if not verdict:
             return Rejection("axioms", verdict)
         hierarchy = hasse_tree(piece, {r_ext[a] for a in bits(piece)})
@@ -342,9 +339,25 @@ def _calls(monkeypatch, module, name: str, argument: int) -> list:
     return recorded
 
 
+def _results(monkeypatch, module, name: str) -> list:
+    """The value of every call of ``module.name``."""
+    recorded: list = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        recorded.append(original(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(module, name, counted)
+    return recorded
+
+
 def test_the_pair_layer_checks_the_axioms_and_runs_one_hasse_pass_per_colour_pair(monkeypatch):
+    # ``pair_topology`` finds a sink-free pair's pieces with one ``_blocks``
+    # call and checks the axioms on them next, so the pieces that call
+    # returns are those of the pair's axiom check
     pairs = _calls(monkeypatch, n_color, "pair_topology", 1)
-    checked = _calls(monkeypatch, two_color, "_axiom_check", 3)
+    checked = _results(monkeypatch, two_color, "_blocks")
     passes = _calls(monkeypatch, two_color, "hasse_forest", 0)
     _, graph = simulate(SimulationConfig(60, 8, 3))
     report = recognize_ncbmg(graph)
@@ -379,3 +392,16 @@ def test_pair_topology_rejects_an_empty_or_foreign_vertex_mask():
     for stray in (0, 1 << len(graph), -1):
         with pytest.raises(GraphError):
             pair_topology(graph, stray)
+
+
+def test_a_vertex_mask_that_is_no_int_is_rejected():
+    # True is vertex 0 by value: read as a mask, the two-vertex graph's pair
+    # would be rejected at its sink 'a' instead of raising; a float or a
+    # string is no mask either, here and in the other mask-taking functions
+    graph = ColoredDigraph({"a": "r", "b": "s"}, [("b", "a")])
+    for stray in (True, False, 3.0, "3"):
+        with pytest.raises(GraphError):
+            pair_topology(graph, stray)
+        with pytest.raises(GraphError):
+            subgraph_on(graph, stray)
+    assert pair_topology(graph, 1) == Rejection("sink-vertex", "a")

@@ -49,15 +49,19 @@ def test_cli_import_leaves_numpy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def _traced_bindings() -> tuple:
+    """``BINDINGS`` of perfbench/layers.py: (module, attribute, span name)."""
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers.BINDINGS
+
+
 def test_traced_bindings_resolve():
     # perfbench/layers.py wraps these names where the calling module binds
     # them; a renamed function would silently drop out of ``--trace 1``
-    path = ROOT / "perfbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
     missing = []
-    for module, attr, _ in layers.BINDINGS:
+    for module, attr, _ in _traced_bindings():
         owner = importlib.import_module(f"bmgraph.{module}")
         for part in attr.split("."):
             owner = getattr(owner, part, None)
@@ -102,7 +106,7 @@ def test_pairwise_hot_path_copies_no_pair_graph():
                     if callee in defs[owner]:
                         work.append((owner, callee))
                         break
-    assert {("two_color", "pair_topology"), ("two_color", "pair_classes")} <= reached, reached
+    assert {("two_color", "pair_topology"), ("two_color", "hasse_forest")} <= reached, reached
     assert ("triples", "_build_st") in reached, reached
     found = {name: sorted(calls[name]) for name in forbidden & calls.keys()}
     assert not found, found
@@ -132,6 +136,28 @@ def test_every_tree_method_has_a_caller_in_src():
                 }
     uncalled = sorted(methods - called)
     assert methods and not uncalled, uncalled
+
+
+def test_every_two_color_function_has_a_caller_or_is_public():
+    # a module-level function of two_color that nothing in the package calls,
+    # that bmgraph does not export and that perfbench does not trace is a
+    # step kept for tests alone, such as a second axiom check, and belongs in
+    # tests/util.py
+    traced = {attr for module, attr, _ in _traced_bindings() if module == "two_color"}
+    exported = set(importlib.import_module("bmgraph").__all__)
+    functions = set(_functions("two_color"))
+    called = set()
+    for path in sorted((SRC / "bmgraph").glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(top, ast.FunctionDef):
+                called |= {
+                    getattr(node.func, "id", getattr(node.func, "attr", None))
+                    for node in ast.walk(top)
+                    # a call inside a function's own body does not count for it
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) != top.name
+                }
+    uncalled = sorted(functions - called - exported - traced)
+    assert functions and not uncalled, uncalled
 
 
 def test_one_gate_calls_bmg_of_tree():

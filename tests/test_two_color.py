@@ -24,12 +24,13 @@ from bmgraph import (
     thinness_partition,
 )
 from bmgraph.digraph import bits
-from bmgraph.two_color import extended_reachable_masks, hasse_tree, laminarity_witness, pair_topology
+from bmgraph.two_color import hasse_tree, laminarity_witness, pair_topology
 from cases import rvsr_tree, smallest_counterexample, weird_tree
 from util import (
     caterpillar,
     class_members,
     class_reachable_set,
+    extended_reachable_masks,
     class_roots,
     connected_scenario,
     connected_sink_free_out_masks,
@@ -80,6 +81,18 @@ def test_neighborhood_tables_reject_malformed_class_lists():
     for outs, ins in malformed:
         with pytest.raises(GraphError):
             neighborhood_tables(outs, ins)
+    tables = neighborhood_tables([[1], [0]], [[1], [0]])
+    assert tables.n1 == tables.n3 == tables.in1 == (0b10, 0b01)
+    assert tables.n2 == tables.in2 == (0b01, 0b10)
+
+
+def test_neighborhood_tables_reject_class_indices_that_are_no_int():
+    # a float or a string names no class, and a bool is no class index,
+    # though True == 1 and 1.0 == 1 lie in range(2) by equality
+    for stray in (1.0, True, False, "1"):
+        for outs, ins in (([[stray], [0]], [[1], [0]]), ([[1], [0]], [[1], [stray]])):
+            with pytest.raises(GraphError):
+                neighborhood_tables(outs, ins)
     tables = neighborhood_tables([[1], [0]], [[1], [0]])
     assert tables.n1 == tables.n3 == tables.in1 == (0b10, 0b01)
     assert tables.n2 == tables.in2 == (0b01, 0b10)

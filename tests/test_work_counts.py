@@ -127,6 +127,27 @@ def test_the_pair_layer_scans_each_class_key_once(work, yule_work):
         assert 0 < c["scans"] == c["classes"], c
 
 
+def test_the_pair_layer_walks_each_class_a_bounded_number_of_times(work, yule_work):
+    # two_color.bits walks per class, when first measured: on a caterpillar
+    # one per pair over its vertices and one per class, in its piece and its
+    # Hasse pass, as no axiom premise leaves a class open (2 colours 201 /
+    # 401 / 801 walks over 200 / 400 / 800 classes, 20 colours 3,990 /
+    # 7,790 / 15,390 over 3,800 / 7,600 / 15,200); on the Yule graphs
+    # 1,920 / 4,087 / 10,529 over 1,307 / 2,482 / 5,337 classes.  N2 is one
+    # AND per piece, no empty axiom candidate mask is walked, and R' walks
+    # only groups of two or more classes with one in-neighbourhood
+    bounds = {  # walks per thousand classes, the measured ratio rounded up
+        ("caterpillar", 2): (1005, 1003, 1002),
+        ("caterpillar", 20): (1050, 1025, 1013),
+        ("yule", 20): (1470, 1647, 1973),
+    }
+    found = {("caterpillar", colors): work["pairwise-lrt", colors] for colors in (2, 20)}
+    found["yule", 20] = [c for c, _ in yule_work["pairwise-lrt"]]
+    for scenario, counts in found.items():
+        for c, bound in zip(counts, bounds[scenario]):
+            assert 0 < 1000 * c["walks"] <= bound * c["classes"], (scenario, bound, c)
+
+
 def test_each_component_build_visits_its_own_groups_only():
     # 2,000 components ((a, b), c), a of colour a, b and c of colour b: b and c
     # share N_a = {a}, so each component has two groups and one BUILD level

@@ -11,6 +11,8 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from bmgraph import (
+    CheckResult,
+    ClassNeighborhoodTables,
     ColoredDigraph,
     LeafColoredTree,
     Rejection,
@@ -26,8 +28,8 @@ from bmgraph import (
     subgraph_on,
     symmetric_part,
 )
-from bmgraph import triples, two_color
-from bmgraph.digraph import bits
+from bmgraph import n_color, triples, two_color
+from bmgraph.digraph import _blocks, bits, scan_bits
 from bmgraph.errors import ParseError, TreeError
 from bmgraph.tree import _FORBIDDEN_LABEL_CHARS, Topology, _is_token
 from bmgraph.two_color import Family, family_topology
@@ -305,6 +307,113 @@ def rbmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
 
 def class_reachable_set(partition: ThinnessPartition, a: int) -> frozenset[int]:
     return reachable_set(partition.graph, partition.classes[a])
+
+
+# -- the pair layer's steps one function each: references for pair_topology --
+
+
+# A colour pair's thinness classes as vertex bitsets by smallest member, its
+# class tables, and its weakly connected pieces as class bitsets.
+PairClasses = tuple[list[int], ClassNeighborhoodTables, list[int]]
+
+
+def pair_classes(graph: ColoredDigraph, ground: int) -> PairClasses | Rejection:
+    """Thinness classes, class tables and pieces of the subgraph that the
+    vertex mask ``ground`` induces, or its first sink, as ``pair_topology``
+    reads them: classes keyed by both neighbourhoods within ``ground`` and
+    numbered by smallest vertex, each out-key listed once as the classes
+    whose smallest vertices it holds, the in-tables as the transpose of
+    those lists, and the pieces, by smallest vertex, from the class tables."""
+    outs, ins = graph.out_masks, graph.in_masks
+    index: dict[tuple[int, int], int] = {}
+    masks: list[int] = []
+    for v in bits(ground):
+        out = outs[v] & ground
+        if not out:
+            return Rejection("sink-vertex", graph.vertex_ids[v])
+        a = index.setdefault((out, ins[v] & ground), len(masks))
+        if a == len(masks):
+            masks.append(0)
+        masks[a] |= 1 << v
+
+    lows = [m & -m for m in masks]
+    label = dict(zip([low.bit_length() - 1 for low in lows], range(len(masks)))).__getitem__
+    reps = sum(lows)
+    lists = [list(map(label, scan_bits(out & reps))) for out, _ in index]
+    bit = [1 << a for a in range(len(masks))]
+    n1 = [sum(map(bit.__getitem__, row)) for row in lists]
+    in1, n2 = [0] * len(masks), []
+    for row, bit_a in zip(lists, bit):
+        here = 0
+        for b in row:
+            in1[b] |= bit_a
+            here |= n1[b]
+        n2.append(here)
+    in2, n3 = [0] * len(masks), []
+    for row, in1_a in zip(lists, in1):
+        here = 0
+        for b in row:
+            in2[b] |= in1_a
+            here |= n2[b]
+        n3.append(here)
+    tables = ClassNeighborhoodTables(tuple(n1), tuple(n2), tuple(n3), tuple(in1), tuple(in2))
+    return masks, tables, _blocks((1 << len(masks)) - 1, (out | 1 << a for a, out in enumerate(n1)))
+
+
+def axiom_check(
+    graph: ColoredDigraph, masks: list[int], tables: ClassNeighborhoodTables, pieces: list[int]
+) -> CheckResult:
+    """N2, N3, N1 on the classes of each of ``pieces`` in turn, class bitsets
+    that no class neighbourhood crosses, so a class can only break N1 or N3
+    together with a class of its own piece, and the first piece to fail
+    names the violation; each loop visits the later classes b > a of a's
+    piece that the premise of its axiom leaves open."""
+    n1, n2, n3, in1, in2 = tables.n1, tables.n2, tables.n3, tables.in1, tables.in2
+
+    def fail(stage: str, *witness: int) -> CheckResult:
+        ids = tuple(two_color._class_ids(graph, masks, 1 << a) for a in witness)
+        return CheckResult(False, stage, ids if len(ids) > 1 else ids[0])
+
+    color_of = graph.color_of
+    tops = [color_of[m.bit_length() - 1] for m in masks]  # a class's colour is that of its highest vertex
+    first_color = sum(1 << a for a, c in enumerate(tops) if c == tops[0])
+    for piece in pieces:
+        classes = list(bits(piece))
+        for a in classes:
+            if n3[a] & ~n1[a]:
+                return fail("N2", a)
+        for a in classes:
+            n1a = n1[a]
+            same_color = piece & (first_color if first_color >> a & 1 else ~first_color)
+            for b in bits(same_color & ~n2[a] & ~in2[a] & ~((2 << a) - 1)):
+                n1b = n1[b]
+                if n1a & n1b and not (in1[a] == in1[b] and (not n1a & ~n1b or not n1b & ~n1a)):
+                    return fail("N3", a, b)
+        for a in classes:
+            n1a, n2a = n1[a], n2[a]
+            other = piece & (~first_color if first_color >> a & 1 else first_color)
+            for b in bits(other & ~n1a & ~in1[a] & ~((2 << a) - 1)):
+                if n1a & n2[b] or n1[b] & n2a:
+                    return fail("N1", a, b)
+    return CheckResult(True)
+
+
+def extended_reachable_masks(tables: ClassNeighborhoodTables) -> tuple[int, ...]:
+    """R'(a) of every class a as a class bitset, in closed form:
+    N(a) | N(N(a)) | Q(a), with Q(a) looked for among the classes that share
+    a's in-neighbourhood.  Equals ``extended_reachable_set`` once N2 holds."""
+    n1, n2, in1 = tables.n1, tables.n2, tables.in1
+    same_in: dict[int, int] = {}
+    for b, m in enumerate(in1):
+        same_in[m] = same_in.get(m, 0) | 1 << b
+    out = []
+    for a, n1a in enumerate(n1):
+        q = 0
+        for b in bits(same_in[in1[a]]):
+            if not n1[b] & ~n1a:
+                q |= 1 << b
+        out.append(n1a | n2[a] | q)
+    return tuple(out)
 
 
 class _UnionFind:
@@ -678,29 +787,40 @@ def reference_layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...
 @contextmanager
 def build_work():
     """Count the work of both BUILDs and of the pair layer while the block
-    runs, by wrapping ``triples`` and ``two_color`` functions from outside:
-    ``chunks`` glued by the merge, inner ``levels`` that run a merge (the
-    direct route settles a block of at most two leaves without one),
-    ``_lca`` calls, glue-source ``visits`` (the sources each direct-route
-    level is handed), the calls of ``pair_classes``, ``_axiom_check``,
-    ``hasse_forest`` and ``two_color.scan_bits`` (``scans``), and the
-    ``classes`` that ``pair_classes`` returns.  The component split runs the
-    merge through ``digraph``'s own binding, so its chunks are not counted."""
+    runs, by wrapping ``triples``, ``two_color`` and ``n_color`` functions
+    from outside: ``chunks`` glued by the merge, inner ``levels`` that run a
+    merge (the direct route settles a block of at most two leaves without
+    one), ``_lca`` calls, glue-source ``visits`` (the sources each
+    direct-route level is handed), and in the pair layer the colour pairs
+    that ``pair_topology`` keys into classes (``pair_classes``), the
+    sink-free ones among them, whose pieces ``two_color._blocks`` finds
+    right before the axioms run on them (``axiom_checks``), with the
+    ``classes`` it is handed, the calls of ``hasse_forest`` (``hasse_passes``), of
+    ``two_color.scan_bits`` (``scans``) and of ``two_color.bits``
+    (``walks``).  The component split runs the merge through ``digraph``'s
+    own binding, so its chunks are not counted."""
     pair_layer = {
-        "pair_classes": "pair_classes", "_axiom_check": "axiom_checks", "hasse_forest": "hasse_passes",
-        "scan_bits": "scans",
+        "_blocks": "axiom_checks", "hasse_forest": "hasse_passes", "scan_bits": "scans", "bits": "walks",
     }
-    counts = dict.fromkeys(("chunks", "levels", "lca", "visits", "classes", *pair_layer.values()), 0)
+    counted_names = ("chunks", "levels", "lca", "visits", "classes", "pair_classes", *pair_layer.values())
+    counts = dict.fromkeys(counted_names, 0)
     real = {name: getattr(triples, name) for name in ("_blocks", "_with_singletons", "_lca", "_glue")}
     real_pair = {name: getattr(two_color, name) for name in pair_layer}
+    real_pairs = {module: module.pair_topology for module in (two_color, n_color)}  # n_color binds it by name
 
     def counted(name):
         def wrapper(*args):
             counts[pair_layer[name]] += 1
-            found = real_pair[name](*args)
-            if name == "pair_classes" and not isinstance(found, Rejection):
-                counts["classes"] += len(found[0])
-            return found
+            if name == "_blocks":
+                counts["classes"] += args[0].bit_count()
+            return real_pair[name](*args)
+
+        return wrapper
+
+    def decided(module):
+        def wrapper(*args):
+            counts["pair_classes"] += 1
+            return real_pairs[module](*args)
 
         return wrapper
 
@@ -730,6 +850,8 @@ def build_work():
         setattr(triples, name, wrapper)
     for name in pair_layer:
         setattr(two_color, name, counted(name))
+    for module in real_pairs:
+        module.pair_topology = decided(module)
     try:
         yield counts
     finally:
@@ -737,3 +859,5 @@ def build_work():
             setattr(triples, name, function)
         for name, function in real_pair.items():
             setattr(two_color, name, function)
+        for module, function in real_pairs.items():
+            module.pair_topology = function
