@@ -5,12 +5,12 @@ of the original string ids, so "smallest vertex" is well defined and every
 derived object (components, classes, arc listings) is deterministic.
 
 A digraph stores one Python-int bitset per vertex, its only adjacency: bit
-j of ``out_masks[i]`` is set exactly for the arc i -> j.  Three views are
-built on first read and then kept: the in-bitsets ``in_masks`` (read by
-the pairwise route and the API only), and the one colour table,
-``color_masks`` (the classes L_t) and ``color_outs`` (each vertex's N_t(v)),
-which every layer reads in place of rebuilding it.  So a graph that is only
-written or compared, as in ``from-tree`` and the gate, builds none of them.
+j of ``out_masks[i]`` is set exactly for the arc i -> j.  Two views are
+built on first read and then kept: the in-bitsets ``in_masks`` (pairwise
+route and API only) and the colour classes ``color_masks`` (L_t).  N_t(v)
+is ``out & L_t``, taken where it is needed and kept nowhere.  So a graph
+that is only written or compared, as in ``from-tree`` and the gate, builds
+neither.
 An undirected graph holds both arcs of each edge.  Bit order is vertex
 order, so ``bits`` (or ``scan_bits`` for dense masks) lists vertices sorted.
 One merge, ``_blocks``, splits a graph into components, a colour pair into
@@ -61,7 +61,7 @@ class ColoredDigraph:
 
     __slots__ = (
         "vertex_ids", "index_of", "color_ids", "color_of", "out_masks",
-        "_in_masks", "_color_masks", "_color_outs",  # the views built on first read
+        "_in_masks", "_color_masks",  # the views built on first read
     )
 
     def __init__(self, colors: Mapping[str, str], arcs: Iterable[tuple[str, str]] = ()):
@@ -99,7 +99,6 @@ class ColoredDigraph:
         self.color_of: tuple[int, ...] = tuple(color_index[colors[v]] for v in self.vertex_ids)
         self._in_masks: tuple[int, ...] | None = None
         self._color_masks: tuple[int, ...] | None = None
-        self._color_outs: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     @property
     def in_masks(self) -> tuple[int, ...]:
@@ -125,20 +124,6 @@ class ColoredDigraph:
                 by_color[c] |= 1 << v
             color_masks = self._color_masks = tuple(by_color)
         return color_masks
-
-    @property
-    def color_outs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex v, the pairs ``(t, N_t(v))`` of the colours t that v has
-        arcs to, by colour index, N_t(v) the bitset of v's out-neighbours of
-        colour t; built on first read, one AND per vertex and colour, and then
-        kept."""
-        color_outs = self._color_outs
-        if color_outs is None:
-            by_color = tuple(enumerate(self.color_masks))
-            color_outs = self._color_outs = tuple(
-                tuple([(t, hit) for t, mask in by_color if (hit := out & mask)]) for out in self.out_masks
-            )
-        return color_outs
 
     # -- basic queries ---------------------------------------------------
 

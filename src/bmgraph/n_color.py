@@ -8,7 +8,7 @@ BUILD, or (b) run BUILD on the union of the pairwise informative triples.
 Every vertex set handed on is a bitset of vertex indices; only report
 fields and witnesses name ids.  ``connected_components`` gives each
 component as a mask, passed on unchanged as ``ground``, and both routes
-read the input graph's own bitset adjacency and its one colour table, so
+read the input graph's own bitset adjacency and its colour classes, so
 nothing is copied.  The colour classes ``graph.color_masks`` give each
 component's colour set and the colour pairs, which are built once per
 graph.  In (a) a pair is the mask ``(first | second) & ground``,
@@ -16,10 +16,10 @@ and ``two_color.pair_topology`` reads its sinks, pieces and thinness
 classes off the out- and in-bitsets and returns its tree as a cluster
 family over vertex bitsets, which holds the tree's inner nodes only;
 ``build_from_trees`` glues from those families on ``ground``, so no pair
-tree is ever built.  In (b) ``build(graph,
-ground)`` groups the component's per-colour out-neighbourhoods
-``graph.color_outs`` by (t, N_t) and glues once per group; the pair notes
-count each pair's triples from the same table.
+tree is ever built.  In (b) ``build(graph, ground, counts)`` walks the
+component's vertices once, taking each N_t(a) = ``out & L_t`` on the fly:
+it glues once per (t, N_t) group and counts each colour pair's informative
+triples into ``counts`` for the pair notes, keeping no table.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the forward engine
@@ -33,7 +33,8 @@ catches any pair the candidate fails.  A ``2cbmg-failure`` witness is the
 pair's own ``Rejection``; the colour pair is recorded in ``pair_verdicts``.
 
 Recognition has one exit: each stage before the gate returns the candidate
-topology or a ``Rejection``, and ``recognize_ncbmg`` writes the verdict once.
+topology or a ``Rejection``, and ``recognize_ncbmg`` writes the verdict once;
+each stage reached writes its wall time, also when it rejects.
 A single-colour graph takes the same path: without same-colour arcs it has
 no arc, each vertex is a component of its own, and the gate accepts their star.
 """
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .bmg import bmg_of_tree
 # induced_subgraph, subgraph_on, informative_triples and lrt_via_hierarchy
@@ -57,7 +60,7 @@ from .digraph import (  # noqa: F401
 )
 from .errors import GraphError
 from .tree import LeafColoredTree, Topology
-from .triples import build, build_from_trees, informative_triple_counts, informative_triples  # noqa: F401
+from .triples import build, build_from_trees, informative_triples  # noqa: F401
 from .two_color import lrt_via_hierarchy, pair_topology  # noqa: F401
 from .verdicts import Rejection
 
@@ -93,10 +96,9 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
     report = RecognitionReport(accepted=False, route=route)
     outcome = _candidate(graph, route, report)
     if not isinstance(outcome, Rejection):
-        t0 = time.perf_counter()
-        candidate = LeafColoredTree(outcome, graph.colors_as_dict())
-        mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
-        report.timings["gate"] = time.perf_counter() - t0
+        with _timed(report, "gate"):
+            candidate = LeafColoredTree(outcome, graph.colors_as_dict())
+            mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
         outcome = candidate if mismatch is None else Rejection("graph-mismatch", mismatch)
     if isinstance(outcome, Rejection):
         report.stage, report.witness = outcome.stage, outcome.witness
@@ -107,35 +109,43 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
     return report
 
 
+@contextmanager
+def _timed(report: RecognitionReport, stage: str) -> Iterator[None]:
+    """Time the block into ``report.timings[stage]``, early returns included."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.timings[stage] = time.perf_counter() - t0
+
+
 def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> Topology | Rejection:
     """The structure checks, then the candidate topologies of the components
     joined under one root, or the first rejection."""
-    t0 = time.perf_counter()
-    bad = graph.same_color_arc()
-    if bad is not None:
-        return Rejection("same-color-arc", tuple(graph.vertex_ids[v] for v in bad))
-    comps = connected_components(graph)
-    ids, by_color = graph.vertex_ids, graph.color_masks
-    report.components = tuple(tuple(ids[v] for v in bits(comp)) for comp in comps)
-    met = [bool(mask & comps[0]) for mask in by_color]
-    for k in range(1, len(comps)):
-        if [bool(mask & comps[k]) for mask in by_color] != met:
-            return Rejection("component-color-mismatch", (report.components[0], report.components[k]))
-    report.timings["structure"] = time.perf_counter() - t0
+    with _timed(report, "structure"):
+        bad = graph.same_color_arc()
+        if bad is not None:
+            return Rejection("same-color-arc", tuple(graph.vertex_ids[v] for v in bad))
+        comps = connected_components(graph)
+        ids, by_color = graph.vertex_ids, graph.color_masks
+        report.components = tuple(tuple(ids[v] for v in bits(comp)) for comp in comps)
+        met = [bool(mask & comps[0]) for mask in by_color]
+        for k in range(1, len(comps)):
+            if [bool(mask & comps[k]) for mask in by_color] != met:
+                return Rejection("component-color-mismatch", (report.components[0], report.components[k]))
 
-    t0 = time.perf_counter()
-    pairs: ColorPairs | None = None
-    if route == "pairwise-lrt":
-        named = zip(graph.color_ids, by_color)
-        pairs = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
-    topologies: list[Topology] = []
-    for ci, comp in enumerate(comps):
-        outcome = _recognize_component(graph, comp, ci, pairs, report)
-        if isinstance(outcome, Rejection):
-            return outcome
-        topologies.append(outcome)
-    report.timings["components"] = time.perf_counter() - t0
-    return tuple(topologies)  # a lone component's root is unwrapped by the tree
+    with _timed(report, "components"):
+        pairs: ColorPairs | None = None
+        if route == "pairwise-lrt":
+            named = zip(graph.color_ids, by_color)
+            pairs = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
+        topologies: list[Topology] = []
+        for ci, comp in enumerate(comps):
+            outcome = _recognize_component(graph, comp, ci, pairs, report)
+            if isinstance(outcome, Rejection):
+                return outcome
+            topologies.append(outcome)
+        return tuple(topologies)  # a lone component's root is unwrapped by the tree
 
 
 def _recognize_component(
@@ -147,17 +157,15 @@ def _recognize_component(
 ) -> Topology | Rejection:
     """Candidate topology of the component with vertex mask ``ground``.  The
     pairwise route hands in the graph's colour pairs as vertex masks; the
-    direct route hands in None and reads the graph's colour table.
+    direct route hands in None, and its one BUILD call also counts each
+    colour pair's informative triples for the pair notes.
     No tree is built and no gate runs here, the caller's global comparison
     is the only one."""
     if pairs is None:
-        counts = informative_triple_counts(graph, ground)
-        names = graph.color_ids
-        for s, t in itertools.combinations(range(len(names)), 2):
-            report.pair_verdicts[(ci, (names[s], names[t]))] = (
-                f"{counts.get((s, t), 0)} informative triples"
-            )
-        topo = build(graph, ground)
+        counts: dict[tuple[int, int], int] = {}
+        topo = build(graph, ground, counts)
+        for (s, first), (t, second) in itertools.combinations(enumerate(graph.color_ids), 2):
+            report.pair_verdicts[(ci, (first, second))] = f"{counts.get((s, t), 0)} informative triples"
     else:
         families = []
         for s, t, pair in pairs:

@@ -9,11 +9,12 @@ images, in O(|E| |L|).
 
 ``build`` is the one BUILD for triples, from an explicit stack over leaf
 bitsets.  Its glue comes from a triple collection or a colored digraph's
-colour table: ab|z lies inside a level M exactly for an arc a->b and a z
+out-bitsets: ab|z lies inside a level M exactly for an arc a->b and a z
 in M of b's colour t outside N_t(a), a test that reads a only through
 (t, N_t(a)), so the vertices sharing that key glue as one source and no
-triple is built.  The pair notes count triples off the same table.  The
-triples route is ``recognize_ncbmg(graph, route="informative-direct")``.
+triple is built; one pass takes each N_t(a) as ``out & L_t``, keeps none,
+and counts each colour pair's triples for the pair notes.  The triples
+route is ``recognize_ncbmg(graph, route="informative-direct")``.
 
 ``build_from_trees`` glues from pair trees given as cluster families over
 leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``
@@ -109,14 +110,16 @@ def informative_triples(graph: ColoredDigraph) -> TripleSet:
 def build(
     source: ColoredDigraph | TripleSet | Iterable[RootedTriple],
     leaves: int | Iterable[str],
+    counts: dict[tuple[int, int], int] | None = None,
 ) -> Topology | None:
     """Aho tree on ``leaves``, or None when no tree displays the triples:
     those of a collection on the labels ``leaves``, or the informative ones
-    of a colored digraph on the vertex bitset ``leaves``, read off its
-    colour table and never built."""
+    of a colored digraph on the vertex bitset ``leaves``, never built, with
+    their number per colour pair added to ``counts`` when given."""
     if isinstance(source, ColoredDigraph):
         check_vertex_mask(source, leaves)
-        names, sources, root = source.vertex_ids, _graph_sources(source, leaves), leaves
+        sources = _graph_sources(source, leaves, {} if counts is None else counts)
+        names, root = source.vertex_ids, leaves
     else:
         names = tuple(sorted(set(leaves)))
         sources = _triple_sources(source, {x: k for k, x in enumerate(names)})
@@ -190,38 +193,32 @@ def _glue(level: int, sources: list[Source]) -> tuple[list[Source], list[int], l
     return live, firsts, list(chunks.values())
 
 
-def _graph_sources(graph: ColoredDigraph, leaves: int) -> list[Source]:
+def _graph_sources(graph: ColoredDigraph, leaves: int, counts: dict[tuple[int, int], int]) -> list[Source]:
     """Glue sources of the informative triples inside ``leaves``: the
-    vertices not of colour t that share one N = N_t(a) give one source
-    ``(members, N, z)``, z the rest of colour t; a same-colour arc its own."""
-    color_sets, color_of, outs = graph.color_masks, graph.color_of, graph.color_outs
+    vertices not of colour t that share one N = N_t(a) = ``out & L_t``, for
+    the colours t in ``leaves``, give one source ``(members, N, z)``, z the
+    rest of colour t; a same-colour arc its own.  The same step adds to
+    ``counts[(s, t)]``, ``s < t``, the colour pair's informative triples,
+    exact when no arc leaves ``leaves`` and none joins one colour: ab|z
+    arises from the one arc a->b and the one z of b's colour outside N(a),
+    so a pair counts |N_u(a)| * (|L_u| - |N_u(a)|) over its vertices a, u
+    the other colour."""
+    color_sets, color_of, out_masks = graph.color_masks, graph.color_of, graph.out_masks
+    present = [(t, mask, (mask & leaves).bit_count()) for t, mask in enumerate(color_sets) if mask & leaves]
     sources, members = [], {}
     for a in scan_bits(leaves):
-        bit, s = 1 << a, color_of[a]
-        for t, n in outs[a]:
+        out, bit, s = out_masks[a], 1 << a, color_of[a]
+        for t, mask, size in present:
+            if not (n := out & mask):
+                continue
             if t == s:
-                sources.append((bit, n, color_sets[t] & ~(n | bit)))
-            else:
-                members[n] = members.get(n, 0) | bit
-    return sources + [(m, n, color_sets[color_of[(n & -n).bit_length() - 1]] & ~n) for n, m in members.items()]
-
-
-def informative_triple_counts(graph: ColoredDigraph, ground: int) -> dict[tuple[int, int], int]:
-    """Informative triples per color pair ``(s, t)``, ``s < t`` color indices,
-    of the subgraph on the vertex mask ``ground``, which no arc leaves, in
-    closed form for a graph without same-color arcs: ab|z arises from the one
-    arc a->b and the one z of b's color outside N(a), so a pair counts
-    |N_u(a)| * (|L_u| - |N_u(a)|) over its vertices a, u the other color."""
-    sizes = [(mask & ground).bit_count() for mask in graph.color_masks]
-    color_of, outs = graph.color_of, graph.color_outs
-    counts: dict[tuple[int, int], int] = {}
-    for a in scan_bits(ground):
-        s = color_of[a]
-        for t, hit in outs[a]:
-            k = hit.bit_count()
+                sources.append((bit, n, mask & ~(n | bit)))
+                continue
+            members[n] = members.get(n, 0) | bit
+            k = n.bit_count()
             pair = (s, t) if s < t else (t, s)
-            counts[pair] = counts.get(pair, 0) + k * (sizes[t] - k)
-    return counts
+            counts[pair] = counts.get(pair, 0) + k * (size - k)
+    return sources + [(m, n, color_sets[color_of[(n & -n).bit_length() - 1]] & ~n) for n, m in members.items()]
 
 
 def _triple_sources(triples: TripleSet | Iterable[RootedTriple], index: dict[str, int]) -> list[Source]:

@@ -264,18 +264,9 @@ def in_neighborhoods(graph):
 
 
 def color_table(graph):
-    """Colour classes and per-colour out-neighbourhoods straight from the definition."""
-    vertices, colors = range(len(graph)), range(len(graph.color_ids))
-    classes = tuple(sum(1 << v for v in vertices if graph.color_of[v] == t) for t in colors)
-    outs = tuple(
-        tuple(
-            (t, hit)
-            for t in colors
-            if (hit := sum(1 << w for w in vertices if graph.has_arc(v, w) and graph.color_of[w] == t))
-        )
-        for v in vertices
-    )
-    return classes, outs
+    """Colour classes straight from the definition."""
+    vertices = range(len(graph))
+    return tuple(sum(1 << v for v in vertices if graph.color_of[v] == t) for t in range(len(graph.color_ids)))
 
 
 def shuffled_parse(graph, rng):
@@ -308,7 +299,7 @@ def test_in_masks_of_a_parsed_graph_are_the_transposition_whatever_the_vertex_or
         parsed = shuffled_parse(graph, random.Random(seed))
         assert parsed == graph
         assert parsed.in_masks == in_neighborhoods(graph)
-        assert (parsed.color_masks, parsed.color_outs) == color_table(graph)
+        assert parsed.color_masks == color_table(graph)
 
 
 def test_in_masks_of_forward_graphs_are_built_on_first_read():
@@ -331,9 +322,8 @@ def test_color_table_is_its_definition_however_the_graph_is_made(graph, rng):
         shuffled_parse(graph, rng),
     ]
     for g in made:
-        assert (g.color_masks, g.color_outs) == color_table(graph)
+        assert g.color_masks == color_table(graph)
         assert g.color_masks is g.color_masks  # built once, then kept
-        assert g.color_outs is g.color_outs
 
 
 def test_a_from_tree_run_builds_no_view_of_its_graph(tmp_path, monkeypatch):
@@ -352,8 +342,8 @@ def test_a_from_tree_run_builds_no_view_of_its_graph(tmp_path, monkeypatch):
         assert cli.main(["from-tree", "--tree", str(tp), "--out", str(tmp_path / "g.txt")]) == 0
         (graph,) = written
         written.clear()
-        assert (graph._in_masks, graph._color_masks, graph._color_outs) == (None, None, None)
-        assert (graph.color_masks, graph.color_outs) == color_table(graph)
+        assert (graph._in_masks, graph._color_masks) == (None, None)
+        assert graph.color_masks == color_table(graph)
 
 
 def test_racing_first_reads_of_in_masks_agree():

@@ -37,6 +37,7 @@ from util import (
     connected_scenario,
     contractible_edges,
     displays,
+    gene_families,
     hierarchy_lrt,
     random_binary_refinement,
     random_scenario,
@@ -250,6 +251,62 @@ def test_report_carries_components_pairs_and_timings():
     assert report.components
     assert report.pair_verdicts
     assert "structure" in report.timings and "gate" in report.timings
+
+
+# per outcome, the stages whose time the report carries
+STAGES_REACHED = {
+    "same-color-arc": {"structure"},
+    "component-color-mismatch": {"structure"},
+    "2cbmg-failure": {"structure", "components"},
+    "triples-inconsistent": {"structure", "components"},
+    "graph-mismatch": {"structure", "components", "gate"},
+    "accepted": {"structure", "components", "gate"},
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("case", list(STAGES_REACHED))
+def test_every_stage_reached_writes_its_time_also_on_a_rejection(case, route):
+    graph = {
+        "same-color-arc": lambda: ColoredDigraph({"a": "r", "b": "r"}, [("a", "b")]),
+        # components {a, b} and {c} carry different colour sets
+        "component-color-mismatch": lambda: ColoredDigraph(
+            {"a": "r", "b": "b", "c": "r"}, [("a", "b"), ("b", "a")]
+        ),
+        # a colour pair fails on the pairwise route, the triples on the direct one
+        "2cbmg-failure": smallest_counterexample,
+        "triples-inconsistent": counterex_sym_graph,
+        "graph-mismatch": gate_mismatch_graph,
+        "accepted": lambda: bmg_of_tree(three_class_scenario_tree()),
+    }[case]()
+    report = recognize_ncbmg(graph, route=route)
+    if (case, route) == ("2cbmg-failure", "informative-direct"):
+        assert report.stage == "triples-inconsistent"
+    else:
+        assert report.stage == (None if case == "accepted" else case)
+    assert report.timings.keys() == STAGES_REACHED[case], report.timings
+    assert all(seconds >= 0 for seconds in report.timings.values())
+
+
+def test_many_families_are_recognized_as_each_family_alone():
+    # 20 families of 50 leaves in 5 colours, 30 components in all: each
+    # component gets the pair notes it gets in its family alone, and the
+    # tree of the union joins the families' component trees under one root
+    families, union = gene_families(20)
+    reports = {route: recognize_ncbmg(union, route=route) for route in ROUTES}
+    assert all(report.accepted for report in reports.values())
+    notes, parts = {}, []
+    for family in families:
+        alone = recognize_ncbmg(family, route="informative-direct")
+        assert alone.accepted
+        notes.update(((alone.components[ci], pair), note) for (ci, pair), note in alone.pair_verdicts.items())
+        topology = alone.lrt.topology()
+        parts += topology if len(alone.components) > 1 else [topology]
+    direct = reports["informative-direct"]
+    assert len(direct.components) == len(parts) == 30
+    assert {(direct.components[ci], pair): note for (ci, pair), note in direct.pair_verdicts.items()} == notes
+    joined = LeafColoredTree(tuple(parts), union.colors_as_dict())
+    assert reports["pairwise-lrt"].lrt == direct.lrt == joined
 
 
 def test_redundant_edges_n_empty_on_lrt():

@@ -112,40 +112,53 @@ def test_pairwise_hot_path_copies_no_pair_graph():
     assert not found, found
 
 
+def _unread_members(module: str, class_name: str) -> tuple[set[str], list[str]]:
+    """The methods and properties of ``class_name``, dunders aside, and those
+    that no function of the package reads: a method through a call, a
+    property through any attribute access, neither counted in its own body."""
+    source = ast.parse((SRC / "bmgraph" / f"{module}.py").read_text(encoding="utf-8"))
+    [owner] = [n for n in source.body if isinstance(n, ast.ClassDef) and n.name == class_name]
+    methods, properties = set(), set()
+    for node in owner.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+            is_property = any(getattr(d, "id", None) == "property" for d in node.decorator_list)
+            (properties if is_property else methods).add(node.name)
+    called, read = set(), set()
+    for path in sorted((SRC / "bmgraph").glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(top, ast.FunctionDef):
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                        if node.func.attr != top.name:
+                            called.add(node.func.attr)
+                    elif isinstance(node, ast.Attribute) and node.attr != top.name:
+                        read.add(node.attr)
+    return methods | properties, sorted((methods - called) | (properties - read))
+
+
 def test_every_tree_method_has_a_caller_in_src():
     # a LeafColoredTree method that no code in the package calls is API kept
     # for tests alone, and belongs in tests/util.py; ``topology`` is exempt as
     # the documented way to read a tree back as nested tuples
-    source = ast.parse((SRC / "bmgraph" / "tree.py").read_text(encoding="utf-8"))
-    [tree_class] = [n for n in source.body if isinstance(n, ast.ClassDef) and n.name == "LeafColoredTree"]
-    methods = {
-        node.name
-        for node in tree_class.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
-    } - {"topology"}
-    called = set()
-    for path in sorted((SRC / "bmgraph").glob("*.py")):
-        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(top, ast.FunctionDef):
-                called |= {
-                    node.func.attr
-                    for node in ast.walk(top)
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    # a call inside a method's own body does not count for it
-                    and node.func.attr != top.name
-                }
-    uncalled = sorted(methods - called)
-    assert methods and not uncalled, uncalled
+    members, unread = _unread_members("tree", "LeafColoredTree")
+    unread = [name for name in unread if name != "topology"]
+    assert members and not unread, unread
+
+
+def test_every_digraph_method_and_view_has_a_reader_in_src():
+    # the ColoredDigraph twin of the rule above: a method no code in the
+    # package calls, or a view (a property, such as a lazily built table)
+    # that none reads, is kept for tests alone and belongs in tests/util.py
+    members, unread = _unread_members("digraph", "ColoredDigraph")
+    assert {"in_masks", "color_masks"} <= members and not unread, unread
 
 
 def test_every_two_color_function_has_a_caller_or_is_public():
-    # a module-level function of two_color that nothing in the package calls,
-    # that bmgraph does not export and that perfbench does not trace is a
-    # step kept for tests alone, such as a second axiom check, and belongs in
-    # tests/util.py
-    traced = {attr for module, attr, _ in _traced_bindings() if module == "two_color"}
+    # a module-level function of two_color or triples that nothing in the
+    # package calls, that bmgraph does not export and that perfbench does not
+    # trace is a step kept for tests alone, such as a second axiom check or
+    # a second count of the triples, and belongs in tests/util.py
     exported = set(importlib.import_module("bmgraph").__all__)
-    functions = set(_functions("two_color"))
     called = set()
     for path in sorted((SRC / "bmgraph").glob("*.py")):
         for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -156,8 +169,14 @@ def test_every_two_color_function_has_a_caller_or_is_public():
                     # a call inside a function's own body does not count for it
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) != top.name
                 }
-    uncalled = sorted(functions - called - exported - traced)
-    assert functions and not uncalled, uncalled
+    uncalled = []
+    for module in ("two_color", "triples"):
+        # traced where this module or a caller binds it, by this module's span name
+        traced = {attr for owner, attr, span in _traced_bindings() if module in (owner, span.split(".")[0])}
+        functions = set(_functions(module))
+        assert functions, module
+        uncalled += [f"{module}.{name}" for name in sorted(functions - called - exported - traced)]
+    assert not uncalled, uncalled
 
 
 def test_one_gate_calls_bmg_of_tree():

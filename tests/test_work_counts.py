@@ -1,5 +1,5 @@
 """Deterministic work counts of both BUILDs and of the pair layer as
-complexity guards.
+complexity guards, and one memory guard on the direct route.
 
 Single timings on a shared host spread up to 2x, so a regression in how
 BUILD work grows can hide in noise; the counts of ``util.build_work`` do
@@ -8,10 +8,13 @@ over caterpillars of 200, 400 and 800 leaves and Yule graphs of 100, 200
 and 400 leaves in 20 colours."""
 
 import math
+import sys
+import tracemalloc
 
 import pytest
 
 from bmgraph import ColoredDigraph, SimulationConfig, bmg_of_tree, recognize_ncbmg, simulate
+from bmgraph.graphio import format_graph, parse_graph
 from util import build_work, caterpillar
 
 SIZES = (200, 400, 800)
@@ -157,6 +160,25 @@ def test_each_component_build_visits_its_own_groups_only():
     graph = ColoredDigraph(colors, arcs)
     with build_work() as counts:
         assert recognize_ncbmg(graph, route="informative-direct").accepted
-    groups = {(t, n) for row in graph.color_outs for t, n in row}  # one group per (t, N_t), as no arc joins one colour
+    # one group per (t, N_t), as no arc joins one colour
+    groups = {(t, n) for out in graph.out_masks for t, mask in enumerate(graph.color_masks) if (n := out & mask)}
     assert len(groups) == 2 * pairs
     assert 0 < counts["visits"] <= 4 * len(groups), counts
+
+
+def test_direct_route_keeps_no_per_vertex_colour_table():
+    # the direct route takes each N_t(a) as ``out & L_t`` where it needs it,
+    # so its peak allocation stays a small multiple of the graph's own
+    # out-bitsets: 7.99x when first measured on parsed Yule 2000 x 20
+    # (seed 3), the pairwise route 8.9x; a per-(vertex, colour) table of
+    # out-neighbourhoods, kept for the life of the graph, made it 34.4x
+    _, simulated = simulate(SimulationConfig(2000, 20, 3))
+    graph = parse_graph(format_graph(simulated))
+    own = sum(map(sys.getsizeof, graph.out_masks))
+    tracemalloc.start()
+    try:
+        assert recognize_ncbmg(graph, route="informative-direct").accepted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * own, (peak, own, peak / own)

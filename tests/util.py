@@ -542,6 +542,25 @@ def caterpillar(n: int, colors: int = 2) -> LeafColoredTree:
     return LeafColoredTree(topology, {name: f"c{i % colors}" for i, name in enumerate(names)})
 
 
+def gene_families(families: int) -> tuple[list[ColoredDigraph], ColoredDigraph]:
+    """Many gene families: the BMGs of ``simulate(SimulationConfig(50, 5,
+    seed))`` for seeds 1 to ``families``, each with its ids prefixed by
+    ``f<seed>.``, and their disjoint union, a BMG as every family uses all
+    five colours.  Prefixes are zero-padded, so the union lists the families
+    in seed order, each in its own vertex order."""
+    width = len(str(families))
+    parts, union_colors, union_arcs = [], {}, []
+    for seed in range(1, families + 1):
+        _, graph = simulate(SimulationConfig(50, 5, seed))
+        ids = [f"f{seed:0{width}d}.{v}" for v in graph.vertex_ids]
+        part_colors = {v: graph.color_name(i) for i, v in enumerate(ids)}
+        part_arcs = [(ids[i], ids[j]) for i, j in graph.arcs()]
+        parts.append(ColoredDigraph(part_colors, part_arcs))
+        union_colors.update(part_colors)
+        union_arcs += part_arcs
+    return parts, ColoredDigraph(union_colors, union_arcs)
+
+
 def connected_sink_free_out_masks(reds: int, blues: int):
     """Out-neighbourhood bitmasks of every connected two-colored digraph on
     ``reds`` + ``blues`` vertices with no sink (reds are vertices 0..reds-1)."""
