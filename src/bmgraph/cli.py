@@ -32,6 +32,11 @@ from .two_color import check_axioms
 from .verdicts import CheckResult, Rejection
 
 _ROUTE_BY_FLAG = {"pairwise": "pairwise-lrt", "direct": "informative-direct"}
+_ROUTE_HELP = (
+    "pairwise (default): axioms N1-N3 per colour pair, then BUILD on the pair trees; on three or "
+    "more colours it accepts through the direct candidate, the same unique tree, and decides the "
+    "rejection stage and witness itself; direct: BUILD on the informative triples"
+)
 
 
 def _witness_ids(obj: object) -> list[str]:
@@ -164,14 +169,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="decide whether a colored digraph is a best match graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--route", choices=sorted(_ROUTE_BY_FLAG), default="pairwise")
+    p.add_argument("--route", choices=sorted(_ROUTE_BY_FLAG), default="pairwise", help=_ROUTE_HELP)
     p.add_argument("--emit-lrt", help="write the least resolved tree here on accept")
     p.add_argument("--emit-dot", help="write a DOT rendering of the input graph")
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("lrt", help="recognize and write the least resolved tree, or fail")
     p.add_argument("--graph", required=True)
-    p.add_argument("--route", choices=sorted(_ROUTE_BY_FLAG), default="pairwise")
+    p.add_argument("--route", choices=sorted(_ROUTE_BY_FLAG), default="pairwise", help=_ROUTE_HELP)
     p.add_argument("--out-tree", required=True)
     p.set_defaults(func=cmd_lrt)
 

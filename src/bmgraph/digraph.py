@@ -307,20 +307,12 @@ class ThinnessPartition:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def class_ids(self, a: int) -> tuple[str, ...]:
-        g = self.graph
-        return tuple(g.vertex_ids[i] for i in self.classes[a])
-
     def vertex_out(self, a: int) -> frozenset[int]:
         """Vertex-level N of class ``a`` (taken from a representative)."""
         return frozenset(bits(self.graph.out_masks[self.classes[a][0]]))
 
     def vertex_in(self, a: int) -> frozenset[int]:
         return frozenset(bits(self.graph.in_masks[self.classes[a][0]]))
-
-    def no_in_classes(self) -> tuple[int, ...]:
-        """Classes with empty in-neighborhood (the set called W)."""
-        return tuple(a for a in range(len(self.classes)) if not self.in_classes[a])
 
 
 def thinness_partition(graph: ColoredDigraph) -> ThinnessPartition:

@@ -32,9 +32,19 @@ tree's BMG restricted to their leaves, so the global comparison also
 catches any pair the candidate fails.  A ``2cbmg-failure`` witness is the
 pair's own ``Rejection``; the colour pair is recorded in ``pair_verdicts``.
 
+On three or more colours route (a) first gates the candidate of (b), built
+without pair notes.  A best match graph has exactly one least resolved
+tree, and both candidates are that tree, so on acceptance (a) returns the
+tree it would have built and notes every colour pair as a 2-cBMG, which
+each colour pair of a best match graph is; no pair body runs.  Only when
+the gate rejects does (a) run in full, from the same components, so its
+stage, witness and pair notes are its own.  With one colour pair the pair
+body already gives the whole candidate, so on two colours (a) runs alone.
+
 Recognition has one exit: each stage before the gate returns the candidate
 topology or a ``Rejection``, and ``recognize_ncbmg`` writes the verdict once;
-each stage reached writes its wall time, also when it rejects.
+each stage reached writes its wall time, also when it rejects, summed over
+both candidates where two run.
 A single-colour graph takes the same path: without same-colour arcs it has
 no arc, each vertex is a component of its own, and the gate accepts their star.
 """
@@ -94,34 +104,47 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
     if route not in ROUTES:
         raise GraphError(f"unknown route {route!r}; pick one of {ROUTES}")
     report = RecognitionReport(accepted=False, route=route)
-    outcome = _candidate(graph, route, report)
-    if not isinstance(outcome, Rejection):
-        with _timed(report, "gate"):
-            candidate = LeafColoredTree(outcome, graph.colors_as_dict())
-            mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
-        outcome = candidate if mismatch is None else Rejection("graph-mismatch", mismatch)
+    outcome = comps = _structure(graph, report)
+    if isinstance(comps, Rejection):
+        attempts = []
+    elif route == "pairwise-lrt" and len(graph.color_ids) > 2:
+        attempts = [None, route]  # the direct candidate first, the pair layer only after its rejection
+    else:
+        attempts = [route]
+    for attempt in attempts:
+        outcome = _candidate(graph, comps, attempt, report)
+        if not isinstance(outcome, Rejection):
+            with _timed(report, "gate"):
+                candidate = LeafColoredTree(outcome, graph.colors_as_dict())
+                mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
+            outcome = candidate if mismatch is None else Rejection("graph-mismatch", mismatch)
+        if not isinstance(outcome, Rejection):
+            break
     if isinstance(outcome, Rejection):
         report.stage, report.witness = outcome.stage, outcome.witness
     else:
         report.accepted, report.lrt = True, outcome
         if len(graph.color_ids) == 1:
             report.note = "single-color: edge-less graph, star tree"
+        if attempt is None:  # every colour pair of a best match graph is a 2-cBMG
+            pairs = list(itertools.combinations(graph.color_ids, 2))
+            report.pair_verdicts = {(ci, pair): "2-cBMG" for ci in range(len(comps)) for pair in pairs}
     return report
 
 
 @contextmanager
 def _timed(report: RecognitionReport, stage: str) -> Iterator[None]:
-    """Time the block into ``report.timings[stage]``, early returns included."""
+    """Add the block's wall time to ``report.timings[stage]``, early returns
+    included; a stage that runs for two candidates sums both."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        report.timings[stage] = time.perf_counter() - t0
+        report.timings[stage] = report.timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
-def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> Topology | Rejection:
-    """The structure checks, then the candidate topologies of the components
-    joined under one root, or the first rejection."""
+def _structure(graph: ColoredDigraph, report: RecognitionReport) -> list[int] | Rejection:
+    """The structure checks: the components' vertex masks, or the first rejection."""
     with _timed(report, "structure"):
         bad = graph.same_color_arc()
         if bad is not None:
@@ -133,15 +156,23 @@ def _candidate(graph: ColoredDigraph, route: str, report: RecognitionReport) -> 
         for k in range(1, len(comps)):
             if [bool(mask & comps[k]) for mask in by_color] != met:
                 return Rejection("component-color-mismatch", (report.components[0], report.components[k]))
+        return comps
 
+
+def _candidate(
+    graph: ColoredDigraph, comps: list[int], route: str | None, report: RecognitionReport
+) -> Topology | Rejection:
+    """The candidate topologies of the components joined under one root, or
+    the first rejection.  ``route`` None is the pairwise route's direct
+    attempt: the direct route's BUILD, with no pair notes."""
     with _timed(report, "components"):
         pairs: ColorPairs | None = None
         if route == "pairwise-lrt":
-            named = zip(graph.color_ids, by_color)
+            named = zip(graph.color_ids, graph.color_masks)
             pairs = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
         topologies: list[Topology] = []
         for ci, comp in enumerate(comps):
-            outcome = _recognize_component(graph, comp, ci, pairs, report)
+            outcome = _recognize_component(graph, comp, ci, pairs, report, route is not None)
             if isinstance(outcome, Rejection):
                 return outcome
             topologies.append(outcome)
@@ -154,18 +185,20 @@ def _recognize_component(
     ci: int,
     pairs: ColorPairs | None,
     report: RecognitionReport,
+    notes: bool,
 ) -> Topology | Rejection:
     """Candidate topology of the component with vertex mask ``ground``.  The
     pairwise route hands in the graph's colour pairs as vertex masks; the
-    direct route hands in None, and its one BUILD call also counts each
-    colour pair's informative triples for the pair notes.
+    direct route hands in None, and with ``notes`` its one BUILD call also
+    counts each colour pair's informative triples for the pair notes.
     No tree is built and no gate runs here, the caller's global comparison
     is the only one."""
     if pairs is None:
-        counts: dict[tuple[int, int], int] = {}
+        counts: dict[tuple[int, int], int] | None = {} if notes else None
         topo = build(graph, ground, counts)
-        for (s, first), (t, second) in itertools.combinations(enumerate(graph.color_ids), 2):
-            report.pair_verdicts[(ci, (first, second))] = f"{counts.get((s, t), 0)} informative triples"
+        if counts is not None:
+            for (s, first), (t, second) in itertools.combinations(enumerate(graph.color_ids), 2):
+                report.pair_verdicts[(ci, (first, second))] = f"{counts.get((s, t), 0)} informative triples"
     else:
         families = []
         for s, t, pair in pairs:

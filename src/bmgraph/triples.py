@@ -86,12 +86,6 @@ class TripleSet:
     def union(self, other: "TripleSet") -> "TripleSet":
         return TripleSet(self.universe | other.universe, self.triples | other.triples)
 
-    def restrict(self, labels: Iterable[str]) -> "TripleSet":
-        keep = frozenset(labels)
-        return TripleSet(
-            keep, frozenset(t for t in self.triples if {t.a, t.b, t.out} <= keep)
-        )
-
     def to_lines(self) -> list[str]:
         return [str(t) for t in self]
 

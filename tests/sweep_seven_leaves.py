@@ -10,9 +10,13 @@ is the one tree with the fewest inner nodes that explains it (Geiss et al.
 2019); neither route is trusted for either.  Both routes must accept every
 best match graph with that tree, and reject every distinct graph one
 cross-colour arc flip away from one that is no best match graph, and that
-tree must have no redundant edge (``redundant_edges_n``).  Prints per
-split the graph counts, the wrong verdicts and the verdict stages per route,
-and exits 1 on any wrong verdict or tree.
+tree must have no redundant edge (``redundant_edges_n``).  The pairwise
+route, which accepts through the direct candidate on three or more colours,
+must also agree with its full pair-layer candidate on every graph
+(``util.agrees_with_pair_layer``): the same least resolved tree on a best
+match graph, and the same stage, witness and pair notes on a flip.  Prints
+per split the graph counts, the wrong verdicts and the verdict stages per
+route, and exits 1 on any wrong verdict or tree.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections import Counter
 
 from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg, redundant_edges_n
 from bmgraph.n_color import ROUTES
-from util import all_topologies, coloured_leaves
+from util import agrees_with_pair_layer, all_topologies, coloured_leaves
 
 LEAVES = 7
 
@@ -67,7 +71,7 @@ def sweep(sizes: tuple[int, ...]) -> int:
                 if flipped not in fewest:
                     flips.add(flipped)
     split = "+".join(map(str, sizes))
-    wrong = {route: 0 for route in ROUTES} | {"oracle": 0}
+    wrong = {route: 0 for route in ROUTES} | {"oracle": 0, "pair-layer": 0}
     stages: dict[str, Counter] = {route: Counter() for route in ROUTES}
     for outs, best in fewest.items():
         graph = ColoredDigraph.from_masks(colors, outs)
@@ -80,6 +84,9 @@ def sweep(sizes: tuple[int, ...]) -> int:
             if len(best) != 1 or not report.accepted or report.lrt != best[0]:
                 wrong[route] += 1
                 print(f"wrong {route} outcome on best match graph {outs} of {split}")
+            if route == "pairwise-lrt" and not agrees_with_pair_layer(graph, report):
+                wrong["pair-layer"] += 1
+                print(f"pair-layer candidate differs on best match graph {outs} of {split}")
     for outs in sorted(flips):
         graph = ColoredDigraph.from_masks(colors, outs)
         for route in ROUTES:
@@ -88,6 +95,9 @@ def sweep(sizes: tuple[int, ...]) -> int:
             if report.accepted:
                 wrong[route] += 1
                 print(f"wrong {route} verdict on flip {outs} of {split}")
+            if route == "pairwise-lrt" and not agrees_with_pair_layer(graph, report):
+                wrong["pair-layer"] += 1
+                print(f"pair-layer candidate differs on flip {outs} of {split}")
     print(
         f"{split}: {len(fewest)} best match graphs, {len(flips)} non-BMG flips, "
         + ", ".join(f"{count} wrong {name}" for name, count in wrong.items())

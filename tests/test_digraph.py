@@ -23,7 +23,15 @@ from bmgraph.digraph import SCAN_DENSITY, _blocks, bits, scan_bits
 from bmgraph import cli
 from bmgraph.graphio import format_graph, parse_graph, write_tree
 from cases import countercog_tree, weird_tree
-from util import arc_ids, class_quotient, edge_ids, random_scenario, rbmg_of_tree
+from util import (
+    arc_ids,
+    class_ids,
+    class_quotient,
+    edge_ids,
+    no_in_classes,
+    random_scenario,
+    rbmg_of_tree,
+)
 
 
 @st.composite
@@ -149,16 +157,16 @@ def test_thinness_partition_bidirectional_bipartite():
     colors = {"a": "r", "b": "r", "x": "b", "y": "b"}
     arcs = [(u, v) for u in "ab" for v in "xy"] + [(v, u) for u in "ab" for v in "xy"]
     part = thinness_partition(ColoredDigraph(colors, arcs))
-    assert [part.class_ids(a) for a in range(len(part))] == [("a", "b"), ("x", "y")]
+    assert [class_ids(part, a) for a in range(len(part))] == [("a", "b"), ("x", "y")]
 
 
 def test_thinness_partition_weird_tree_classes():
     g = bmg_of_tree(weird_tree())
     part = thinness_partition(g)
-    classes = {part.class_ids(a) for a in range(len(part))}
+    classes = {class_ids(part, a) for a in range(len(part))}
     assert ("10", "9") in classes
     assert ("7", "8") in classes
-    w = {part.class_ids(a) for a in part.no_in_classes()}
+    w = {class_ids(part, a) for a in no_in_classes(part)}
     assert w == {("10", "9"), ("7", "8")}
 
 

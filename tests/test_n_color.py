@@ -31,6 +31,7 @@ from util import (
     all_topologies,
     arc_ids,
     caterpillar,
+    class_ids,
     color_partitions,
     coloring_from_partition,
     coloured_trees,
@@ -49,7 +50,7 @@ def test_three_class_scenario():
     tree = three_class_scenario_tree()
     graph = bmg_of_tree(tree)
     part = thinness_partition(graph)
-    nontrivial = {part.class_ids(a) for a in range(len(part)) if len(part.classes[a]) > 1}
+    nontrivial = {class_ids(part, a) for a in range(len(part)) if len(part.classes[a]) > 1}
     assert nontrivial == {("a2", "a3", "a4"), ("b3", "b4"), ("c3", "c4")}
     report = recognize_ncbmg(graph)
     direct = recognize_ncbmg(graph, route="informative-direct")

@@ -29,10 +29,12 @@ from bmgraph.two_color import ClassNeighborhoodTables, hasse_tree, neighborhood_
 from util import (
     axiom_check,
     caterpillar,
+    class_ids,
     connected_sink_free_out_masks,
     extended_reachable_masks,
     family_tree,
     pair_classes,
+    pair_layer_report,
     random_scenario,
     reference_pair_lrt,
     tree_family,
@@ -86,7 +88,7 @@ def test_mask_classes_and_tables_equal_those_of_the_pair_copies():
                     part = thinness_partition(piece)
                     in_piece = next(mine)
                     ids = [tuple(sub.vertex_ids[v] for v in bits(class_masks[a])) for a in bits(in_piece)]
-                    assert ids == [part.class_ids(a) for a in range(len(part))]
+                    assert ids == [class_ids(part, a) for a in range(len(part))]
                     expected = neighborhood_tables(part.out_classes, part.in_classes)
                     assert _restricted(tables, in_piece) == expected
                     seen["pieces"] += 1
@@ -127,7 +129,7 @@ def test_pair_classes_and_tables_equal_the_thinness_reference_on_dense_and_spars
         for comp, in_piece in zip(comps, pieces):
             part = thinness_partition(subgraph_on(graph, comp))
             ids = [tuple(graph.vertex_ids[v] for v in bits(class_masks[a])) for a in bits(in_piece)]
-            assert ids == [part.class_ids(a) for a in range(len(part))]
+            assert ids == [class_ids(part, a) for a in range(len(part))]
             assert _restricted(tables, in_piece) == neighborhood_tables(part.out_classes, part.in_classes)
         assert any(scanned) or not is_caterpillar  # a caterpillar has dense keys
         seen["a key scanned"] += any(scanned)
@@ -173,7 +175,7 @@ def test_pair_classes_and_tables_equal_the_thinness_reference_on_random_sink_fre
             for comp, in_piece in zip(in_ground, pieces):
                 part = thinness_partition(subgraph_on(graph, comp))
                 ids = [tuple(graph.vertex_ids[v] for v in bits(class_masks[a])) for a in bits(in_piece)]
-                assert ids == [part.class_ids(a) for a in range(len(part))]
+                assert ids == [class_ids(part, a) for a in range(len(part))]
                 expected = neighborhood_tables(part.out_classes, part.in_classes)
                 assert _restricted(tables, in_piece) == expected
                 breaks_n2 |= any(n3 & ~n1 for n1, n3 in zip(expected.n1, expected.n3))
@@ -355,12 +357,14 @@ def _results(monkeypatch, module, name: str) -> list:
 def test_the_pair_layer_checks_the_axioms_and_runs_one_hasse_pass_per_colour_pair(monkeypatch):
     # ``pair_topology`` finds a sink-free pair's pieces with one ``_blocks``
     # call and checks the axioms on them next, so the pieces that call
-    # returns are those of the pair's axiom check
+    # returns are those of the pair's axiom check; an accepted graph of
+    # three or more colours is decided by the direct candidate, so the full
+    # pair-layer candidate runs through ``pair_layer_report``
     pairs = _calls(monkeypatch, n_color, "pair_topology", 1)
     checked = _results(monkeypatch, two_color, "_blocks")
     passes = _calls(monkeypatch, two_color, "hasse_forest", 0)
     _, graph = simulate(SimulationConfig(60, 8, 3))
-    report = recognize_ncbmg(graph)
+    report = pair_layer_report(graph)
     assert report.accepted
     assert len(pairs) == 28 * len(report.components)
     pieces = [pair_classes(graph, ground)[2] for ground in pairs]

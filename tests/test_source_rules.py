@@ -153,6 +153,14 @@ def test_every_digraph_method_and_view_has_a_reader_in_src():
     assert {"in_masks", "color_masks"} <= members and not unread, unread
 
 
+def test_every_triple_set_and_thinness_partition_method_has_a_caller_in_src():
+    # the same rule for the triple and class containers; ``TripleSet.union``
+    # is exempt, as perfbench/layers.py traces it
+    for module, class_name, exempt in (("triples", "TripleSet", {"union"}), ("digraph", "ThinnessPartition", set())):
+        members, unread = _unread_members(module, class_name)
+        assert members and set(unread) <= exempt, (class_name, unread)
+
+
 def test_every_two_color_function_has_a_caller_or_is_public():
     # a module-level function of two_color or triples that nothing in the
     # package calls, that bmgraph does not export and that perfbench does not

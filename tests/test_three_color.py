@@ -5,7 +5,10 @@ graph on 2+2+2 vertices whose three colour pairs are best match graphs,
 against the best match graphs of all trees on those leaves.  On seven
 vertices, split 5+1+1, every best match graph and every single-arc flip
 that leaves the best match graphs, against the trees on those leaves, which
-also give each best match graph's least resolved tree."""
+also give each best match graph's least resolved tree.  On every graph the
+pairwise route, which accepts through the direct candidate, agrees with its
+full pair-layer candidate (``util.agrees_with_pair_layer``), so the pair
+BUILD keeps its positive coverage."""
 
 import itertools
 from collections import Counter
@@ -13,6 +16,7 @@ from collections import Counter
 from bmgraph import ColoredDigraph, LeafColoredTree, bmg_of_tree, recognize_ncbmg, redundant_edges_n
 from bmgraph.n_color import ROUTES
 from util import (
+    agrees_with_pair_layer,
     all_topologies,
     coloured_graph,
     coloured_leaves,
@@ -73,10 +77,11 @@ def sweep(sizes: tuple[int, ...], out_masks) -> dict[str, Counter]:
     for outs in out_masks:
         graph = coloured_graph(sizes, outs)
         is_bmg = graph.out_masks in bmgs
-        for route in ROUTES:
-            report = recognize_ncbmg(graph, route=route)
+        reports = {route: recognize_ncbmg(graph, route=route) for route in ROUTES}
+        for route, report in reports.items():
             assert report.accepted == is_bmg, (route, sorted(graph.arcs()))
             stages[route][report.stage or "accepted"] += 1
+        assert agrees_with_pair_layer(graph, reports["pairwise-lrt"]), sorted(graph.arcs())
     return stages
 
 
@@ -126,9 +131,10 @@ def test_both_routes_on_every_bmg_and_non_bmg_flip_of_the_seven_leaf_split_5_1_1
         assert len(best) == 1
         graph = ColoredDigraph.from_masks(colors, outs)
         assert redundant_edges_n(best[0], graph) == frozenset(), outs  # least resolved: no edge contracts
-        for route in ROUTES:
-            report = recognize_ncbmg(graph, route=route)
+        reports = {route: recognize_ncbmg(graph, route=route) for route in ROUTES}
+        for route, report in reports.items():
             assert report.accepted and report.lrt == best[0], (route, outs)
+        assert agrees_with_pair_layer(graph, reports["pairwise-lrt"]), outs
         for x, y in itertools.permutations(range(len(ids)), 2):
             if color_of[x] != color_of[y]:
                 flipped = outs[:x] + (outs[x] ^ 1 << y,) + outs[x + 1 :]
@@ -137,5 +143,7 @@ def test_both_routes_on_every_bmg_and_non_bmg_flip_of_the_seven_leaf_split_5_1_1
     assert len(flips) == 7_304
     for outs in flips:
         graph = ColoredDigraph.from_masks(colors, outs)
-        for route in ROUTES:
-            assert not recognize_ncbmg(graph, route=route).accepted, (route, outs)
+        reports = {route: recognize_ncbmg(graph, route=route) for route in ROUTES}
+        for route, report in reports.items():
+            assert not report.accepted, (route, outs)
+        assert agrees_with_pair_layer(graph, reports["pairwise-lrt"]), outs

@@ -38,6 +38,7 @@ from util import (
     lca_set,
     random_scenario,
     restrict,
+    restrict_triples,
     tree_family,
     tree_glue_build,
     triple_tuples,
@@ -138,7 +139,7 @@ def test_build_is_monotone_under_restriction():
         labels = list(tree.leaf_labels)
         for cut in (2, max(2, len(labels) // 2)):
             sub = labels[:cut]
-            assert build(trips.restrict(sub), sub) is not None
+            assert build(restrict_triples(trips, sub), sub) is not None
 
 
 def test_build_from_trees_equals_build_on_pooled_triples():

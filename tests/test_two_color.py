@@ -28,6 +28,7 @@ from bmgraph.two_color import hasse_tree, laminarity_witness, pair_topology
 from cases import rvsr_tree, smallest_counterexample, weird_tree
 from util import (
     caterpillar,
+    class_ids,
     class_members,
     class_reachable_set,
     extended_reachable_masks,
@@ -37,6 +38,7 @@ from util import (
     displays,
     hierarchy_lrt,
     is_ancestor,
+    no_in_classes,
     random_binary_refinement,
 )
 
@@ -113,16 +115,16 @@ def _reference_axioms(graph):
     n3 = [frozenset().union(*(n1[c] for c in n2[a])) for a in range(len(part))]
     for a in range(len(part)):
         if not n3[a] <= n1[a]:
-            return "N2", part.class_ids(a)
+            return "N2", class_ids(part, a)
     pairs = list(itertools.combinations(range(len(part)), 2))
     for a, b in pairs:
         if a not in n2[b] and b not in n2[a] and n1[a] & n1[b]:
             nested = n1[a] <= n1[b] or n1[b] <= n1[a]
             if not (part.in_classes[a] == part.in_classes[b] and nested):
-                return "N3", (part.class_ids(a), part.class_ids(b))
+                return "N3", (class_ids(part, a), class_ids(part, b))
     for a, b in pairs:
         if a not in n1[b] and b not in n1[a] and (n1[a] & n2[b] or n1[b] & n2[a]):
-            return "N1", (part.class_ids(a), part.class_ids(b))
+            return "N1", (class_ids(part, a), class_ids(part, b))
     return None
 
 
@@ -180,7 +182,7 @@ def test_disconnected_witness_names_each_piece_by_its_vertices():
 def test_reachable_sets_of_weird_tree():
     graph = bmg_of_tree(weird_tree())
     part = thinness_partition(graph)
-    idx = {part.class_ids(a): a for a in range(len(part))}
+    idx = {class_ids(part, a): a for a in range(len(part))}
     r_alpha = {graph.vertex_ids[v] for v in class_reachable_set(part, idx[("10", "9")])}
     r_beta = {graph.vertex_ids[v] for v in class_reachable_set(part, idx[("7", "8")])}
     assert r_alpha == {"1", "2", "3", "4", "5", "6"}
@@ -300,7 +302,7 @@ def test_w_classes_share_color_and_unique_maximal():
     for seed in range(60):
         _, graph = connected_scenario(seed)
         part = thinness_partition(graph)
-        w = part.no_in_classes()
+        w = no_in_classes(part)
         colors = {graph.color_of[part.classes[a][0]] for a in w}
         assert len(colors) <= 1
         if len(w) > 1:
@@ -319,7 +321,7 @@ def test_reachable_family_is_hierarchy_on_core():
         sets = [class_reachable_set(part, a) for a in range(len(part))]
         for s, t in itertools.combinations(set(sets), 2):
             assert s <= t or t <= s or not (s & t)
-        shed = {v for a in part.no_in_classes() for v in part.classes[a]}
+        shed = {v for a in no_in_classes(part) for v in part.classes[a]}
         assert max(sets, key=len) == frozenset(range(len(graph))) - frozenset(shed)
 
 

@@ -5,7 +5,10 @@ Single timings on a shared host spread up to 2x, so a regression in how
 BUILD work grows can hide in noise; the counts of ``util.build_work`` do
 not drift.  Each bound is an upper bound on today's count or log-log slope,
 over caterpillars of 200, 400 and 800 leaves and Yule graphs of 100, 200
-and 400 leaves in 20 colours."""
+and 400 leaves in 20 colours.  On three or more colours the pairwise route
+accepts these graphs through the direct candidate, so the pair layer's
+work is counted on ``util.pair_layer_report``, its full candidate, under
+the name ``PAIR_LAYER``."""
 
 import math
 import sys
@@ -15,11 +18,14 @@ import pytest
 
 from bmgraph import ColoredDigraph, SimulationConfig, bmg_of_tree, recognize_ncbmg, simulate
 from bmgraph.graphio import format_graph, parse_graph
-from util import build_work, caterpillar
+from cases import counterex_sym_graph, gate_mismatch_graph
+from util import build_work, caterpillar, pair_layer_report
 
 SIZES = (200, 400, 800)
 YULE_SIZES = (100, 200, 400)
 ROUTES = ("informative-direct", "pairwise-lrt")
+PAIR_LAYER = "pair-layer"  # the pairwise route's full pair-layer candidate and gate
+PAIR_COUNTS = ("pair_classes", "axiom_checks", "hasse_passes", "scans", "walks", "lca")
 
 
 def _slope(counts: list[int], sizes: tuple[int, ...] = SIZES) -> float:
@@ -30,6 +36,11 @@ def _slope(counts: list[int], sizes: tuple[int, ...] = SIZES) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
+def _recognized(graph: ColoredDigraph, route: str):
+    """The report of ``graph`` on ``route`` or on ``PAIR_LAYER``."""
+    return pair_layer_report(graph) if route == PAIR_LAYER else recognize_ncbmg(graph, route=route)
+
+
 @pytest.fixture(scope="module")
 def work():
     """Per (route, colours), the work counts of each caterpillar size."""
@@ -37,9 +48,9 @@ def work():
     for colors in (2, 20):
         for n in SIZES:
             graph = bmg_of_tree(caterpillar(n, colors))
-            for route in ROUTES:
+            for route in (*ROUTES, PAIR_LAYER):
                 with build_work() as counts:
-                    assert recognize_ncbmg(graph, route=route).accepted
+                    assert _recognized(graph, route).accepted
                 found.setdefault((route, colors), []).append(counts)
     return found
 
@@ -60,10 +71,10 @@ def test_pairwise_route_walks_each_pair_tree_once(work):
     # one _lca call per level on two colours (slope 1.00 when first measured),
     # one per level and family on twenty (1.055 when first measured)
     for colors, bound in ((2, 1.05), (20, 1.1)):
-        lca = [c["lca"] for c in work["pairwise-lrt", colors]]
+        lca = [c["lca"] for c in work[PAIR_LAYER, colors]]
         assert _slope(lca) <= bound, (colors, lca)
-    assert [c["chunks"] for c in work["pairwise-lrt", 2]] == [0, 0, 0]
-    chunks = [c["chunks"] for c in work["pairwise-lrt", 20]]
+    assert [c["chunks"] for c in work[PAIR_LAYER, 2]] == [0, 0, 0]
+    chunks = [c["chunks"] for c in work[PAIR_LAYER, 20]]
     assert _slope(chunks) <= 1.15, chunks
 
 
@@ -72,10 +83,56 @@ def test_the_pair_layer_decides_each_colour_pair_in_one_pass(work):
     # 1 pair on two colours, 190 on twenty; the direct route runs none
     for colors in (2, 20):
         pairs = colors * (colors - 1) // 2
-        for c in work["pairwise-lrt", colors]:
+        for c in work[PAIR_LAYER, colors]:
             assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == pairs, (colors, c)
         for c in work["informative-direct", colors]:
             assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == 0, (colors, c)
+
+
+def test_the_pairwise_route_runs_the_pair_layer_only_where_it_decides(work, yule_work):
+    # on two colours the one pair body gives the whole candidate, so the
+    # route makes one pair_topology call and the full candidate's work; an
+    # accepted graph of twenty colours runs no pair body and no _lca call,
+    # only the direct route's BUILD
+    for c, full in zip(work["pairwise-lrt", 2], work[PAIR_LAYER, 2]):
+        assert c["pair_classes"] == 1 and c == full, (c, full)
+    accepted = work["pairwise-lrt", 20] + [c for c, _ in yule_work["pairwise-lrt"]]
+    direct = work["informative-direct", 20] + [c for c, _ in yule_work["informative-direct"]]
+    for c, d in zip(accepted, direct):
+        assert c["pair_classes"] == c["lca"] == 0 and c == d, (c, d)
+
+
+# per rejected graph, its stage and the pairwise route's pair-layer work
+# (PAIR_COUNTS): the counts the pair layer makes when it decides the graph
+# alone, as the direct attempt adds none of this work
+REJECTED = {
+    "gate mismatch": ("graph-mismatch", (3, 3, 3, 9, 12, 7)),
+    "symmetric 6-cycle": ("triples-inconsistent", (3, 3, 3, 12, 15, 3)),
+    "Yule 100 x 20 cut": ("2cbmg-failure", (25, 24, 24, 221, 358, 0)),
+    "Yule 400 x 20 cut": ("2cbmg-failure", (428, 427, 427, 4184, 8489, 5734)),  # fails in its third component
+}
+
+
+def _without_last_arc(graph: ColoredDigraph) -> ColoredDigraph:
+    ids = graph.vertex_ids
+    return ColoredDigraph(graph.colors_as_dict(), [(ids[i], ids[j]) for i, j in sorted(graph.arcs())[:-1]])
+
+
+def test_a_rejected_graph_runs_the_full_pair_layer_once():
+    # the direct attempt's rejection hands over to the pair layer, which does
+    # the work it did alone and names the same rejection
+    graphs = {
+        "gate mismatch": gate_mismatch_graph(),
+        "symmetric 6-cycle": counterex_sym_graph(),
+        "Yule 100 x 20 cut": _without_last_arc(simulate(SimulationConfig(100, 20, 2))[1]),
+        "Yule 400 x 20 cut": _without_last_arc(simulate(SimulationConfig(400, 20, 2))[1]),
+    }
+    for name, graph in graphs.items():
+        with build_work() as counts:
+            report = recognize_ncbmg(graph)
+        alone = pair_layer_report(graph)
+        assert (report.stage, tuple(counts[k] for k in PAIR_COUNTS)) == REJECTED[name], (name, counts)
+        assert (report.witness, report.pair_verdicts) == (alone.witness, alone.pair_verdicts), name
 
 
 def test_each_level_is_one_inner_node_of_the_tree(work):
@@ -92,9 +149,9 @@ def yule_work():
     found = {}
     for n in YULE_SIZES:
         _, graph = simulate(SimulationConfig(n, 20, 2))
-        for route in ROUTES:
+        for route in (*ROUTES, PAIR_LAYER):
             with build_work() as counts:
-                report = recognize_ncbmg(graph, route=route)
+                report = _recognized(graph, route)
             assert report.accepted
             found.setdefault(route, []).append((counts, len(report.components)))
     return found
@@ -104,12 +161,12 @@ def test_yule_pairwise_work_grows_with_the_levels(yule_work):
     # when first measured: _lca calls 2,394 / 4,775 / 8,826 (slope 0.94) and
     # chunks 1,388 / 3,457 / 7,118 (slope 1.18); each colour pair of each
     # component is decided by one class table, axiom check and Hasse pass
-    lca = [c["lca"] for c, _ in yule_work["pairwise-lrt"]]
-    chunks = [c["chunks"] for c, _ in yule_work["pairwise-lrt"]]
+    lca = [c["lca"] for c, _ in yule_work[PAIR_LAYER]]
+    chunks = [c["chunks"] for c, _ in yule_work[PAIR_LAYER]]
     assert lca[-1] <= 9_300 and _slope(lca, YULE_SIZES) <= 1.0, lca
     assert chunks[-1] <= 7_500 and _slope(chunks, YULE_SIZES) <= 1.25, chunks
-    assert max(comps for _, comps in yule_work["pairwise-lrt"]) > 1
-    for c, comps in yule_work["pairwise-lrt"]:
+    assert max(comps for _, comps in yule_work[PAIR_LAYER]) > 1
+    for c, comps in yule_work[PAIR_LAYER]:
         assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == 190 * comps, (comps, c)
 
 
@@ -124,8 +181,8 @@ def test_yule_direct_work_grows_with_the_levels(yule_work):
 def test_the_pair_layer_scans_each_class_key_once(work, yule_work):
     # pair_classes lists each class's out-key with one scan_bits call; the
     # in-tables are the transpose of those lists, so no in-key is scanned
-    found = [c for colors in (2, 20) for c in work["pairwise-lrt", colors]]
-    found += [c for c, _ in yule_work["pairwise-lrt"]]
+    found = [c for colors in (2, 20) for c in work[PAIR_LAYER, colors]]
+    found += [c for c, _ in yule_work[PAIR_LAYER]]
     for c in found:
         assert 0 < c["scans"] == c["classes"], c
 
@@ -144,8 +201,8 @@ def test_the_pair_layer_walks_each_class_a_bounded_number_of_times(work, yule_wo
         ("caterpillar", 20): (1050, 1025, 1013),
         ("yule", 20): (1470, 1647, 1973),
     }
-    found = {("caterpillar", colors): work["pairwise-lrt", colors] for colors in (2, 20)}
-    found["yule", 20] = [c for c, _ in yule_work["pairwise-lrt"]]
+    found = {("caterpillar", colors): work[PAIR_LAYER, colors] for colors in (2, 20)}
+    found["yule", 20] = [c for c, _ in yule_work[PAIR_LAYER]]
     for scenario, counts in found.items():
         for c, bound in zip(counts, bounds[scenario]):
             assert 0 < 1000 * c["walks"] <= bound * c["classes"], (scenario, bound, c)

@@ -19,11 +19,13 @@ from bmgraph import (
     RootedTriple,
     SimulationConfig,
     ThinnessPartition,
+    TripleSet,
     bmg_of_tree,
     connected_components,
     lrt_via_hierarchy,
     reachable_set,
     recognize_ncbmg,
+    redundant_edges_n,
     simulate,
     subgraph_on,
     symmetric_part,
@@ -139,6 +141,22 @@ def reference_format_graph(graph: ColoredDigraph) -> str:
 
 def arc_ids(graph: ColoredDigraph) -> set[tuple[str, str]]:
     return {(graph.vertex_ids[i], graph.vertex_ids[j]) for i, j in graph.arcs()}
+
+
+def class_ids(part: ThinnessPartition, a: int) -> tuple[str, ...]:
+    """Vertex ids of thinness class ``a``."""
+    return tuple(part.graph.vertex_ids[i] for i in part.classes[a])
+
+
+def no_in_classes(part: ThinnessPartition) -> tuple[int, ...]:
+    """Classes with empty in-neighborhood (the set called W)."""
+    return tuple(a for a in range(len(part.classes)) if not part.in_classes[a])
+
+
+def restrict_triples(triples: TripleSet, labels: Iterable[str]) -> TripleSet:
+    """The triples of ``triples`` on three leaves of ``labels``, over ``labels``."""
+    keep = frozenset(labels)
+    return TripleSet(keep, frozenset(t for t in triples.triples if {t.a, t.b, t.out} <= keep))
 
 
 def class_members(part: ThinnessPartition, mask: int) -> frozenset[int]:
@@ -499,6 +517,32 @@ def direct_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
     rejection."""
     report = recognize_ncbmg(graph, route="informative-direct")
     return report.lrt if report.accepted else report.rejection
+
+
+def pair_layer_report(graph: ColoredDigraph) -> n_color.RecognitionReport:
+    """The pairwise route's report with the pair layer deciding every graph:
+    ``recognize_ncbmg`` with the direct candidate of each component failing,
+    so that on three or more colours the full pair-layer candidate and its
+    gate run, as after any rejected direct attempt.  On one or two colours
+    no direct attempt runs, and this is ``recognize_ncbmg`` itself."""
+    real = n_color.build
+    n_color.build = lambda graph, ground, counts=None: None
+    try:
+        return recognize_ncbmg(graph, route="pairwise-lrt")
+    finally:
+        n_color.build = real
+
+
+def agrees_with_pair_layer(graph: ColoredDigraph, report: n_color.RecognitionReport) -> bool:
+    """Whether a pairwise-route ``report`` of ``graph`` is the one its full
+    pair-layer candidate gives (``pair_layer_report``): on accept the same
+    least resolved tree and pair notes, the tree with no redundant edge; on
+    a rejection the same stage, witness and pair notes."""
+    alone = pair_layer_report(graph)
+    if report.accepted:
+        same = alone.accepted and (report.lrt, report.pair_verdicts) == (alone.lrt, alone.pair_verdicts)
+        return same and not redundant_edges_n(report.lrt, graph)
+    return (report.stage, report.witness, report.pair_verdicts) == (alone.stage, alone.witness, alone.pair_verdicts)
 
 
 def class_roots(tree: LeafColoredTree, graph: ColoredDigraph, part: ThinnessPartition) -> list[int]:
