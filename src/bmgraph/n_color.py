@@ -18,8 +18,8 @@ family over vertex bitsets, which holds the tree's inner nodes only;
 ``build_from_trees`` glues from those families on ``ground``, so no pair
 tree is ever built.  In (b) ``build(graph, ground, counts)`` walks the
 component's vertices once, taking each N_t(a) = ``out & L_t`` on the fly:
-it glues once per (t, N_t) group and counts each colour pair's informative
-triples into ``counts`` for the pair notes, keeping no table.
+it glues once per (t, N_t) group, keeping no table, and on the direct route
+alone counts each colour pair's informative triples for the pair notes.
 
 There is exactly one acceptance gate: the candidate tree of the whole graph
 must reproduce the input arc for arc under the forward engine
@@ -43,8 +43,8 @@ body already gives the whole candidate, so on two colours (a) runs alone.
 
 Recognition has one exit: each stage before the gate returns the candidate
 topology or a ``Rejection``, and ``recognize_ncbmg`` writes the verdict once;
-each stage reached writes its wall time, also when it rejects, summed over
-both candidates where two run.
+each stage reached writes its wall time, also when it rejects; a rejected
+direct attempt's ``components`` and ``gate`` times go to ``direct-attempt``.
 A single-colour graph takes the same path: without same-colour arcs it has
 no arc, each vertex is a component of its own, and the gate accepts their star.
 """
@@ -120,6 +120,9 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
             outcome = candidate if mismatch is None else Rejection("graph-mismatch", mismatch)
         if not isinstance(outcome, Rejection):
             break
+        if attempt is None:  # so that components and gate time the pair layer alone
+            timings = report.timings
+            timings["direct-attempt"] = timings.pop("components") + timings.pop("gate", 0.0)
     if isinstance(outcome, Rejection):
         report.stage, report.witness = outcome.stage, outcome.witness
     else:
@@ -134,13 +137,13 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
 
 @contextmanager
 def _timed(report: RecognitionReport, stage: str) -> Iterator[None]:
-    """Add the block's wall time to ``report.timings[stage]``, early returns
-    included; a stage that runs for two candidates sums both."""
+    """Write the block's wall time to ``report.timings[stage]``, early
+    returns included."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        report.timings[stage] = report.timings.get(stage, 0.0) + time.perf_counter() - t0
+        report.timings[stage] = time.perf_counter() - t0
 
 
 def _structure(graph: ColoredDigraph, report: RecognitionReport) -> list[int] | Rejection:
@@ -164,7 +167,7 @@ def _candidate(
 ) -> Topology | Rejection:
     """The candidate topologies of the components joined under one root, or
     the first rejection.  ``route`` None is the pairwise route's direct
-    attempt: the direct route's BUILD, with no pair notes."""
+    attempt: the direct route's BUILD, which counts no triples."""
     with _timed(report, "components"):
         pairs: ColorPairs | None = None
         if route == "pairwise-lrt":

@@ -13,8 +13,8 @@ out-bitsets: ab|z lies inside a level M exactly for an arc a->b and a z
 in M of b's colour t outside N_t(a), a test that reads a only through
 (t, N_t(a)), so the vertices sharing that key glue as one source and no
 triple is built; one pass takes each N_t(a) as ``out & L_t``, keeps none,
-and counts each colour pair's triples for the pair notes.  The triples
-route is ``recognize_ncbmg(graph, route="informative-direct")``.
+and, given ``counts``, counts each colour pair's triples for the pair notes.
+The triples route is ``recognize_ncbmg(graph, route="informative-direct")``.
 
 ``build_from_trees`` glues from pair trees given as cluster families over
 leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``
@@ -109,10 +109,11 @@ def build(
     """Aho tree on ``leaves``, or None when no tree displays the triples:
     those of a collection on the labels ``leaves``, or the informative ones
     of a colored digraph on the vertex bitset ``leaves``, never built, with
-    their number per colour pair added to ``counts`` when given."""
+    their number per colour pair added to ``counts`` when given; without
+    ``counts`` nothing is counted."""
     if isinstance(source, ColoredDigraph):
         check_vertex_mask(source, leaves)
-        sources = _graph_sources(source, leaves, {} if counts is None else counts)
+        sources = _graph_sources(source, leaves, counts)
         names, root = source.vertex_ids, leaves
     else:
         names = tuple(sorted(set(leaves)))
@@ -123,39 +124,45 @@ def build(
     return _aho_tree(root, sources, names)
 
 
-# A glue source ``(m, n, z)`` of leaf bitsets glues ``(m | n) & M`` on each level M with a bit of each
+# A glue source ``(z, first, chunk)`` of the root: its triples join the leaf
+# bitset ``chunk`` on each level that holds it and a bit of ``z``; ``first``
+# is a leaf of ``chunk`` that keys it, so sources sharing it glue as one chunk
 Source = tuple[int, int, int]
 
 
 def _aho_tree(root: int, sources: list[Source], names: tuple[str, ...]) -> Topology | None:
     """BUILD from an explicit stack over leaf bitsets, blocks ordered by
     smallest leaf, so a name order equal to index order makes the output
-    canonical.  Each source goes down with the block holding its chunk, and,
-    as it spans three leaves, a block of at most two is settled at once.
-    Inner nodes are numbered parents first, so the topology is assembled by
-    one pass in reverse."""
+    canonical.  A source glues its one chunk on every level it lives: its
+    chunk lies in the block holding ``first``, so only that block is handed
+    the source, and there it lives while ``z`` meets the block, one AND per
+    level.  As a chunk spans two leaves and ``z`` a third, a block of at
+    most two is settled at once.  Inner nodes are numbered parents first,
+    so the topology is assembled by one pass in reverse."""
     if (settled := _settled(root, names)) is not None:
         return settled
     kids: list[list] = []  # per inner node, per block, a settled topology or an inner node
     stack = [(root, sources, [None], 0)]
     while stack:
         level, sources, slots, slot = stack.pop()
-        live, firsts, chunks = _glue(level, sources)
-        blocks = _blocks(level, chunks)
+        live, chunks = _glue(level, sources)
+        blocks = _blocks(level, chunks.values())
         if len(blocks) == 1:
             return None
         slots[slot] = len(kids)
         here = [_settled(b, names) for b in blocks]
         kids.append(here)
         inner = [k for k, done in enumerate(here) if done is None]
-        if len(inner) > 1:  # hand each source to the block holding its chunk
-            lows = sum(1 << v for v in set(firsts))
-            block_at = {v: k for k, block in enumerate(blocks) for v in bits(block & lows)}
-            shares: list[list[Source]] = [[] for _ in blocks]
-            for source, first in zip(live, firsts):
-                shares[block_at[first]].append(source)
-        else:
-            shares = [live] * len(blocks)
+        if len(inner) == 1:  # all sources but those keyed in a settled block, whose chunks lie there
+            outside = set(bits(level ^ blocks[inner[0]]))
+            shares = {inner[0]: live if outside.isdisjoint(chunks) else [s for s in live if s[1] not in outside]}
+        elif inner:
+            lows = sum(1 << v for v in chunks)
+            block_at = {v: k for k in inner for v in bits(blocks[k] & lows)}
+            shares = {k: [] for k in inner}
+            for source in live:
+                if (k := block_at.get(source[1])) is not None:
+                    shares[k].append(source)
         stack.extend((blocks[k], shares[k], here, k) for k in reversed(inner))
     built: list[Topology] = [""] * len(kids)
     for node in range(len(kids) - 1, -1, -1):
@@ -171,34 +178,33 @@ def _settled(block: int, names: tuple[str, ...]) -> Topology | None:
     return (names[low.bit_length() - 1], names[rest.bit_length() - 1]) if rest else names[low.bit_length() - 1]
 
 
-def _glue(level: int, sources: list[Source]) -> tuple[list[Source], list[int], list[int]]:
-    """The sources that glue at ``level``, the lowest leaf of each one's
-    ``n & level``, and their chunks, joined where they share it.  A source
+def _glue(level: int, sources: list[Source]) -> tuple[list[Source], dict[int, int]]:
+    """The sources handed to ``level`` that glue there, those whose ``z``
+    meets it, and their chunks, joined where they share ``first``.  A source
     that fails here fails on every level below."""
-    live, firsts, chunks = [], [], {}
+    live, chunks = [], {}
     for source in sources:
-        m, n, z = source
-        hit = n & level
-        if hit and m & level and z & level:
-            first = (hit & -hit).bit_length() - 1
+        z, first, chunk = source
+        if z & level:
             live.append(source)
-            firsts.append(first)
-            chunks[first] = chunks.get(first, 0) | hit | m & level
-    return live, firsts, list(chunks.values())
+            chunks[first] = chunks.get(first, 0) | chunk
+    return live, chunks
 
 
-def _graph_sources(graph: ColoredDigraph, leaves: int, counts: dict[tuple[int, int], int]) -> list[Source]:
+def _graph_sources(graph: ColoredDigraph, leaves: int, counts: dict[tuple[int, int], int] | None) -> list[Source]:
     """Glue sources of the informative triples inside ``leaves``: the
-    vertices not of colour t that share one N = N_t(a) = ``out & L_t``, for
-    the colours t in ``leaves``, give one source ``(members, N, z)``, z the
-    rest of colour t; a same-colour arc its own.  The same step adds to
+    vertices not of colour t that share one N = N_t(a) = ``out & L_t`` within
+    ``leaves``, for the colours t in ``leaves``, give one source with chunk
+    ``N | members`` and z the rest of L_t within ``leaves``; a same-colour arc
+    its own.  When ``counts`` is given, the same step adds to
     ``counts[(s, t)]``, ``s < t``, the colour pair's informative triples,
     exact when no arc leaves ``leaves`` and none joins one colour: ab|z
     arises from the one arc a->b and the one z of b's colour outside N(a),
     so a pair counts |N_u(a)| * (|L_u| - |N_u(a)|) over its vertices a, u
     the other colour."""
-    color_sets, color_of, out_masks = graph.color_masks, graph.color_of, graph.out_masks
-    present = [(t, mask, (mask & leaves).bit_count()) for t, mask in enumerate(color_sets) if mask & leaves]
+    color_of, out_masks = graph.color_of, graph.out_masks
+    inside = [mask & leaves for mask in graph.color_masks]
+    present = [(t, mask, mask.bit_count()) for t, mask in enumerate(inside) if mask]
     sources, members = [], {}
     for a in scan_bits(leaves):
         out, bit, s = out_masks[a], 1 << a, color_of[a]
@@ -206,13 +212,17 @@ def _graph_sources(graph: ColoredDigraph, leaves: int, counts: dict[tuple[int, i
             if not (n := out & mask):
                 continue
             if t == s:
-                sources.append((bit, n, mask & ~(n | bit)))
+                sources.append((mask & ~(n | bit), (n & -n).bit_length() - 1, n | bit))
                 continue
             members[n] = members.get(n, 0) | bit
-            k = n.bit_count()
-            pair = (s, t) if s < t else (t, s)
-            counts[pair] = counts.get(pair, 0) + k * (size - k)
-    return sources + [(m, n, color_sets[color_of[(n & -n).bit_length() - 1]] & ~n) for n, m in members.items()]
+            if counts is not None:
+                k = n.bit_count()
+                pair = (s, t) if s < t else (t, s)
+                counts[pair] = counts.get(pair, 0) + k * (size - k)
+    for n, m in members.items():
+        first = (n & -n).bit_length() - 1
+        sources.append((inside[color_of[first]] & ~n, first, n | m))
+    return sources
 
 
 def _triple_sources(triples: TripleSet | Iterable[RootedTriple], index: dict[str, int]) -> list[Source]:
@@ -223,7 +233,7 @@ def _triple_sources(triples: TripleSet | Iterable[RootedTriple], index: dict[str
         if len({t.a, t.b, t.out}) != 3:
             raise GraphError(f"triple needs three distinct leaves: {(t.a, t.b, t.out)}")
         if t.a in index and t.b in index and t.out in index:
-            sources.append((1 << index[t.a], 1 << index[t.b], 1 << index[t.out]))
+            sources.append((1 << index[t.out], index[t.b], 1 << index[t.a] | 1 << index[t.b]))
     return sources
 
 

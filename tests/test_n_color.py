@@ -263,6 +263,10 @@ STAGES_REACHED = {
     "graph-mismatch": {"structure", "components", "gate"},
     "accepted": {"structure", "components", "gate"},
 }
+# the three-colour cases that the pairwise route's direct attempt fails: its
+# components and gate times go to one entry of their own, and the stages
+# after structure time the pair layer alone
+DIRECT_ATTEMPT_FAILS = {"triples-inconsistent", "graph-mismatch"}
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -285,8 +289,22 @@ def test_every_stage_reached_writes_its_time_also_on_a_rejection(case, route):
         assert report.stage == "triples-inconsistent"
     else:
         assert report.stage == (None if case == "accepted" else case)
-    assert report.timings.keys() == STAGES_REACHED[case], report.timings
+    attempt = {"direct-attempt"} if route == "pairwise-lrt" and case in DIRECT_ATTEMPT_FAILS else set()
+    assert report.timings.keys() == STAGES_REACHED[case] | attempt, report.timings
     assert all(seconds >= 0 for seconds in report.timings.values())
+
+
+def test_a_rejection_on_many_colours_times_the_pair_layer_apart_from_the_direct_attempt():
+    # Yule 100 x 20 (seed 2) without its last arc: the direct attempt reaches
+    # the gate, which rejects it, and the pair layer fails a colour pair
+    # before its own gate, so the report carries no gate time
+    _, graph = simulate(SimulationConfig(100, 20, 2))
+    ids = graph.vertex_ids
+    cut = ColoredDigraph(graph.colors_as_dict(), [(ids[i], ids[j]) for i, j in sorted(graph.arcs())[:-1]])
+    report = recognize_ncbmg(cut)
+    assert report.stage == "2cbmg-failure"
+    assert report.timings.keys() == {"structure", "direct-attempt", "components"}, report.timings
+    assert recognize_ncbmg(cut, route="informative-direct").timings.keys() == {"structure", "components", "gate"}
 
 
 def test_many_families_are_recognized_as_each_family_alone():
@@ -404,11 +422,11 @@ def test_redundant_edges_n_rejects_a_star_that_misses_the_graph():
 
 def test_global_gate_names_the_first_differing_arc():
     graph = gate_mismatch_graph()
-    for route in ("pairwise-lrt", "informative-direct"):
+    for route, attempt in (("pairwise-lrt", {"direct-attempt"}), ("informative-direct", set())):
         report = recognize_ncbmg(graph, route=route)
         assert report.stage == "graph-mismatch"
         assert report.witness == ("v3", "v2")
-        assert report.timings.keys() == {"structure", "components", "gate"}  # the gate's time too
+        assert report.timings.keys() == {"structure", "components", "gate"} | attempt  # the gate's time too
     assert set(recognize_ncbmg(graph).pair_verdicts.values()) == {"2-cBMG"}
 
 

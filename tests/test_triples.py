@@ -37,6 +37,7 @@ from util import (
     lca,
     lca_set,
     random_scenario,
+    reference_build,
     restrict,
     restrict_triples,
     tree_family,
@@ -263,6 +264,62 @@ def test_graph_glue_equals_triple_glue_with_same_color_arcs():
         noisy = ColoredDigraph(graph.colors_as_dict(), [a for a in pairs if rng.random() < 0.4])
         ids = noisy.vertex_ids
         assert build(noisy, (1 << len(ids)) - 1) == build(informative_triples(noisy), ids), arc_ids(noisy)
+
+
+def test_build_equals_the_recursive_reference_on_graphs_cut_by_vertex_masks():
+    # random coloured digraphs with same-colour arcs, each under random
+    # vertex masks, many of which cut arcs; with or without counts the glue
+    # sources are the same
+    cut = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        _, graph = random_scenario(seed, max_leaves=9, max_colors=4)
+        pairs = list(itertools.permutations(graph.vertex_ids, 2))
+        noisy = ColoredDigraph(graph.colors_as_dict(), [a for a in pairs if rng.random() < 0.4])
+        ids, found = noisy.vertex_ids, list(informative_triples(noisy))
+        for _ in range(4):
+            mask = rng.getrandbits(len(ids)) or 1
+            cut += any(noisy.out_masks[v] & ~mask for v in bits(mask))
+            leaves = [ids[v] for v in bits(mask)]
+            assert build(noisy, mask) == reference_build(found, leaves), (arc_ids(noisy), leaves)
+            assert triples._graph_sources(noisy, mask, None) == triples._graph_sources(noisy, mask, {})
+    assert cut > 400, cut
+
+
+def test_build_equals_the_recursive_reference_on_random_triples():
+    # triples drawn over ten labels, built on a random subset of them, so
+    # that some leave it; both verdicts occur
+    outcomes = {True: 0, False: 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        drawn = [RootedTriple.of(*rng.sample("abcdefghij", 3)) for _ in range(rng.randint(0, 30))]
+        leaves = sorted(rng.sample("abcdefghij", rng.randint(1, 10)))
+        topo = build(drawn, leaves)
+        assert topo == reference_build(drawn, leaves), (drawn, leaves)
+        outcomes[topo is None] += 1
+    assert min(outcomes.values()) > 80, outcomes
+
+
+def test_a_settled_block_keeps_its_sources_from_the_one_inner_block():
+    # the root of ((x, y), T), T on three or more leaves, splits into the
+    # cherry, settled at once, and T's leaves, the one inner block; xy|w for
+    # w in T glues the cherry at the root and still has its z inside T, so
+    # only handing each source to the block that holds its chunk keeps the
+    # cherry's leaves off T's level
+    reached = 0
+    for seed in range(60):
+        inner, _ = random_scenario(seed, max_leaves=10)
+        if len(inner.leaf_labels) < 3:
+            continue
+        x, y = ("a0", "a1") if seed % 2 else ("z0", "z1")
+        tree = LeafColoredTree(((x, y), inner.topology()), {**inner.colors, x: "c0", y: "c1"})
+        found = TripleSet.of(tree.leaf_labels, triple_tuples(tree))
+        assert any(t.a == x and t.b == y for t in found)
+        topo = build(found, tree.leaf_labels)
+        assert topo == reference_build(list(found), sorted(tree.leaf_labels))
+        assert LeafColoredTree(topo, tree.colors) == tree
+        reached += 1
+    assert reached > 40, reached
 
 
 def test_graph_glue_rejects_foreign_leaves():

@@ -58,7 +58,8 @@ def work():
 def test_direct_route_glues_once_per_group(work):
     # the chunks that share a leaf are joined before the merge, so their
     # count grows with the depth (slopes 1.01 and 1.09 when first measured),
-    # while each level still visits its live sources (slopes 2.00 and 2.10)
+    # while each level still visits its live sources (slopes 2.00 and 2.10),
+    # one AND per visit, as a source carries the chunk it glues
     chunks = {colors: [c["chunks"] for c in work["informative-direct", colors]] for colors in (2, 20)}
     assert chunks[20][-1] <= 350_000, chunks
     for colors, counts in chunks.items():
@@ -171,9 +172,11 @@ def test_yule_pairwise_work_grows_with_the_levels(yule_work):
 
 
 def test_yule_direct_work_grows_with_the_levels(yule_work):
-    # when first measured: glue-source visits 521 / 1,525 / 2,976 (slope 1.26)
+    # glue-source visits 521 / 1,525 / 2,976 (slope 1.26) when first
+    # measured; 516 / 1,511 / 2,962 once a source goes only to the block
+    # that holds its chunk, also where one block is inner
     visits = [c["visits"] for c, _ in yule_work["informative-direct"]]
-    assert visits[-1] <= 3_150 and _slope(visits, YULE_SIZES) <= 1.3, visits
+    assert visits[-1] <= 3_130 and _slope(visits, YULE_SIZES) <= 1.3, visits
     for c, _ in yule_work["informative-direct"]:
         assert c["pair_classes"] == c["axiom_checks"] == c["hasse_passes"] == 0, c
 

@@ -721,6 +721,32 @@ def aho_graph(triples: Iterable[RootedTriple], subset: Iterable[str]) -> dict[st
     return adj
 
 
+def reference_build(triples: Sequence[RootedTriple], leaves: Sequence[str]) -> Topology | None:
+    """BUILD (Aho et al. 1981) by recursion over Aho graphs, a reference for
+    ``triples.build`` that shares no code with it: the tree on ``leaves`` of
+    the triples inside them, or None when none displays them.  Components
+    are listed by their first leaf in the order of ``leaves``, which keep
+    that order inside each, so leaves in index order give build's output."""
+    if len(leaves) == 1:
+        return leaves[0]
+    adj = aho_graph(triples, leaves)
+    component: dict[str, str] = {}  # per leaf, the leaf its search started from
+    for start in leaves:
+        if start in component:
+            continue
+        component[start], todo = start, [start]
+        while todo:
+            for y in adj[todo.pop()]:
+                if y not in component:
+                    component[y] = start
+                    todo.append(y)
+    starts = list(dict.fromkeys(component[x] for x in leaves))
+    if len(starts) == 1:
+        return None
+    kids = [reference_build(triples, [x for x in leaves if component[x] == s]) for s in starts]
+    return None if None in kids else tuple(kids)
+
+
 def reference_parse_newick(text: str) -> Topology:
     """Nested-tuple topology of a rooted Newick string, read character by
     character: the reference ``graphio.parse_newick`` is tested against."""
