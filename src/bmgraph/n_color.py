@@ -37,9 +37,18 @@ without pair notes.  A best match graph has exactly one least resolved
 tree, and both candidates are that tree, so on acceptance (a) returns the
 tree it would have built and notes every colour pair as a 2-cBMG, which
 each colour pair of a best match graph is; no pair body runs.  Only when
-the gate rejects does (a) run in full, from the same components, so its
-stage, witness and pair notes are its own.  With one colour pair the pair
-body already gives the whole candidate, so on two colours (a) runs alone.
+the gate rejects does (a) run, from the same components, so its stage,
+witness and pair notes are its own.  This direct attempt's BUILD does not
+stop at a level that does not split: it forces the level (``build``'s
+``forced``), so a tree always reaches the gate, and a forced tree is never
+accepted.  The gate's forward graph names, per component, the colour pairs
+on which it differs from the input.  On every other pair the input is the
+best match graph of that tree induced on two colours, which is the best
+match graph of the tree restricted to them, so the pair is a 2-cBMG: (a)
+notes it without running its body, runs the others in order up to the
+first failure, and runs the skipped bodies only for the BUILD of a
+component in which no pair fails.  With one colour pair the pair body
+already gives the whole candidate, so on two colours (a) runs alone.
 
 Recognition has one exit: each stage before the gate returns the candidate
 topology or a ``Rejection``, and ``recognize_ncbmg`` writes the verdict once;
@@ -111,13 +120,19 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
         attempts = [None, route]  # the direct candidate first, the pair layer only after its rejection
     else:
         attempts = [route]
+    unexplained: list[set[tuple[str, str]]] | None = None  # per component, from a rejected direct tree
     for attempt in attempts:
-        outcome = _candidate(graph, comps, attempt, report)
+        forced: list[int] | None = [] if attempt is None else None
+        outcome = _candidate(graph, comps, attempt, report, forced, unexplained)
         if not isinstance(outcome, Rejection):
             with _timed(report, "gate"):
                 candidate = LeafColoredTree(outcome, graph.colors_as_dict())
-                mismatch = first_arc_difference(graph, bmg_of_tree(candidate))
-            outcome = candidate if mismatch is None else Rejection("graph-mismatch", mismatch)
+                forward = bmg_of_tree(candidate)
+                mismatch = first_arc_difference(graph, forward)
+                if attempt is None and (mismatch is not None or forced):
+                    unexplained = _unexplained_pairs(graph, forward, comps)
+            accepted = mismatch is None and not forced  # a forced tree is never accepted
+            outcome = candidate if accepted else Rejection("graph-mismatch", mismatch)
         if not isinstance(outcome, Rejection):
             break
         if attempt is None:  # so that components and gate time the pair layer alone
@@ -163,11 +178,18 @@ def _structure(graph: ColoredDigraph, report: RecognitionReport) -> list[int] | 
 
 
 def _candidate(
-    graph: ColoredDigraph, comps: list[int], route: str | None, report: RecognitionReport
+    graph: ColoredDigraph,
+    comps: list[int],
+    route: str | None,
+    report: RecognitionReport,
+    forced: list[int] | None,
+    unexplained: list[set[tuple[str, str]]] | None,
 ) -> Topology | Rejection:
     """The candidate topologies of the components joined under one root, or
     the first rejection.  ``route`` None is the pairwise route's direct
-    attempt: the direct route's BUILD, which counts no triples."""
+    attempt: the direct route's BUILD, which counts no triples and forces
+    each level that does not split into the list ``forced``.  Per component,
+    ``unexplained`` names the colour pairs a rejected direct tree differs on."""
     with _timed(report, "components"):
         pairs: ColorPairs | None = None
         if route == "pairwise-lrt":
@@ -175,7 +197,8 @@ def _candidate(
             pairs = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
         topologies: list[Topology] = []
         for ci, comp in enumerate(comps):
-            outcome = _recognize_component(graph, comp, ci, pairs, report, route is not None)
+            vouch = None if unexplained is None else unexplained[ci]
+            outcome = _recognize_component(graph, comp, ci, pairs, report, forced, vouch)
             if isinstance(outcome, Rejection):
                 return outcome
             topologies.append(outcome)
@@ -188,33 +211,61 @@ def _recognize_component(
     ci: int,
     pairs: ColorPairs | None,
     report: RecognitionReport,
-    notes: bool,
+    forced: list[int] | None,
+    unexplained: set[tuple[str, str]] | None,
 ) -> Topology | Rejection:
     """Candidate topology of the component with vertex mask ``ground``.  The
     pairwise route hands in the graph's colour pairs as vertex masks; the
-    direct route hands in None, and with ``notes`` its one BUILD call also
-    counts each colour pair's informative triples for the pair notes.
+    direct route hands in None, and without ``forced`` its one BUILD call
+    also counts each colour pair's informative triples for the pair notes;
+    the pairwise route's direct attempt hands in the list ``forced`` instead.
+    A pair outside ``unexplained``, when given, is a 2-cBMG (see above) and
+    runs its body only for the BUILD of a component with no failing pair.
     No tree is built and no gate runs here, the caller's global comparison
     is the only one."""
     if pairs is None:
-        counts: dict[tuple[int, int], int] | None = {} if notes else None
-        topo = build(graph, ground, counts)
+        counts: dict[tuple[int, int], int] | None = {} if forced is None else None
+        topo = build(graph, ground, counts, forced)
         if counts is not None:
             for (s, first), (t, second) in itertools.combinations(enumerate(graph.color_ids), 2):
                 report.pair_verdicts[(ci, (first, second))] = f"{counts.get((s, t), 0)} informative triples"
     else:
-        families = []
+        families, skipped = [], []
         for s, t, pair in pairs:
-            family = pair_topology(graph, pair & ground)
-            if isinstance(family, Rejection):
-                report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"
-                return Rejection("2cbmg-failure", family)
+            if unexplained is not None and (s, t) not in unexplained:
+                skipped.append(len(families))
+                family = pair & ground
+            else:
+                family = pair_topology(graph, pair & ground)
+                if isinstance(family, Rejection):
+                    report.pair_verdicts[(ci, (s, t))] = f"failed: {family.stage}"
+                    return Rejection("2cbmg-failure", family)
             report.pair_verdicts[(ci, (s, t))] = "2-cBMG"
             families.append(family)
+        for k in skipped:
+            families[k] = pair_topology(graph, families[k])
         topo = build_from_trees(families, graph.vertex_ids, ground)
     if topo is None:
         return Rejection("triples-inconsistent", report.components[ci])
     return topo
+
+
+def _unexplained_pairs(graph: ColoredDigraph, forward: ColoredDigraph, comps: list[int]) -> list[set[tuple[str, str]]]:
+    """Per component, the colour pairs ``(s, t)``, in colour order, on which
+    ``forward``, on the vertices of ``graph``, and ``graph`` differ: one XOR
+    per vertex, and one step per colour a difference meets."""
+    color_of, by_color, names = graph.color_of, graph.color_masks, graph.color_ids
+    found = []
+    for comp in comps:
+        here = set()
+        for v in bits(comp):
+            diff, s = graph.out_masks[v] ^ forward.out_masks[v], color_of[v]
+            while diff:
+                t = color_of[(diff & -diff).bit_length() - 1]
+                diff &= ~by_color[t]
+                here.add((names[s], names[t]) if s < t else (names[t], names[s]))
+        found.append(here)
+    return found
 
 
 def redundant_edges_n(tree: LeafColoredTree, graph: ColoredDigraph) -> frozenset[tuple[int, int]]:

@@ -14,7 +14,9 @@ in M of b's colour t outside N_t(a), a test that reads a only through
 (t, N_t(a)), so the vertices sharing that key glue as one source and no
 triple is built; one pass takes each N_t(a) as ``out & L_t``, keeps none,
 and, given ``counts``, counts each colour pair's triples for the pair notes.
-The triples route is ``recognize_ncbmg(graph, route="informative-direct")``.
+The triples route is ``recognize_ncbmg(graph, route="informative-direct")``;
+the pairwise route's direct attempt forces each level that does not split,
+dropping one colour's sources or making it a star, instead of stopping.
 
 ``build_from_trees`` glues from pair trees given as cluster families over
 leaf bitsets (``two_color.pair_topology``), merging with the same ``_blocks``
@@ -105,23 +107,32 @@ def build(
     source: ColoredDigraph | TripleSet | Iterable[RootedTriple],
     leaves: int | Iterable[str],
     counts: dict[tuple[int, int], int] | None = None,
+    forced: list[int] | None = None,
 ) -> Topology | None:
     """Aho tree on ``leaves``, or None when no tree displays the triples:
     those of a collection on the labels ``leaves``, or the informative ones
     of a colored digraph on the vertex bitset ``leaves``, never built, with
     their number per colour pair added to ``counts`` when given; without
-    ``counts`` nothing is counted."""
+    ``counts`` nothing is counted.  Given a list ``forced`` (a colored
+    digraph only), BUILD does not stop at a level that does not split: it
+    splits it by ``_forced_split``, appends the level to ``forced`` and
+    carries on, so a tree always comes back.  Only the pairwise route's
+    direct attempt passes ``forced``, to get a tree whose best match graph
+    vouches for the colour pairs it reproduces; the direct route, and
+    ``build_from_trees`` on the pair layer, stop at their first such level."""
     if isinstance(source, ColoredDigraph):
         check_vertex_mask(source, leaves)
         sources = _graph_sources(source, leaves, counts)
-        names, root = source.vertex_ids, leaves
+        names, root, color_of = source.vertex_ids, leaves, source.color_of
     else:
+        if forced is not None:
+            raise GraphError("only a colored digraph's BUILD forces a level")
         names = tuple(sorted(set(leaves)))
         sources = _triple_sources(source, {x: k for k, x in enumerate(names)})
-        root = (1 << len(names)) - 1
+        root, color_of = (1 << len(names)) - 1, ()
     if not root:
         raise GraphError("BUILD needs at least one leaf")
-    return _aho_tree(root, sources, names)
+    return _aho_tree(root, sources, names, color_of, forced)
 
 
 # A glue source ``(z, first, chunk)`` of the root: its triples join the leaf
@@ -130,7 +141,9 @@ def build(
 Source = tuple[int, int, int]
 
 
-def _aho_tree(root: int, sources: list[Source], names: tuple[str, ...]) -> Topology | None:
+def _aho_tree(
+    root: int, sources: list[Source], names: tuple[str, ...], color_of: Sequence[int], forced: list[int] | None
+) -> Topology | None:
     """BUILD from an explicit stack over leaf bitsets, blocks ordered by
     smallest leaf, so a name order equal to index order makes the output
     canonical.  A source glues its one chunk on every level it lives: its
@@ -138,7 +151,10 @@ def _aho_tree(root: int, sources: list[Source], names: tuple[str, ...]) -> Topol
     the source, and there it lives while ``z`` meets the block, one AND per
     level.  As a chunk spans two leaves and ``z`` a third, a block of at
     most two is settled at once.  Inner nodes are numbered parents first,
-    so the topology is assembled by one pass in reverse."""
+    so the topology is assembled by one pass in reverse.  A level that does
+    not split ends BUILD with None, unless ``forced`` is a list (the
+    pairwise route's direct attempt): then ``_forced_split`` splits it by
+    ``color_of``, the level is appended there, and BUILD carries on."""
     if (settled := _settled(root, names)) is not None:
         return settled
     kids: list[list] = []  # per inner node, per block, a settled topology or an inner node
@@ -148,7 +164,10 @@ def _aho_tree(root: int, sources: list[Source], names: tuple[str, ...]) -> Topol
         live, chunks = _glue(level, sources)
         blocks = _blocks(level, chunks.values())
         if len(blocks) == 1:
-            return None
+            if forced is None:
+                return None
+            forced.append(level)
+            blocks, live, chunks = _forced_split(level, live, chunks, color_of)
         slots[slot] = len(kids)
         here = [_settled(b, names) for b in blocks]
         kids.append(here)
@@ -168,6 +187,28 @@ def _aho_tree(root: int, sources: list[Source], names: tuple[str, ...]) -> Topol
     for node in range(len(kids) - 1, -1, -1):
         built[node] = tuple([built[x] if type(x) is int else x for x in kids[node]])
     return built[0]
+
+
+def _forced_split(
+    level: int, live: list[Source], chunks: dict[int, int], color_of: Sequence[int]
+) -> tuple[list[Source], list[Source], dict[int, int]]:
+    """Blocks, live sources and chunks of a level whose chunks join it into
+    one block: without the sources of the one colour ``color_of[first]``
+    whose removal leaves the fewest blocks, at least two, the lowest colour
+    on ties, at one merge per colour present; a star of the level's leaves,
+    with no source, when no single colour splits it.  The rule only picks
+    which forced tree vouches for colour pairs, so it moves speed, never a
+    verdict."""
+    best: tuple[int, list[int]] | None = None
+    for c in sorted({color_of[first] for first in chunks}):
+        blocks = _blocks(level, [chunk for first, chunk in chunks.items() if color_of[first] != c])
+        if len(blocks) > 1 and (best is None or len(blocks) < len(best[1])):
+            best = (c, blocks)
+    if best is None:
+        return [1 << v for v in scan_bits(level)], [], {}
+    c, blocks = best
+    kept = {first: chunk for first, chunk in chunks.items() if color_of[first] != c}
+    return blocks, [s for s in live if color_of[s[1]] != c], kept
 
 
 def _settled(block: int, names: tuple[str, ...]) -> Topology | None:

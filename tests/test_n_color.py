@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import statistics
 
 import pytest
 
@@ -19,8 +20,10 @@ from bmgraph import (
     subgraph_on,
     thinness_partition,
 )
+from bmgraph import n_color, two_color
 from bmgraph.digraph import bits
 from bmgraph.n_color import ROUTES
+from bmgraph.verdicts import Rejection
 from cases import (
     counterex_sym_graph,
     gate_mismatch_graph,
@@ -28,8 +31,10 @@ from cases import (
     three_class_scenario_tree,
 )
 from util import (
+    agrees_with_pair_layer,
     all_topologies,
     arc_ids,
+    build_work,
     caterpillar,
     class_ids,
     color_partitions,
@@ -43,6 +48,7 @@ from util import (
     random_binary_refinement,
     random_scenario,
     restrict,
+    single_arc_flips,
 )
 
 
@@ -305,6 +311,39 @@ def test_a_rejection_on_many_colours_times_the_pair_layer_apart_from_the_direct_
     assert report.stage == "2cbmg-failure"
     assert report.timings.keys() == {"structure", "direct-attempt", "components"}, report.timings
     assert recognize_ncbmg(cut, route="informative-direct").timings.keys() == {"structure", "components", "gate"}
+
+
+def test_a_rejected_direct_tree_vouches_only_for_colour_pairs_that_pass(monkeypatch):
+    # the best match graph of a tree induced on two colours is the best match
+    # graph of the tree restricted to them, so every colour pair on which the
+    # rejected direct tree reproduces the input is a 2-cBMG and runs no body;
+    # a component in which no pair fails still runs every body for its BUILD,
+    # so seed 3, whose flips mostly fail in its second component, runs 190 or
+    # more on half of them (median 5 over the three seeds when first measured)
+    vouched: list[tuple[ColoredDigraph, int, int]] = []  # (graph, component, pair mask)
+    real = n_color._unexplained_pairs
+
+    def recorded(graph, forward, comps):
+        found = real(graph, forward, comps)
+        named = zip(graph.color_ids, graph.color_masks)
+        for (s, first), (t, second) in itertools.combinations(named, 2):
+            vouched.extend((graph, comp, first | second) for comp, here in zip(comps, found) if (s, t) not in here)
+        return found
+
+    monkeypatch.setattr(n_color, "_unexplained_pairs", recorded)
+    bodies = []
+    for seed in (1, 2, 3):
+        _, graph = simulate(SimulationConfig(250, 20, seed))
+        for flipped in single_arc_flips(graph, seed, 20):
+            with build_work() as counts:
+                report = recognize_ncbmg(flipped)
+            if not report.accepted:
+                assert agrees_with_pair_layer(flipped, report), (seed, arc_ids(flipped) ^ arc_ids(graph))
+                bodies.append(counts["pair_classes"])
+    assert len(bodies) >= 45 and vouched, (len(bodies), len(vouched))
+    for flipped, comp, pair in vouched:
+        assert not isinstance(two_color.pair_topology(flipped, pair & comp), Rejection)
+    assert statistics.median(bodies) <= 20, bodies
 
 
 def test_many_families_are_recognized_as_each_family_alone():

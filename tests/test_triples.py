@@ -25,7 +25,7 @@ from bmgraph import (
 )
 from bmgraph.digraph import bits
 from bmgraph.two_color import pair_topology
-from cases import counter_triples_graph
+from cases import counter_triples_graph, counterex_sym_graph
 from util import (
     aho_graph,
     arc_ids,
@@ -332,6 +332,34 @@ def test_graph_glue_rejects_foreign_leaves():
             subgraph_on(graph, stray)
     with pytest.raises(GraphError):
         build(graph, 0)
+
+
+def test_a_forced_build_splits_a_stuck_level_by_one_colour_or_into_a_star():
+    # a single-arc flip of a 7-leaf BMG: the level of all leaves but v3 does
+    # not split; without the sources of c1 it has the two blocks {v1, v2}
+    # and {v4, ..., v7}, without those of c2 three, and c3 keys no source
+    colors = {"v1": "c2", "v2": "c3", "v3": "c2", "v4": "c1", "v5": "c1", "v6": "c2", "v7": "c1"}
+    arcs = [
+        ("v1", "v2"), ("v1", "v5"), ("v1", "v7"), ("v2", "v1"), ("v2", "v4"), ("v2", "v5"), ("v2", "v7"),
+        ("v3", "v2"), ("v3", "v4"), ("v3", "v5"), ("v3", "v7"), ("v4", "v2"), ("v4", "v6"), ("v5", "v2"),
+        ("v5", "v6"), ("v6", "v2"), ("v6", "v5"), ("v7", "v2"), ("v7", "v6"),
+    ]  # fmt: skip
+    graph = ColoredDigraph(colors, arcs)
+    assert build(graph, 127) is None
+    forced = []
+    assert build(graph, 127, None, forced) == ((("v1", "v2"), ("v4", "v5", "v6", "v7")), "v3")
+    assert forced == [0b1111011]
+    # the symmetric 6-cycle's root level splits by no single colour: a star
+    graph = counterex_sym_graph()
+    forced = []
+    assert build(graph, 63) is None
+    assert build(graph, 63, None, forced) == graph.vertex_ids and forced == [63]
+    # a level that splits is never forced, and a triple collection has no colours
+    forced = []
+    assert build(counter_triples_graph(), (1 << len(counter_triples_graph())) - 1, None, forced) is not None
+    assert forced == []
+    with pytest.raises(GraphError):
+        build(TripleSet.of("xyz", [("x", "y", "z"), ("x", "z", "y")]), "xyz", None, [])
 
 
 def test_direct_pair_verdicts_count_the_pair_triples():

@@ -61,7 +61,8 @@ def test_direct_route_glues_once_per_group(work):
     # while each level still visits its live sources (slopes 2.00 and 2.10),
     # one AND per visit, as a source carries the chunk it glues
     chunks = {colors: [c["chunks"] for c in work["informative-direct", colors]] for colors in (2, 20)}
-    assert chunks[20][-1] <= 350_000, chunks
+    # 395 / 795 / 1,595 on two colours and 3,410 / 7,410 / 15,410 on twenty
+    assert chunks[2][-1] <= 1_760 and chunks[20][-1] <= 17_000, chunks
     for colors, counts in chunks.items():
         assert _slope(counts) <= 1.2, (colors, counts)
         visits = [c["visits"] for c in work["informative-direct", colors]]
@@ -104,13 +105,26 @@ def test_the_pairwise_route_runs_the_pair_layer_only_where_it_decides(work, yule
 
 
 # per rejected graph, its stage and the pairwise route's pair-layer work
-# (PAIR_COUNTS): the counts the pair layer makes when it decides the graph
-# alone, as the direct attempt adds none of this work
+# (PAIR_COUNTS): the gate-mismatch graph and the 6-cycle pass every colour
+# pair, so their full pair layer runs, as when it decides the graph alone;
+# on the Yule cuts a body runs only on the colour pairs the rejected direct
+# tree does not explain, up to the first failing one (25 and 428 bodies when
+# every pair up to it ran), and the 400-leaf graph's two passing components
+# still run every body for their BUILD
 REJECTED = {
     "gate mismatch": ("graph-mismatch", (3, 3, 3, 9, 12, 7)),
     "symmetric 6-cycle": ("triples-inconsistent", (3, 3, 3, 12, 15, 3)),
-    "Yule 100 x 20 cut": ("2cbmg-failure", (25, 24, 24, 221, 358, 0)),
-    "Yule 400 x 20 cut": ("2cbmg-failure", (428, 427, 427, 4184, 8489, 5734)),  # fails in its third component
+    "Yule 100 x 20 cut": ("2cbmg-failure", (1, 0, 0, 0, 1, 0)),
+    "Yule 400 x 20 cut": ("2cbmg-failure", (381, 380, 380, 3790, 7838, 5734)),  # fails in its third component
+}
+# per rejected graph, the direct route's BUILD levels and glue-source visits:
+# the direct route stops at its first level that does not split, so the
+# stuck-level rule of the pairwise route's direct attempt costs it nothing
+REJECTED_DIRECT = {
+    "gate mismatch": (2, 8),
+    "symmetric 6-cycle": (1, 6),
+    "Yule 100 x 20 cut": (33, 513),
+    "Yule 400 x 20 cut": (142, 2962),
 }
 
 
@@ -119,21 +133,34 @@ def _without_last_arc(graph: ColoredDigraph) -> ColoredDigraph:
     return ColoredDigraph(graph.colors_as_dict(), [(ids[i], ids[j]) for i, j in sorted(graph.arcs())[:-1]])
 
 
-def test_a_rejected_graph_runs_the_full_pair_layer_once():
-    # the direct attempt's rejection hands over to the pair layer, which does
-    # the work it did alone and names the same rejection
-    graphs = {
+@pytest.fixture(scope="module")
+def rejected():
+    """The rejected graphs of ``REJECTED``, by name."""
+    return {
         "gate mismatch": gate_mismatch_graph(),
         "symmetric 6-cycle": counterex_sym_graph(),
         "Yule 100 x 20 cut": _without_last_arc(simulate(SimulationConfig(100, 20, 2))[1]),
         "Yule 400 x 20 cut": _without_last_arc(simulate(SimulationConfig(400, 20, 2))[1]),
     }
-    for name, graph in graphs.items():
+
+
+def test_a_rejected_graph_runs_pair_bodies_only_where_the_direct_tree_differs(rejected):
+    # the direct attempt's rejected tree vouches for the colour pairs its
+    # best match graph reproduces; the pair layer runs the others and names
+    # the rejection it names when it decides the graph alone
+    for name, graph in rejected.items():
         with build_work() as counts:
             report = recognize_ncbmg(graph)
         alone = pair_layer_report(graph)
         assert (report.stage, tuple(counts[k] for k in PAIR_COUNTS)) == REJECTED[name], (name, counts)
         assert (report.witness, report.pair_verdicts) == (alone.witness, alone.pair_verdicts), name
+
+
+def test_the_direct_route_stops_at_its_first_stuck_level(rejected):
+    for name, graph in rejected.items():
+        with build_work() as counts:
+            assert not recognize_ncbmg(graph, route="informative-direct").accepted
+        assert (counts["levels"], counts["visits"]) == REJECTED_DIRECT[name], (name, counts)
 
 
 def test_each_level_is_one_inner_node_of_the_tree(work):

@@ -504,6 +504,20 @@ def _build_st(
     return tuple(kids)
 
 
+def single_arc_flips(graph: ColoredDigraph, seed: int, count: int) -> list[ColoredDigraph]:
+    """``count`` seeded single-arc flips of ``graph``, half of them deleting
+    an arc and half adding one between two colours."""
+    rng = random.Random(seed)
+    colors, arcs = graph.colors_as_dict(), arc_ids(graph)
+    deleted = rng.sample(sorted(arcs), count // 2)
+    added: set[tuple[str, str]] = set()
+    while len(added) < count - count // 2:
+        x, y = rng.sample(graph.vertex_ids, 2)
+        if colors[x] != colors[y] and (x, y) not in arcs:
+            added.add((x, y))
+    return [ColoredDigraph(colors, arcs ^ {arc}) for arc in deleted + sorted(added)]
+
+
 def hierarchy_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
     """The topology of ``lrt_via_hierarchy`` as a tree, or its rejection."""
     topology = lrt_via_hierarchy(graph)
@@ -519,18 +533,26 @@ def direct_lrt(graph: ColoredDigraph) -> LeafColoredTree | Rejection:
     return report.lrt if report.accepted else report.rejection
 
 
-def pair_layer_report(graph: ColoredDigraph) -> n_color.RecognitionReport:
-    """The pairwise route's report with the pair layer deciding every graph:
-    ``recognize_ncbmg`` with the direct candidate of each component failing,
-    so that on three or more colours the full pair-layer candidate and its
-    gate run, as after any rejected direct attempt.  On one or two colours
-    no direct attempt runs, and this is ``recognize_ncbmg`` itself."""
+@contextmanager
+def pair_layer_only():
+    """While the block runs, the direct candidate of each component fails,
+    so that on three or more colours the pairwise route runs its full
+    pair-layer candidate and its gate, with no direct tree to vouch for a
+    colour pair, as when the pair layer decides the graph alone."""
     real = n_color.build
-    n_color.build = lambda graph, ground, counts=None: None
+    n_color.build = lambda graph, ground, counts=None, forced=None: None
     try:
-        return recognize_ncbmg(graph, route="pairwise-lrt")
+        yield
     finally:
         n_color.build = real
+
+
+def pair_layer_report(graph: ColoredDigraph) -> n_color.RecognitionReport:
+    """The pairwise route's report with the pair layer deciding every graph
+    (``pair_layer_only``).  On one or two colours no direct attempt runs,
+    and this is ``recognize_ncbmg`` itself."""
+    with pair_layer_only():
+        return recognize_ncbmg(graph, route="pairwise-lrt")
 
 
 def agrees_with_pair_layer(graph: ColoredDigraph, report: n_color.RecognitionReport) -> bool:
