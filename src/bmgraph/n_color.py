@@ -45,10 +45,21 @@ accepted.  The gate's forward graph names, per component, the colour pairs
 on which it differs from the input.  On every other pair the input is the
 best match graph of that tree induced on two colours, which is the best
 match graph of the tree restricted to them, so the pair is a 2-cBMG: (a)
-notes it without running its body, runs the others in order up to the
-first failure, and runs the skipped bodies only for the BUILD of a
-component in which no pair fails.  With one colour pair the pair body
-already gives the whole candidate, so on two colours (a) runs alone.
+notes it without running its body and runs the others in order up to the
+first failure.  When no pair of a component fails, its BUILD decides, and
+two cases need none:
+- A component the tree explains in full is a best match graph: each of
+  its vertices has all its best matches in it, so it is the best match
+  graph of the tree restricted to its leaves.  It never rejects, so its
+  skipped bodies and BUILD run last, only when no other component rejects.
+- A component on which the direct attempt forced a level has informative
+  triples that no tree displays.  Each pair tree explains its pair, so it
+  displays that pair's informative triples, and no tree displays all pair
+  trees: the pair BUILD would fail, and (a) rejects the component as
+  ``triples-inconsistent`` without the skipped bodies.
+Otherwise the skipped bodies run for the BUILD.  With one colour pair the
+pair body already gives the whole candidate, so on two colours (a) runs
+alone.
 
 Recognition has one exit: each stage before the gate returns the candidate
 topology or a ``Rejection``, and ``recognize_ncbmg`` writes the verdict once;
@@ -121,9 +132,10 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
     else:
         attempts = [route]
     unexplained: list[set[tuple[str, str]]] | None = None  # per component, from a rejected direct tree
+    stuck: list[bool] | None = None  # per component, whether that tree's BUILD forced a level there
     for attempt in attempts:
         forced: list[int] | None = [] if attempt is None else None
-        outcome = _candidate(graph, comps, attempt, report, forced, unexplained)
+        outcome = _candidate(graph, comps, attempt, report, forced, unexplained, stuck)
         if not isinstance(outcome, Rejection):
             with _timed(report, "gate"):
                 candidate = LeafColoredTree(outcome, graph.colors_as_dict())
@@ -131,6 +143,7 @@ def recognize_ncbmg(graph: ColoredDigraph, route: str = "pairwise-lrt") -> Recog
                 mismatch = first_arc_difference(graph, forward)
                 if attempt is None and (mismatch is not None or forced):
                     unexplained = _unexplained_pairs(graph, forward, comps)
+                    stuck = [any(level & comp for level in forced) for comp in comps]
             accepted = mismatch is None and not forced  # a forced tree is never accepted
             outcome = candidate if accepted else Rejection("graph-mismatch", mismatch)
         if not isinstance(outcome, Rejection):
@@ -184,24 +197,31 @@ def _candidate(
     report: RecognitionReport,
     forced: list[int] | None,
     unexplained: list[set[tuple[str, str]]] | None,
+    stuck: list[bool] | None,
 ) -> Topology | Rejection:
     """The candidate topologies of the components joined under one root, or
     the first rejection.  ``route`` None is the pairwise route's direct
     attempt: the direct route's BUILD, which counts no triples and forces
     each level that does not split into the list ``forced``.  Per component,
-    ``unexplained`` names the colour pairs a rejected direct tree differs on."""
+    ``unexplained`` names the colour pairs a rejected direct tree differs on
+    and ``stuck`` whether its BUILD forced a level there.  A component that
+    tree explains in full never rejects (see above), so its pair bodies and
+    BUILD wait until every other component has passed."""
     with _timed(report, "components"):
         pairs: ColorPairs | None = None
         if route == "pairwise-lrt":
             named = zip(graph.color_ids, graph.color_masks)
             pairs = [(s, t, first | second) for (s, first), (t, second) in itertools.combinations(named, 2)]
-        topologies: list[Topology] = []
+        topologies: list[Topology | None] = []
         for ci, comp in enumerate(comps):
             vouch = None if unexplained is None else unexplained[ci]
-            outcome = _recognize_component(graph, comp, ci, pairs, report, forced, vouch)
+            outcome = _recognize_component(graph, comp, ci, pairs, report, forced, vouch, bool(stuck and stuck[ci]))
             if isinstance(outcome, Rejection):
                 return outcome
             topologies.append(outcome)
+        for ci, topo in enumerate(topologies):
+            if topo is None:  # a best match graph: it passes, its notes written again unchanged and in place
+                topologies[ci] = _recognize_component(graph, comps[ci], ci, pairs, report, None, None, False)
         return tuple(topologies)  # a lone component's root is unwrapped by the tree
 
 
@@ -213,7 +233,8 @@ def _recognize_component(
     report: RecognitionReport,
     forced: list[int] | None,
     unexplained: set[tuple[str, str]] | None,
-) -> Topology | Rejection:
+    stuck: bool,
+) -> Topology | Rejection | None:
     """Candidate topology of the component with vertex mask ``ground``.  The
     pairwise route hands in the graph's colour pairs as vertex masks; the
     direct route hands in None, and without ``forced`` its one BUILD call
@@ -221,8 +242,11 @@ def _recognize_component(
     the pairwise route's direct attempt hands in the list ``forced`` instead.
     A pair outside ``unexplained``, when given, is a 2-cBMG (see above) and
     runs its body only for the BUILD of a component with no failing pair.
-    No tree is built and no gate runs here, the caller's global comparison
-    is the only one."""
+    When no pair fails, a ``stuck`` component is ``triples-inconsistent``
+    without its BUILD, and an empty ``unexplained`` gives None: the
+    component is a best match graph, and the caller runs it again without
+    ``unexplained`` once its topology is needed.  No tree is built and no
+    gate runs here, the caller's global comparison is the only one."""
     if pairs is None:
         counts: dict[tuple[int, int], int] | None = {} if forced is None else None
         topo = build(graph, ground, counts, forced)
@@ -242,6 +266,10 @@ def _recognize_component(
                     return Rejection("2cbmg-failure", family)
             report.pair_verdicts[(ci, (s, t))] = "2-cBMG"
             families.append(family)
+        if stuck:
+            return Rejection("triples-inconsistent", report.components[ci])
+        if unexplained is not None and not unexplained:
+            return None
         for k in skipped:
             families[k] = pair_topology(graph, families[k])
         topo = build_from_trees(families, graph.vertex_ids, ground)
