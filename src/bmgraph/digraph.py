@@ -7,10 +7,10 @@ derived object (components, classes, arc listings) is deterministic.
 A digraph stores one Python-int bitset per vertex, its only adjacency: bit
 j of ``out_masks[i]`` is set exactly for the arc i -> j.  Two views are
 built on first read and then kept: the in-bitsets ``in_masks`` (pairwise
-route and API only) and the colour classes ``color_masks`` (L_t).  N_t(v)
-is ``out & L_t``, taken where it is needed and kept nowhere.  So a graph
-that is only written or compared, as in ``from-tree`` and the gate, builds
-neither.
+route and API only; a dense graph reads them off one byte matrix of binary
+digits) and the colour classes ``color_masks`` (L_t).  N_t(v) is ``out &
+L_t``, taken where it is needed and kept nowhere.  So a graph that is only
+written or compared, as in ``from-tree`` and the gate, builds neither.
 An undirected graph holds both arcs of each edge.  Bit order is vertex
 order, so ``bits`` (or ``scan_bits`` for dense masks) lists vertices sorted.
 One merge, ``_blocks``, splits a graph into components, a colour pair into
@@ -102,14 +102,20 @@ class ColoredDigraph:
 
     @property
     def in_masks(self) -> tuple[int, ...]:
-        """In-bitsets, built on first read and then kept."""
+        """In-bitsets, built on first read and then kept: the columns of one
+        byte matrix of binary digits where one cell in ``SCAN_DENSITY`` or
+        more holds an arc, else walked from each out-bitset."""
         in_masks = self._in_masks
         if in_masks is None:
-            ins = [0] * len(self.vertex_ids)
-            for i, out in enumerate(self.out_masks):
-                bit = 1 << i
-                for j in scan_bits(out):
-                    ins[j] |= bit
+            if (n := len(self.vertex_ids)) ** 2 <= SCAN_DENSITY * self.arc_count():
+                rows = "".join([format(out, f"0{n}b") for out in self.out_masks]).encode()
+                ins = [int(rows[p::n][::-1], 2) for p in range(n - 1, -1, -1)]
+            else:
+                ins = [0] * n
+                for i, out in enumerate(self.out_masks):
+                    bit = 1 << i
+                    for j in scan_bits(out):
+                        ins[j] |= bit
             in_masks = self._in_masks = tuple(ins)
         return in_masks
 

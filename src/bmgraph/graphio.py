@@ -2,19 +2,16 @@
 
 Graph files are plain text: ``V <id> <color>`` declares a vertex, ``A <src>
 <dst>`` an arc between previously declared vertices, ``#`` starts a comment.
-A file in the layout the graph writer emits is read in bulk, block by block;
-any other layout, and any invalid file, is read line by line, which gives the
-same graph and is the one source of ``ParseError``.
-Vertex ids are leaf labels, so they hold no character Newick gives meaning to.
-Trees are rooted Newick without branch lengths or inner labels, read token
-by token; leaf colors live in a tab-separated sidecar, which is the single
-source of color truth and, like graph files, is read in bulk in the layout
-its writer emits and line by line otherwise.
-Vertex ids, leaf labels and colours are whitespace-free and hold no ``#``,
-and the constructors check that, so what a writer emits reads back.  All
-writers emit sorted, byte-deterministic output; the graph writer sorts the
-sources once and names each one's targets from the nonzero bytes of its
-out-bitset, or bit by bit where the bitset is sparse.
+A file in the layout the graph writer emits is read in bulk, its arc lines
+with no Python step per arc; any other layout, and any invalid file, is read
+line by line, which gives the same graph and every ``ParseError``.  Trees are
+rooted Newick without branch lengths or inner labels, read token by token;
+leaf colours live in a tab-separated sidecar, the one source of colour truth,
+read in bulk or line by line as graph files are.  Ids, leaf labels and
+colours are whitespace-free and hold no ``#``, ids none of ``(),;`` either,
+and the constructors check that, so what a writer emits reads back.  Writers
+emit sorted, byte-deterministic output; the graph writer names each source's
+targets from the nonzero bytes of its out-bitset, or bit by bit if sparse.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import re
 import stat
 import sys
 from itertools import compress, groupby
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from .digraph import ColoredDigraph, bits
 from .errors import ParseError, BmgraphError
@@ -40,59 +37,60 @@ _BYTE_BITS = [tuple(q for q in range(8) if b >> q & 1) for b in range(256)]
 
 
 def parse_graph(text: str) -> ColoredDigraph:
-    """Graph of a graph file: in bulk when the text is in the writer's layout,
-    else line by line, which gives the same graph and raises every
-    ``ParseError``."""
-    graph = _parse_layout(text)
-    return graph if graph is not None else _parse_lines(text)
+    """Graph of a graph file: in bulk in the writer's layout, else line by
+    line, which gives the same graph and raises every ``ParseError``."""
+    return _parse_layout(text) or _parse_lines(text)  # a graph has a vertex, so it is never false
 
 
 def _parse_layout(text: str) -> ColoredDigraph | None:
-    """Graph of a text in the layout ``format_graph`` writes, or ``None`` for
-    any other layout and any invalid file: ``V`` lines, then ``A`` lines, one
-    space between fields, every line ending in ``\n``, no ``#``.  Each block
-    is split once and must be its own rendering from its tokens, so it holds
-    only lines of three fields, each ended by ``\n``.  The targets of a run
-    of arcs with one source are ORed in at once as bits of their ranks in
-    sorted id order, the order ``ColoredDigraph`` interns; a repeated arc
-    shows as a carry (popcount below the run's length) or as a bit already
-    set."""
+    """Graph of a text in the layout ``format_graph`` writes (``V`` lines, then
+    ``A`` lines from the first ``\nA `` on, one space between fields, each line
+    ended by ``\n``, no ``#``), else ``None``.  A ``V`` block must be its own
+    rendering from its tokens.  ``(block + "A").split(" ")`` turns an ``A``
+    block into sources and ``target + "\nA"`` in turn; no id holds a blank, so
+    the block is in the layout exactly when each token looks up a declared id.
+    A source's run of arcs is ORed in at once, as bits of the targets' ranks in
+    sorted id order; a repeated arc shows as a carry or as a bit already set."""
     if "#" in text:
         return None
+    arcs = text.find("\nA ") + 1 or len(text)
     colors: dict[str, str] = {}
     declared = 0  # V lines read
-    bit: dict[str, int] = {}  # id -> 1 << its rank, set at the first arc
-    out: dict[str, int] = {}  # id -> out-bitset, in rank order
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        block, start = text[start:end], end
+    for block in _blocks(text, 0, arcs):
         fields = block.split()
-        kinds, firsts, seconds = fields[::3], fields[1::3], fields[2::3]
-        if block != "\n".join(map(" ".join, zip(kinds, firsts, seconds))) + "\n":
+        if block != "".join(map("V {} {}\n".format, fields[1::3], fields[2::3])):
             return None
-        nv = kinds.count("V")
-        if kinds != ["V"] * nv + ["A"] * (len(kinds) - nv) or (nv and bit):
-            return None
-        colors.update(zip(firsts[:nv], seconds[:nv]))
-        declared += nv
-        if nv < len(kinds) and not bit:
-            bit = {v: 1 << r for r, v in enumerate(sorted(colors))}
-            out = dict.fromkeys(bit, 0)
-        i = nv
-        try:
-            for src, run in groupby(firsts[nv:]):
-                j = i + len(list(run))
-                mask = sum(map(bit.__getitem__, seconds[i:j]))
-                if mask.bit_count() != j - i or mask & (out[src] | bit[src]):
-                    return None
-                out[src] |= mask
-                i = j
-        except KeyError:  # an undeclared endpoint
-            return None
+        colors.update(zip(fields[1::3], fields[2::3]))
+        declared += len(fields) // 3
     if not colors or len(colors) != declared or not _FORBIDDEN_LABEL_CHARS.isdisjoint("".join(colors)):
         return None
-    return ColoredDigraph.from_masks(colors, list(out.values()) if out else [0] * len(colors))
+    rank = {v: r for r, v in enumerate(sorted(colors))}
+    bit = {v + "\nA": 1 << r for v, r in rank.items()}  # keyed as target tokens read
+    out = [0] * len(rank)
+    try:
+        for block in _blocks(text, arcs, len(text)):
+            tokens = (block + "A").split(" ")
+            if tokens[0] != "A" or not len(tokens) & 1:
+                return None
+            targets, i = tokens[2::2], 0
+            for src, run in groupby(tokens[1::2]):
+                j, r = i + len(list(run)), rank[src]
+                mask = sum(map(bit.__getitem__, targets[i:j]))
+                if mask.bit_count() != j - i or mask & (out[r] | 1 << r):
+                    return None
+                out[r] |= mask
+                i = j
+    except KeyError:  # a token that is no declared id
+        return None
+    return ColoredDigraph.from_masks(colors, out)
+
+
+def _blocks(text: str, start: int, stop: int) -> Iterator[str]:
+    """``text[start:stop]`` in blocks cut at the first line end past each ``_BLOCK`` characters."""
+    while start < stop:
+        end = text.find("\n", start + _BLOCK, stop) + 1 or stop
+        yield text[start:end]
+        start = end
 
 
 def _parse_lines(text: str) -> ColoredDigraph:
@@ -237,11 +235,9 @@ def parse_newick(text: str) -> Topology:
 
 
 def parse_color_map(text: str) -> dict[str, str]:
-    """Leaf colours of a colour sidecar: in bulk when the text is in the
-    layout ``format_color_map`` writes, else line by line, which gives the
-    same map and raises every ``ParseError``."""
-    colors = _parse_color_layout(text)
-    return colors if colors is not None else _parse_color_lines(text)
+    """Leaf colours of a colour sidecar: in bulk in the writer's layout, else
+    line by line, which gives the same map and raises every ``ParseError``."""
+    return _parse_color_layout(text) or _parse_color_lines(text)
 
 
 def _parse_color_layout(text: str) -> dict[str, str] | None:
@@ -367,13 +363,10 @@ _PALETTE = (
 def format_dot(graph: ColoredDigraph) -> str:
     """Graphviz rendering; bidirectional pairs drawn once without arrowheads.
     Ids may hold ``"`` and ``\\``, so both are escaped inside the quotes."""
-    fill = {
-        c: _PALETTE[k % len(_PALETTE)] for k, c in enumerate(graph.color_ids)
-    }
     ids = [v.replace("\\", "\\\\").replace('"', '\\"') for v in graph.vertex_ids]
     lines = ["digraph bmg {", "  node [style=filled];"]
     for i, v in enumerate(ids):
-        lines.append(f'  "{v}" [fillcolor="{fill[graph.color_name(i)]}"];')
+        lines.append(f'  "{v}" [fillcolor="{_PALETTE[graph.color_of[i] % len(_PALETTE)]}"];')
     for i, j in graph.arcs():
         if graph.has_arc(j, i):
             if i < j:

@@ -6,7 +6,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmgraph import (
@@ -285,8 +285,29 @@ def shuffled_parse(graph, rng):
     return parse_graph("\n".join(vertex_lines + lines[len(vertex_lines):]) + "\n")
 
 
+def eight_vertices(arcs):
+    """Two colours on eight vertices and the first ``arcs`` arcs in index
+    order: eight arcs fill ``1 / SCAN_DENSITY`` of the 8 x 8 matrix."""
+    ids = [f"v{i}" for i in range(8)]
+    pairs = [(a, b) for a in ids for b in ids if a != b][:arcs]
+    return ColoredDigraph({v: "rs"[i % 2] for i, v in enumerate(ids)}, pairs)
+
+
+def complete_bipartite(left, right):
+    colors = {**{f"a{i}": "r" for i in range(left)}, **{f"b{i}": "s" for i in range(right)}}
+    arcs = [(x, y) for x in colors for y in colors if colors[x] != colors[y]]
+    return ColoredDigraph(colors, arcs)
+
+
 @settings(max_examples=80, deadline=None)
 @given(random_digraphs(), st.randoms(use_true_random=False))
+# n^2 = SCAN_DENSITY * arcs and one arc either side of the switch to the byte matrix
+@example(eight_vertices(64 // SCAN_DENSITY - 1), random.Random(0))
+@example(eight_vertices(64 // SCAN_DENSITY), random.Random(0))
+@example(eight_vertices(64 // SCAN_DENSITY + 1), random.Random(0))
+@example(ColoredDigraph({"v0": "r"}), random.Random(0))
+@example(ColoredDigraph({"v0": "r", "v1": "s", "v2": "r"}), random.Random(0))
+@example(complete_bipartite(4, 5), random.Random(0))
 def test_in_masks_reverse_out_masks_however_the_graph_is_made(graph, rng):
     subset = [v for v in range(len(graph)) if rng.random() < 0.6]
     made = [

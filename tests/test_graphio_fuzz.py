@@ -278,18 +278,31 @@ def graph_or_error(parse, text):
 @example("V x red\nV x blue\n")  # a repeated id, whose second colour would replace the first
 @example("V a( r\n")  # an id no Newick label can be, with no arc to check it at
 @example("A b a\nV a r\nV b a\n")  # an arc before the vertices, of three fields as they are
+@example("A x y w\nA z\n")  # arcs of three and one field, which split into pairs again
+@example("V x r\nV y s\nV w r\nV z s\nA x y w\nA z\n")
+@example("V A r\nV b s\nA A b\nA b A\n")  # ids spelled like the record types, read in bulk
+@example("V V r\nV b s\nA V b\nA b V\n")
+@example("V a r\nV b s\nA a b\nA b a")  # the last arc line with no line end
+@example("V a r\nV b s\nA a\tb\n")  # blanks other than one space inside an A line
+@example("V a r\nV b s\nA a b\r\n")
+@example("V a r\nV b s\nA a\x85b\n")
+@example("V a r\nV b s\nA a\xa0b\n")
+@example("V a r\nV b s\nA a\u3000b\n")
+@example("V a r\nV b s\nA a b\nV c r\nA b a\n")  # a V line after the first A line
 def test_parse_graph_equals_the_line_reader(text):
     assert graph_or_error(parse_graph, text) == graph_or_error(graphio._parse_lines, text)
 
 
 def blocks(text):
-    """The blocks of the bulk path: cut at the first line end after each
+    """The blocks of the bulk path: the ``V`` lines, then the ``A`` lines from
+    the first ``\\nA `` on, each cut at the first line end after each
     ``graphio._BLOCK`` characters."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + graphio._BLOCK) + 1 or len(text)
-        yield text[start:end]
-        start = end
+    arcs = text.find("\nA ") + 1 or len(text)
+    for start, stop in ((0, arcs), (arcs, len(text))):
+        while start < stop:
+            end = text.find("\n", start + graphio._BLOCK, stop) + 1 or stop
+            yield text[start:end]
+            start = end
 
 
 def test_the_writer_layout_is_read_in_bulk(monkeypatch):
@@ -297,6 +310,8 @@ def test_the_writer_layout_is_read_in_bulk(monkeypatch):
     text = format_graph(caterpillar_graph)
     parts = list(blocks(text))
     assert len(parts) > 10
+    # the V lines fit one block, so the first block of arcs is the second block
+    assert parts[0].startswith("V ") and parts[1].startswith("A ") and "\nA " not in parts[0]
     last_lines = [part[:-1].rsplit("\n", 1)[-1] for part in parts]
     # the arcs of some source run on from one block into the next
     assert any(
@@ -304,8 +319,8 @@ def test_the_writer_layout_is_read_in_bulk(monkeypatch):
         for last, part in zip(last_lines, parts[1:])
     )
     # an arc repeated across a cut is a repeated arc, not a new run
-    cut = len(parts[0])
-    repeated = text[:cut] + last_lines[0] + "\n" + text[cut:]
+    cut = len(parts[0]) + len(parts[1])
+    repeated = text[:cut] + last_lines[1] + "\n" + text[cut:]
     assert graphio._parse_layout(repeated) is None
     with pytest.raises(ParseError, match="duplicate arc"):
         parse_graph(repeated)
@@ -321,6 +336,7 @@ def test_the_writer_layout_is_read_in_bulk(monkeypatch):
     graphs = [
         simulate(SimulationConfig(60, 4, 1))[1],
         ColoredDigraph({"b": "r", "a": "s", "c": "r"}),
+        ColoredDigraph({"A": "r", "V": "s", "b": "r"}, [("A", "V"), ("V", "A"), ("b", "V")]),
         caterpillar_graph,
     ]
     for graph in graphs:

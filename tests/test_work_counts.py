@@ -1,5 +1,6 @@
-"""Deterministic work counts of both BUILDs and of the pair layer as
-complexity guards, and one memory guard on the direct route.
+"""Deterministic work counts of both BUILDs, of the pair layer and of the
+in-bitset build as complexity guards, and one memory guard on the direct
+route.
 
 Single timings on a shared host spread up to 2x, so a regression in how
 BUILD work grows can hide in noise; the counts of ``util.build_work`` do
@@ -16,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from bmgraph import ColoredDigraph, SimulationConfig, bmg_of_tree, recognize_ncbmg, simulate
+from bmgraph import ColoredDigraph, SimulationConfig, bmg_of_tree, digraph, recognize_ncbmg, simulate
 from bmgraph.graphio import format_graph, parse_graph
 from cases import counterex_sym_graph, gate_mismatch_graph
 from util import build_work, caterpillar, pair_layer_report
@@ -272,3 +273,31 @@ def test_direct_route_keeps_no_per_vertex_colour_table():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * own, (peak, own, peak / own)
+
+
+def _transposed(graph: ColoredDigraph) -> tuple[int, ...]:
+    ins = [0] * len(graph)
+    for i, j in graph.arcs():
+        ins[j] |= 1 << i
+    return tuple(ins)
+
+
+def test_dense_in_masks_walk_no_bitset_and_sparse_ones_walk_each(monkeypatch):
+    # the 300-leaf two-colour caterpillar fills 1/4 of its vertex matrix, so its
+    # in-bitsets are read from one byte matrix (walking each out-bitset made 300
+    # scan_bits calls); Yule 1000 x 4 fills 1/135 of it, under 1/SCAN_DENSITY
+    dense = parse_graph(format_graph(bmg_of_tree(caterpillar(300, 2))))
+    sparse = parse_graph(format_graph(simulate(SimulationConfig(1000, 4, 7))[1]))
+    assert len(dense) ** 2 <= digraph.SCAN_DENSITY * dense.arc_count()
+    assert len(sparse) ** 2 > digraph.SCAN_DENSITY * sparse.arc_count()
+    expected = [_transposed(dense), _transposed(sparse)]
+    calls = {"bits": 0, "scan_bits": 0}
+    for name in calls:
+
+        def counted(mask, name=name, real=getattr(digraph, name)):
+            calls[name] += 1
+            return real(mask)
+
+        monkeypatch.setattr(digraph, name, counted)
+    assert (dense.in_masks, calls) == (expected[0], {"bits": 0, "scan_bits": 0})
+    assert sparse.in_masks == expected[1] and calls["scan_bits"] == len(sparse), calls
