@@ -1,27 +1,28 @@
 """Forward construction tree -> best match graph, plus oracle and simulator.
 
-``bmg_of_tree`` is the production engine and the only one: every gate, the
-simulator and ``from-tree`` use it.  It rests on the characterization that
-the colour-s out-neighbourhood of a leaf x (s not x's colour) is exactly the
-set of colour-s leaves below the lowest ancestor of x that has colour s
-below it.  It works top down over vertex bitsets: for a child v of p, every
-leaf below v has p as that ancestor for the colours ``cmask[p] & ~cmask[v]``
-(``_colormask``), so in preorder ``reach[v]`` is ``reach[p]`` plus the
-leaves below p of those colours, and a leaf's out-bitset is its ``reach``.
-The cost is O(N) bitset operations of n bits each.  ``bmg_oracle``
-re-derives the same graph straight from the defining quantifier with naive
-root-path lca, sharing nothing with the engine beyond the parent array;
-tests hold the two equal.
+Both engines rest on the characterization that the colour-s
+out-neighbourhood of a leaf x (s not x's colour) is exactly the set of
+colour-s leaves below the lowest ancestor of x that has colour s below it.
+For a child v of p, every leaf below v has p as that ancestor for the
+colours ``cmask[p] & ~cmask[v]`` (``_colormask``), so in preorder the
+targets of v are those of p plus the leaves below p of those colours.
+``bmg_of_tree``, the engine of every gate and of the simulator, keeps them
+as leaf bitsets, O(N) bitset operations of n bits each; ``bmg_targets``,
+with which ``from-tree`` writes the graph file, keeps them as sorted label
+lists, about one element per arc.  ``bmg_oracle`` re-derives the graph
+from the defining quantifier with naive root-path lca, sharing nothing
+with the engines beyond the parent array; tests hold the three equal.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, bits
 from .errors import GraphError
-from .tree import LeafColoredTree, Topology
+from .tree import LeafColoredTree, _canonical
 
 SHAPES = ("binary", "multifurcating")
 CONTRACTION_PROBABILITY = 0.2  # chance that ``simulate`` contracts an inner edge
@@ -56,6 +57,42 @@ def bmg_of_tree(tree: LeafColoredTree) -> ColoredDigraph:
             leaves = picked[new] = sum(map(of_color.__getitem__, bits(new)))
         reach[v] = reach[p] | below[p] & leaves
     return ColoredDigraph.from_masks(tree.colors, [reach[node_of[lab]] for lab in labs])
+
+
+def bmg_targets(tree: LeafColoredTree) -> list[list[str]]:
+    """Per node v of ``tree``, the sorted labels of the leaves in
+    ``bmg_of_tree``'s ``reach[v]``: at a leaf, its out-neighbours.  A child
+    v of p adds to p's list, for each colour c of ``cmask[p] & ~cmask[v]``,
+    the colour-c leaves with node ids from p up to ``end[p]``, where p's
+    subtree ends: a slice of colour c's leaves in preorder."""
+    children, cmask = tree.children, tree._colormask
+    end = list(range(1, len(children) + 1))
+    for v in range(len(children) - 1, -1, -1):
+        if children[v]:
+            end[v] = end[children[v][-1]]
+    nodes: list[list[int]] = [[] for _ in tree.color_universe]  # each colour's leaves in preorder
+    names: list[list[str]] = [[] for _ in tree.color_universe]  # and their labels
+    for lab, v in tree._leaf_node.items():  # in preorder
+        c = cmask[v].bit_length() - 1
+        nodes[c].append(v)
+        names[c].append(lab)
+    found: list[list[str]] = [[]] * len(children)
+    for p, kids in enumerate(children):  # preorder: p's list is done before its kids'
+        mine, stop = found[p], end[p]
+        for v in kids:
+            new = cmask[p] & ~cmask[v]
+            if not new:
+                found[v] = mine
+                continue
+            got = mine[:]
+            while new:
+                low = new & -new
+                new ^= low
+                c = low.bit_length() - 1
+                got += names[c][bisect_left(nodes[c], p) : bisect_left(nodes[c], stop)]
+            got.sort()
+            found[v] = got
+    return found
 
 
 def bmg_oracle(tree: LeafColoredTree) -> ColoredDigraph:
@@ -123,11 +160,18 @@ def simulate(cfg: SimulationConfig) -> tuple[LeafColoredTree, ColoredDigraph]:
     """Grow a random leaf-colored tree that uses every colour and return it
     with its best match graph."""
     rng = random.Random(cfg.seed)
-    children = _grow_yule_shape(cfg.leaf_count, rng)
+    kids = _grow_yule_shape(cfg.leaf_count, rng)
     n = cfg.leaf_count
     width = len(str(n))
     names = [f"v{i:0{width}d}" for i in range(1, n + 1)]
-    topo = _named_topology(children, names)
+    label: list[str | None] = [None] * len(kids)
+    stack, unused = [0], iter(names)
+    while stack:  # leaves named in depth-first order
+        v = stack.pop()
+        if kids[v] is None:
+            label[v] = next(unused)
+        else:
+            stack.extend(reversed(kids[v]))  # type: ignore[arg-type]
     k = cfg.color_count
     cwidth = len(str(k))
     color_names = [f"c{c:0{cwidth}d}" for c in range(1, k + 1)]
@@ -139,7 +183,7 @@ def simulate(cfg: SimulationConfig) -> tuple[LeafColoredTree, ColoredDigraph]:
         assignment = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
         rng.shuffle(assignment)
     colors = {names[i]: color_names[assignment[i]] for i in range(n)}
-    tree = LeafColoredTree(topo, colors)
+    tree = LeafColoredTree._of_layout(_canonical(kids, label, range(len(kids) - 1, -1, -1)), colors)
     if cfg.shape == "multifurcating":
         doomed = [e for e in tree.inner_edges() if rng.random() < CONTRACTION_PROBABILITY]
         if doomed:
@@ -147,37 +191,16 @@ def simulate(cfg: SimulationConfig) -> tuple[LeafColoredTree, ColoredDigraph]:
     return tree, bmg_of_tree(tree)
 
 
-def _grow_yule_shape(n: int, rng: random.Random) -> dict[int, list[int]]:
-    """Repeatedly split a uniformly chosen leaf until ``n`` leaves exist."""
-    children: dict[int, list[int]] = {0: []}
+def _grow_yule_shape(n: int, rng: random.Random) -> list[list[int] | None]:
+    """Child lists (``None`` for a leaf) made by repeatedly splitting a
+    uniformly chosen leaf until ``n`` leaves exist; kids after their parent."""
+    kids: list[list[int] | None] = [None]
     leaves = [0]
-    next_id = 1
     for _ in range(n - 1):
         pick = rng.randrange(len(leaves))
-        v = leaves[pick]
-        a, b = next_id, next_id + 1
-        next_id += 2
-        children[v] = [a, b]
-        children[a] = []
-        children[b] = []
+        v, a = leaves[pick], len(kids)
+        kids[v] = [a, a + 1]
+        kids += (None, None)
         leaves[pick] = a
-        leaves.append(b)
-    return children
-
-def _named_topology(children: dict[int, list[int]], names: list[str]) -> Topology:
-    """Nested-tuple topology with leaves named in depth-first order."""
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    rep: dict[int, Topology] = {}
-    it = iter(names)
-    for v in order:
-        if not children[v]:
-            rep[v] = next(it)
-    for v in reversed(order):
-        if children[v]:
-            rep[v] = tuple(rep[c] for c in children[v])
-    return rep[0]
+        leaves.append(a + 1)
+    return kids

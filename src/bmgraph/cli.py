@@ -12,16 +12,17 @@ import functools
 import sys
 
 from . import __version__
-from .bmg import SHAPES, SimulationConfig, bmg_of_tree, simulate
+from .bmg import SHAPES, SimulationConfig, bmg_of_tree, simulate  # bmg_of_tree: bound here by perfbench/layers.py
 from .digraph import connected_components, subgraph_on, symmetric_part
 from .errors import BmgraphError
 from .graphio import (
+    format_bmg,
     format_dot,
     format_graph,
     format_undirected,
     read_graph,
     read_tree,
-    write_graph,
+    write_graph,  # bound here by perfbench/layers.py
     write_text,
     write_tree,
 )
@@ -75,7 +76,7 @@ def _colors_path(tree_path: str, explicit: str | None) -> str:
 
 def cmd_from_tree(args: argparse.Namespace) -> int:
     tree = read_tree(args.tree, _colors_path(args.tree, args.color_map))
-    write_graph(bmg_of_tree(tree), args.out)
+    write_text((format_bmg(tree), args.out))
     return 0
 
 

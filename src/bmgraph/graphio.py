@@ -5,13 +5,15 @@ Graph files are plain text: ``V <id> <color>`` declares a vertex, ``A <src>
 A file in the layout the graph writer emits is read in bulk, its arc lines
 with no Python step per arc; any other layout, and any invalid file, is read
 line by line, which gives the same graph and every ``ParseError``.  Trees are
-rooted Newick without branch lengths or inner labels, read token by token;
-leaf colours live in a tab-separated sidecar, the one source of colour truth,
-read in bulk or line by line as graph files are.  Ids, leaf labels and
-colours are whitespace-free and hold no ``#``, ids none of ``(),;`` either,
-and the constructors check that, so what a writer emits reads back.  Writers
-emit sorted, byte-deterministic output; the graph writer names each source's
-targets from the nonzero bytes of its out-bitset, or bit by bit if sparse.
+rooted Newick without branch lengths or inner labels, read token by token
+into raw arrays for the tree's canonicalizer; leaf colours live in a
+tab-separated sidecar, the one source of colour truth, read in bulk or line
+by line as graph files are.  Ids, leaf labels and colours are
+whitespace-free and hold no ``#``, ids none of ``(),;`` either, and the
+constructors check that, so what a writer emits reads back.  Writers emit
+sorted, byte-deterministic output; the graph writer names each source's
+targets from the nonzero bytes of its out-bitset, or bit by bit if sparse,
+and ``format_bmg`` writes a tree's graph in that layout from its lists.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import sys
 from itertools import compress, groupby
 from typing import Iterator, TextIO
 
+from .bmg import bmg_targets
 from .digraph import ColoredDigraph, bits
 from .errors import ParseError, BmgraphError
-from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology
+from .tree import _FORBIDDEN_LABEL_CHARS, LeafColoredTree, Topology, _canonical
 
 # characters per block of the bulk path, which cuts each at the next line end
 _BLOCK = 1 << 14
@@ -169,6 +172,21 @@ def format_graph(graph: ColoredDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_bmg(tree: LeafColoredTree) -> str:
+    """``format_graph(bmg_of_tree(tree))``, each source's ``A`` lines one
+    join of its list of ``bmg_targets``."""
+    labs, colors, node_of = tree.leaf_labels, tree.colors, tree._leaf_node
+    found = bmg_targets(tree)
+    lines = [f"V {v} {colors[v]}" for v in labs]
+    for v in sorted(labs, key="{} ".format):
+        got = found[node_of[v]]
+        if got:
+            head = f"A {v} "
+            lines.append(head + ("\n" + head).join(got))
+    lines.append("")
+    return "\n".join(lines)
+
+
 def format_undirected(graph: ColoredDigraph) -> str:
     """Text of a symmetric digraph: ``V`` lines, then one ``E x y`` line per
     arc with x < y, in string order."""
@@ -179,13 +197,28 @@ def format_undirected(graph: ColoredDigraph) -> str:
 
 
 def parse_newick(text: str) -> Topology:
-    """Parse a rooted Newick string into a nested-tuple topology, token by
-    token (see ``_NEWICK_TOKEN``)."""
+    """Nested-tuple topology of a rooted Newick string: a fold of
+    ``_newick_arrays``, whose kids come before their parent."""
+    kids, rep = _newick_arrays(text)
+    for v, below in enumerate(kids):
+        if below is not None:
+            rep[v] = tuple(map(rep.__getitem__, below))
+    return rep[-1]
+
+
+def _newick_arrays(text: str) -> tuple[list[list[int] | None], list[str | None]]:
+    """Raw child lists (text order, ``None`` for a leaf) and labels of a
+    rooted Newick string, read token by token (see ``_NEWICK_TOKEN``).  A
+    vertex is allocated where it ends, at its label or its ``)``, so kids
+    come before their parent and the root last; a one-element group is its
+    element."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty tree file", 1, 1)
-    stack: list[list[Topology]] = []
-    current: list[Topology] = []
+    kids: list[list[int] | None] = []
+    label: list[str | None] = []
+    stack: list[list[int]] = []
+    current: list[int] = []  # the elements of the innermost open group
     last = ""  # the element that just finished: "label", ")", or "" for none
     done_at: int | None = None
     col = 1
@@ -203,9 +236,14 @@ def parse_newick(text: str) -> Topology:
                 raise ParseError("unbalanced ')'", 1, col)
             if not last:
                 raise ParseError("empty element before ')'", 1, col)
-            group = tuple(current)
+            group = current
             current = stack.pop()
-            current.append(group if len(group) > 1 else group[0])
+            if len(group) > 1:
+                current.append(len(kids))
+                kids.append(group)
+                label.append(None)
+            else:
+                current += group
             last = ")"
         elif tok == "(":
             if last:
@@ -224,14 +262,16 @@ def parse_newick(text: str) -> Topology:
         else:
             if last:
                 raise ParseError("label directly after ')'", 1, col)
-            current.append(tok)
+            current.append(len(kids))
+            kids.append(None)
+            label.append(tok)
             last = "label"
         col += len(tok)
     if done_at is None:
         raise ParseError("missing ';' terminator", 1, len(stripped))
     if len(current) != 1:
         raise ParseError("newick must describe exactly one tree", 1, done_at)
-    return current[0]
+    return kids, label
 
 
 def parse_color_map(text: str) -> dict[str, str]:
@@ -292,9 +332,9 @@ def read_tree(tree_path: str, colors_path: str) -> LeafColoredTree:
     """Tree of a Newick file and its colour sidecar, which must name exactly
     the tree's leaves: the tree raises on a missing leaf, then any extra
     entry is a ``ParseError``."""
-    topology = parse_newick(_read_text(tree_path))
+    kids, label = _newick_arrays(_read_text(tree_path))
     colors = parse_color_map(_read_text(colors_path))
-    tree = LeafColoredTree(topology, colors)
+    tree = LeafColoredTree._of_layout(_canonical(kids, label, range(len(kids))), colors)
     if len(tree.colors) != len(colors):
         extra = sorted(colors.keys() - tree.colors.keys())
         raise ParseError(f"color map lists unknown leaves: {extra}", None)
@@ -388,6 +428,7 @@ def write_graph(graph: ColoredDigraph, path: str) -> None:
 __all__ = [
     "parse_graph",
     "format_graph",
+    "format_bmg",
     "format_undirected",
     "parse_newick",
     "parse_color_map",

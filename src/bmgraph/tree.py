@@ -1,15 +1,17 @@
 """Rooted leaf-colored phylogenetic trees in canonical preorder arrays.
 
-Trees are immutable once built.  Construction canonicalizes the shape in
-one layout pass (``_layout``): one-element tuples are unwrapped as vertices
-are allocated, which suppresses degree-two inner vertices and single-child
-roots, the leaf labels are checked all at once, children are ordered by
-their smallest descendant leaf label, and node ids are the preorder ranks
-of that canonical layout.  Two equal trees therefore have identical node
-numbering, which keeps every downstream computation and serialization
-deterministic.  Leaf labels are whitespace-free and hold none of
-``();,#``, and colours are whitespace-free and hold no ``#``, so every
-label and colour reads back from the files the library writes.
+Trees are immutable once built.  One canonicalizer (``_canonical``) takes
+raw child and label arrays from either reader: ``_layout``'s walk of a
+nested-tuple topology, which unwraps one-element tuples and so suppresses
+degree-two inner vertices and single-child roots, or the Newick reader of
+``graphio``, which splices out a one-element group at its ``)``.  It checks
+the leaf labels all at once, orders children by their smallest descendant
+leaf label and numbers nodes by their preorder rank in that layout.  Two
+equal trees therefore have identical node numbering, which keeps every
+downstream computation and serialization deterministic.  Leaf labels are
+whitespace-free and hold none of ``();,#``, and colours are whitespace-free
+and hold no ``#``, so every label and colour reads back from the files the
+library writes.
 
 Preorder ids put every child after its parent, so one reverse pass over
 the ids folds any per-node quantity from the leaves up, as ``_finalize``
@@ -22,11 +24,13 @@ leaves stay well clear of the interpreter recursion limit.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import TreeError
 
 Topology = Union[str, tuple]
+# canonical parent, children and label arrays: node ids are preorder ranks
+Layout = tuple[list[int], list[tuple[int, ...]], list[str | None]]
 
 _FORBIDDEN_LABEL_CHARS = frozenset("();,#")
 _FORBIDDEN_COLOR_CHARS = frozenset("#")
@@ -65,7 +69,17 @@ class LeafColoredTree:
     )
 
     def __init__(self, topology: Topology, colors: Mapping[str, str]):
-        parent, children, label = _layout(topology)
+        self._build(_layout(topology), colors)
+
+    @classmethod
+    def _of_layout(cls, layout: Layout, colors: Mapping[str, str]) -> "LeafColoredTree":
+        """Tree of canonical arrays, as ``_canonical`` returns them."""
+        tree = cls.__new__(cls)
+        tree._build(layout, colors)
+        return tree
+
+    def _build(self, layout: Layout, colors: Mapping[str, str]) -> None:
+        parent, children, label = layout
         self.parent: tuple[int, ...] = tuple(parent)
         self.children: tuple[tuple[int, ...], ...] = tuple(children)
         self.label: tuple[str | None, ...] = tuple(label)
@@ -127,22 +141,12 @@ class LeafColoredTree:
             if self.label[v] is not None:
                 raise TreeError(f"({u}, {v}) is an outer edge; only inner edges contract")
             doomed.add(v)
-        flat: list[list[Topology]] = [[] for _ in self.parent]
-        rep: list[Topology] = [""] * len(self.parent)
-        for v in reversed(range(len(self.parent))):
-            lab = self.label[v]
-            if lab is not None:
-                rep[v] = lab
-                continue
-            kids: list[Topology] = []
-            for c in self.children[v]:
-                if c in doomed:
-                    kids.extend(flat[c])
-                else:
-                    kids.append(rep[c])
-            flat[v] = kids
-            rep[v] = tuple(kids)
-        return LeafColoredTree(rep[self.root], self.colors)
+        kids: list[list[int] | None] = [None if lab is not None else [] for lab in self.label]
+        up = range(len(kids) - 1, -1, -1)  # kids first, so a doomed kid's list is flat when it is read
+        for v in up:
+            if kids[v] is not None:
+                kids[v] = [k for c in self.children[v] for k in (kids[c] if c in doomed else (c,))]
+        return LeafColoredTree._of_layout(_canonical(kids, list(self.label), up), self.colors)
 
     # -- serialization and comparison -----------------------------------------
 
@@ -184,20 +188,13 @@ class LeafColoredTree:
 # -- topology plumbing ---------------------------------------------------------
 
 
-def _layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[str | None]]:
+def _layout(topology: Topology) -> Layout:
     """Canonical parent/children/label arrays of a nested-tuple topology,
-    rooted at 0.
-
-    Each vertex is allocated after its parent, and one-element tuples are
-    unwrapped on the way: that is the suppression of degree-two vertices and
-    single-child roots.  The labels are checked all at once after the walk;
-    only a failed check, or a structural fault met on the way, pays for the
-    scan in allocation order that finds the first fault.  Kids come after
-    their parent, so one reverse scan over allocation order sorts every
-    child list by smallest leaf label; then the vertices are renumbered in
-    preorder.
-    """
-    parent: list[int] = []
+    rooted at 0.  Each vertex is allocated after its parent, and
+    one-element tuples are unwrapped on the way: that is the suppression of
+    degree-two vertices and single-child roots.  The walk stops at a
+    structural fault; ``_canonical`` raises it, after any label fault met
+    before it."""
     kids: list[list[int] | None] = []  # None for a leaf
     label: list[str | None] = []
     fault = None  # the structural fault the walk stopped at
@@ -206,7 +203,7 @@ def _layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[
         topo, par = work.pop()
         while isinstance(topo, tuple) and len(topo) == 1:
             topo = topo[0]
-        v = len(parent)
+        v = len(label)
         if isinstance(topo, str):
             kids.append(None)
             label.append(topo)
@@ -218,36 +215,49 @@ def _layout(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[
             empty = isinstance(topo, tuple)
             fault = TreeError("empty inner node in topology" if empty else f"bad topology element: {topo!r}")
             break
-        parent.append(par)
         if par >= 0:
             kids[par].append(v)  # type: ignore[union-attr]
-    leaves: list[str] = [lab for lab in label if lab is not None]
+    return _canonical(kids, label, range(len(label) - 1, -1, -1), fault)
+
+
+def _canonical(
+    kids: list[list[int] | None], label: list[str | None], up: Sequence[int], fault: TreeError | None = None
+) -> Layout:
+    """Canonical arrays of raw child lists (``None`` for a leaf) and labels,
+    with ``up`` listing every vertex after its kids, the root last.  The
+    labels are checked all at once, in the reverse of ``up``, the order of
+    ``_layout``'s walk; only a failed check, or the structural ``fault`` a
+    walk stopped at, pays for the scan that finds the first fault.  Then one
+    scan along ``up`` sorts every child list by smallest leaf label."""
+    leaves = [lab for lab in label if lab is not None]
     joined = "".join(leaves)
     legal = joined.split() == [joined] and _FORBIDDEN_LABEL_CHARS.isdisjoint(joined) and all(leaves)
     if fault or not legal or len(set(leaves)) < len(leaves):
-        _raise_first_fault(leaves, fault)
+        _raise_first_fault([label[v] for v in reversed(up) if label[v] is not None], fault)
 
     first = label[:]  # smallest leaf label below each vertex
     key = first.__getitem__
-    for v in reversed(range(len(parent))):
+    for v in up:
         below = kids[v]
         if below is not None:
             below.sort(key=key)  # type: ignore[arg-type]
             first[v] = first[below[0]]
 
     order: list[int] = []
-    stack = [0]
+    new_parent: list[int] = []
+    stack, above = [v], [-1]  # the root, last along ``up``, and its parent
     while stack:
         v = stack.pop()
-        order.append(v)
+        new_parent.append(above.pop())
         below = kids[v]
         if below is not None:
-            stack.extend(reversed(below))
-    rank = [0] * len(order)
+            above += itertools.repeat(len(order), len(below))
+            stack += reversed(below)
+        order.append(v)
+    rank = [0] * len(kids)
     for r, v in enumerate(order):
         rank[v] = r
     at = rank.__getitem__
-    new_parent = [-1, *map(at, map(parent.__getitem__, order[1:]))]
     new_children = [tuple(map(at, below)) if below else () for below in map(kids.__getitem__, order)]
     return new_parent, new_children, list(map(label.__getitem__, order))
 

@@ -355,24 +355,24 @@ def test_color_table_is_its_definition_however_the_graph_is_made(graph, rng):
         assert g.color_masks is g.color_masks  # built once, then kept
 
 
-def test_a_from_tree_run_builds_no_view_of_its_graph(tmp_path, monkeypatch):
-    # the forward path writes the graph and reads only its out-bitsets
-    written, original = [], cli.write_graph
+def test_a_from_tree_run_builds_no_graph(tmp_path, monkeypatch):
+    # the forward path writes its arcs straight from the tree, so it interns
+    # no ColoredDigraph and builds none of a graph's views
+    interned, original = [], ColoredDigraph._intern
 
-    def write_graph(graph, path):
-        written.append(graph)
-        original(graph, path)
+    def intern(graph, colors):
+        interned.append(graph)
+        original(graph, colors)
 
-    monkeypatch.setattr(cli, "write_graph", write_graph)
+    monkeypatch.setattr(ColoredDigraph, "_intern", intern)
     for seed in range(10):
-        tree, _ = random_scenario(seed, max_leaves=30, max_colors=5)
-        tp = tmp_path / "t.nwk"
+        tree, graph = random_scenario(seed, max_leaves=30, max_colors=5)
+        tp, out = tmp_path / "t.nwk", tmp_path / "g.txt"
         write_tree(tree, str(tp), str(tp) + ".colors")
-        assert cli.main(["from-tree", "--tree", str(tp), "--out", str(tmp_path / "g.txt")]) == 0
-        (graph,) = written
-        written.clear()
-        assert (graph._in_masks, graph._color_masks) == (None, None)
-        assert graph.color_masks == color_table(graph)
+        interned.clear()
+        assert cli.main(["from-tree", "--tree", str(tp), "--out", str(out)]) == 0
+        assert interned == []
+        assert out.read_text(encoding="utf-8") == format_graph(graph)
 
 
 def test_racing_first_reads_of_in_masks_agree():

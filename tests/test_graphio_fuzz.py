@@ -1,7 +1,10 @@
 """Parser fuzzing: only ``ParseError`` escapes, and formatting round-trips."""
 
+import contextlib
+import io
 import itertools
 import os
+import re
 import tempfile
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmgraph import (
+    BmgraphError,
     ColoredDigraph,
     GraphError,
     LeafColoredTree,
@@ -16,6 +20,7 @@ from bmgraph import (
     SimulationConfig,
     TreeError,
     bmg_of_tree,
+    bmg_oracle,
     simulate,
 )
 from bmgraph import cli, graphio
@@ -439,7 +444,11 @@ NEWICK_MUTATIONS = (
 def newick_mutations(draw):
     """``newick()`` text of a drawn tree, as written or with one mutation,
     most of which make it invalid."""
-    text = draw(trees()).newick()
+    return mutated_newick(draw, draw(trees()).newick())
+
+
+def mutated_newick(draw, text):
+    """``text`` as written or with one drawn mutation of ``NEWICK_MUTATIONS``."""
     mutation = draw(st.sampled_from(NEWICK_MUTATIONS))
     punct = {"blank after (": "(", "blank after ,": ",", "blank after )": ")", "# after )": ")"}
     if mutation in punct:
@@ -488,7 +497,12 @@ COLOR_MUTATIONS = (
 def color_map_mutations(draw):
     """``format_color_map`` text of a drawn map, as written or with one
     line mutated."""
-    colors = draw(st.dictionaries(tokens, tokens, min_size=1, max_size=8))
+    return mutated_color_map(draw, draw(st.dictionaries(tokens, tokens, min_size=1, max_size=8)))
+
+
+def mutated_color_map(draw, colors):
+    """``format_color_map(colors)`` with one line mutated as drawn from
+    ``COLOR_MUTATIONS``."""
     lines = format_color_map(colors).splitlines(keepends=True)
     k = draw(st.integers(0, len(lines) - 1))
     leaf, color = lines[k][:-1].split("\t")
@@ -563,3 +577,72 @@ def test_from_tree_takes_the_bulk_paths(tmp_path, monkeypatch):
         write_tree(tree, str(nwk), str(nwk) + ".colors")
         assert cli.main(["from-tree", "--tree", str(nwk), "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == reference_format_graph(bmg_of_tree(tree))
+
+
+FROM_TREE_MUTATIONS = ("newick", "colour map", "repeated leaf", "missing leaf", "extra leaf")
+
+
+@st.composite
+def from_tree_inputs(draw):
+    """The Newick text and colour sidecar of a drawn tree, one of them
+    mutated: a mutation of either text, a leaf label written twice in the
+    Newick text, or a leaf dropped from or added to the sidecar."""
+    tree = draw(trees())
+    newick, colors = tree.newick(), dict(tree.colors)
+    mutation = draw(st.sampled_from(FROM_TREE_MUTATIONS))
+    if mutation == "newick":
+        newick = mutated_newick(draw, newick)
+    elif mutation == "repeated leaf" and len(colors) > 1:
+        a, b = draw(st.permutations(sorted(colors)))[:2]
+        parts = re.split(r"([(),;])", newick)
+        parts[parts.index(b)] = a
+        newick = "".join(parts)
+    elif mutation == "missing leaf":
+        del colors[draw(st.sampled_from(sorted(colors)))]
+    elif mutation == "extra leaf":
+        colors[draw(tokens.filter(lambda t: t not in colors))] = draw(tokens)
+    return newick, mutated_color_map(draw, colors) if mutation == "colour map" else format_color_map(colors)
+
+
+def reference_from_tree(newick, sidecar):
+    """Exit code, stderr and output text of ``from-tree`` on these file
+    texts, from the character reader of Newick, the line reader of sidecars,
+    the definition-level graph and the one-sort writer."""
+    try:
+        topology = reference_parse_newick(newick)
+        colors = graphio._parse_color_lines(sidecar)
+        tree = LeafColoredTree(topology, colors)
+        if len(tree.colors) != len(colors):
+            raise ParseError(f"color map lists unknown leaves: {sorted(colors.keys() - tree.colors.keys())}", None)
+    except BmgraphError as exc:
+        return 2, f"error: {exc}\n", None
+    return 0, "", reference_format_graph(bmg_oracle(tree))
+
+
+@FUZZ
+@given(st.one_of(from_tree_inputs(), st.tuples(texts, texts)))
+@example(("(a,b,a,b);", "a\tr\nb\ts\n"))  # the tuple walk meets the leaves right to left: 'b' repeats first
+@example(("((a,(b,c)),(c,a));", "a\tr\nb\ts\nc\tr\n"))
+@example(("(((a,b)));", "a\tr\nb\ts\n"))
+@example(("a;", "a\tr\n"))
+@example(("(a);", "a\tr\n"))
+@example(("((a,b),c);", "a\tr\nc\ts\n"))  # a leaf missing from the sidecar
+@example(("((a,b),c);", "a\tr\nb\ts\nc\tr\nd\ts\n"))  # a leaf the tree does not have
+@example(("(a,b;", "a\tr\na\ts\n"))  # the Newick error comes before the sidecar's
+def test_from_tree_equals_the_reference_readers_and_writer(files):
+    newick, sidecar = files
+    with tempfile.TemporaryDirectory() as tmp:
+        tp, cp, out = (os.path.join(tmp, name) for name in ("t.nwk", "t.colors", "g.txt"))
+        for path, text in ((tp, newick), (cp, sidecar)):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        with open(tp, encoding="utf-8") as fh, open(cp, encoding="utf-8") as fc:
+            expected = reference_from_tree(fh.read(), fc.read())  # the texts as read, line ends translated
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["from-tree", "--tree", tp, "--color-map", cp, "--out", out])
+        written = None
+        if os.path.exists(out):
+            with open(out, "rb") as fo:
+                written = fo.read().decode("utf-8")
+    assert (code, err.getvalue(), written) == expected

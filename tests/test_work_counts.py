@@ -1,6 +1,6 @@
-"""Deterministic work counts of both BUILDs, of the pair layer and of the
-in-bitset build as complexity guards, and one memory guard on the direct
-route.
+"""Deterministic work counts of both BUILDs, of the pair layer, of the
+in-bitset build and of the ``from-tree`` writer as complexity guards, and
+one memory guard on the direct route.
 
 Single timings on a shared host spread up to 2x, so a regression in how
 BUILD work grows can hide in noise; the counts of ``util.build_work`` do
@@ -14,11 +14,12 @@ the name ``PAIR_LAYER``."""
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from bmgraph import ColoredDigraph, SimulationConfig, bmg_of_tree, digraph, recognize_ncbmg, simulate
-from bmgraph.graphio import format_graph, parse_graph
+from bmgraph import ColoredDigraph, SimulationConfig, bmg, bmg_of_tree, cli, digraph, graphio, recognize_ncbmg, simulate
+from bmgraph.graphio import format_graph, parse_graph, write_tree
 from cases import counterex_sym_graph, gate_mismatch_graph
 from util import build_work, caterpillar, pair_layer_report
 
@@ -301,3 +302,51 @@ def test_dense_in_masks_walk_no_bitset_and_sparse_ones_walk_each(monkeypatch):
         monkeypatch.setattr(digraph, name, counted)
     assert (dense.in_masks, calls) == (expected[0], {"bits": 0, "scan_bits": 0})
     assert sparse.in_masks == expected[1] and calls["scan_bits"] == len(sparse), calls
+
+
+# per tree, the elements of the target lists ``bmg_targets`` builds for
+# ``from-tree`` when first measured, against its arcs: each leaf's list is its
+# arcs, and an inner node builds a list only where a colour joins its reach
+TARGET_ELEMENTS = {
+    "Yule 2500 x 4": (25_247, 21_866),
+    "Yule 1000 x 20": (81_477, 50_621),
+    "caterpillar 300 x 2": (22_501, 22_501),
+}
+
+
+def test_from_tree_walks_no_bitset_and_builds_each_arc_about_once(tmp_path, monkeypatch):
+    # the forward path lists arcs from the leaf preorder: no out-bitset is
+    # built or walked (format_graph took ~0.4 us per arc walking sparse
+    # 2500-bit bitsets bit by bit), and no target list is built twice
+    trees = {
+        "Yule 2500 x 4": simulate(SimulationConfig(2500, 4, 1))[0],
+        "Yule 1000 x 20": simulate(SimulationConfig(1000, 20, 1))[0],
+        "caterpillar 300 x 2": caterpillar(300, 2),
+    }
+    calls: Counter = Counter()
+    for home, name in ((digraph, "bits"), (digraph, "scan_bits"), (bmg, "bmg_of_tree"), (graphio, "format_graph")):
+        real = getattr(home, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("bmgraph")]:
+            if getattr(module, name, None) is real:
+
+                def counted(*args, name=name, real=real):
+                    calls[name] += 1
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    built: list[int] = []
+
+    def targets(tree, real=graphio.bmg_targets):
+        found = real(tree)
+        built.append(sum(map(len, {id(got): got for got in found}.values())))
+        return found
+
+    monkeypatch.setattr(graphio, "bmg_targets", targets)
+    for name, tree in trees.items():
+        nwk, out = tmp_path / "t.nwk", tmp_path / "g.txt"
+        write_tree(tree, str(nwk), str(nwk) + ".colors")
+        assert cli.main(["from-tree", "--tree", str(nwk), "--out", str(out)]) == 0
+        elements, arcs = TARGET_ELEMENTS[name]
+        assert not calls, (name, calls)
+        assert out.read_text(encoding="utf-8").count("\nA ") == arcs, name
+        assert built.pop() <= elements, name
